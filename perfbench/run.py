@@ -22,6 +22,7 @@ missing or the arguments are wrong.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -43,7 +44,14 @@ WORKLOAD_NAMES = ("fig7_dynamic", "fig6_static", "service_drain", "study_tcp")
 #: Repetitions run even when ``--seconds`` is already spent.
 MIN_REPS = 3
 #: Set-up probes per run; ``setup_s`` is their median.
-SETUP_PROBES = 3
+SETUP_PROBES = 5
+#: Wall time of :func:`kernel_s` on the reference host (2-vCPU Intel Xeon,
+#: quiet).  Job and set-up times are scaled to that host speed.
+KERNEL_REF_S = 0.065
+#: The jobs slow down less than the kernel when the host is busy: their
+#: times move as the kernel's time to this power.  Fitted on ten seeds of
+#: each gated workload, where it gave the least spread of ``job_s``.
+KERNEL_EXPONENT = 0.7
 
 
 def _load_package() -> None:
@@ -65,8 +73,54 @@ def _setup_probe(workload: str, seed: int) -> None:
     wl.build_workloads(str(WORK_DIR))[workload].setup(seed)
 
 
+def kernel_s() -> float:
+    """Wall time of a fixed interpreter and small-array NumPy kernel.
+
+    It shares no code with the package, so a change to the package never
+    moves it; only the speed the host gives this process does.
+    """
+    import numpy
+
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        table = {}
+        total = 0.0
+        for i in range(120000):
+            key = i % 977
+            table[key] = table.get(key, 0.0) + i * 0.5
+            total += table[key] % 7.0
+        array = numpy.arange(16, dtype=float)
+        for _ in range(12000):
+            array = numpy.sqrt(array * 1.0001 + 1.0)
+            array.sum()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+class HostClock:
+    """Scales timed blocks to the reference host speed.
+
+    The kernel runs after every block, so each block sits between two
+    kernel readings; their mean over ``KERNEL_REF_S`` is the host's
+    slowdown during the block, and the block's time is divided by that
+    slowdown to the power ``KERNEL_EXPONENT``.
+    """
+
+    def __init__(self) -> None:
+        self.kernels = [kernel_s()]
+
+    def scale(self, seconds: float) -> float:
+        self.kernels.append(kernel_s())
+        slowdown = (self.kernels[-2] + self.kernels[-1]) / (2 * KERNEL_REF_S)
+        return seconds / slowdown**KERNEL_EXPONENT
+
+
 def measure_setup(workload: str, seed: int) -> float:
-    """Median wall time of fresh interpreters importing and generating inputs."""
+    """Median scaled wall time of fresh interpreters that import the
+    package and build the workload's inputs."""
+    clock = HostClock()
     times = []
     for _ in range(SETUP_PROBES):
         start = time.perf_counter()
@@ -77,7 +131,7 @@ def measure_setup(workload: str, seed: int) -> float:
             cwd=str(ROOT),
             timeout=120,
         )
-        times.append(time.perf_counter() - start)
+        times.append(clock.scale(time.perf_counter() - start))
     return statistics.median(times)
 
 
@@ -209,9 +263,13 @@ def run(args) -> int:
 
     untraced = []
     traced = []
+    # Job times scaled to the reference host speed.
+    untraced_s = []
+    traced_s = []
     layers = []
     absent = []
     tracer = tracing.Tracer() if args.trace else None
+    clock = HostClock()
     deadline = time.perf_counter() + args.seconds
     # Stop before a repetition that would overrun the deadline (estimated
     # from the fastest one so far), so a run lasts about --seconds.
@@ -219,10 +277,12 @@ def run(args) -> int:
     while len(untraced) < MIN_REPS or time.perf_counter() + estimate < deadline:
         start = time.perf_counter()
         untraced.append(workload.job(inputs))
+        untraced_s.append(clock.scale(untraced[-1].job_s))
         if tracer is not None:
             tracer.reset()
             with tracing.installed(tracer) as missing:
                 job = workload.job(inputs, tracer)
+            traced_s.append(clock.scale(job.job_s))
             absent = missing
             traced.append(job)
             layers.append(layer_metrics(tracer, job))
@@ -239,11 +299,7 @@ def run(args) -> int:
         problems.append(f"{failed} of {attempted} items failed")
 
     median = statistics.median
-    # Every job is deterministic, and co-tenant contention on a shared host
-    # only ever slows it down (up to 2x, in bursts lasting seconds), so the
-    # fastest repetition of each timed part estimates its cost.  Parts are
-    # short (one drain, one static mix), so the minimum settles within a run.
-    job_s = sum(map(min, zip(*(job.parts for job in untraced))))
+    job_s = median(untraced_s)
     report = [
         f"workload {args.workload} (seed {args.seed}): {workload.why}",
         f"repetitions: {len(untraced)} untraced"
@@ -251,7 +307,7 @@ def run(args) -> int:
         f"output digest: {first.digest}"
         + (" (pinned)" if pinned is not None else " (seed not pinned)"),
     ]
-    figures = {"job_s_median": median([job.job_s for job in untraced])}
+    figures = {"host_slowdown": median(clock.kernels) / KERNEL_REF_S}
     for key in untraced[0].figures:
         figures[key] = median([job.figures[key] for job in untraced])
     if untraced[0].drains:
@@ -266,7 +322,7 @@ def run(args) -> int:
         for key in layers[0]:
             metrics[key] = {"value": median([m[key] for m in layers]), "unit": _unit(key)}
         metrics["trace.overhead_s"] = {
-            "value": sum(map(min, zip(*(job.parts for job in traced)))) - job_s,
+            "value": median(traced_s) - job_s,
             "unit": "s",
         }
         spans_path = RESULTS_DIR / f"spans-{args.workload}.csv.gz"
@@ -297,7 +353,7 @@ def run(args) -> int:
         "failed": failed,
         "metrics": metrics,
     }
-    _append_history(args, workload.why, result, figures, absent, untraced)
+    _append_history(args, workload.why, result, figures, absent, untraced, clock)
     print("\n".join(report))
     print(json.dumps(result), flush=True)
     return 0 if correct else 1
@@ -314,7 +370,7 @@ def _unit(name: str) -> str:
 
 
 _FIGURE_UNITS = {
-    "job_s_median": "s",
+    "host_slowdown": "ratio",
     "study_s": "s",
     "server_s": "s",
     "frames_per_s": "1/s",
@@ -322,6 +378,7 @@ _FIGURE_UNITS = {
     "drain_p95_ms": "ms",
     "drain_samples": "count",
     "drains": "count",
+    "snapshots": "count",
     "error_rate": "ratio",
 }
 
@@ -330,7 +387,7 @@ def _figure_unit(name: str) -> str:
     return _FIGURE_UNITS.get(name, "ratio (sim)")
 
 
-def _append_history(args, why, result, figures, absent, untraced) -> None:
+def _append_history(args, why, result, figures, absent, untraced, clock) -> None:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     record = {
         "time": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -342,6 +399,7 @@ def _append_history(args, why, result, figures, absent, untraced) -> None:
         "provenance": provenance(),
         "figures": figures,
         "job_s_each": [job.job_s for job in untraced],
+        "kernel_s_each": clock.kernels,
         "absent": list(absent),
         **result,
     }

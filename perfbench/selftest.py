@@ -19,6 +19,7 @@ import gzip
 import os
 import sys
 import tempfile
+import time
 import unittest
 from pathlib import Path
 
@@ -28,6 +29,8 @@ sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from repro.runtime.executors import framing  # noqa: E402
+from repro.service import protocol  # noqa: E402
 
 #: Entry points each workload must call at least once.
 EXPECTED_CALLS = {
@@ -90,7 +93,6 @@ _REDUCED = {
     "FIG6_MIXES": ((6, 1), (12, 1)),
     "SERVICE_HOSTS": 4,
     "SERVICE_BATCHES": 8,
-    "SNAPSHOT_EVERY": 4,
 }
 _saved = {}
 
@@ -109,6 +111,11 @@ def setUpModule():
 def tearDownModule():
     for name, value in _saved.items():
         setattr(workloads, name, value)
+
+
+def _slow_step() -> None:
+    """Stands in for the work a caller does between two generator items."""
+    time.sleep(0.01)
 
 
 def _bindings():
@@ -182,6 +189,23 @@ class InstallTests(unittest.TestCase):
             places=9,
         )
         self.assertEqual(tracer.busy["b"], tracer.inclusive["inner"])
+
+    def test_generator_span_excludes_the_callers_work(self):
+        tracer = tracing.Tracer()
+        entries = (
+            next(e for e in tracing.ENTRY_POINTS if e.name == "codec.feed"),
+            tracing.EntryPoint("slow", __name__, "_slow_step", "slow"),
+        )
+        data = b"".join(
+            framing.pack_frame(protocol.host_bye(seq)) for seq in (1, 2, 3)
+        )
+        with tracing.installed(tracer, entries):
+            for _frame in framing.FrameReader().feed(data):
+                _slow_step()
+        self.assertEqual(tracer.calls["slow"], 3)
+        self.assertGreaterEqual(tracer.busy["slow"], 0.03)
+        self.assertLess(tracer.busy["codec"], 0.01)
+        self.assertEqual(tracer.counters["codec.bytes"], len(data))
 
 
 class CoverageTests(unittest.TestCase):

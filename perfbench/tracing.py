@@ -7,7 +7,8 @@ and always restores the originals on exit, so untraced repetitions run the
 unmodified code.
 
 Every call of a wrapped entry point records a span (entry id, start, end,
-parent span, root span).  Spans stay in memory and are written out once, at
+parent span, root span); a wrapped generator records one span per
+resumption.  Spans stay in memory and are written out once, at
 the end of the run (:meth:`Tracer.write_spans`).  Aggregates are kept per
 repetition:
 
@@ -300,16 +301,22 @@ def _wrap(tracer: Tracer, entry: EntryPoint, fn: Callable) -> Callable:
     name, layer, hook = entry.name, entry.layer, entry.hook
 
     if inspect.isgeneratorfunction(fn):
-
+        # One span per resumption, closed before each yield: the caller's
+        # work between two items is not the generator's time.
         def traced_generator(*args, **kwargs):
             if tracer.absorbed():
                 yield from fn(*args, **kwargs)
                 return
-            frame = tracer.enter(name, layer)
-            try:
-                yield from fn(*args, **kwargs)
-            finally:
-                tracer.exit(frame)
+            inner = fn(*args, **kwargs)
+            while True:
+                frame = tracer.enter(name, layer)
+                try:
+                    item = next(inner)
+                except StopIteration:
+                    break
+                finally:
+                    tracer.exit(frame)
+                yield item
             if hook is not None:
                 hook(tracer, args, None)
 

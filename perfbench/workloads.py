@@ -16,7 +16,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import (
@@ -24,6 +24,7 @@ from repro.experiments import (
     ExecutorSpec,
     PolicySpec,
     ScenarioSpec,
+    ServiceSpec,
     StudySpec,
     WorkloadSpec,
     run_study,
@@ -47,12 +48,12 @@ FIG7_MIXES = 4
 #: Fig. 6 shape: S mixes Best-Static solves exactly (6 apps) and by local
 #: search (12 apps), with this many mixes of each size.
 FIG6_MIXES = ((6, 8), (12, 4))
-#: Service session: closed-loop hosts, monitoring batches per host, and the
-#: snapshot cadence in drains.
+#: Service session: closed-loop hosts and their mix sizes.  Batches per host
+#: and the snapshot period are the daemon's defaults.
 SERVICE_HOSTS = 64
-SERVICE_BATCHES = 40
 SERVICE_APP_COUNTS = (4, 6, 8)
-SNAPSHOT_EVERY = 16
+SERVICE_BATCHES = ServiceSpec().batches
+SNAPSHOT_EVERY_S = ServiceSpec().snapshot_every_s
 
 
 def mix_seed(seed: int, *parts: Any) -> int:
@@ -87,9 +88,6 @@ class JobResult:
     attempted: int
     failed: int
     digest: str
-    #: The job's timed parts in a fixed order (the same for every repetition
-    #: of one input); ``job_s`` is their sum.
-    parts: List[float]
     #: Workload-specific figures for the report (issue metric names).
     figures: Dict[str, float] = field(default_factory=dict)
     #: Per-layer figures the job reads off its own outputs.
@@ -160,53 +158,32 @@ def tcp_spec(seed: int):
 
 
 class StudyWorkload:
-    """``run_study`` jobs; ``job_s`` is the wall time of the calls.
+    """One ``run_study`` call per job; ``job_s`` is its wall time.
 
-    With ``per_mix`` every workload mix is its own one-mix study, so each
-    timed part is short.  Only static studies may be split: their rows are
-    computed per mix, so the split changes neither the rows nor the work.
+    The mixes are ``source="random"`` specs that ``run_study`` draws itself,
+    so set-up holds only the spec and the timed call includes generation.
     """
 
-    def __init__(
-        self, name: str, build, why: str, reference=None, per_mix: bool = False
-    ) -> None:
+    def __init__(self, name: str, build, why: str, reference=None) -> None:
         self.name = name
         self.build = build
         self.why = why
         #: Builds the serial spec whose rows this workload's rows must equal.
         self.reference = reference
-        self.per_mix = per_mix
 
     def setup(self, seed: int):
-        spec = self.build(seed)
-        for scenario in spec.scenarios:
-            for workload in scenario.workloads:
-                workload.resolve()
-        parts = [spec]
-        if self.per_mix:
-            (scenario,) = spec.scenarios
-            parts = [
-                replace(spec, scenarios=(replace(scenario, workloads=(mix,)),))
-                for mix in scenario.workloads
-            ]
-        return {"seed": seed, "spec": spec, "parts": parts}
+        return {"seed": seed, "spec": self.build(seed)}
 
     def job(self, inputs, tracer=None) -> JobResult:
-        times = []
-        rows = []
-        failures = 0
-        for spec in inputs["parts"]:
-            start = time.perf_counter()
-            if tracer is None:
-                result = run_study(spec)
-            else:
-                with tracer.span("study.run", "study"):
-                    result = run_study(spec)
-            times.append(time.perf_counter() - start)
-            rows.extend(result.rows())
-            failures += len(result.failures())
-        elapsed = sum(times)
-        runs = len(rows) + failures
+        start = time.perf_counter()
+        if tracer is None:
+            result = run_study(inputs["spec"])
+        else:
+            with tracer.span("study.run", "study"):
+                result = run_study(inputs["spec"])
+        elapsed = time.perf_counter() - start
+        rows = result.rows()
+        failures = len(result.failures())
         figures = {"study_s": elapsed}
         figures.update(_sim_figures(rows))
         repartitions = sum(
@@ -216,10 +193,9 @@ class StudyWorkload:
         )
         return JobResult(
             job_s=elapsed,
-            attempted=runs,
+            attempted=len(rows) + failures,
             failed=failures,
             digest=rows_digest(rows),
-            parts=times,
             figures=figures,
             layer_figures={"driver.repartitions": float(repartitions)},
             detail=rows,
@@ -347,9 +323,9 @@ class ServiceWorkload:
     framed by ``pack_frame``, fed through the server side's per-host
     ``FrameReader`` and checked by ``check_frame``, and the round goes to
     ``ServiceCore.handle_drain`` as one drain, as the daemon's pump does;
-    replies are framed back and a snapshot is saved every
-    ``SNAPSHOT_EVERY`` drains.  ``job_s`` is the summed server time: decode,
-    check, drain, reply encode and snapshots.
+    replies are framed back, and snapshots follow the daemon's rule.
+    ``job_s`` is the summed server time: decode, check, drain, reply
+    encode and snapshots.
     """
 
     def __init__(self, name: str, why: str, work_dir: str) -> None:
@@ -388,25 +364,30 @@ class ServiceWorkload:
         clients = self._fresh_clients(inputs)
         core = ServiceCore()
         readers = {c.host_id: framing.FrameReader() for c in clients}
-        loadgen = _Loadgen(tracer)
-        parts: List[float] = []
+        loadgen = _Clock(tracer, "loadgen")
+        server = _Clock()
         failed = 0
         frames = 0
 
         with loadgen:
             hellos = [(c, c.hello()) for c in clients]
-        start = time.perf_counter()
-        replies = []
-        for client, data in hellos:
-            for frame in readers[client.host_id].feed(data):
-                _kind, payload = protocol.check_frame(frame)
-                replies.append((client, framing.pack_frame(core.handle_hello(payload))))
-        parts.append(time.perf_counter() - start)
+        with server:
+            replies = []
+            for client, data in hellos:
+                for frame in readers[client.host_id].feed(data):
+                    _kind, payload = protocol.check_frame(frame)
+                    replies.append(
+                        (client, framing.pack_frame(core.handle_hello(payload)))
+                    )
         with loadgen:
             for client, data in replies:
                 client.receive(data)
 
         drains: List[float] = []
+        snapshots = 0
+        # The daemon's snapshot rule: one every SNAPSHOT_EVERY_S of wall time
+        # at a drain boundary, and one at orderly shutdown.
+        snapshot_due = time.perf_counter() + SNAPSHOT_EVERY_S
         active = clients
         while active:
             with loadgen:
@@ -414,48 +395,49 @@ class ServiceWorkload:
                 outbound = [(c, data) for c, data in outbound if data is not None]
             if not outbound:
                 break
-            start = time.perf_counter()
-            items = []
-            owners = []
-            for client, data in outbound:
-                for frame in readers[client.host_id].feed(data):
-                    kind, payload = protocol.check_frame(frame)
-                    items.append((client.host_id, kind, payload))
-                    owners.append(client)
-            results = core.handle_drain(items)
-            replies = []
-            for client, result in zip(owners, results):
-                if isinstance(result, Exception):
-                    failed += 1
-                    continue
-                replies.append((client, framing.pack_frame(result)))
-            elapsed = time.perf_counter() - start
-            drains.append(elapsed)
-            parts.append(elapsed)
+            with server:
+                items = []
+                owners = []
+                for client, data in outbound:
+                    for frame in readers[client.host_id].feed(data):
+                        kind, payload = protocol.check_frame(frame)
+                        items.append((client.host_id, kind, payload))
+                        owners.append(client)
+                results = core.handle_drain(items)
+                replies = []
+                for client, result in zip(owners, results):
+                    if isinstance(result, Exception):
+                        failed += 1
+                        continue
+                    replies.append((client, framing.pack_frame(result)))
+            drains.append(server.last)
             frames += len(items)
-            if len(drains) % SNAPSHOT_EVERY == 0:
-                start = time.perf_counter()
-                snapshot.save_snapshot(core, snapshot_path)
-                parts.append(time.perf_counter() - start)
+            if time.perf_counter() >= snapshot_due:
+                with server:
+                    snapshot.save_snapshot(core, snapshot_path)
+                snapshots += 1
+                snapshot_due = time.perf_counter() + SNAPSHOT_EVERY_S
             with loadgen:
                 for client, data in replies:
                     client.receive(data)
             active = [c for c, _ in outbound]
+        with server:
+            snapshot.save_snapshot(core, snapshot_path)
+        snapshots += 1
 
-        server_s = sum(parts)
         signatures = {c.host_id: core.replay.signature(c.host_id) for c in clients}
         metrics = core.metrics()
         hosts = metrics["hosts"].values()
         return JobResult(
-            job_s=server_s,
+            job_s=server.seconds,
             attempted=frames,
             failed=failed,
             digest=_signature_digest(signatures),
-            parts=parts,
             figures={
-                "server_s": server_s,
-                "frames_per_s": frames / server_s,
+                "server_s": server.seconds,
+                "frames_per_s": frames / server.seconds,
                 "drains": float(len(drains)),
+                "snapshots": float(snapshots),
             },
             layer_figures={
                 "monitor.rows": float(metrics["totals"]["monitor_rows"]),
@@ -492,23 +474,31 @@ def _signature_digest(signatures: Dict[str, List[tuple]]) -> str:
     return digest.hexdigest()[:32]
 
 
-class _Loadgen:
-    """Times the load generator, as a ``loadgen`` span when tracing."""
+class _Clock:
+    """Sums the wall time of the blocks it times.
 
-    def __init__(self, tracer) -> None:
+    With a tracer, each block is also a span of ``layer`` (the load
+    generator's, so calls made inside it are never charged to the server).
+    """
+
+    def __init__(self, tracer=None, layer: str = "") -> None:
         self.tracer = tracer
+        self.layer = layer
         self.seconds = 0.0
+        #: Wall time of the latest block.
+        self.last = 0.0
         self._frame = None
         self._start = 0.0
 
     def __enter__(self):
         if self.tracer is not None:
-            self._frame = self.tracer.enter("loadgen", "loadgen")
+            self._frame = self.tracer.enter(self.layer, self.layer)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info):
-        self.seconds += time.perf_counter() - self._start
+        self.last = time.perf_counter() - self._start
+        self.seconds += self.last
         if self.tracer is not None:
             self.tracer.exit(self._frame)
         return False
@@ -528,7 +518,6 @@ def build_workloads(work_dir: str) -> Dict[str, Any]:
             fig6_spec,
             "Fig. 6 static study: Best-Static's solver, the policies and cold "
             "occupancy solves; no engine, driver or service",
-            per_mix=True,
         ),
         "service_drain": ServiceWorkload(
             "service_drain",
