@@ -49,9 +49,9 @@ SETUP_PROBES = 5
 #: quiet).  Job and set-up times are scaled to that host speed.
 KERNEL_REF_S = 0.065
 #: The jobs slow down less than the kernel when the host is busy: their
-#: times move as the kernel's time to this power.  Fitted on ten seeds of
-#: each gated workload, where it gave the least spread of ``job_s``.
-KERNEL_EXPONENT = 0.7
+#: times move as the kernel's time to this power.  Fitted on ten-seed sets
+#: of each gated workload, where it gave the least spread of ``job_s``.
+KERNEL_EXPONENT = 0.8
 
 
 def _load_package() -> None:
@@ -253,7 +253,7 @@ def run(args) -> int:
     # The first job is the warm-up: it fills process-wide caches, is checked
     # against the oracles and is not timed.
     first = workload.job(inputs)
-    problems = workload.check(inputs, first)
+    problems = list(first.problems) + workload.check(inputs, first)
     pinned = pins["digests"].get(str(args.seed), {}).get(args.workload)
     if pinned is not None and pinned != first.digest:
         problems.append(
@@ -274,25 +274,35 @@ def run(args) -> int:
     # Stop before a repetition that would overrun the deadline (estimated
     # from the fastest one so far), so a run lasts about --seconds.
     estimate = 0.0
+    # Outputs that must repeat: every job's equals the first job's, or, when
+    # each repetition has its own inputs, a traced job's equals the untraced
+    # job's of the same repetition.
+    pairs = []
     while len(untraced) < MIN_REPS or time.perf_counter() + estimate < deadline:
         start = time.perf_counter()
-        untraced.append(workload.job(inputs))
+        rep = len(untraced) + 1
+        untraced.append(workload.job(inputs, rep=rep))
         untraced_s.append(clock.scale(untraced[-1].job_s))
+        expected = untraced[-1] if workload.per_repetition else first
+        pairs.append((untraced[-1], expected))
         if tracer is not None:
             tracer.reset()
             with tracing.installed(tracer) as missing:
-                job = workload.job(inputs, tracer)
+                job = workload.job(inputs, tracer, rep=rep)
             traced_s.append(clock.scale(job.job_s))
             absent = missing
             traced.append(job)
             layers.append(layer_metrics(tracer, job))
+            pairs.append((job, expected))
         elapsed = time.perf_counter() - start
         estimate = elapsed if not estimate else min(estimate, elapsed)
     runs = untraced + traced
-    for job in runs:
-        if job.digest != first.digest:
-            problems.append(f"digest {job.digest} differs from the first {first.digest}")
+    for job, expected in pairs:
+        if job.digest != expected.digest:
+            problems.append(f"digest {job.digest} differs from {expected.digest}")
             break
+    for job in runs:
+        problems.extend(job.problems)
     attempted = sum(job.attempted for job in runs)
     failed = sum(job.failed for job in runs)
     if failed:

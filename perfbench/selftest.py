@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tests of the benchmark's traced-run hygiene.
+"""Tests of the benchmark's traced-run hygiene and output checks.
 
 Run from the repository root::
 
@@ -9,8 +9,11 @@ They check that the wrappers exist only inside a traced block and are
 restored afterwards (also when the block raises), that a missing entry
 point is reported as absent rather than crashing, that spans stay in
 memory until written, and that every wrapped entry point records at least
-one call on the workload that should load it.  The workloads run on
-reduced inputs so the whole file takes seconds.
+one call on the workload that should load it.  They also check that
+fig6_static draws new mixes for each repetition and repeats them for the
+same one, and that a Best-Static row beaten on an exactly solved mix fails
+the run.  The workloads run on reduced inputs so the whole file takes
+seconds.
 """
 
 from __future__ import annotations
@@ -234,6 +237,34 @@ class CoverageTests(unittest.TestCase):
                 calls = self._traced_calls(name)
                 for entry in entries:
                     self.assertGreaterEqual(calls.get(entry, 0), 1, entry)
+
+
+class OutputCheckTests(unittest.TestCase):
+    def test_fig6_repetitions_draw_their_own_mixes(self):
+        with _scratch() as tmp:
+            workload = workloads.build_workloads(tmp)["fig6_static"]
+            inputs = workload.setup(3)
+            first, again, other = (workload.job(inputs, rep=r) for r in (1, 1, 2))
+        self.assertEqual(first.digest, again.digest)
+        self.assertNotEqual(first.digest, other.digest)
+        self.assertEqual(first.problems, [])
+
+    def test_best_static_beaten_on_an_exact_mix_fails(self):
+        with _scratch() as tmp:
+            workload = workloads.build_workloads(tmp)["fig6_static"]
+            inputs = workload.setup(3)
+            job = workload.job(inputs)
+        rows = [dict(row) for row in job.detail]
+        exact = [r for r in rows if r["size"] == workloads.FIG6_EXACT_SIZE]
+        best = next(r for r in exact if r["policy"] == "Best-Static")
+        other = next(
+            r for r in exact
+            if r["policy"] != "Best-Static" and r["workload"] == best["workload"]
+        )
+        other["unfairness"] = best["unfairness"] * 0.5
+        problems = workloads._row_problems(inputs["spec"], rows)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("Best-Static", problems[0])
 
 
 if __name__ == "__main__":
