@@ -21,7 +21,7 @@ as each application effectively owning a fractional number of ways.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +29,27 @@ from repro.apps.curves import CurveSet
 from repro.errors import ProfileError
 from repro.hardware.platform import PlatformSpec
 
-__all__ = ["AppProfile", "FastProfileView", "CACHE_LINE_BYTES"]
+__all__ = ["AppProfile", "FastProfileView", "CACHE_LINE_BYTES", "interp_ways"]
 
 #: Bytes transferred from DRAM per LLC miss (one cache line).
 CACHE_LINE_BYTES = 64
+
+
+def interp_ways(table: Sequence[float], ways: float) -> float:
+    """Linear interpolation of a per-way curve at a fractional way count.
+
+    ``table[w-1]`` holds the value at ``w`` ways; ``ways`` is clipped to
+    ``[1, len(table)]``.  Because the way axis is the unit-step grid
+    ``1..n``, the slope division is by exactly 1.0, and this pure-float
+    formula equals ``np.interp(ways, np.arange(1, n + 1), table)`` bit for
+    bit (pinned by the test suite) without its per-call array setup.
+    """
+    if ways < 1.0:
+        ways = 1.0
+    if ways >= len(table):
+        return table[-1]
+    j = int(ways - 1.0)
+    return (table[j + 1] - table[j]) * (ways - (j + 1.0)) + table[j]
 
 
 @dataclass(frozen=True)
@@ -58,12 +75,18 @@ class AppProfile:
     bytes_per_miss: float = CACHE_LINE_BYTES
     suite: str = "synthetic"
     metadata: Dict[str, float] = field(default_factory=dict, compare=False)
+    #: The curves as tuples of plain floats, the form :func:`interp_ways`
+    #: reads (tuples of floats drop out of the cyclic GC's tracking).
+    ipc_points: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    llcmpkc_points: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ProfileError("an application profile needs a non-empty name")
         if self.bytes_per_miss <= 0:
             raise ProfileError("bytes_per_miss must be positive")
+        object.__setattr__(self, "ipc_points", tuple(self.curves.ipc.tolist()))
+        object.__setattr__(self, "llcmpkc_points", tuple(self.curves.llcmpkc.tolist()))
 
     # -- basic geometry -----------------------------------------------------
 
@@ -97,21 +120,19 @@ class AppProfile:
 
     # -- curve access (fractional ways) ---------------------------------------
 
-    def _interp(self, table: np.ndarray, ways: float) -> float:
+    def _interp(self, table: Tuple[float, ...], ways: float) -> float:
         ways = float(ways)
-        if ways <= 0:
+        if not ways > 0:
             raise ProfileError(f"cannot evaluate {self.name!r} at {ways} ways")
-        axis = np.arange(1, self.n_ways + 1, dtype=float)
-        clipped = min(max(ways, 1.0), float(self.n_ways))
-        return float(np.interp(clipped, axis, table))
+        return interp_ways(table, ways)
 
     def ipc_at(self, ways: float) -> float:
         """IPC when running alone with a (possibly fractional) way allocation."""
-        return self._interp(self.curves.ipc, ways)
+        return self._interp(self.ipc_points, ways)
 
     def llcmpkc_at(self, ways: float) -> float:
         """LLC misses per kilo-cycle at a (possibly fractional) way allocation."""
-        return self._interp(self.curves.llcmpkc, ways)
+        return self._interp(self.llcmpkc_points, ways)
 
     def mpki_at(self, ways: float) -> float:
         """LLC misses per kilo-instruction at a fractional way allocation."""
@@ -226,24 +247,22 @@ class AppProfile:
 
 
 class FastProfileView:
-    """Allocation-free scalar curve evaluator, bit-identical to :class:`AppProfile`.
+    """Slim scalar curve evaluator, bit-identical to :class:`AppProfile`.
 
-    ``AppProfile``'s fractional-way accessors go through :func:`numpy.interp`,
-    which costs microseconds per call in array setup — painful inside the
-    occupancy fixed point, which interpolates per application per iteration.
-    This view caches the curves as plain lists and evaluates the same linear
-    interpolation with pure float arithmetic.  Because the way axis is the
-    uniform unit-step grid ``1..n_ways``, the slope division is by exactly
-    1.0 and the formula reproduces ``np.interp`` bit for bit (asserted by the
-    test suite over dense random grids); the derived quantities replicate the
-    ``AppProfile`` method bodies operation for operation.
+    Both types interpolate through :func:`interp_ways` over plain floats (a
+    view shares its profile's point tuples).  The view keeps only what the
+    evaluation tables and engines read (the curves, ``n_ways``,
+    ``ipc_alone`` and ``bytes_per_miss``), can be rebuilt from raw curve
+    values without an ``AppProfile`` (:meth:`from_arrays`), and replicates
+    the ``AppProfile`` method bodies of the derived quantities operation for
+    operation.
     """
 
     __slots__ = ("ipc", "llcmpkc", "n_ways", "ipc_alone", "bytes_per_miss")
 
     def __init__(self, profile: AppProfile) -> None:
-        self.ipc = profile.curves.ipc.tolist()
-        self.llcmpkc = profile.curves.llcmpkc.tolist()
+        self.ipc = profile.ipc_points
+        self.llcmpkc = profile.llcmpkc_points
         self.n_ways = profile.n_ways
         self.ipc_alone = profile.ipc_alone
         self.bytes_per_miss = profile.bytes_per_miss
@@ -271,21 +290,17 @@ class FastProfileView:
         view.bytes_per_miss = float(bytes_per_miss)
         return view
 
-    def _interp(self, table: list, ways: float) -> float:
-        if ways <= 0:
-            raise ProfileError(f"cannot evaluate a profile at {ways} ways")
-        n = self.n_ways
-        clipped = min(max(ways, 1.0), float(n))
-        if clipped >= n:
-            return table[-1]
-        j = int(clipped - 1.0)
-        return (table[j + 1] - table[j]) * (clipped - (j + 1.0)) + table[j]
-
+    # The accessors call interp_ways directly: these sit on the engines' hot
+    # paths, where a shared validating wrapper would be one more call.
     def ipc_at(self, ways: float) -> float:
-        return self._interp(self.ipc, ways)
+        if not ways > 0:
+            raise ProfileError(f"cannot evaluate a profile at {ways} ways")
+        return interp_ways(self.ipc, ways)
 
     def llcmpkc_at(self, ways: float) -> float:
-        return self._interp(self.llcmpkc, ways)
+        if not ways > 0:
+            raise ProfileError(f"cannot evaluate a profile at {ways} ways")
+        return interp_ways(self.llcmpkc, ways)
 
     def stall_fraction_at(self, ways: float, platform: PlatformSpec) -> float:
         pressure = self.llcmpkc_at(ways) * platform.mem_latency_cycles / 1000.0

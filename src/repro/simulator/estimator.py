@@ -30,7 +30,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -132,31 +132,23 @@ class ProfileSnapshot:
         }
 
 
-def _ipc_with_extrapolation(profile: AppProfile, effective_ways: float) -> float:
+def _ipc_with_extrapolation(
+    profile: Union[AppProfile, FastProfileView], effective_ways: float
+) -> float:
     """IPC at a fractional allocation, extrapolating below one way.
 
     The alone-run curves start at one way; when an application effectively
     holds less than a way (several programs crammed into a small cluster), we
     extend the curve by continuing the CPI slope between one and two ways —
     steep for sensitive programs, flat for streaming/light ones — capped at a
-    3x CPI inflation to keep the model bounded.
+    3x CPI inflation to keep the model bounded.  ``profile`` is anything with
+    ``ipc_at`` and ``n_ways``: an :class:`AppProfile` or its
+    :class:`FastProfileView`, which evaluate bit-identically.
     """
     if effective_ways >= 1.0 or profile.n_ways < 2:
         return profile.ipc_at(max(effective_ways, 1.0))
     cpi_1 = 1.0 / profile.ipc_at(1.0)
     cpi_2 = 1.0 / profile.ipc_at(2.0)
-    slope = max(cpi_1 - cpi_2, 0.0)
-    deficit = 1.0 - max(effective_ways, 0.0)
-    cpi = min(cpi_1 + slope * deficit, 3.0 * cpi_1)
-    return 1.0 / cpi
-
-
-def _ipc_with_extrapolation_fast(view: FastProfileView, effective_ways: float) -> float:
-    """:func:`_ipc_with_extrapolation` over a :class:`FastProfileView` (exact)."""
-    if effective_ways >= 1.0 or view.n_ways < 2:
-        return view.ipc_at(max(effective_ways, 1.0))
-    cpi_1 = 1.0 / view.ipc_at(1.0)
-    cpi_2 = 1.0 / view.ipc_at(2.0)
     slope = max(cpi_1 - cpi_2, 0.0)
     deficit = 1.0 - max(effective_ways, 0.0)
     cpi = min(cpi_1 + slope * deficit, 3.0 * cpi_1)
@@ -686,7 +678,7 @@ class EvaluationTables:
         for app in apps:
             view = views[app]
             effective = occupancy.effective_ways[app]
-            cache_ipc = _ipc_with_extrapolation_fast(view, effective)
+            cache_ipc = _ipc_with_extrapolation(view, effective)
             shared_ipc = cache_ipc / bandwidth.slowdown_factors[app]
             ipcs[app] = shared_ipc
             slowdowns[app] = view.ipc_alone / max(shared_ipc, 1e-12)

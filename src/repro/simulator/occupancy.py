@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.apps.profile import AppProfile, FastProfileView
+from repro.apps.profile import AppProfile, FastProfileView, interp_ways
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 
@@ -45,7 +45,12 @@ class OccupancyResult:
 
 
 class OccupancyModel:
-    """Fixed-point solver for effective per-application LLC occupancy."""
+    """Fixed-point solver for effective per-application LLC occupancy.
+
+    :meth:`solve` and :class:`OccupancyTrajectoryCache` run the same scalar
+    kernel, :meth:`_ComponentTrajectory.step`, under the same stop
+    condition, so a cold solve and a cached replay agree bit for bit.
+    """
 
     def __init__(
         self,
@@ -89,90 +94,72 @@ class OccupancyModel:
         allocation: WayAllocation,
         profiles: Mapping[str, AppProfile],
     ) -> OccupancyResult:
-        """Compute effective way counts for every application in ``allocation``."""
+        """Compute effective way counts for every application in ``allocation``.
+
+        The whole allocation is stepped by one :class:`_ComponentTrajectory`
+        kernel.  Disconnected groups of applications never read each other's
+        state, so this is the same arithmetic as solving them apart under
+        the shared stop condition.
+        """
         apps = allocation.apps()
         for app in apps:
             if app not in profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")
-        n_ways = allocation.total_ways
-
-        # Pre-compute the sharers of each way and each application's way list.
-        app_ways: Dict[str, list] = {}
-        way_sharers: Dict[int, list] = {w: [] for w in range(n_ways)}
-        for app in apps:
-            mask = allocation.mask_of(app)
-            ways = [w for w in range(n_ways) if mask & (1 << w)]
-            app_ways[app] = ways
-            for w in ways:
-                way_sharers[w].append(app)
-
-        # Initial guess: every application owns its whole mask.
-        effective = {app: float(len(app_ways[app])) for app in apps}
-        pressures: Dict[str, float] = {}
+        kernel = _ComponentTrajectory(
+            [profiles[app].llcmpkc_points for app in apps],
+            [
+                [w for w in range(allocation.total_ways) if allocation.masks[app] >> w & 1]
+                for app in apps
+            ],
+        )
+        # A cold solve is never replayed, so it keeps only the latest iterate.
+        effective = kernel.eff[0]
+        pressures: Tuple[float, ...] = ()
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            pressures = {
-                app: self.base_pressure
-                + profiles[app].llcmpkc_at(max(effective[app], 0.25))
-                for app in apps
-            }
-            per_way_pressure = {
-                app: pressures[app] / max(len(app_ways[app]), 1) for app in apps
-            }
-            new_effective: Dict[str, float] = {app: 0.0 for app in apps}
-            for way, sharers in way_sharers.items():
-                if not sharers:
-                    continue
-                total = sum(per_way_pressure[a] for a in sharers)
-                for app in sharers:
-                    new_effective[app] += per_way_pressure[app] / total
-            delta = 0.0
-            for app in apps:
-                blended = (
-                    (1.0 - self.damping) * effective[app]
-                    + self.damping * new_effective[app]
-                )
-                delta = max(delta, abs(blended - effective[app]))
-                effective[app] = blended
+            effective, pressures, delta = kernel.step(effective, self)
             if delta < self.tolerance:
                 converged = True
                 break
         return OccupancyResult(
-            effective_ways=dict(effective),
-            pressures=dict(pressures),
+            effective_ways=dict(zip(apps, effective)),
+            pressures=dict(zip(apps, pressures)),
             iterations=iteration,
             converged=converged,
         )
 
 
 class _ComponentTrajectory:
-    """Exact damped fixed-point trajectory of one mask-sharing component.
+    """The damped fixed-point kernel: the exact trajectory of one sharing group.
 
     Applications partition into *components* — the connected groups of the
-    "shares a way with" relation.  Inside :meth:`OccupancyModel.solve` the
-    per-application updates of one component never read state from another
-    component; the only global coupling is the *stop condition* (the largest
-    change across all applications).  A component's value sequence is
-    therefore a pure function of its members' curves and relative masks, and
-    can be cached and replayed: iteration ``n`` of the global solve equals
-    iteration ``n`` of each component's private trajectory.
+    "shares a way with" relation.  The per-application updates of one
+    component never read state from another component; the only global
+    coupling is the *stop condition* (the largest change across all
+    applications).  A component's value sequence is therefore a pure
+    function of its members' curves and relative masks, and can be cached
+    and replayed: iteration ``n`` of the global solve equals iteration ``n``
+    of each component's private trajectory.
 
-    The trajectory replicates the reference arithmetic operation for
-    operation: per-way pressure totals accumulate over members in workload
-    order, effective ways accumulate over a member's ways in ascending order,
-    and the damped blend matches term for term.  Once an iteration changes
-    nothing (``delta == 0.0``, e.g. immediately for applications alone on
-    their mask), every later iteration provably repeats it, so the trajectory
-    is frozen instead of extended.
+    :meth:`step` is the one iteration both :meth:`OccupancyModel.solve` (one
+    kernel over the whole allocation, nothing recorded) and
+    :class:`OccupancyTrajectoryCache` (one recorded trajectory per component)
+    run, so the operation order results depend on lives here alone: per-way
+    pressure totals accumulate over members in workload order, effective
+    ways accumulate over a member's ways in ascending order, and the damped
+    blend is ``(1 - damping) * old + damping * new``.  The test suite pins
+    it to the dict-based reference solve.  Once an iteration changes nothing
+    (``delta == 0.0``, e.g. immediately for applications alone on their
+    mask), every later iteration provably repeats it, so a recorded
+    trajectory is frozen instead of extended.
     """
 
     __slots__ = (
         "curves",
-        "way_lists",
         "mask_sizes",
-        "way_sharers",
-        "uniform_ways",
+        "sharer_sets",
+        "member_slots",
         "eff",
         "pressures",
         "deltas",
@@ -180,30 +167,37 @@ class _ComponentTrajectory:
     )
 
     def __init__(
-        self, views: Sequence[FastProfileView], way_lists: Sequence[Sequence[int]]
+        self, curves: Sequence[Sequence[float]], way_lists: Sequence[Sequence[int]]
     ) -> None:
-        self.curves = [(view.llcmpkc, view.n_ways) for view in views]
-        self.way_lists = [list(ways) for ways in way_lists]
-        self.mask_sizes = [max(len(ways), 1) for ways in self.way_lists]
-        n_rel_ways = 1 + max(max(ways) for ways in self.way_lists)
+        """``curves`` holds each member's LLCMPKC points, ``way_lists`` its
+        relative ways in ascending order."""
+        self.curves = list(curves)
+        self.mask_sizes = [max(len(ways), 1) for ways in way_lists]
+        n_rel_ways = 1 + max(max(ways) for ways in way_lists)
         sharers: List[List[int]] = [[] for _ in range(n_rel_ways)]
-        for member, ways in enumerate(self.way_lists):
+        for member, ways in enumerate(way_lists):
             for way in ways:
                 sharers[way].append(member)
-        self.way_sharers = sharers
-        # "Uniform" components — every member holds every way, the shape of
-        # every proper cluster — admit a cheaper step: all ways carry the same
-        # pressure total, so the per-way shares are computed once and the
-        # reference's way-by-way accumulation degenerates to repeated adds of
-        # the same addend (kept as adds; collapsing them to one multiply
-        # would round differently).
-        all_members = list(range(len(self.way_lists)))
-        self.uniform_ways = (
-            n_rel_ways if all(s == all_members for s in sharers) else 0
-        )
+        # Ways with the same sharers carry the same pressure total and the
+        # same shares (a proper cluster has one such set, a Dunn layout one
+        # per overlap region), so each distinct set is split once per step
+        # into a flat list of shares, and a member's new effective ways is
+        # the sum of its shares over its ways in ascending order — repeated
+        # adds, as in the way-by-way model (one multiply would round
+        # differently).
+        slot_of: Dict[Tuple[int, ...], int] = {}
+        self.sharer_sets: List[Tuple[int, ...]] = []
+        self.member_slots: List[List[int]] = [[] for _ in way_lists]
+        for way_members in sharers:
+            key = tuple(way_members)
+            if key not in slot_of:
+                slot_of[key] = sum(len(s) for s in self.sharer_sets)
+                self.sharer_sets.append(key)
+            for j, member in enumerate(key):
+                self.member_slots[member].append(slot_of[key] + j)
         # Iteration 0 is the initial guess: every member owns its whole mask.
         self.eff: List[Tuple[float, ...]] = [
-            tuple(float(len(ways)) for ways in self.way_lists)
+            tuple(float(len(ways)) for ways in way_lists)
         ]
         self.pressures: List[Tuple[float, ...]] = [()]
         self.deltas: List[float] = [0.0]
@@ -218,65 +212,46 @@ class _ComponentTrajectory:
         16 members).
         """
         while len(self.eff) <= n and not self.fixed_at:
-            self._step(model)
+            eff, pressures, delta = self.step(self.eff[-1], model)
+            self.eff.append(eff)
+            self.pressures.append(pressures)
+            self.deltas.append(delta)
+            if delta == 0.0:
+                self.fixed_at = len(self.eff) - 1
 
-    def _accumulate(self, per_way: Sequence[float]) -> List[float]:
-        """The reference's way-by-way share accumulation (ordered, exact)."""
-        new = [0.0] * len(per_way)
-        if self.uniform_ways:
-            total = 0
-            for p in per_way:
-                total = total + p
-            for i, p in enumerate(per_way):
-                share = p / total
-                acc = 0.0
-                for _ in range(self.uniform_ways):
-                    acc += share
-                new[i] = acc
-        else:
-            for sharers in self.way_sharers:
-                total = 0
-                for i in sharers:
-                    total = total + per_way[i]
-                for i in sharers:
-                    new[i] += per_way[i] / total
-        return new
-
-    def _step(self, model: "OccupancyModel") -> None:
-        prev = self.eff[-1]
+    def step(
+        self, prev: Tuple[float, ...], model: "OccupancyModel"
+    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
+        """One damped iteration from ``prev``: (effective ways, pressures, delta)."""
         base = model.base_pressure
         damping = model.damping
         retained = 1.0 - damping
-        # Inlined replica of FastProfileView.llcmpkc_at(max(eff, 0.25)).
-        pressures_list = []
-        for (table, n), value in zip(self.curves, prev):
-            if value < 1.0:  # max(value, 0.25) then the >= 1.0 clip
-                value = 1.0
-            if value >= n:
-                interp = table[-1]
-            else:
-                j = int(value - 1.0)
-                interp = (table[j + 1] - table[j]) * (value - (j + 1.0)) + table[j]
-            pressures_list.append(base + interp)
-        pressures = tuple(pressures_list)
+        # llcmpkc_at(max(value, 0.25)): interp_ways clips the floor to 1.0.
+        pressures = tuple(
+            [base + interp_ways(table, value) for table, value in zip(self.curves, prev)]
+        )
         per_way = [p / size for p, size in zip(pressures, self.mask_sizes)]
-        new = self._accumulate(per_way)
+        # Split each distinct sharer set's pressure total (a left fold in
+        # member order), then sum every member's shares way by way.
+        shares = []
+        for members in self.sharer_sets:
+            total = 0
+            for i in members:
+                total = total + per_way[i]
+            for i in members:
+                shares.append(per_way[i] / total)
         delta = 0.0
         blended = []
-        for prev_i, new_i in zip(prev, new):
+        for prev_i, slots in zip(prev, self.member_slots):
+            new_i = 0.0
+            for slot in slots:
+                new_i += shares[slot]
             value = retained * prev_i + damping * new_i
             spread = abs(value - prev_i)
             if spread > delta:
                 delta = spread
             blended.append(value)
-        self._record(tuple(blended), pressures, delta)
-
-    def _record(self, eff: Tuple[float, ...], pressures: Tuple[float, ...], delta: float) -> None:
-        self.eff.append(eff)
-        self.pressures.append(pressures)
-        self.deltas.append(delta)
-        if delta == 0.0:
-            self.fixed_at = len(self.eff) - 1
+        return tuple(blended), pressures, delta
 
     def _index(self, n: int) -> int:
         if self.fixed_at and n >= self.fixed_at:
@@ -367,7 +342,7 @@ class OccupancyTrajectoryCache:
             [w for w in range(int(mask).bit_length()) if (int(mask) >> w) & 1]
             for _, mask in key
         ]
-        trajectory = _ComponentTrajectory(list(views), way_lists)
+        trajectory = _ComponentTrajectory([view.llcmpkc for view in views], way_lists)
         trajectory.eff = [tuple(float(v) for v in row) for row in eff]
         trajectory.pressures = [tuple(float(v) for v in row) for row in pressures]
         trajectory.deltas = [float(d) for d in deltas]
@@ -462,7 +437,7 @@ class OccupancyTrajectoryCache:
             trajectory = self._trajectories.get(key)
             if trajectory is None:
                 trajectory = _ComponentTrajectory(
-                    [views[m] for m in members], rel_lists
+                    [views[m].llcmpkc for m in members], rel_lists
                 )
                 self._trajectories[key] = trajectory
             trajectories.append((trajectory, members))

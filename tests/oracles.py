@@ -24,7 +24,10 @@ runs) are made of:
   at the first field that diverged;
 * :func:`random_stall_vector` — adversarial 1-D stall-metric vectors
   (well-separated groups, near-ties, heavy duplicates, constant data) for
-  decision-level fuzz of ``choose_k``.
+  decision-level fuzz of ``choose_k``;
+* :func:`interp_reference` and :func:`occupancy_solve_reference` — the
+  ``np.interp`` curve reading and the dict-based occupancy fixed point that
+  the production scalar kernels must reproduce exactly.
 
 The number of seeds is CI-bounded through the ``--oracle-seeds`` pytest
 option (see ``conftest.py``); deep local runs crank it up::
@@ -36,10 +39,13 @@ option (see ``conftest.py``); deep local runs crank it up::
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.apps.profile import AppProfile
+from repro.core.types import WayAllocation
+from repro.errors import SimulationError
 from repro.hardware import skylake_gold_6138
 from repro.runtime import (
     DunnUserLevelDaemon,
@@ -49,6 +55,7 @@ from repro.runtime import (
     RuntimeEngine,
     StockLinuxDriver,
 )
+from repro.simulator.occupancy import OccupancyResult
 from repro.workloads import Workload, random_workload
 
 __all__ = [
@@ -62,6 +69,8 @@ __all__ = [
     "differential_group_run",
     "assert_identical",
     "random_stall_vector",
+    "interp_reference",
+    "occupancy_solve_reference",
     "dunn_reference",
     "dunn_incremental",
     "lfoc_reference",
@@ -259,3 +268,83 @@ def random_stall_vector(rng: np.random.Generator) -> np.ndarray:
     else:
         values = rng.random(n)
     return np.clip(values.astype(float), 0.0, 1.0)
+
+
+def interp_reference(table: np.ndarray, ways: float) -> float:
+    """A per-way curve at fractional ``ways``, clipped to ``[1, n]``, via np.interp."""
+    n = len(table)
+    clipped = min(max(float(ways), 1.0), float(n))
+    return float(np.interp(clipped, np.arange(1, n + 1, dtype=float), table))
+
+
+def occupancy_solve_reference(
+    model, allocation: WayAllocation, profiles: Mapping[str, AppProfile]
+):
+    """The occupancy fixed point of ``model``, written way by way over dicts.
+
+    This is the plain statement of the model in
+    :mod:`repro.simulator.occupancy`: every way's insertion pressure total is
+    split among its sharers, shares accumulate in ascending way order, and
+    the damped blend iterates until the largest change drops below the
+    tolerance.  ``OccupancyModel.solve`` and ``OccupancyTrajectoryCache.solve``
+    must match it bit for bit.  Curves are read through :func:`np.interp`
+    (the production code's scalar formula is pinned to it separately), and
+    per-way totals are a left fold, not ``sum()``: from Python 3.12
+    ``sum()`` compensates float rounding.
+    """
+    apps = allocation.apps()
+    for app in apps:
+        if app not in profiles:
+            raise SimulationError(f"no profile registered for application {app!r}")
+    n_ways = allocation.total_ways
+
+    # Pre-compute the sharers of each way and each application's way list.
+    app_ways: Dict[str, list] = {}
+    way_sharers: Dict[int, list] = {w: [] for w in range(n_ways)}
+    for app in apps:
+        mask = allocation.mask_of(app)
+        ways = [w for w in range(n_ways) if mask & (1 << w)]
+        app_ways[app] = ways
+        for w in ways:
+            way_sharers[w].append(app)
+
+    # Initial guess: every application owns its whole mask.
+    effective = {app: float(len(app_ways[app])) for app in apps}
+    pressures: Dict[str, float] = {}
+    converged = False
+    iteration = 0
+    for iteration in range(1, model.max_iterations + 1):
+        pressures = {
+            app: model.base_pressure
+            + interp_reference(profiles[app].curves.llcmpkc, max(effective[app], 0.25))
+            for app in apps
+        }
+        per_way_pressure = {
+            app: pressures[app] / max(len(app_ways[app]), 1) for app in apps
+        }
+        new_effective: Dict[str, float] = {app: 0.0 for app in apps}
+        for way, sharers in way_sharers.items():
+            if not sharers:
+                continue
+            total = 0
+            for a in sharers:
+                total = total + per_way_pressure[a]
+            for app in sharers:
+                new_effective[app] += per_way_pressure[app] / total
+        delta = 0.0
+        for app in apps:
+            blended = (
+                (1.0 - model.damping) * effective[app]
+                + model.damping * new_effective[app]
+            )
+            delta = max(delta, abs(blended - effective[app]))
+            effective[app] = blended
+        if delta < model.tolerance:
+            converged = True
+            break
+    return OccupancyResult(
+        effective_ways=dict(effective),
+        pressures=dict(pressures),
+        iterations=iteration,
+        converged=converged,
+    )

@@ -11,11 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from repro.apps import AppProfile, CurveSet
 from repro.apps.catalog import build_catalog
-from repro.apps.profile import FastProfileView
+from repro.apps.profile import FastProfileView, interp_ways
 from repro.core.types import WayAllocation
-from repro.errors import SimulationError
+from repro.errors import ProfileError, SimulationError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import mask_from_range
 from repro.runtime import (
@@ -71,6 +75,55 @@ def _random_allocation(rng, apps, llc_ways):
     return WayAllocation(masks=masks, total_ways=llc_ways)
 
 
+@st.composite
+def occupancy_cases(draw):
+    """Random profiles, allocation and model parameters for the occupancy solve.
+
+    Allocations come in three shapes: Dunn-style (clusters laid out
+    consecutively, each spilling into the next), uniform clusters (disjoint
+    ranges whose members share one mask, what the static solvers evaluate)
+    and arbitrary non-empty masks.  Curves may be shorter or longer than the
+    cache, down to a single way.
+    """
+    n_ways = draw(st.integers(min_value=1, max_value=14))
+    n_apps = draw(st.integers(min_value=1, max_value=7))
+    apps = [f"a{i}" for i in range(n_apps)]
+    values = st.floats(min_value=0.0, max_value=80.0, allow_nan=False)
+    profiles = {}
+    for app in apps:
+        points = draw(st.integers(min_value=1, max_value=14))
+        mpkc = draw(st.lists(values, min_size=points, max_size=points))
+        profiles[app] = AppProfile(
+            name=app, curves=CurveSet(ipc=np.ones(points), llcmpkc=np.array(mpkc))
+        )
+    shape = draw(st.sampled_from(["dunn", "uniform", "random"]))
+    if shape == "random":
+        masks = {
+            app: draw(st.integers(min_value=1, max_value=(1 << n_ways) - 1))
+            for app in apps
+        }
+    else:
+        k = draw(st.integers(min_value=1, max_value=min(n_apps, n_ways)))
+        cuts = sorted(draw(st.permutations(range(1, n_ways)))[: k - 1])
+        bounds = [0] + cuts + [n_ways]
+        spill = draw(st.integers(min_value=0, max_value=2)) if shape == "dunn" else 0
+        cluster_masks = [
+            mask_from_range(lo, min(hi + spill, n_ways) - lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        masks = {
+            app: cluster_masks[draw(st.integers(min_value=0, max_value=k - 1))]
+            for app in apps
+        }
+    model = OccupancyModel(
+        max_iterations=draw(st.integers(min_value=1, max_value=60)),
+        tolerance=draw(st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2, 0.5])),
+        damping=draw(st.floats(min_value=0.05, max_value=1.0)),
+        base_pressure=draw(st.floats(min_value=1e-3, max_value=5.0)),
+    )
+    return model, WayAllocation(masks=masks, total_ways=n_ways), profiles
+
+
 def run_result_fields(result):
     """Everything a RunResult records, as an exactly-comparable structure."""
     return {
@@ -97,21 +150,41 @@ def run_result_fields(result):
 
 
 class TestFastProfileView:
-    def test_bitwise_equal_to_profile_accessors(self, platform):
+    def test_interpolation_pinned_to_np_interp(self, platform):
+        # AppProfile and FastProfileView share interp_ways, so each is pinned
+        # to np.interp itself rather than to the other.
         rng = np.random.default_rng(5)
         catalog = build_catalog(platform.llc_ways)
-        for profile in list(catalog.values())[:8]:
+        profiles = list(catalog.values())[:8] + [
+            AppProfile(
+                name=f"rand{n}",
+                curves=CurveSet(
+                    ipc=rng.uniform(0.2, 3.0, size=n), llcmpkc=rng.uniform(0.0, 60.0, size=n)
+                ),
+            )
+            for n in (1, 2, 5, 20)
+        ]
+        for profile in profiles:
+            n = profile.n_ways
             view = FastProfileView(profile)
             points = np.concatenate(
                 [
-                    rng.random(200) * (profile.n_ways + 2),
-                    np.arange(1, profile.n_ways + 1, dtype=float),
+                    rng.random(300) * (n + 2),  # dense, incl. above n_ways
+                    np.arange(1, n + 1, dtype=float),  # exact grid points
+                    rng.random(20),  # below one way
+                    [1e-9, 0.25, 1.0, float(n), n + 1e-9, 1e6],
                 ]
             )
             for x in points:
-                x = float(max(x, 1e-3))
-                assert view.ipc_at(x) == profile.ipc_at(x)
-                assert view.llcmpkc_at(x) == profile.llcmpkc_at(x)
+                x = float(x)
+                if x <= 0.0:
+                    continue
+                ipc = oracles.interp_reference(profile.curves.ipc, x)
+                mpkc = oracles.interp_reference(profile.curves.llcmpkc, x)
+                assert interp_ways(profile.ipc_points, x) == ipc
+                assert interp_ways(profile.llcmpkc_points, x) == mpkc
+                assert profile.ipc_at(x) == view.ipc_at(x) == ipc
+                assert profile.llcmpkc_at(x) == view.llcmpkc_at(x) == mpkc
                 assert view.stall_fraction_at(x, platform) == profile.stall_fraction_at(
                     x, platform
                 )
@@ -121,10 +194,16 @@ class TestFastProfileView:
 
     def test_rejects_non_positive_ways(self, platform):
         profile = next(iter(build_catalog(platform.llc_ways).values()))
-        from repro.errors import ProfileError
-
-        with pytest.raises(ProfileError):
-            FastProfileView(profile).llcmpkc_at(0.0)
+        view = FastProfileView(profile)
+        for ways in (0.0, -1.0, float("nan")):
+            for accessor in (
+                profile.llcmpkc_at,
+                profile.ipc_at,
+                view.llcmpkc_at,
+                view.ipc_at,
+            ):
+                with pytest.raises(ProfileError):
+                    accessor(ways)
 
 
 class TestShortMean:
@@ -159,12 +238,22 @@ class TestTrajectoryCacheEquivalence:
             allocation = _random_allocation(rng, list(profiles), platform.llc_ways)
             tokens = {a: tables.token_for(profiles[a]) for a in profiles}
             views = {a: tables.view_for(profiles[a]) for a in profiles}
-            reference = model.solve(allocation, profiles)
-            cached = cache.solve(allocation, tokens, views)
-            assert cached.effective_ways == reference.effective_ways
-            assert cached.pressures == reference.pressures
-            assert cached.iterations == reference.iterations
-            assert cached.converged == reference.converged
+            reference = oracles.occupancy_solve_reference(model, allocation, profiles)
+            for result in (
+                model.solve(allocation, profiles),
+                cache.solve(allocation, tokens, views),
+            ):
+                assert result == reference
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(occupancy_cases())
+    def test_property_parity_with_reference(self, case):
+        model, allocation, profiles = case
+        reference = oracles.occupancy_solve_reference(model, allocation, profiles)
+        tokens = {app: i for i, app in enumerate(profiles)}
+        views = {app: FastProfileView(profile) for app, profile in profiles.items()}
+        assert model.solve(allocation, profiles) == reference
+        assert OccupancyTrajectoryCache(model).solve(allocation, tokens, views) == reference
 
     def test_trajectories_are_reused(self, platform):
         workload = Workload("occ-mix2", ("lbm06", "xalancbmk06"))
