@@ -1,13 +1,13 @@
-"""Policy-driver backend benchmark: incremental vs. reference decision layer.
+"""Policy-driver benchmark: the production decision layer vs. the oracles.
 
 Times the Fig. 7-style dynamic study — every workload under Stock-Linux,
-Dunn and LFOC — once with the drivers' original ``reference`` decision path
-(per-interval silhouette loops, ``np.quantile`` k-means seeding, Algorithm 1
-re-run every interval) and once with the ``incremental`` driver layer
-(vectorized silhouette/k-means, monitor-version fast paths, fingerprint-keyed
-decision caches), and writes a machine-readable ``BENCH_driver.json`` at the
-repository root.  The engine backend is ``incremental`` (and identical) in
-both arms, so the difference isolates the driver layer.
+Dunn and LFOC — once with the reference oracle drivers from
+``tests/oracles.py`` (per-interval silhouette loops, ``np.quantile`` k-means
+seeding, Algorithm 1 re-run every interval) and once with the production
+drivers (vectorized silhouette/k-means, monitor-version fast paths,
+fingerprint-keyed decision caches), and writes a machine-readable
+``BENCH_driver.json`` at the repository root.  Both arms run the production
+engine, so the difference isolates the driver layer.
 
 Three timings are recorded per arm:
 
@@ -44,6 +44,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_driver.json"
+# The reference arm's drivers are test oracles.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 #: Quick selection: a slice of the Fig. 7 x-axis at every workload size
 #: (one 8-app mix plus P/S representatives of the 12- and 16-app sizes),
@@ -127,7 +129,12 @@ def _run_fields(result):
 
 
 def _run_arm(workloads, backend: str):
-    """One study arm: every workload under every driver, instrumented."""
+    """One study arm: every workload under every driver, instrumented.
+
+    ``backend`` is ``"reference"`` (the oracle drivers) or ``"incremental"``
+    (the production drivers).
+    """
+    import oracles
     from repro.hardware import skylake_gold_6138
     from repro.runtime import (
         DunnUserLevelDaemon,
@@ -147,13 +154,18 @@ def _run_arm(workloads, backend: str):
     entry_s = 0.0
     fields = []
     stats = []
+    if backend == "reference":
+        factories = (
+            StockLinuxDriver,
+            oracles.ReferenceDunnDaemon,
+            oracles.ReferenceLfocDriver,
+        )
+    else:
+        factories = (StockLinuxDriver, DunnUserLevelDaemon, LfocSchedulerPlugin)
     t0 = time.perf_counter()
     for workload in workloads:
-        for factory in (StockLinuxDriver, DunnUserLevelDaemon, LfocSchedulerPlugin):
-            if factory is StockLinuxDriver:
-                driver = _TimedDriver(factory())
-            else:
-                driver = _TimedDriver(factory(backend=backend))
+        for factory in factories:
+            driver = _TimedDriver(factory())
             engine = RuntimeEngine(
                 platform,
                 workload.phased_profiles(platform.llc_ways),
@@ -183,7 +195,7 @@ def _run_arm(workloads, backend: str):
 
 
 def run_bench(full: bool = False, repeats: int = 2) -> dict:
-    """Time both driver backends on the same study and compare the results.
+    """Time both driver arms on the same study and compare the results.
 
     Each arm runs ``repeats`` times cold (fresh engine tables every time)
     and the best wall-clock is recorded — the standard way to separate the
@@ -210,7 +222,7 @@ def run_bench(full: bool = False, repeats: int = 2) -> dict:
     ref_dec, ref_entry, ref_wall = best["reference"]
     inc_dec, inc_entry, inc_wall = best["incremental"]
     return {
-        "benchmark": "policy-driver backends (fig7 dynamic study)",
+        "benchmark": "policy drivers vs. reference oracles (fig7 dynamic study)",
         "scale": "full" if full else "quick",
         "workloads": [w.name for w in workloads],
         "sizes": sorted({w.size for w in workloads}),
@@ -239,7 +251,7 @@ def _render(record: dict) -> str:
     inc = record["incremental"]
     return "\n".join(
         [
-            f"driver backends on {len(record['workloads'])} workloads "
+            f"drivers vs. oracles on {len(record['workloads'])} workloads "
             f"(sizes {record['sizes']}, {record['runs']} runs, "
             f"{record['scale']} scale)",
             f"  decision layer:  reference {ref['decision_s']:.3f}s  "

@@ -1,13 +1,13 @@
-"""Runtime-engine backend benchmark: incremental vs. reference dynamic study.
+"""Runtime-engine benchmark: the production engine vs. the reference loop.
 
 Times a Fig. 7-style dynamic study — every workload under Stock-Linux, Dunn
-and LFOC — once through the original per-event ``reference`` engine and once
-through the ``incremental`` backend (vectorized struct-of-arrays state plus
-shared evaluation tables, batched through the BatchRunner), and writes a
-machine-readable ``BENCH_engine.json`` at the repository root so the
+and LFOC — once through the original per-event reference loop (the
+``run_reference`` oracle in ``tests/oracles.py``) and once through
+``fig7_dynamic_study`` on the production engine (vectorized struct-of-arrays
+state plus shared evaluation tables, batched through an executor), and
+writes a machine-readable ``BENCH_engine.json`` at the repository root so the
 performance trajectory can be tracked across PRs.  The run *fails* if the two
-backends disagree on any study row — speed means nothing if the answers
-differ.
+arms disagree on any study row — speed means nothing if the answers differ.
 
 Usage::
 
@@ -31,6 +31,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
+# The reference arm is a test oracle.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 #: Quick selection: a slice of the Fig. 7 x-axis at every workload size
 #: (one 8-app mix plus P/S representatives of the 12- and 16-app sizes).
@@ -48,12 +50,13 @@ def _workloads(full: bool):
 
 
 def run_bench(full: bool = False, jobs: int = 1, repeats: int = 2) -> dict:
-    """Time both engine backends on the same study and compare the rows.
+    """Time both engine arms on the same study and compare the rows.
 
     Each arm runs ``repeats`` times cold (fresh tables every time) and the
     best wall-clock is recorded — the standard way to separate the code's
     cost from background-load noise.
     """
+    import oracles
     from repro.analysis import fig7_dynamic_study
     from repro.runtime import EngineConfig
 
@@ -66,9 +69,7 @@ def run_bench(full: bool = False, jobs: int = 1, repeats: int = 2) -> dict:
     reference_s = float("inf")
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
-        reference_rows = fig7_dynamic_study(
-            workloads, engine_config=config, backend="reference", jobs=1
-        )
+        reference_rows = oracles.reference_fig7_rows(workloads, config)
         reference_s = min(reference_s, time.perf_counter() - t0)
 
     incremental_rows = None
@@ -76,13 +77,13 @@ def run_bench(full: bool = False, jobs: int = 1, repeats: int = 2) -> dict:
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
         incremental_rows = fig7_dynamic_study(
-            workloads, engine_config=config, backend="incremental", jobs=jobs
+            workloads, engine_config=config, jobs=jobs
         )
         incremental_s = min(incremental_s, time.perf_counter() - t0)
 
     match = incremental_rows == reference_rows
     return {
-        "benchmark": "runtime-engine backends (fig7 dynamic study)",
+        "benchmark": "runtime engine vs. reference loop (fig7 dynamic study)",
         "scale": "full" if full else "quick",
         "workloads": [w.name for w in workloads],
         "sizes": sorted({w.size for w in workloads}),
@@ -108,7 +109,7 @@ def run_bench(full: bool = False, jobs: int = 1, repeats: int = 2) -> dict:
 def _render(record: dict) -> str:
     return "\n".join(
         [
-            f"engine backends on {len(record['workloads'])} workloads "
+            f"engine vs. reference loop on {len(record['workloads'])} workloads "
             f"(sizes {record['sizes']}, {record['runs']} study rows, "
             f"{record['scale']} scale, jobs={record['jobs']})",
             f"  reference:    {record['reference_s']:.3f}s",

@@ -114,14 +114,15 @@ def _build_tables_snapshot(workloads, config, platform, path) -> dict:
     }
 
 
-def _timed_study(workloads, config, repeats, **kwargs):
+def _timed_study(workloads, config, repeats, backend):
     from repro.analysis import fig7_dynamic_study
 
+    config = replace(config, backend=backend)
     rows = None
     best = float("inf")
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
-        rows = fig7_dynamic_study(workloads, engine_config=config, jobs=1, **kwargs)
+        rows = fig7_dynamic_study(workloads, engine_config=config, jobs=1)
         best = min(best, time.perf_counter() - t0)
     return rows, best
 

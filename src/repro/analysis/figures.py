@@ -13,7 +13,7 @@ instruction budgets) so the benchmark harness can run a quick default and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -400,7 +400,6 @@ def fig7_dynamic_study(
     platform: Optional[PlatformSpec] = None,
     drivers: Optional[Mapping[str, "type"]] = None,
     *,
-    backend: Optional[str] = None,
     jobs: Optional[int] = 1,
     executor=None,
 ) -> List[DynamicStudyRow]:
@@ -411,10 +410,10 @@ def fig7_dynamic_study(
     workload selection and a scaled-down instruction budget.  The batch of
     (workload, driver) runs executes through a pluggable
     :class:`~repro.runtime.executors.base.Executor`: ``jobs`` selects the
-    local process count, ``executor`` selects any registered backend
+    local process count and ``executor`` selects any registered backend
     (``serial``/``pool``/``tcp`` or a live instance; results are independent
-    of both) and ``backend`` overrides the engine evaluation backend
-    (``incremental``/``reference``, both bit-identical).
+    of both).  ``engine_config.backend = "multirun"`` batches the runs
+    through grouped multi-run engines (bit-identical rows).
 
     This is a thin wrapper: it lowers the arguments to a declarative
     :class:`~repro.experiments.StudySpec` and delegates to
@@ -426,8 +425,6 @@ def fig7_dynamic_study(
     engine_config = engine_config or EngineConfig(
         instructions_per_run=1.0e9, min_completions=2, record_traces=False
     )
-    if backend is not None and backend != engine_config.backend:
-        engine_config = replace(engine_config, backend=backend)
     scenario = ScenarioSpec(
         name="fig7",
         kind="dynamic",

@@ -158,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument(
         "--instructions", type=float, default=1.0e9, help="instructions per completion"
     )
-    fig7.add_argument(
-        "--backend",
-        choices=("incremental", "reference"),
-        default="incremental",
-        help="runtime-engine evaluation backend (incremental = cached tables "
-        "and vectorized state, the fast default; reference = the original "
-        "per-event estimator; results are bit-identical)",
-    )
     fig7.add_argument("--jobs", **jobs_kwargs)
 
     table2 = sub.add_parser("table2", help="algorithm execution cost (Table 2)")
@@ -607,10 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="completions per application before a run ends (dynamic scenarios)",
     )
     sweep.add_argument(
-        "--engine-backend", choices=("incremental", "reference"),
-        default="incremental", help="runtime-engine evaluation backend",
-    )
-    sweep.add_argument(
         "--solver-backend", choices=("tabulated", "reference"),
         default="tabulated", help="optimal-solver scoring engine",
     )
@@ -992,7 +980,6 @@ def _sweep_command(args: argparse.Namespace) -> int:
         instructions_per_run=args.instructions,
         min_completions=args.min_completions,
         record_traces=False,
-        backend=args.engine_backend,
     )
     spec = build_sweep_study(
         args.name,
@@ -1071,7 +1058,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             instructions_per_run=args.instructions,
             min_completions=2,
             record_traces=False,
-            backend=args.backend,
         )
         rows = fig7_dynamic_study(workloads, engine_config=config, jobs=args.jobs or None)
         print(render_fig7(rows))

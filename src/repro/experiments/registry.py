@@ -24,9 +24,9 @@ Factory conventions (all keyword arguments come from ``PolicySpec.params``):
   attribute ``wants_solver = True`` additionally receives the scenario's
   :class:`~repro.experiments.specs.SolverSpec` as the keyword ``solver``
   (used by ``best_static`` to pick the scoring backend and search budget).
-* **drivers** — the factory (usually the driver class itself) is shipped in a
-  :class:`~repro.runtime.batch.RunSpec` and called once per run inside the
-  worker, so it must be picklable (module level).  A factory with
+* **drivers** — the factory (usually the driver class itself) is shipped in
+  a :class:`~repro.runtime.executors.base.RunSpec` and called once per run
+  inside the worker, so it must be picklable (module level).  A factory with
   ``wants_profiles = True`` receives the workload's stationary profiles as
   the keyword ``profiles`` (used by the ``static`` replay driver).
 * **workload suites** — the factory takes an optional ``max_size`` keyword
@@ -242,7 +242,6 @@ register_workload_suite("static_study", _suite(s_workloads))
 register_workload_suite("dynamic_study", _suite(dynamic_study_workloads))
 
 register_backend("incremental", "incremental")
-register_backend("reference", "reference")
 register_backend("multirun", "multirun")
 
 register_solver_backend("tabulated", "tabulated")

@@ -360,8 +360,8 @@ class PolicySpec:
 class EngineSpec:
     """Runtime-engine execution parameters; mirrors ``EngineConfig``.
 
-    ``backend`` is resolved through the engine-backend registry so aliases
-    and future execution paths slot in; ``max_table_entries`` bounds the
+    ``backend`` (``incremental`` or ``multirun``) is resolved through the
+    engine-backend registry so aliases and future execution paths slot in; ``max_table_entries`` bounds the
     shared :class:`~repro.simulator.estimator.EvaluationTables` (LRU
     eviction, ``None`` = unbounded).  ``record_traces`` defaults to *off*
     here (studies persist metric rows, not traces), unlike the engine's own
@@ -381,6 +381,11 @@ class EngineSpec:
 
     def to_config(self) -> EngineConfig:
         """Lower onto a concrete ``EngineConfig`` (validates every field)."""
+        if self.backend == "reference":
+            raise SpecError(
+                "EngineSpec.backend 'reference' was removed (the reference "
+                "engine loop is a test oracle); use 'incremental' or 'multirun'"
+            )
         backend = ENGINE_BACKENDS.resolve(self.backend)
         return EngineConfig(
             instructions_per_run=self.instructions_per_run,
@@ -1202,7 +1207,7 @@ def resolve_driver(spec: PolicySpec, solver: Optional[SolverSpec] = None):
     """``(factory, kwargs, wants_profiles)`` for a dynamic-scenario spec.
 
     The factory and kwargs are shipped in a
-    :class:`~repro.runtime.batch.RunSpec`; when ``wants_profiles`` is true the
+    :class:`~repro.runtime.executors.base.RunSpec`; when ``wants_profiles`` is true the
     lowering adds the workload's stationary profiles under ``profiles``.
     """
     if spec.instance is not None:

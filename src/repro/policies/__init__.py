@@ -4,12 +4,7 @@ from repro.policies.base import ClusteringPolicy
 from repro.policies.stock import StockLinuxPolicy
 from repro.policies.lfoc import LfocKernelPolicy, LfocPolicy
 from repro.policies.ucp import UcpPolicy
-from repro.policies.dunn import (
-    DunnPolicy,
-    kmeans_1d,
-    silhouette_1d,
-    silhouette_1d_reference,
-)
+from repro.policies.dunn import DunnPolicy, kmeans_1d, silhouette_1d
 from repro.policies.kpart import KPartPolicy, build_dendrogram, evaluate_level
 from repro.policies.best_static import BestStaticPolicy
 
@@ -22,7 +17,6 @@ __all__ = [
     "DunnPolicy",
     "kmeans_1d",
     "silhouette_1d",
-    "silhouette_1d_reference",
     "KPartPolicy",
     "build_dendrogram",
     "evaluate_level",

@@ -22,29 +22,28 @@ The k-means step is one-dimensional; the number of clusters is chosen by the
 best silhouette score over a small range, as in the original user-level
 implementation, and the whole procedure is deterministic for a given workload.
 
-Two silhouette implementations back :meth:`DunnPolicy.choose_k`:
-
-* :func:`silhouette_1d` — the production path: per-cluster sorted prefix
-  sums, O(n log n + n·k) instead of the reference's O(n²·k) Python loop.
-  Mathematically exact (every per-point sum is the true sum of absolute
-  differences up to float rounding), but the summation *order* differs from
-  the reference, so scores agree to ~1e-12 rather than bit-for-bit;
-* :func:`silhouette_1d_reference` — the original per-point loop, kept
-  verbatim as the oracle the property tests compare against.
+:meth:`DunnPolicy.choose_k` scores candidate clusterings with
+:func:`silhouette_1d`: per-cluster sorted prefix sums, O(n log n + n·k)
+instead of the original O(n²·k) per-point loop.  It is mathematically exact
+(every per-point sum is the true sum of absolute differences up to float
+rounding), but the summation *order* differs from the original loop, so
+scores agree with it to ~1e-12 rather than bit for bit.  The original loop
+and the original ``np.quantile``-seeded k-means are kept as test oracles in
+``tests/oracles.py``.
 
 Because near-ties between silhouette scores of different k could in principle
 resolve differently across the two implementations, the k-selection sweep
 applies an *explicit* tie-breaking rule that does not depend on which
 implementation produced the scores (see :meth:`DunnPolicy.choose_k`), and the
-differential-oracle suite pins the decisions of the ``incremental`` and
-``reference`` policy backends against each other on randomized workloads.
-The exact guarantee: decisions are identical whenever the candidate scores
-are either *exactly* tied (duplicate-heavy and degenerate inputs hit code
-paths whose floats agree bit for bit in both implementations) or separated
-by more than the ~1e-12 rounding discrepancy — an adversarial input whose
-true scores differ by less could in principle flip the selected k between
-backends, which the differential suite and the driver benchmark's hard
-result-match gate would surface as a failure rather than mask.
+differential-oracle tests pin the decisions against the oracle copies on
+randomized workloads.  The exact guarantee: decisions are identical whenever
+the candidate scores are either *exactly* tied (duplicate-heavy and
+degenerate inputs hit code paths whose floats agree bit for bit in both
+implementations) or separated by more than the ~1e-12 rounding discrepancy —
+an adversarial input whose true scores differ by less could in principle
+flip the selected k, which the differential tests and the driver
+benchmark's hard result-match gate would surface as a failure rather than
+mask.
 """
 
 from __future__ import annotations
@@ -61,12 +60,7 @@ from repro.hardware.cat import mask_from_range
 from repro.hardware.platform import PlatformSpec
 from repro.policies.base import ClusteringPolicy
 
-__all__ = [
-    "DunnPolicy",
-    "kmeans_1d",
-    "silhouette_1d",
-    "silhouette_1d_reference",
-]
+__all__ = ["DunnPolicy", "kmeans_1d", "silhouette_1d"]
 
 #: Bound on a policy instance's memoized ``choose_k`` decisions (LRU).  Sized
 #: for long dynamic runs (one entry per distinct monitor-window fingerprint);
@@ -147,11 +141,11 @@ def kmeans_1d(
     seeds = _seed_centroids(np.sort(data), k)
     # Nudge identical seeds apart so that clusters do not collapse immediately.
     seeds = seeds + np.arange(k) * 1e-9
-    # Hybrid iteration, bit-identical to the all-NumPy reference loop
-    # (:func:`_kmeans_1d_reference`, pinned by the test suite): the
+    # Hybrid iteration, bit-identical to the original all-NumPy loop (kept
+    # as an oracle in tests/oracles.py and pinned by the test suite): the
     # assignment keeps NumPy's exact ``argmin`` over the same distance
     # matrix, while the cluster means and the convergence test run as
-    # scalar Python replicas of the reference's array expressions — at
+    # scalar Python replicas of the original loop's array expressions — at
     # driver-sized inputs (a dozen applications, a handful of clusters)
     # each small-array ufunc call costs more in dispatch than in work.
     centroids: List[float] = seeds.tolist()
@@ -189,80 +183,6 @@ def kmeans_1d(
     return remap[np.asarray(labels_list, dtype=int)], final[order]
 
 
-def _kmeans_1d_reference(
-    values: Sequence[float], k: int, *, iterations: int = 50, seed: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The original :func:`kmeans_1d` (``np.quantile`` seeding), kept verbatim.
-
-    :func:`kmeans_1d` replaces only the seeding step with
-    :func:`_seed_centroids`; since the seeds are bit-identical (pinned by the
-    test suite) the two produce bit-identical clusterings, but this copy is
-    what the ``reference`` policy backend runs so the reference arm of the
-    driver benchmark measures the original implementation unchanged.
-    """
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise ClusteringError("k-means needs a non-empty 1-D value array")
-    if not (1 <= k <= data.size):
-        raise ClusteringError(f"k must lie in [1, {data.size}], got {k}")
-    quantiles = np.linspace(0.0, 1.0, k + 2)[1:-1]
-    centroids = np.quantile(data, quantiles)
-    # Nudge identical seeds apart so that clusters do not collapse immediately.
-    centroids = centroids + np.arange(k) * 1e-9
-    labels = np.zeros(data.size, dtype=int)
-    for _ in range(iterations):
-        distances = np.abs(data[:, None] - centroids[None, :])
-        new_labels = np.argmin(distances, axis=1)
-        new_centroids = centroids.copy()
-        for cluster in range(k):
-            members = data[new_labels == cluster]
-            if members.size:
-                new_centroids[cluster] = members.mean()
-        if np.array_equal(new_labels, labels) and np.allclose(new_centroids, centroids):
-            break
-        labels = new_labels
-        centroids = new_centroids
-    order = np.argsort(centroids)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(k)
-    return remap[labels], centroids[order]
-
-
-def silhouette_1d_reference(values: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Mean silhouette coefficient for a 1-D clustering (higher is better).
-
-    The original per-point O(n²·k) loop, kept verbatim as the oracle for
-    :func:`silhouette_1d` (the property tests compare the two on random
-    data); production callers go through the vectorized implementation.
-    """
-    if k < 2:
-        return -1.0
-    scores = []
-    for index, value in enumerate(values):
-        own = values[labels == labels[index]]
-        if own.size <= 1:
-            scores.append(0.0)
-            continue
-        a = np.abs(own - value).sum() / (own.size - 1)
-        b = np.inf
-        for other in range(k):
-            if other == labels[index]:
-                continue
-            members = values[labels == other]
-            if members.size:
-                b = min(b, float(np.abs(members - value).mean()))
-        if not np.isfinite(b):
-            scores.append(0.0)
-            continue
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0 else (b - a) / denom)
-    return float(np.mean(scores))
-
-
-#: Backwards-compatible alias for callers of the old private name.
-_silhouette_1d = silhouette_1d_reference
-
-
 #: Below this many points the silhouette goes through the dense
 #: distance-matrix kernel (one subtract/abs + one matmul) instead of the
 #: per-cluster prefix sums: at driver-sized inputs the O(n²) arithmetic is
@@ -280,8 +200,7 @@ def _silhouette_scores(
 
     ``dist_sum[c, i]`` is the sum of absolute differences from point ``i``
     to every member of cluster ``c`` and ``counts`` the cluster sizes; the
-    per-point conventions replicate :func:`silhouette_1d_reference`
-    (singleton clusters score 0.0, no finite inter-cluster distance scores
+    per-point conventions replicate the original per-point loop (singleton clusters score 0.0, no finite inter-cluster distance scores
     0.0).
     """
     n = values.size
@@ -310,7 +229,8 @@ def _silhouette_scores(
 def silhouette_1d(values: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Vectorized mean silhouette coefficient for a 1-D clustering.
 
-    Exact reformulation of :func:`silhouette_1d_reference` with two regimes:
+    Exact reformulation of the original per-point silhouette loop with two
+    regimes:
 
     * up to :data:`_SILHOUETTE_DENSE_CUTOFF` points, the dense kernel builds
       the full |x_i - x_j| matrix once and folds it per cluster with a
@@ -320,7 +240,7 @@ def silhouette_1d(values: np.ndarray, labels: np.ndarray, k: int) -> float:
       (``sum |x_j - v| = v·p - P[p] + (P[m] - P[p]) - v·(m - p)`` with ``p``
       the insertion rank of ``v``).
 
-    Scores agree with the reference loop to float-rounding accuracy (the
+    Scores agree with the original loop to float-rounding accuracy (the
     summation order differs); the per-point conventions (singleton clusters
     score 0.0, a point with no finite inter-cluster distance scores 0.0, and
     ``k < 2`` scores -1.0) are identical.
@@ -362,7 +282,6 @@ class DunnPolicy(ClusteringPolicy):
         max_clusters: int = 4,
         min_clusters: int = 2,
         overlap_ways: int = 1,
-        backend: str = "incremental",
     ) -> None:
         """
         Parameters
@@ -372,13 +291,9 @@ class DunnPolicy(ClusteringPolicy):
         overlap_ways:
             How far each cluster's mask spills into its higher-stall
             neighbour's region (0 makes the partitions disjoint).
-        backend:
-            ``"incremental"`` (default) scores clusterings with the
-            vectorized :func:`silhouette_1d` and memoizes ``choose_k``
-            decisions per value-fingerprint of the input; ``"reference"``
-            recomputes every sweep through the original
-            :func:`silhouette_1d_reference` loop with no cache.  The
-            differential-oracle suite pins the two against each other.
+
+        ``choose_k`` decisions are memoized per value-fingerprint of the
+        input.
         """
         if min_clusters < 1 or max_clusters < min_clusters:
             raise ClusteringError(
@@ -386,12 +301,9 @@ class DunnPolicy(ClusteringPolicy):
             )
         if overlap_ways < 0:
             raise ClusteringError("overlap_ways must be >= 0")
-        if backend not in ("incremental", "reference"):
-            raise ClusteringError(f"unknown Dunn policy backend {backend!r}")
         self.max_clusters = max_clusters
         self.min_clusters = min_clusters
         self.overlap_ways = overlap_ways
-        self.backend = backend
         #: choose_k decisions keyed by the raw bytes of the value array
         #: (the monitor-window fingerprint), LRU-bounded.
         self._decisions = LruDict(_DECISION_CACHE_ENTRIES)
@@ -414,16 +326,6 @@ class DunnPolicy(ClusteringPolicy):
             name: profile.resampled(platform.llc_ways).stall_fraction_at(share, platform)
             for name, profile in profiles.items()
         }
-
-    def _silhouette(self, values: np.ndarray, labels: np.ndarray, k: int) -> float:
-        if self.backend == "reference":
-            return silhouette_1d_reference(values, labels, k)
-        return silhouette_1d(values, labels, k)
-
-    def _kmeans(self, values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self.backend == "reference":
-            return _kmeans_1d_reference(values, k)
-        return kmeans_1d(values, k)
 
     def choose_k(self, values: np.ndarray) -> Tuple[int, np.ndarray]:
         """Pick the cluster count (and labels) for a 1-D stall-metric array.
@@ -453,31 +355,24 @@ class DunnPolicy(ClusteringPolicy):
         n = values.size
         if n == 1:
             return 1, np.zeros(1, dtype=int)
-        cache = self.backend == "incremental"
-        if cache:
-            key = values.tobytes()
-            decision = self._decisions.get(key)
-            if decision is not None:
-                self.decision_cache_hits += 1
-                return decision
+        key = values.tobytes()
+        decision = self._decisions.get(key)
+        if decision is not None:
+            self.decision_cache_hits += 1
+            return decision
         best_k, best_labels, best_score = 1, np.zeros(n, dtype=int), -1.0
         upper = min(self.max_clusters, n)
         for k in range(min(self.min_clusters, upper), upper + 1):
-            labels, _ = self._kmeans(values, k)
+            labels, _ = kmeans_1d(values, k)
             if len(set(labels.tolist())) < 2:
                 score = -1.0
             else:
-                score = self._silhouette(values, labels, k)
+                score = silhouette_1d(values, labels, k)
             if score > best_score:
                 best_k, best_labels, best_score = k, labels, score
         self.decisions_computed += 1
-        if cache:
-            self._decisions.put(key, (best_k, best_labels))
+        self._decisions.put(key, (best_k, best_labels))
         return best_k, best_labels
-
-    def _choose_k(self, values: np.ndarray) -> Tuple[int, np.ndarray]:
-        # Backwards-compatible alias kept for callers of the old private name.
-        return self.choose_k(values)
 
     # -- decision -----------------------------------------------------------------
 

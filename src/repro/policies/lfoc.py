@@ -19,15 +19,9 @@ from repro.core.classification import (
     classify_profile,
 )
 from repro.core.fixedpoint import table_to_fixed
-from repro.core.lfoc import (
-    DEFAULT_PARAMS,
-    LfocDecisionCache,
-    LfocParams,
-    lfoc_clustering,
-)
+from repro.core.lfoc import DEFAULT_PARAMS, LfocDecisionCache, LfocParams
 from repro.core.lfoc_kernel import lfoc_clustering_kernel
 from repro.core.types import ClusteringSolution
-from repro.errors import ClusteringError
 from repro.hardware.platform import PlatformSpec
 from repro.policies.base import ClusteringPolicy
 
@@ -57,7 +51,7 @@ def _classify_and_tabulate(
 
 
 class LfocPolicy(ClusteringPolicy):
-    """LFOC clustering from offline profiles (floating-point reference path)."""
+    """LFOC clustering from offline profiles (floating-point path)."""
 
     name = "LFOC"
 
@@ -68,25 +62,15 @@ class LfocPolicy(ClusteringPolicy):
         self,
         params: LfocParams = DEFAULT_PARAMS,
         thresholds: ClassificationThresholds = ClassificationThresholds(),
-        backend: str = "incremental",
     ) -> None:
+        """Whole decisions are memoized per value-fingerprint of the
+        workload's profiles (skipping the classification/resampling pass
+        when the same profiles recur across studies in one process), and the
+        Algorithm 1 results are shared through a
+        :class:`~repro.core.lfoc.LfocDecisionCache`.
         """
-        Parameters
-        ----------
-        backend:
-            ``"incremental"`` (default) memoizes whole decisions per
-            value-fingerprint of the workload's profiles (skipping the
-            classification/resampling pass when the same profiles recur
-            across studies in one process) and shares the Algorithm 1
-            results through a :class:`~repro.core.lfoc.LfocDecisionCache`;
-            ``"reference"`` recomputes everything on every call.  Decisions
-            are identical either way.
-        """
-        if backend not in ("incremental", "reference"):
-            raise ClusteringError(f"unknown LFOC policy backend {backend!r}")
         self.params = params
         self.thresholds = thresholds
-        self.backend = backend
         self._decision_cache = LfocDecisionCache(params=params)
         self._decisions = LruDict(self._DECISION_CACHE_ENTRIES)
 
@@ -94,13 +78,6 @@ class LfocPolicy(ClusteringPolicy):
         self, profiles: Mapping[str, AppProfile], platform: PlatformSpec
     ) -> ClusteringSolution:
         self._check_workload(profiles, platform)
-        if self.backend == "reference":
-            streaming, sensitive, light, tables = _classify_and_tabulate(
-                profiles, platform, self.thresholds
-            )
-            return lfoc_clustering(
-                streaming, sensitive, light, platform.llc_ways, tables, self.params
-            )
         key = (
             tuple((name, prof.value_fingerprint()) for name, prof in profiles.items()),
             platform,

@@ -22,19 +22,15 @@ programmed in the (simulated) CAT hardware and to each application's current
 phase profile; whenever the allocation or any phase changes the rates are
 recomputed.
 
-Two execution backends produce bit-identical :class:`RunResult`\\ s:
-
-* ``incremental`` (default) keeps per-application state as NumPy
-  struct-of-arrays vectors, advances and searches events with array
-  arithmetic, and answers rate recomputations from shared
-  :class:`~repro.simulator.estimator.EvaluationTables` — an event only pays
-  for evaluation when its ``(allocation, phase epochs)`` combination has
-  never been seen;
-* ``reference`` preserves the original per-application dict loop and
-  re-runs the full contention estimator on every rate change.  It exists as
-  the validation oracle (the equivalence tests and the engine benchmark pin
-  the two backends against each other) and as the baseline the recorded
-  speedups are measured from.
+Per-application state is kept as NumPy struct-of-arrays vectors, events
+are searched and advanced with array arithmetic, and rate recomputations
+are answered from shared
+:class:`~repro.simulator.estimator.EvaluationTables` — an event only pays for
+evaluation when its ``(allocation, phase epochs)`` combination has never been
+seen.  The original per-application dict loop, which re-runs the full
+contention estimator on every rate change, lives on as the test oracle
+``run_reference`` in ``tests/oracles.py``; the differential tests and the
+engine benchmark pin this engine against it bit for bit.
 
 The instruction budget defaults to a scaled-down value (the paper runs 150 G
 instructions per application; simulating that faithfully is unnecessary since
@@ -50,7 +46,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.apps.phases import PhasedProfile
-from repro.apps.profile import AppProfile
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.cat import CatController
@@ -60,7 +55,6 @@ from repro.hardware.pmc import CounterDelta, derive_metrics
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.scheduler import PolicyDriver
 from repro.simulator.estimator import (
-    ClusteringEstimator,
     EvaluationTables,
     ProfileSnapshot,
     allocation_token,
@@ -91,16 +85,15 @@ class EngineConfig:
     record_traces: bool = True
     #: Safety cap on simulated time (seconds) to guarantee termination.
     max_simulated_seconds: float = 600.0
-    #: Evaluation/event-loop backend: ``"incremental"`` (vectorized state,
-    #: cached estimates), ``"reference"`` (original dict-based loop) or
-    #: ``"multirun"`` (incremental arithmetic, with ``run_study`` batching
-    #: compatible runs through :class:`~repro.runtime.multirun.MultiRunEngine`;
-    #: a single engine run under ``"multirun"`` takes the incremental path).
-    #: All produce bit-identical results.
+    #: Run batching: ``"incremental"`` runs every engine on its own;
+    #: ``"multirun"`` lets ``run_study`` batch compatible runs through
+    #: :class:`~repro.runtime.multirun.MultiRunEngine` (a single engine run
+    #: under ``"multirun"`` is the same one-run loop).  Both produce
+    #: bit-identical results.
     backend: str = "incremental"
     #: LRU bound on the shared evaluation tables' estimate cache (``None`` =
-    #: unbounded; only meaningful with the ``incremental`` backend).  Evicted
-    #: entries are recomputed on demand, so results are unaffected.
+    #: unbounded).  Evicted entries are recomputed on demand, so results are
+    #: unaffected.
     max_table_entries: Optional[int] = None
     #: Warm-start file for the shared evaluation tables (``None`` = start
     #: cold).  When set, every worker process seeds its tables from this
@@ -118,7 +111,12 @@ class EngineConfig:
             raise SimulationError("partition_interval_s must be positive")
         if self.max_simulated_seconds <= 0:
             raise SimulationError("max_simulated_seconds must be positive")
-        if self.backend not in ("incremental", "reference", "multirun"):
+        if self.backend == "reference":
+            raise SimulationError(
+                "the 'reference' engine backend was removed; the reference "
+                "loop is the test oracle run_reference in tests/oracles.py"
+            )
+        if self.backend not in ("incremental", "multirun"):
             raise SimulationError(f"unknown engine backend {self.backend!r}")
         if self.max_table_entries is not None and self.max_table_entries < 1:
             raise SimulationError(
@@ -155,33 +153,6 @@ def alone_completion_time(
     return platform.cycles_to_seconds(cycles)
 
 
-@dataclass
-class _AppState:
-    """Mutable per-application execution state (``reference`` backend)."""
-
-    name: str
-    phased: PhasedProfile
-    instructions_in_run: float = 0.0
-    phase_position: float = 0.0  # instructions into the phase cycle
-    instructions_to_next_sample: float = 100e6
-    # Current rates (recomputed whenever the allocation or the phase changes).
-    ipc: float = 1.0
-    llcmpkc: float = 0.0
-    stall_fraction: float = 0.0
-    effective_ways: float = 0.0
-    # Counters accumulated since the last sample.
-    window_instructions: float = 0.0
-    window_cycles: float = 0.0
-    window_misses: float = 0.0
-    window_stalls: float = 0.0
-
-    def current_profile(self) -> AppProfile:
-        return self.phased.profile_at(self.phase_position)
-
-    def instructions_to_phase_change(self) -> float:
-        return self.phased.instructions_until_phase_change(self.phase_position)
-
-
 class RuntimeEngine:
     """Execute one workload under one dynamic policy driver."""
 
@@ -203,32 +174,19 @@ class RuntimeEngine:
         self.phased = dict(phased_profiles)
         self.cat = CatController(platform)
         self.cmt = CmtMonitor(platform)
-        # The estimator's profile table is updated as applications change phase.
-        self.estimator = ClusteringEstimator(
-            platform,
-            {name: prof.profile_at(0.0) for name, prof in self.phased.items()},
-        )
-        self._states: Dict[str, _AppState] = {}
         self._allocation: Optional[WayAllocation] = None
         self._alloc_token: Optional[tuple] = None
-        self.tables: Optional[EvaluationTables] = None
-        self._snapshot: Optional[ProfileSnapshot] = None
-        if self.config.backend in ("incremental", "multirun"):
-            if tables is None:
-                tables = EvaluationTables(
-                    platform, max_entries=self.config.max_table_entries
-                )
-            elif tables.params_signature() != EvaluationTables(platform).params_signature():
-                raise SimulationError(
-                    "shared evaluation tables were built for different "
-                    "platform or model parameters"
-                )
-            self.tables = tables
-            self._snapshot = ProfileSnapshot(self.phased)
-        elif tables is not None:
-            raise SimulationError("tables are only used by the incremental backend")
-        # Struct-of-arrays state of the incremental backend; inert
-        # placeholders here, (re)built at the top of every _run_incremental.
+        if tables is None:
+            tables = EvaluationTables(platform, max_entries=self.config.max_table_entries)
+        elif tables.params_signature() != EvaluationTables(platform).params_signature():
+            raise SimulationError(
+                "shared evaluation tables were built for different "
+                "platform or model parameters"
+            )
+        self.tables = tables
+        self._snapshot = ProfileSnapshot(self.phased)
+        # Struct-of-arrays state; inert placeholders here, (re)built at the
+        # top of every run().
         self._ipc: Optional[np.ndarray] = None
         self._llcmpkc: Optional[np.ndarray] = None
         self._stall: Optional[np.ndarray] = None
@@ -240,24 +198,13 @@ class RuntimeEngine:
         self._alloc_ids: Dict[tuple, int] = {}
         self._alloc_id = -1
         self._phase_epoch_watch: List[Tuple[int, float, List[float]]] = []
-        # Per-application phase-token matrix (incremental backend): the
-        # snapshot's profiles are interned into the shared tables once at the
-        # top of _run_incremental; afterwards a phase epoch is described
-        # purely by token and no profile objects are re-registered.
+        # Per-application phase-token matrix: the snapshot's profiles are
+        # interned into the shared tables once at the top of run();
+        # afterwards a phase epoch is described purely by token and no
+        # profile objects are re-registered.
         self._phase_tokens: List[Tuple[int, ...]] = []
         self._phase_views: List[tuple] = []
         self._epoch_token_maps: Dict[tuple, Dict[str, int]] = {}
-
-    # -- main entry point ------------------------------------------------------------
-
-    def run(self, workload_name: str = "workload") -> RunResult:
-        """Run the workload to completion and return the collected results."""
-        if self.config.backend == "reference":
-            return self._run_reference(workload_name)
-        # "multirun" on a single engine is the degenerate one-member group,
-        # which is exactly the incremental path (cross-run batching lives in
-        # repro.runtime.multirun and the study layer).
-        return self._run_incremental(workload_name)
 
     # -- shared pieces ---------------------------------------------------------------
 
@@ -297,147 +244,10 @@ class RuntimeEngine:
             final_allocation=self._allocation,
         )
 
-    # -- reference backend ------------------------------------------------------------
+    # -- main entry point ------------------------------------------------------------
 
-    def _run_reference(self, workload_name: str) -> RunResult:
-        config = self.config
-        stats = self._initial_stats()
-        traces: Dict[str, List[TracePoint]] = {name: [] for name in self.apps}
-        repartitions: List[RepartitionEvent] = []
-
-        # Initial state and allocation.
-        self._states = {
-            name: _AppState(
-                name=name,
-                phased=self.phased[name],
-                instructions_to_next_sample=self.driver.sample_window(name),
-            )
-            for name in self.apps
-        }
-        allocation = self.driver.on_start(self.apps, self.platform)
-        self._program(allocation, 0.0, "start", repartitions)
-
-        now = 0.0
-        next_interval = config.partition_interval_s
-        last_completion_start: Dict[str, float] = {name: 0.0 for name in self.apps}
-
-        def done() -> bool:
-            return all(
-                stats[name].completions >= config.min_completions for name in self.apps
-            )
-
-        while not done():
-            if now > config.max_simulated_seconds:
-                raise SimulationError(
-                    f"simulation exceeded the {config.max_simulated_seconds}s safety cap "
-                    f"(policy {self.driver.name!r}, workload {workload_name!r})"
-                )
-            # ---- find the next event -------------------------------------------------
-            dt = next_interval - now
-            for state in self._states.values():
-                rate = state.ipc * self.platform.cycles_per_second  # instructions / s
-                if rate <= 0:
-                    raise SimulationError(f"application {state.name!r} has a zero rate")
-                dt = min(dt, state.instructions_to_next_sample / rate)
-                dt = min(dt, state.instructions_to_phase_change() / rate)
-                remaining = config.instructions_per_run - state.instructions_in_run
-                dt = min(dt, remaining / rate)
-            dt = max(dt, 1e-9)
-
-            # ---- advance every application by dt -------------------------------------
-            for state in self._states.values():
-                rate = state.ipc * self.platform.cycles_per_second
-                instructions = rate * dt
-                cycles = dt * self.platform.cycles_per_second
-                state.instructions_in_run += instructions
-                state.phase_position += instructions
-                state.instructions_to_next_sample -= instructions
-                state.window_instructions += instructions
-                state.window_cycles += cycles
-                state.window_misses += state.llcmpkc * cycles / 1000.0
-                state.window_stalls += state.stall_fraction * cycles
-            now += dt
-
-            rates_dirty = False
-
-            # ---- phase boundaries ------------------------------------------------------
-            for state in self._states.values():
-                if state.instructions_to_phase_change() <= 1.0:
-                    # Crossing the boundary: the profile for the next chunk changes.
-                    rates_dirty = True
-
-            # ---- completions / restarts --------------------------------------------------
-            for name, state in self._states.items():
-                if state.instructions_in_run >= config.instructions_per_run - 1.0:
-                    stats[name].completion_times.append(now - last_completion_start[name])
-                    stats[name].instructions_retired += state.instructions_in_run
-                    last_completion_start[name] = now
-                    state.instructions_in_run = 0.0
-                    state.phase_position = 0.0  # restarted from scratch
-                    rates_dirty = True
-
-            # ---- counter samples ------------------------------------------------------------
-            # The monitoring snapshot is taken once per event batch (it only
-            # feeds the recorded traces, and rebuilding it per sampled
-            # application was a measurable per-sample overhead).
-            state_snapshot: Dict[str, Dict[str, float]] = {}
-            if config.record_traces and any(
-                state.instructions_to_next_sample <= 1.0
-                for state in self._states.values()
-            ):
-                state_snapshot = self.driver.describe_state()
-            for name, state in self._states.items():
-                if state.instructions_to_next_sample <= 1.0:
-                    delta = CounterDelta(
-                        instructions=state.window_instructions,
-                        cycles=state.window_cycles,
-                        llc_misses=state.window_misses,
-                        stalls_l2_miss=state.window_stalls,
-                    )
-                    metrics = derive_metrics(delta)
-                    stats[name].samples_taken += 1
-                    state.window_instructions = 0.0
-                    state.window_cycles = 0.0
-                    state.window_misses = 0.0
-                    state.window_stalls = 0.0
-                    if config.record_traces:
-                        snapshot = state_snapshot.get(name, {})
-                        traces[name].append(
-                            TracePoint(
-                                time_s=now,
-                                instructions=stats[name].instructions_retired
-                                + state.instructions_in_run,
-                                ipc=metrics.ipc,
-                                llcmpkc=metrics.llcmpkc,
-                                stall_fraction=metrics.stall_fraction,
-                                effective_ways=state.effective_ways,
-                                app_class=str(snapshot.get("class", "n/a")),
-                            )
-                        )
-                    new_allocation = self.driver.on_sample(
-                        name, metrics, state.effective_ways, now
-                    )
-                    state.instructions_to_next_sample = self.driver.sample_window(name)
-                    if new_allocation is not None:
-                        self._program(new_allocation, now, f"sample:{name}", repartitions)
-                        rates_dirty = True
-
-            # ---- partitioning interval ----------------------------------------------------------
-            if now >= next_interval - 1e-12:
-                next_interval += config.partition_interval_s
-                new_allocation = self.driver.on_interval(now)
-                if new_allocation is not None:
-                    self._program(new_allocation, now, "interval", repartitions)
-                    rates_dirty = True
-
-            if rates_dirty:
-                self._recompute_rates()
-
-        return self._finalize(workload_name, now, stats, traces, repartitions)
-
-    # -- incremental backend -----------------------------------------------------------
-
-    def _run_incremental(self, workload_name: str) -> RunResult:
+    def run(self, workload_name: str = "workload") -> RunResult:
+        """Run the workload to completion and return the collected results."""
         config = self.config
         platform = self.platform
         driver = self.driver
@@ -457,7 +267,7 @@ class RuntimeEngine:
         # The phase position is not tracked separately: it advances by the
         # same increments as instructions_in_run and both reset to zero at a
         # completion, so phase_position == instructions_in_run is an invariant
-        # (the reference backend keeps the two fields and maintains it).
+        # (the reference loop in tests/oracles.py keeps the two fields).
         state = np.zeros((6, n))
         iir = state[0]  # instructions_in_run == phase_position
         to_sample = state[1]
@@ -489,11 +299,9 @@ class RuntimeEngine:
             if self.phased[name].n_phases > 1
         ]
         # Intern every (application, phase) profile once; rate recomputations
-        # then work entirely in token space (see _recompute_rates_incremental).
-        snapshot = self._snapshot
+        # then work entirely in token space (see _recompute_rates).
         tables = self.tables
-        assert snapshot is not None and tables is not None
-        token_map = snapshot.tokenize(tables)
+        token_map = self._snapshot.tokenize(tables)
         self._phase_tokens = [token_map[name] for name in names]
         self._phase_views = [
             tuple(tables.view_for_token(token) for token in tokens)
@@ -542,7 +350,7 @@ class RuntimeEngine:
                 )
             # ---- find the next event -------------------------------------------------
             # rate = ipc * cycles_per_second, computed (and zero-checked) once
-            # per rate vector in _recompute_rates_incremental.
+            # per rate vector in _recompute_rates.
             rate = self._rate
             # min(sample/rate, remaining/rate) == min(sample, remaining)/rate
             # element-wise (positive rates preserve the ordering and the
@@ -566,7 +374,7 @@ class RuntimeEngine:
             # ---- advance every application by dt -------------------------------------
             # One fused update: rows 0-3 of the template scale with dt
             # (instructions / cycles), rows 4-5 with cycles (misses / stalls);
-            # each element reproduces the reference's scalar expression.
+            # each element reproduces the reference loop's scalar expression.
             cycles = dt * cps
             template = self._advance
             np.multiply(template[:4], dt, out=addend[:4])
@@ -658,9 +466,8 @@ class RuntimeEngine:
                 self._recompute_rates()
 
         # The simulated CMT occupancy feed is write-only during a run (nothing
-        # reads it back until the run is over), so the incremental backend
-        # pushes the readings once at the end instead of on every rate
-        # recomputation; the final monitor state matches the reference's.
+        # reads it back until the run is over), so the readings are pushed
+        # once at the end instead of on every rate recomputation.
         for i, name in enumerate(names):
             self.cmt.update_occupancy(name, float(self._eff[i]))
         return self._finalize(workload_name, now, stats, traces, repartitions)
@@ -683,50 +490,22 @@ class RuntimeEngine:
         self.cat.apply_allocation(allocation.masks)
         self._allocation = allocation
         self._alloc_token = allocation_token(allocation)
-        if self.config.backend != "reference":
-            self._alloc_id = self._alloc_ids.setdefault(
-                self._alloc_token, len(self._alloc_ids)
-            )
+        self._alloc_id = self._alloc_ids.setdefault(
+            self._alloc_token, len(self._alloc_ids)
+        )
         repartitions.append(
             RepartitionEvent(time_s=now, reason=reason, masks=dict(allocation.masks))
         )
         self._recompute_rates()
 
     def _recompute_rates(self) -> None:
-        """Refresh every application's IPC/miss/stall rates from the estimator."""
-        if self.config.backend == "reference":
-            self._recompute_rates_reference()
-        else:
-            self._recompute_rates_incremental()
-
-    def _recompute_rates_reference(self) -> None:
-        if self._allocation is None:
-            raise SimulationError("no allocation programmed")
-        # Update the estimator's profiles to each application's current phase.
-        for name, state in self._states.items():
-            self.estimator.add_profile(name, state.current_profile().renamed(name))
-        estimate = self.estimator.evaluate_allocation(self._allocation)
-        for name, state in self._states.items():
-            profile = self.estimator.profiles[name]
-            effective = estimate.effective_ways[name]
-            state.ipc = estimate.ipcs[name]
-            state.llcmpkc = profile.llcmpkc_at(max(effective, 0.25))
-            state.stall_fraction = profile.stall_fraction_at(
-                max(effective, 0.25), self.platform
-            )
-            state.effective_ways = effective
-            self.cmt.update_occupancy(name, effective)
-
-    def _recompute_rates_incremental(self) -> None:
+        """Refresh every application's IPC/miss/stall rates from the tables."""
         if self._allocation is None:
             raise SimulationError("no allocation programmed")
         tables = self.tables
-        assert tables is not None
         pos = self._phase_pos  # phase position == instructions_in_run
         if pos is None:
-            raise SimulationError(
-                "the incremental backend computes rates only inside run()"
-            )
+            raise SimulationError("the engine computes rates only inside run()")
         # Phase epochs: which phase every application currently executes
         # (inlined replica of PhasedProfile.phase_index_at; single-phase
         # applications are pinned to epoch 0).

@@ -22,8 +22,8 @@ protocol the strategies implement and the single-run kernel they all share:
 
 Executors are generic underneath: ``set_context(worker_fn, payload)`` ships
 an arbitrary picklable ``worker_fn(payload, task) -> result`` pair, which is
-how :func:`repro.runtime.batch.pool_map` (static-study sharding) rides the
-same backends.  ``prepare(platform, ...)`` is the :class:`RunSpec` layer on
+how the static study shards per-workload evaluation over the same
+backends.  ``prepare(platform, ...)`` is the :class:`RunSpec` layer on
 top, installing :func:`execute_run` with a :class:`RunContext`.
 
 Backends register under a string name in
@@ -262,16 +262,13 @@ def execute_run(context: RunContext, spec: Any) -> Any:
     if isinstance(spec, RunGroup):
         return _execute_run_group(context, spec)
     config = spec.config or context.default_config or EngineConfig()
-    tables = None
-    if config.backend in ("incremental", "multirun"):
-        tables = worker_tables(
-            context.platform, config.max_table_entries, config.tables_path
-        )
-    driver = spec.make_driver()
+    tables = worker_tables(
+        context.platform, config.max_table_entries, config.tables_path
+    )
     engine = RuntimeEngine(
         context.platform,
         context.profiles_for(spec.workload),
-        driver,
+        spec.make_driver(),
         config,
         tables=tables,
     )

@@ -1,7 +1,6 @@
 """Spawn-pool executor: the single-host parallel backend.
 
-Ports the pre-executor ``BatchRunner``/``pool_map`` spawn pool onto the
-:class:`~repro.runtime.executors.base.Executor` protocol, built on
+Implements the :class:`~repro.runtime.executors.base.Executor` protocol on
 ``concurrent.futures.ProcessPoolExecutor`` (spawn context).  The shared
 context ``(worker_fn, payload)`` travels through the pool initializer
 exactly once per worker process; each task is submitted as a future whose

@@ -1,8 +1,7 @@
 """In-process executor: the deterministic default.
 
 Runs every task in the calling process, in submission order, sharing this
-process's evaluation-table cache across the whole batch — exactly the
-pre-executor ``jobs=1`` path of the :class:`~repro.runtime.batch.BatchRunner`.
+process's evaluation-table cache across the whole batch.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A dynamic study executes many *independent* engine runs that share a shape —
 same platform, same engine configuration — and differ only in workload mix
-and policy driver.  The per-run incremental
-backend (:meth:`~repro.runtime.engine.RuntimeEngine._run_incremental`)
-already advances the applications *within* one run as a ``(6, n)``
+and policy driver.  The single-run loop
+(:meth:`~repro.runtime.engine.RuntimeEngine.run`) already advances the applications *within* one run as a ``(6, n)``
 struct-of-arrays matrix; this module stacks ``R`` such runs along a leading
 run axis into ``(R, 6, n)`` and fuses the hot per-event array work — the
 next-event search and the state advance — into single NumPy expressions over
@@ -20,8 +19,9 @@ elementwise IEEE-754 operations on a stacked array produce the same bits as
 the same operations on each row separately.  Everything with control flow —
 phase-boundary walks, completion bookkeeping, counter samples, driver
 callbacks, allocation programming — stays per-member Python, byte-for-byte
-the incremental backend's logic.  The differential-oracle grid in
-``tests/oracles.py`` pins this equivalence against both serial backends.
+the single-run loop's logic.  The differential-oracle grid in
+``tests/oracles.py`` pins this equivalence against the serial engine and the
+reference loop ``run_reference`` kept there.
 
 Members share one :class:`~repro.simulator.estimator.EvaluationTables`
 instance, so an ``(allocation, phase epochs)`` combination evaluated by any
@@ -139,7 +139,7 @@ def group_run_specs(
 class _MemberRun:
     """Bookkeeping for one member run of a multi-run group.
 
-    Carries exactly the per-run state the incremental backend keeps between
+    Carries exactly the per-run state the single-run engine keeps between
     events — driver, simulated hardware, stats/traces, phase watch lists,
     token/rate-vector caches and the member's own clocks — while the hot
     numeric state lives in the engine's stacked arrays under ``row``.
@@ -184,7 +184,7 @@ class _MemberRun:
         self.next_interval = config.partition_interval_s
         self.last_completion_start = [0.0] * n
         ipr = config.instructions_per_run
-        # Same watch lists as _run_incremental: epoch lookups for truly
+        # Same watch lists as RuntimeEngine.run: epoch lookups for truly
         # phased applications, exact boundary walks for every application
         # whose only boundary could fall inside the run budget.
         self.phase_epoch_watch: List[Tuple[int, float, List[float]]] = [
@@ -237,7 +237,7 @@ class _MemberRun:
         self.walk_margin = float("inf") if not self.phase_watch else -1.0
         self.result: Optional[RunResult] = None
 
-    # -- allocation / rates (replicas of the incremental backend) -------------
+    # -- allocation / rates (replicas of the single-run engine) ---------------
 
     def program(
         self, allocation: WayAllocation, now: float, reason: str, pos: np.ndarray
@@ -267,7 +267,7 @@ class _MemberRun:
 
     def recompute_rates(self, pos: np.ndarray) -> None:
         """Refresh this member's rate/advance vectors; replica of
-        :meth:`RuntimeEngine._recompute_rates_incremental` over the shared
+        :meth:`RuntimeEngine._recompute_rates` over the shared
         tables (the caches here are per member, keyed exactly as there)."""
         if self.allocation is None:
             raise SimulationError("no allocation programmed")
@@ -386,11 +386,13 @@ class MultiRunEngine:
     """Advance several same-shape runs in lockstep rounds of stacked math.
 
     ``members`` is a sequence of ``(workload_name, phased_profiles, driver)``
-    triples; every member must bring the same number of applications.  All
-    members share ``tables`` (created on demand), and :meth:`run` returns
-    their :class:`~repro.runtime.results.RunResult`\\ s in member order, each
-    bit-identical to what a serial incremental ``RuntimeEngine`` would have
-    produced for that member alone.
+    triples.  Members may bring different numbers of applications: the stack
+    is as wide as the widest member and narrower members' trailing columns
+    are padded so that no fused reduction sees them.  All members share
+    ``tables`` (created on demand), and :meth:`run` returns their
+    :class:`~repro.runtime.results.RunResult`\\ s in member order, each
+    bit-identical to what a serial ``RuntimeEngine`` would have produced for
+    that member alone.
 
     A member failure (safety cap, zero rate, driver error) aborts the whole
     group — a group is one executor task, and the study layer's quarantine
@@ -407,11 +409,6 @@ class MultiRunEngine:
     ) -> None:
         self.platform = platform
         self.config = config or EngineConfig()
-        if self.config.backend == "reference":
-            raise SimulationError(
-                "the multi-run engine replicates the incremental backend; "
-                "use RuntimeEngine for reference-backend runs"
-            )
         members = list(members)
         if not members:
             raise SimulationError("a multi-run group needs at least one member run")
@@ -446,7 +443,7 @@ class MultiRunEngine:
         completion_edge = config.instructions_per_run - 1.0
 
         # Stacked struct-of-arrays state: run r's (6, n) matrix is
-        # state3d[r], laid out exactly as the serial incremental backend's
+        # state3d[r], laid out exactly as the serial engine's
         # (iir, to_sample, win_instr, win_cycles, win_misses, win_stalls).
         # Active runs always occupy the leading rows (see the compaction at
         # the bottom of the round loop), so every fused expression slices

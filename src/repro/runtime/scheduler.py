@@ -27,12 +27,7 @@ import numpy as np
 from repro.apps.profile import AppProfile
 from repro.core.caching import LruDict
 from repro.core.classification import AppClass
-from repro.core.lfoc import (
-    DEFAULT_PARAMS,
-    LfocDecisionCache,
-    LfocParams,
-    lfoc_clustering,
-)
+from repro.core.lfoc import DEFAULT_PARAMS, LfocDecisionCache, LfocParams
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
@@ -129,42 +124,30 @@ class LfocSchedulerPlugin(PolicyDriver):
         params: LfocParams = DEFAULT_PARAMS,
         monitor_config: Optional[MonitorConfig] = None,
         sampling_config: Optional[SamplingConfig] = None,
-        backend: str = "incremental",
     ) -> None:
+        """The driver skips the Algorithm 1 re-run at partitioning intervals
+        whose per-application classifications are unchanged (a
+        monitor-version fast path backed by a fingerprint-keyed
+        :class:`~repro.core.lfoc.LfocDecisionCache`), and stores its
+        per-application monitors in a fused
+        :class:`~repro.runtime.monitor.MonitorBank` (``driver.monitors``
+        holds bank row views).  The differential-oracle tests pin it against
+        a driver that keeps one :class:`~repro.runtime.monitor.AppMonitor`
+        per application and recomputes Algorithm 1 every interval.
         """
-        Parameters
-        ----------
-        backend:
-            ``"incremental"`` (default) skips the Algorithm 1 re-run at
-            partitioning intervals whose per-application classifications are
-            unchanged (a monitor-version fast path backed by a
-            fingerprint-keyed :class:`~repro.core.lfoc.LfocDecisionCache`),
-            and stores its per-application monitors in a fused
-            :class:`~repro.runtime.monitor.MonitorBank` (struct-of-arrays
-            state, ``driver.monitors`` holds bank row views);
-            ``"reference"`` recomputes the clustering every interval and
-            keeps one scalar :class:`~repro.runtime.monitor.AppMonitor` per
-            application, as the original driver did.  Both produce
-            bit-identical allocations — the differential-oracle suite pins
-            them against each other.
-        """
-        if backend not in ("incremental", "reference"):
-            raise SimulationError(f"unknown LFOC driver backend {backend!r}")
         self.params = params
         self.monitor_config = monitor_config or MonitorConfig()
         self.sampling_config = sampling_config or SamplingConfig()
-        self.backend = backend
         self.monitors: Dict[str, AppMonitor] = {}
-        self._monitor_bank: Optional[MonitorBank] = None
         self._platform: Optional[PlatformSpec] = None
         self._apps: List[str] = []
         self._active_sampling: Optional[SamplingSession] = None
         self._sampling_queue: Deque[str] = deque()
         self._current_allocation: Optional[WayAllocation] = None
         self.sampling_outcomes: List[SamplingOutcome] = []
-        # Incremental-backend decision state: the last partitioning's
-        # classification versions and its allocation, plus the shared
-        # fingerprint cache for classifications that recur after changes.
+        # Decision state: the last partitioning's classification versions
+        # and its allocation, plus the shared fingerprint cache for
+        # classifications that recur after changes.
         self._decision_cache = LfocDecisionCache(params=params)
         self._last_versions: Optional[Tuple[int, ...]] = None
         self._last_partition_allocation: Optional[WayAllocation] = None
@@ -176,19 +159,10 @@ class LfocSchedulerPlugin(PolicyDriver):
     def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
         self._platform = platform
         self._apps = list(apps)
-        if self.backend == "incremental":
-            # Fused monitor state: one bank row per application, exposed
-            # through AppMonitor-compatible views (bit-identical to the
-            # scalar monitors the reference backend keeps).
-            self._monitor_bank = MonitorBank(self._apps, self.monitor_config)
-            self.monitors = {
-                app: self._monitor_bank.monitor(app) for app in self._apps
-            }
-        else:
-            self._monitor_bank = None
-            self.monitors = {
-                app: AppMonitor(app, self.monitor_config) for app in self._apps
-            }
+        # Fused monitor state: one bank row per application, exposed through
+        # AppMonitor-compatible views (bit-identical to scalar monitors).
+        bank = MonitorBank(self._apps, self.monitor_config)
+        self.monitors = {app: bank.monitor(app) for app in self._apps}
         # The version fast path must not carry a previous run's allocation
         # across on_start: fresh monitors all report version 0, which would
         # match a first-partitioning version vector recorded before any
@@ -293,34 +267,25 @@ class LfocSchedulerPlugin(PolicyDriver):
         """Re-run Algorithm 1 from the current per-application classification."""
         if self._platform is None:
             raise SimulationError("driver used before on_start")
-        if self.backend == "incremental":
-            # Algorithm 1's inputs change only when a sampling sweep installs
-            # a new classification, so an unchanged version vector means the
-            # previous allocation is still the exact answer.
-            versions = tuple(
-                self.monitors[app].classification_version for app in self._apps
-            )
-            if (
-                versions == self._last_versions
-                and self._last_partition_allocation is not None
-            ):
-                self.partition_fast_hits += 1
-                self._current_allocation = self._last_partition_allocation
-                return self._last_partition_allocation
-            streaming, sensitive, light, tables = self._classify_current()
-            allocation = self._decision_cache.allocation_for(
-                streaming, sensitive, light, self._platform.llc_ways, tables
-            )
-            self._last_versions = versions
-            self._last_partition_allocation = allocation
-            self.partitions_computed += 1
-            self._current_allocation = allocation
-            return allocation
-        streaming, sensitive, light, tables = self._classify_current()
-        solution = lfoc_clustering(
-            streaming, sensitive, light, self._platform.llc_ways, tables, self.params
+        # Algorithm 1's inputs change only when a sampling sweep installs a
+        # new classification, so an unchanged version vector means the
+        # previous allocation is still the exact answer.
+        versions = tuple(
+            self.monitors[app].classification_version for app in self._apps
         )
-        allocation = solution.to_allocation()
+        if (
+            versions == self._last_versions
+            and self._last_partition_allocation is not None
+        ):
+            self.partition_fast_hits += 1
+            self._current_allocation = self._last_partition_allocation
+            return self._last_partition_allocation
+        streaming, sensitive, light, tables = self._classify_current()
+        allocation = self._decision_cache.allocation_for(
+            streaming, sensitive, light, self._platform.llc_ways, tables
+        )
+        self._last_versions = versions
+        self._last_partition_allocation = allocation
         self.partitions_computed += 1
         self._current_allocation = allocation
         return allocation
@@ -352,23 +317,15 @@ class DunnUserLevelDaemon(PolicyDriver):
         min_clusters: int = 2,
         overlap_ways: int = 1,
         history_window: int = 5,
-        backend: str = "incremental",
     ) -> None:
-        """
-        Parameters
-        ----------
-        backend:
-            ``"incremental"`` (default) decides through the vectorized
-            :class:`~repro.policies.dunn.DunnPolicy` fast path and two
-            decision caches — a window-version check that returns the
-            previous allocation outright when no counter sample arrived
-            since the last interval, and a fingerprint-keyed allocation
-            cache over the measured stall vector; ``"reference"`` recomputes
-            every interval through the original silhouette loop.  Both
-            produce bit-identical allocations whenever candidate silhouette
-            scores are exactly tied or separated by more than the ~1e-12
-            implementation discrepancy (see :mod:`repro.policies.dunn`);
-            the differential-oracle suite pins the equivalence.
+        """The daemon decides through the vectorized
+        :class:`~repro.policies.dunn.DunnPolicy` and two decision caches — a
+        window-version check that returns the previous allocation outright
+        when no counter sample arrived since the last interval, and a
+        fingerprint-keyed allocation cache over the measured stall vector.
+        The differential-oracle tests pin it against a cache-free daemon
+        deciding through the original silhouette loop (see
+        :mod:`repro.policies.dunn` for the exact guarantee).
 
         A note on when the two caches can actually hit (the fig7 benchmark
         records zero hits for both, which is structural, not a bug):
@@ -388,20 +345,16 @@ class DunnUserLevelDaemon(PolicyDriver):
           by the repeated-window test in
           ``tests/test_driver_differential.py``.
         """
-        if backend not in ("incremental", "reference"):
-            raise SimulationError(f"unknown Dunn driver backend {backend!r}")
         self._template = DunnPolicy(
             max_clusters=max_clusters,
             min_clusters=min_clusters,
             overlap_ways=overlap_ways,
-            backend=backend,
         )
         self.history_window = history_window
-        self.backend = backend
         self._stall_history: Dict[str, Deque[float]] = {}
         self._platform: Optional[PlatformSpec] = None
         self._apps: List[str] = []
-        # Incremental-backend decision state.
+        # Decision state.
         self._window_version = 0
         self._decided_version: Optional[int] = None
         self._last_allocation: Optional[WayAllocation] = None
@@ -440,15 +393,14 @@ class DunnUserLevelDaemon(PolicyDriver):
             raise SimulationError("driver used before on_start")
         if any(not history for history in self._stall_history.values()):
             return None  # not every application has been sampled yet
-        if self.backend == "incremental":
-            # No sample arrived since the last decision: the rolling means —
-            # and therefore the clustering — are unchanged.
-            if (
-                self._decided_version == self._window_version
-                and self._last_allocation is not None
-            ):
-                self.interval_fast_hits += 1
-                return self._last_allocation
+        # No sample arrived since the last decision: the rolling means — and
+        # therefore the clustering — are unchanged.
+        if (
+            self._decided_version == self._window_version
+            and self._last_allocation is not None
+        ):
+            self.interval_fast_hits += 1
+            return self._last_allocation
         stalls = {
             app: short_mean(history) for app, history in self._stall_history.items()
         }
@@ -467,9 +419,6 @@ class DunnUserLevelDaemon(PolicyDriver):
         assert platform is not None
         apps = list(stalls)
         values = np.array([stalls[a] for a in apps], dtype=float)
-        if self.backend == "reference":
-            self.intervals_computed += 1
-            return self._template.allocation_for_values(apps, values, platform)
         key = (tuple(apps), values.tobytes())
         allocation = self._allocations.get(key)
         if allocation is None:

@@ -298,7 +298,7 @@ class HostSession:
         self.decisions_computed = 0
         # -- decision layer (dunn) --
         self.history_window = history_window
-        self._dunn = DunnPolicy(backend="incremental")
+        self._dunn = DunnPolicy()
         self._stalls: Dict[str, Deque[float]] = {}
         self._dunn_cache = LruDict(4096)
 

@@ -80,7 +80,7 @@ class ClusterEstimate:
 def allocation_token(allocation: WayAllocation) -> tuple:
     """Hashable identity of an allocation for the evaluation cache.
 
-    Keeps the mask *insertion order*: the reference estimator iterates
+    Keeps the mask *insertion order*: :class:`ClusteringEstimator` iterates
     applications in ``allocation.apps()`` order and floating-point
     accumulation depends on it, so two allocations that differ only in
     ordering must not share a cache entry.
@@ -91,10 +91,10 @@ def allocation_token(allocation: WayAllocation) -> tuple:
 class ProfileSnapshot:
     """Immutable per-application phase-profile table for one workload run.
 
-    The runtime engine re-registers every application's *current* phase
-    profile with the estimator on each rate recomputation; the reference
-    implementation materialises a fresh ``renamed()`` copy every time, which
-    defeats any caching by identity.  The snapshot performs that renaming
+    A runtime engine that re-registers every application's *current* phase
+    profile with the estimator on each rate recomputation materialises a
+    fresh ``renamed()`` copy every time, which defeats any caching by
+    identity.  The snapshot performs that renaming
     exactly once per (application, phase) up front, so the profile driving an
     application in a given phase is one stable object for the whole run.
     """
@@ -158,10 +158,10 @@ def _ipc_with_extrapolation(
 class EvaluationTables:
     """Shared, incrementally-grown evaluation tables for repeated estimates.
 
-    This is the dense table cache behind the estimator's ``incremental``
-    backend and the runtime engine's default evaluation path.  It extends the
-    table-once-score-many idea of :mod:`repro.optimal.tabulated` from the
-    static solvers to arbitrary (possibly overlapping) runtime allocations:
+    This is the dense table cache behind the runtime engine's evaluation
+    path.  It extends the table-once-score-many idea of
+    :mod:`repro.optimal.tabulated` from the static solvers to arbitrary
+    (possibly overlapping) runtime allocations:
 
     * a **token registry** fingerprints profiles by curve values, so
       identical profiles — across phases, policy drivers, engine runs, even
@@ -173,12 +173,12 @@ class EvaluationTables:
       repeated :meth:`evaluate` call a single dictionary lookup.
 
     Every cached value is produced by arithmetic that replicates the
-    reference models operation for operation, so results are bit-identical
-    to :meth:`ClusteringEstimator.evaluate_allocation` with the default
-    ``reference`` backend (the equivalence is pinned by the test suite).
+    dict-based models operation for operation, so results are bit-identical
+    to :meth:`ClusteringEstimator.evaluate_allocation` (the equivalence is
+    pinned by the test suite).
     Instances are cheap to create, safe to share across runs of the same
-    platform/model configuration, and picklable-by-construction callers
-    (e.g. :class:`~repro.runtime.batch.BatchRunner`) ship one per worker.
+    platform/model configuration; every executor worker keeps one per
+    platform (see :func:`~repro.runtime.executors.base.worker_tables`).
     """
 
     def __init__(
@@ -589,7 +589,8 @@ class EvaluationTables:
         profiles: Mapping[str, AppProfile],
         alloc_token: Optional[tuple] = None,
     ) -> ClusterEstimate:
-        """Cached, bit-identical equivalent of the reference evaluation."""
+        """Cached, bit-identical equivalent of
+        :meth:`ClusteringEstimator.evaluate_allocation`."""
         for app in allocation.apps():
             if app not in profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")
@@ -612,8 +613,8 @@ class EvaluationTables:
         :meth:`ProfileSnapshot.tokenize`).  No profile objects are touched:
         the caller re-registers nothing per evaluation, so a phase change of
         one application costs exactly one changed token in the key — the
-        per-application dirty-estimate delta the runtime engine's
-        incremental backend is built on.  Shares the estimate cache (and the
+        per-application dirty-estimate delta the runtime engine is built
+        on.  Shares the estimate cache (and the
         bit-identical results) with :meth:`evaluate`.
         """
         apps = allocation.apps()
@@ -703,57 +704,17 @@ class ClusteringEstimator:
         *,
         occupancy_model: Optional[OccupancyModel] = None,
         bandwidth_model: Optional[BandwidthModel] = None,
-        backend: str = "reference",
-        tables: Optional[EvaluationTables] = None,
     ) -> None:
-        """
-        Parameters
-        ----------
-        backend:
-            ``"reference"`` (default) recomputes every evaluation through the
-            original dict-based models; ``"incremental"`` answers repeated
-            evaluations from shared :class:`EvaluationTables` — bit-identical
-            results, amortised cost.
-        tables:
-            Optional pre-existing tables to share (``incremental`` only).
-            Must have been built for the same platform and model parameters.
+        """Every evaluation runs the dict-based models cold.  Repeated
+        evaluations over the same profiles belong in
+        :class:`EvaluationTables`, whose results are bit-identical.
         """
         if not profiles:
             raise SimulationError("the estimator needs at least one application profile")
-        if backend not in ("reference", "incremental"):
-            raise SimulationError(f"unknown estimator backend {backend!r}")
         self.platform = platform
         self.profiles: Dict[str, AppProfile] = dict(profiles)
         self.occupancy_model = occupancy_model or OccupancyModel()
         self.bandwidth_model = bandwidth_model or BandwidthModel()
-        self.backend = backend
-        self.tables: Optional[EvaluationTables] = None
-        if backend == "incremental":
-            if tables is None:
-                tables = EvaluationTables(
-                    platform,
-                    occupancy_model=self.occupancy_model,
-                    bandwidth_model=self.bandwidth_model,
-                )
-            else:
-                expected = (
-                    platform,
-                    (
-                        self.occupancy_model.max_iterations,
-                        self.occupancy_model.tolerance,
-                        self.occupancy_model.damping,
-                        self.occupancy_model.base_pressure,
-                    ),
-                    (self.bandwidth_model.sensitivity, self.bandwidth_model.max_factor),
-                )
-                if tables.params_signature() != expected:
-                    raise SimulationError(
-                        "shared evaluation tables were built for different "
-                        "platform or model parameters"
-                    )
-            self.tables = tables
-        elif tables is not None:
-            raise SimulationError("tables are only used by the incremental backend")
 
     # -- profile management ----------------------------------------------------
 
@@ -767,14 +728,7 @@ class ClusteringEstimator:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate_allocation(self, allocation: WayAllocation) -> ClusterEstimate:
-        """Evaluate an explicit (possibly overlapping) per-application allocation.
-
-        With the ``incremental`` backend this is a table lookup (computing and
-        caching the entry on first sight); the returned estimate is
-        bit-identical to the ``reference`` computation either way.
-        """
-        if self.tables is not None:
-            return self.tables.evaluate(allocation, self.profiles)
+        """Evaluate an explicit (possibly overlapping) per-application allocation."""
         for app in allocation.apps():
             if app not in self.profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")

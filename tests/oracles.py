@@ -1,33 +1,50 @@
-"""Differential-oracle harness for the incremental driver/engine layers.
+"""Differential oracles: the reference implementations production must match.
 
-The ``incremental`` execution paths — the vectorized Dunn decision kernels,
-the driver decision caches, the token-based engine evaluation — must
-reproduce the ``reference`` implementations *exactly*: same study rows, same
-``choose_k`` decisions, same allocation masks, bit for bit.  This module
-provides the building blocks the differential tests (and deep local fuzz
+Production ships one decision path per layer.  The original, plainly
+written implementations those paths replaced live here, as oracles the
+production code must reproduce *exactly* — same study rows, same
+``choose_k`` decisions, same allocation masks, same traces, bit for bit:
+
+* :func:`run_reference` — the original per-application dict loop of the
+  runtime engine, re-running the cold
+  :class:`~repro.simulator.ClusteringEstimator` on every rate change;
+* :class:`ReferenceLfocDriver` — the LFOC driver with one scalar
+  :class:`~repro.runtime.AppMonitor` per application, re-running Algorithm 1
+  at every partitioning interval;
+* :class:`ReferenceDunnDaemon` / :class:`ReferenceDunnPolicy` — Dunn with no
+  decision caches, scoring through the original silhouette loop
+  (:func:`silhouette_1d_reference`) and ``np.quantile``-seeded k-means
+  (:func:`kmeans_1d_reference`);
+* :class:`ReferenceLfocPolicy` — static LFOC recomputing every decision;
+* :func:`interp_reference` and :func:`occupancy_solve_reference` — the
+  ``np.interp`` curve reading and the dict-based occupancy fixed point that
+  the production scalar kernels must reproduce exactly.
+
+Around them sits the harness the differential tests (and deep local fuzz
 runs) are made of:
 
 * :func:`random_phased_workload` — seeded randomized workloads drawn from
   the benchmark catalogue, phased mixes included, so the fuzz loop exercises
   phase changes, sampling sweeps and repartitions rather than a fixed
   hand-picked mix;
-* :func:`differential_run` — one engine run under an explicit
-  ``(engine backend, driver backend)`` combination, reduced to an
-  exactly-comparable structure covering everything a run records
-  (completion times, traces, repartition reasons and masks, final
-  allocation, per-app stats);
+* :func:`differential_run` — one run under an explicit
+  ``(engine, driver)`` combination, reduced to an exactly-comparable
+  structure covering everything a run records (completion times, traces,
+  repartition reasons and masks, final allocation, per-app stats).
+  ``"reference"`` selects the oracle on either axis; ``"incremental"`` and
+  ``"multirun"`` select the production engine, ``"incremental"`` the
+  production drivers;
 * :func:`differential_group_run` — the same batch through grouped
   :class:`~repro.runtime.multirun.MultiRunEngine` execution (the
   ``multirun`` backend's cross-run stacking), flat-ordered for member-by-
-  member comparison against serial runs;
+  member comparison against single runs;
+* :func:`reference_fig7_rows` — Fig. 7 study rows computed from
+  :func:`run_reference` runs;
 * :func:`assert_identical` — strict equality with a readable diff pointing
   at the first field that diverged;
 * :func:`random_stall_vector` — adversarial 1-D stall-metric vectors
   (well-separated groups, near-ties, heavy duplicates, constant data) for
-  decision-level fuzz of ``choose_k``;
-* :func:`interp_reference` and :func:`occupancy_solve_reference` — the
-  ``np.interp`` curve reading and the dict-based occupancy fixed point that
-  the production scalar kernels must reproduce exactly.
+  decision-level fuzz of ``choose_k``.
 
 The number of seeds is CI-bounded through the ``--oracle-seeds`` pytest
 option (see ``conftest.py``); deep local runs crank it up::
@@ -38,23 +55,37 @@ option (see ``conftest.py``); deep local runs crank it up::
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.figures import DynamicStudyRow
+from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile
-from repro.core.types import WayAllocation
-from repro.errors import SimulationError
+from repro.core.lfoc import lfoc_clustering
+from repro.core.types import ClusteringSolution, WayAllocation
+from repro.errors import ClusteringError, SimulationError
 from repro.hardware import skylake_gold_6138
+from repro.hardware.cat import CatController
+from repro.hardware.platform import PlatformSpec
+from repro.hardware.pmc import CounterDelta, derive_metrics
+from repro.metrics.aggregate import normalise, short_mean
+from repro.policies import DunnPolicy, LfocPolicy
+from repro.policies.lfoc import _classify_and_tabulate
 from repro.runtime import (
+    AppMonitor,
     DunnUserLevelDaemon,
     EngineConfig,
     LfocSchedulerPlugin,
     MonitorConfig,
+    PolicyDriver,
     RuntimeEngine,
     StockLinuxDriver,
+    alone_completion_time,
 )
+from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
+from repro.simulator import ClusteringEstimator
 from repro.simulator.occupancy import OccupancyResult
 from repro.workloads import Workload, random_workload
 
@@ -62,19 +93,23 @@ __all__ = [
     "ORACLE_CONFIG",
     "DRIVER_NAMES",
     "BACKEND_COMBINATIONS",
+    "run_reference",
+    "ReferenceLfocDriver",
+    "ReferenceDunnDaemon",
+    "ReferenceDunnPolicy",
+    "ReferenceLfocPolicy",
+    "kmeans_1d_reference",
+    "silhouette_1d_reference",
     "random_phased_workload",
     "make_driver",
     "run_fields",
     "differential_run",
     "differential_group_run",
+    "reference_fig7_rows",
     "assert_identical",
     "random_stall_vector",
     "interp_reference",
     "occupancy_solve_reference",
-    "dunn_reference",
-    "dunn_incremental",
-    "lfoc_reference",
-    "lfoc_incremental",
 ]
 
 #: Scaled-down engine configuration: short runs with a tight partitioning
@@ -93,15 +128,414 @@ ORACLE_MONITOR = MonitorConfig(warmup_samples=2, history_window=3)
 
 DRIVER_NAMES = ("dunn", "lfoc", "stock")
 
-#: Engine/driver backend pairs compared against the all-reference baseline.
-#: ``multirun`` on a single RuntimeEngine exercises the degenerate one-run
-#: path; the grouped cross-run path is pinned by differential_group_run.
+#: ``(engine, driver)`` pairs compared against the all-oracle baseline
+#: ``("reference", "reference")``: production on both axes, and production
+#: on one axis with the oracle on the other.  ``multirun`` on a single
+#: RuntimeEngine exercises the one-run path; the grouped cross-run path is
+#: pinned by differential_group_run.
 BACKEND_COMBINATIONS = (
     ("incremental", "incremental"),
     ("incremental", "reference"),
     ("reference", "incremental"),
     ("multirun", "incremental"),
 )
+
+
+# ---------------------------------------------------------------------------
+# The reference engine loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _AppState:
+    """Mutable per-application execution state of :func:`run_reference`."""
+
+    name: str
+    phased: PhasedProfile
+    instructions_in_run: float = 0.0
+    phase_position: float = 0.0  # instructions into the phase cycle
+    instructions_to_next_sample: float = 100e6
+    # Current rates (recomputed whenever the allocation or the phase changes).
+    ipc: float = 1.0
+    llcmpkc: float = 0.0
+    stall_fraction: float = 0.0
+    effective_ways: float = 0.0
+    # Counters accumulated since the last sample.
+    window_instructions: float = 0.0
+    window_cycles: float = 0.0
+    window_misses: float = 0.0
+    window_stalls: float = 0.0
+
+    def current_profile(self) -> AppProfile:
+        return self.phased.profile_at(self.phase_position)
+
+    def instructions_to_phase_change(self) -> float:
+        return self.phased.instructions_until_phase_change(self.phase_position)
+
+
+def run_reference(
+    platform: PlatformSpec,
+    phased_profiles: Mapping[str, PhasedProfile],
+    driver: PolicyDriver,
+    config: Optional[EngineConfig] = None,
+    workload_name: str = "workload",
+) -> RunResult:
+    """One engine run through the original per-application dict loop.
+
+    Every rate change re-registers each application's current phase profile
+    with a cold :class:`~repro.simulator.ClusteringEstimator` and re-runs it.
+    :meth:`RuntimeEngine.run <repro.runtime.RuntimeEngine.run>` and the
+    grouped :class:`~repro.runtime.MultiRunEngine` must return the same
+    :class:`~repro.runtime.RunResult` bit for bit.  ``config.backend`` is
+    ignored (it only selects run batching in production).
+    """
+    if not phased_profiles:
+        raise SimulationError("the engine needs at least one application")
+    config = config or EngineConfig()
+    apps = list(phased_profiles)
+    cat = CatController(platform)
+    estimator = ClusteringEstimator(
+        platform, {name: prof.profile_at(0.0) for name, prof in phased_profiles.items()}
+    )
+    stats = {
+        name: AppRunStats(
+            name=name,
+            alone_time=alone_completion_time(
+                phased_profiles[name], config.instructions_per_run, platform
+            ),
+        )
+        for name in apps
+    }
+    traces: Dict[str, List[TracePoint]] = {name: [] for name in apps}
+    repartitions: List[RepartitionEvent] = []
+    states = {
+        name: _AppState(
+            name=name,
+            phased=phased_profiles[name],
+            instructions_to_next_sample=driver.sample_window(name),
+        )
+        for name in apps
+    }
+    allocation: Optional[WayAllocation] = None
+
+    def recompute_rates() -> None:
+        # Update the estimator's profiles to each application's current phase.
+        for name, state in states.items():
+            estimator.add_profile(name, state.current_profile().renamed(name))
+        estimate = estimator.evaluate_allocation(allocation)
+        for name, state in states.items():
+            profile = estimator.profiles[name]
+            effective = estimate.effective_ways[name]
+            state.ipc = estimate.ipcs[name]
+            state.llcmpkc = profile.llcmpkc_at(max(effective, 0.25))
+            state.stall_fraction = profile.stall_fraction_at(
+                max(effective, 0.25), platform
+            )
+            state.effective_ways = effective
+
+    def program(new_allocation: WayAllocation, now: float, reason: str) -> None:
+        nonlocal allocation
+        missing = [a for a in apps if a not in new_allocation.masks]
+        if missing:
+            raise SimulationError(
+                f"policy {driver.name!r} left applications unallocated: {missing}"
+            )
+        cat.apply_allocation(new_allocation.masks)
+        allocation = new_allocation
+        repartitions.append(
+            RepartitionEvent(time_s=now, reason=reason, masks=dict(new_allocation.masks))
+        )
+        recompute_rates()
+
+    program(driver.on_start(apps, platform), 0.0, "start")
+
+    now = 0.0
+    next_interval = config.partition_interval_s
+    last_completion_start: Dict[str, float] = {name: 0.0 for name in apps}
+
+    def done() -> bool:
+        return all(stats[name].completions >= config.min_completions for name in apps)
+
+    while not done():
+        if now > config.max_simulated_seconds:
+            raise SimulationError(
+                f"simulation exceeded the {config.max_simulated_seconds}s safety cap "
+                f"(policy {driver.name!r}, workload {workload_name!r})"
+            )
+        # ---- find the next event -------------------------------------------------
+        dt = next_interval - now
+        for state in states.values():
+            rate = state.ipc * platform.cycles_per_second  # instructions / s
+            if rate <= 0:
+                raise SimulationError(f"application {state.name!r} has a zero rate")
+            dt = min(dt, state.instructions_to_next_sample / rate)
+            dt = min(dt, state.instructions_to_phase_change() / rate)
+            remaining = config.instructions_per_run - state.instructions_in_run
+            dt = min(dt, remaining / rate)
+        dt = max(dt, 1e-9)
+
+        # ---- advance every application by dt -------------------------------------
+        for state in states.values():
+            rate = state.ipc * platform.cycles_per_second
+            instructions = rate * dt
+            cycles = dt * platform.cycles_per_second
+            state.instructions_in_run += instructions
+            state.phase_position += instructions
+            state.instructions_to_next_sample -= instructions
+            state.window_instructions += instructions
+            state.window_cycles += cycles
+            state.window_misses += state.llcmpkc * cycles / 1000.0
+            state.window_stalls += state.stall_fraction * cycles
+        now += dt
+
+        rates_dirty = False
+
+        # ---- phase boundaries ------------------------------------------------------
+        for state in states.values():
+            if state.instructions_to_phase_change() <= 1.0:
+                # Crossing the boundary: the profile for the next chunk changes.
+                rates_dirty = True
+
+        # ---- completions / restarts --------------------------------------------------
+        for name, state in states.items():
+            if state.instructions_in_run >= config.instructions_per_run - 1.0:
+                stats[name].completion_times.append(now - last_completion_start[name])
+                stats[name].instructions_retired += state.instructions_in_run
+                last_completion_start[name] = now
+                state.instructions_in_run = 0.0
+                state.phase_position = 0.0  # restarted from scratch
+                rates_dirty = True
+
+        # ---- counter samples ------------------------------------------------------------
+        state_snapshot: Dict[str, Dict[str, float]] = {}
+        if config.record_traces and any(
+            state.instructions_to_next_sample <= 1.0 for state in states.values()
+        ):
+            state_snapshot = driver.describe_state()
+        for name, state in states.items():
+            if state.instructions_to_next_sample <= 1.0:
+                delta = CounterDelta(
+                    instructions=state.window_instructions,
+                    cycles=state.window_cycles,
+                    llc_misses=state.window_misses,
+                    stalls_l2_miss=state.window_stalls,
+                )
+                metrics = derive_metrics(delta)
+                stats[name].samples_taken += 1
+                state.window_instructions = 0.0
+                state.window_cycles = 0.0
+                state.window_misses = 0.0
+                state.window_stalls = 0.0
+                if config.record_traces:
+                    snapshot = state_snapshot.get(name, {})
+                    traces[name].append(
+                        TracePoint(
+                            time_s=now,
+                            instructions=stats[name].instructions_retired
+                            + state.instructions_in_run,
+                            ipc=metrics.ipc,
+                            llcmpkc=metrics.llcmpkc,
+                            stall_fraction=metrics.stall_fraction,
+                            effective_ways=state.effective_ways,
+                            app_class=str(snapshot.get("class", "n/a")),
+                        )
+                    )
+                new_allocation = driver.on_sample(name, metrics, state.effective_ways, now)
+                state.instructions_to_next_sample = driver.sample_window(name)
+                if new_allocation is not None:
+                    program(new_allocation, now, f"sample:{name}")
+                    rates_dirty = True
+
+        # ---- partitioning interval ----------------------------------------------------------
+        if now >= next_interval - 1e-12:
+            next_interval += config.partition_interval_s
+            new_allocation = driver.on_interval(now)
+            if new_allocation is not None:
+                program(new_allocation, now, "interval")
+                rates_dirty = True
+
+        if rates_dirty:
+            recompute_rates()
+
+    for name, monitor_state in driver.describe_state().items():
+        if name in stats:
+            stats[name].sampling_mode_entries = int(monitor_state.get("sampling_entries", 0))
+            stats[name].class_changes = int(monitor_state.get("class_changes", 0))
+    return RunResult(
+        policy=driver.name,
+        workload=workload_name,
+        duration_s=now,
+        app_stats=stats,
+        traces=traces if config.record_traces else {},
+        repartitions=repartitions,
+        final_allocation=allocation,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference decision paths: Dunn k-selection, drivers, static LFOC
+# ---------------------------------------------------------------------------
+
+
+def kmeans_1d_reference(
+    values: Sequence[float], k: int, *, iterations: int = 50, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The original all-NumPy 1-D k-means with ``np.quantile`` seeding.
+
+    :func:`repro.policies.kmeans_1d` must return bit-identical labels and
+    centroids.
+    """
+    data = np.asarray(values, dtype=float)
+    if data.ndim != 1 or data.size == 0:
+        raise ClusteringError("k-means needs a non-empty 1-D value array")
+    if not (1 <= k <= data.size):
+        raise ClusteringError(f"k must lie in [1, {data.size}], got {k}")
+    quantiles = np.linspace(0.0, 1.0, k + 2)[1:-1]
+    centroids = np.quantile(data, quantiles)
+    # Nudge identical seeds apart so that clusters do not collapse immediately.
+    centroids = centroids + np.arange(k) * 1e-9
+    labels = np.zeros(data.size, dtype=int)
+    for _ in range(iterations):
+        distances = np.abs(data[:, None] - centroids[None, :])
+        new_labels = np.argmin(distances, axis=1)
+        new_centroids = centroids.copy()
+        for cluster in range(k):
+            members = data[new_labels == cluster]
+            if members.size:
+                new_centroids[cluster] = members.mean()
+        if np.array_equal(new_labels, labels) and np.allclose(new_centroids, centroids):
+            break
+        labels = new_labels
+        centroids = new_centroids
+    order = np.argsort(centroids)
+    remap = np.empty_like(order)
+    remap[order] = np.arange(k)
+    return remap[labels], centroids[order]
+
+
+def silhouette_1d_reference(values: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Mean silhouette coefficient for a 1-D clustering: the per-point loop.
+
+    :func:`repro.policies.silhouette_1d` must agree to float-rounding
+    accuracy and share every per-point convention.
+    """
+    if k < 2:
+        return -1.0
+    scores = []
+    for index, value in enumerate(values):
+        own = values[labels == labels[index]]
+        if own.size <= 1:
+            scores.append(0.0)
+            continue
+        a = np.abs(own - value).sum() / (own.size - 1)
+        b = np.inf
+        for other in range(k):
+            if other == labels[index]:
+                continue
+            members = values[labels == other]
+            if members.size:
+                b = min(b, float(np.abs(members - value).mean()))
+        if not np.isfinite(b):
+            scores.append(0.0)
+            continue
+        denom = max(a, b)
+        scores.append(0.0 if denom == 0 else (b - a) / denom)
+    return float(np.mean(scores))
+
+
+class ReferenceDunnPolicy(DunnPolicy):
+    """Dunn whose k-selection runs the reference k-means and silhouette, uncached."""
+
+    def choose_k(self, values: np.ndarray) -> Tuple[int, np.ndarray]:
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        if n == 1:
+            return 1, np.zeros(1, dtype=int)
+        best_k, best_labels, best_score = 1, np.zeros(n, dtype=int), -1.0
+        upper = min(self.max_clusters, n)
+        for k in range(min(self.min_clusters, upper), upper + 1):
+            labels, _ = kmeans_1d_reference(values, k)
+            if len(set(labels.tolist())) < 2:
+                score = -1.0
+            else:
+                score = silhouette_1d_reference(values, labels, k)
+            if score > best_score:
+                best_k, best_labels, best_score = k, labels, score
+        self.decisions_computed += 1
+        return best_k, best_labels
+
+
+class ReferenceDunnDaemon(DunnUserLevelDaemon):
+    """The Dunn daemon with no caches: it re-clusters at every interval."""
+
+    def __init__(
+        self,
+        max_clusters: int = 4,
+        min_clusters: int = 2,
+        overlap_ways: int = 1,
+        history_window: int = 5,
+    ) -> None:
+        super().__init__(max_clusters, min_clusters, overlap_ways, history_window)
+        self._template = ReferenceDunnPolicy(max_clusters, min_clusters, overlap_ways)
+
+    def on_interval(self, now: float) -> Optional[WayAllocation]:
+        if self._platform is None:
+            raise SimulationError("driver used before on_start")
+        if any(not history for history in self._stall_history.values()):
+            return None  # not every application has been sampled yet
+        stalls = {
+            app: short_mean(history) for app, history in self._stall_history.items()
+        }
+        return self._allocation_from_stalls(stalls)
+
+    def _allocation_from_stalls(self, stalls: Mapping[str, float]) -> WayAllocation:
+        apps = list(stalls)
+        values = np.array([stalls[a] for a in apps], dtype=float)
+        self.intervals_computed += 1
+        return self._template.allocation_for_values(apps, values, self._platform)
+
+
+class ReferenceLfocDriver(LfocSchedulerPlugin):
+    """The LFOC driver with one scalar monitor per application and no caches.
+
+    Algorithm 1 is recomputed from the live classification at every
+    partitioning interval.
+    """
+
+    def on_start(self, apps, platform) -> WayAllocation:
+        allocation = super().on_start(apps, platform)
+        self.monitors = {app: AppMonitor(app, self.monitor_config) for app in self._apps}
+        return allocation
+
+    def _run_partitioning(self) -> Optional[WayAllocation]:
+        if self._platform is None:
+            raise SimulationError("driver used before on_start")
+        streaming, sensitive, light, tables = self._classify_current()
+        solution = lfoc_clustering(
+            streaming, sensitive, light, self._platform.llc_ways, tables, self.params
+        )
+        allocation = solution.to_allocation()
+        self.partitions_computed += 1
+        self._current_allocation = allocation
+        return allocation
+
+
+class ReferenceLfocPolicy(LfocPolicy):
+    """Static LFOC recomputing classification and Algorithm 1 on every call."""
+
+    def decide(self, profiles, platform) -> ClusteringSolution:
+        self._check_workload(profiles, platform)
+        streaming, sensitive, light, tables = _classify_and_tabulate(
+            profiles, platform, self.thresholds
+        )
+        return lfoc_clustering(
+            streaming, sensitive, light, platform.llc_ways, tables, self.params
+        )
+
+
+# ---------------------------------------------------------------------------
+# Differential harness
+# ---------------------------------------------------------------------------
 
 
 def random_phased_workload(seed: int, size: Optional[int] = None) -> Workload:
@@ -113,34 +547,16 @@ def random_phased_workload(seed: int, size: Optional[int] = None) -> Workload:
 
 
 def make_driver(name: str, backend: str):
-    """Fresh driver instance for one run (drivers carry mutable state)."""
+    """Fresh driver for one run: ``"reference"`` oracle or production."""
     if name == "stock":
-        return StockLinuxDriver()  # no decision layer: backend-free baseline
+        return StockLinuxDriver()  # no decision layer: the same in both
+    reference = backend == "reference"
     if name == "dunn":
-        return DunnUserLevelDaemon(backend=backend)
+        return ReferenceDunnDaemon() if reference else DunnUserLevelDaemon()
     if name == "lfoc":
-        return LfocSchedulerPlugin(monitor_config=ORACLE_MONITOR, backend=backend)
+        cls = ReferenceLfocDriver if reference else LfocSchedulerPlugin
+        return cls(monitor_config=ORACLE_MONITOR)
     raise ValueError(f"unknown oracle driver {name!r}")
-
-
-# Module-level factories (picklable) for study-level differential runs
-# through fig7_dynamic_study / run_study.
-
-
-def dunn_reference():
-    return DunnUserLevelDaemon(backend="reference")
-
-
-def dunn_incremental():
-    return DunnUserLevelDaemon(backend="incremental")
-
-
-def lfoc_reference():
-    return LfocSchedulerPlugin(backend="reference")
-
-
-def lfoc_incremental():
-    return LfocSchedulerPlugin(backend="incremental")
 
 
 def run_fields(result) -> Dict:
@@ -177,15 +593,22 @@ def differential_run(
     platform=None,
     config: EngineConfig = ORACLE_CONFIG,
 ) -> Dict:
-    """One run under an explicit backend combination, reduced for comparison."""
+    """One run under an explicit backend combination, reduced for comparison.
+
+    ``engine_backend="reference"`` runs :func:`run_reference`; any other value
+    is the production engine's :attr:`EngineConfig.backend`.
+    """
     platform = platform or skylake_gold_6138()
-    engine = RuntimeEngine(
-        platform,
-        workload.phased_profiles(platform.llc_ways),
-        make_driver(driver_name, driver_backend),
-        replace(config, backend=engine_backend),
-    )
-    return run_fields(engine.run(workload.name))
+    profiles = workload.phased_profiles(platform.llc_ways)
+    driver = make_driver(driver_name, driver_backend)
+    if engine_backend == "reference":
+        result = run_reference(platform, profiles, driver, config, workload.name)
+    else:
+        engine = RuntimeEngine(
+            platform, profiles, driver, replace(config, backend=engine_backend)
+        )
+        result = engine.run(workload.name)
+    return run_fields(result)
 
 
 def differential_group_run(
@@ -232,6 +655,61 @@ def differential_group_run(
     return results
 
 
+def reference_fig7_rows(
+    workloads: Sequence[Workload],
+    config: EngineConfig,
+    platform: Optional[PlatformSpec] = None,
+    drivers: Optional[Mapping[str, type]] = None,
+) -> list:
+    """Fig. 7 rows built from :func:`run_reference` runs.
+
+    Every workload runs under Stock-Linux and each of ``drivers`` (default:
+    the production Dunn and LFOC drivers), normalised against the stock run
+    exactly as :func:`repro.analysis.fig7_dynamic_study` does, which must
+    return the same rows.
+    """
+    platform = platform or skylake_gold_6138()
+    if drivers is None:
+        drivers = {"Dunn": DunnUserLevelDaemon, "LFOC": LfocSchedulerPlugin}
+    rows = []
+    for workload in workloads:
+        profiles = workload.phased_profiles(platform.llc_ways)
+        baseline = run_reference(
+            platform, profiles, StockLinuxDriver(), config, workload.name
+        )
+        base = baseline.metrics()
+        rows.append(
+            DynamicStudyRow(
+                workload=workload.name,
+                size=workload.size,
+                policy=baseline.policy,
+                unfairness=base.unfairness,
+                stp=base.stp,
+                normalized_unfairness=1.0,
+                normalized_stp=1.0,
+                repartitions=baseline.n_repartitions,
+                sampling_entries=0,
+            )
+        )
+        for label, factory in drivers.items():
+            result = run_reference(platform, profiles, factory(), config, workload.name)
+            metrics = result.metrics()
+            rows.append(
+                DynamicStudyRow(
+                    workload=workload.name,
+                    size=workload.size,
+                    policy=label,
+                    unfairness=metrics.unfairness,
+                    stp=metrics.stp,
+                    normalized_unfairness=normalise(metrics.unfairness, base.unfairness),
+                    normalized_stp=normalise(metrics.stp, base.stp),
+                    repartitions=result.n_repartitions,
+                    sampling_entries=result.total_sampling_entries(),
+                )
+            )
+    return rows
+
+
 def assert_identical(candidate: Dict, baseline: Dict, context: str) -> None:
     """Strict equality with a first-divergence diagnosis."""
     if candidate == baseline:
@@ -240,8 +718,8 @@ def assert_identical(candidate: Dict, baseline: Dict, context: str) -> None:
         if candidate.get(field) != baseline[field]:
             raise AssertionError(
                 f"{context}: field {field!r} diverged from the reference "
-                f"baseline\n  reference:   {baseline[field]!r}\n"
-                f"  incremental: {candidate.get(field)!r}"
+                f"baseline\n  reference: {baseline[field]!r}\n"
+                f"  candidate: {candidate.get(field)!r}"
             )
     raise AssertionError(f"{context}: results diverged (extra fields?)")
 

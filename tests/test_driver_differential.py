@@ -1,12 +1,14 @@
-"""Differential-oracle suite: incremental vs. reference drivers and engine.
+"""Differential-oracle suite: production drivers and engine vs. the oracles.
 
 Every test here runs the *same* seeded randomized workload (or decision
-input) through the ``incremental`` and ``reference`` implementations and
-asserts bit-identical outcomes — study rows, ``choose_k`` decisions,
-allocation masks, traces, repartition events.  The harness lives in
-``tests/oracles.py``; the fuzz breadth is CI-bounded and controlled by the
-``--oracle-seeds`` pytest option for deep local runs.
+input) through the production implementations and the reference oracles in
+``tests/oracles.py`` and asserts bit-identical outcomes — study rows,
+``choose_k`` decisions, allocation masks, traces, repartition events.  The
+fuzz breadth is CI-bounded and controlled by the ``--oracle-seeds`` pytest
+option for deep local runs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ class TestEngineDriverCrossProduct:
 
 
 class TestMultiRunGroupOracle:
-    """Grouped multi-run execution must match serial incremental bit for bit."""
+    """Grouped multi-run execution must match the reference loop bit for bit."""
 
     def test_grouped_runs_bit_identical_to_serial(self, oracle_seeds):
         workloads = [oracles.random_phased_workload(seed) for seed in oracle_seeds]
@@ -62,7 +64,7 @@ class TestMultiRunGroupOracle:
         for workload in workloads:
             for driver_name in oracles.DRIVER_NAMES:
                 baseline = oracles.differential_run(
-                    workload, driver_name, "incremental", "incremental"
+                    workload, driver_name, "reference", "reference"
                 )
                 oracles.assert_identical(
                     grouped[index],
@@ -82,11 +84,11 @@ class TestMultiRunGroupOracle:
         config = EngineConfig(
             instructions_per_run=6.0e8, min_completions=1, record_traces=False
         )
-        per_run = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="incremental"
-        )
+        per_run = fig7_dynamic_study(workloads, engine_config=config, platform=platform)
         multirun = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="multirun"
+            workloads,
+            engine_config=replace(config, backend="multirun"),
+            platform=platform,
         )
         assert multirun == per_run
 
@@ -112,11 +114,11 @@ class TestMultiRunGroupOracle:
         config = EngineConfig(
             instructions_per_run=6.0e8, min_completions=1, record_traces=False
         )
-        per_run = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="incremental"
-        )
+        per_run = fig7_dynamic_study(workloads, engine_config=config, platform=platform)
         multirun = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="multirun"
+            workloads,
+            engine_config=replace(config, backend="multirun"),
+            platform=platform,
         )
         assert multirun == per_run
 
@@ -146,7 +148,7 @@ class TestMultiRunGroupOracle:
 
 
 class TestStudyRowsDifferential:
-    """The fig6/fig7 analysis rows must not depend on the backend."""
+    """The fig6/fig7 analysis rows must match the oracles'."""
 
     def test_fig7_rows_identical_across_driver_backends(self, platform):
         from repro.analysis import fig7_dynamic_study
@@ -156,21 +158,24 @@ class TestStudyRowsDifferential:
         config = EngineConfig(
             instructions_per_run=6.0e8, min_completions=1, record_traces=False
         )
-        reference = fig7_dynamic_study(
-            workloads,
-            engine_config=config,
-            platform=platform,
-            drivers={"Dunn": oracles.dunn_reference, "LFOC": oracles.lfoc_reference},
-            backend="reference",
+        oracle_drivers = {
+            "Dunn": oracles.ReferenceDunnDaemon,
+            "LFOC": oracles.ReferenceLfocDriver,
+        }
+        reference = oracles.reference_fig7_rows(
+            workloads, config, platform, drivers=oracle_drivers
         )
-        incremental = fig7_dynamic_study(
-            workloads,
-            engine_config=config,
-            platform=platform,
-            drivers={"Dunn": oracles.dunn_incremental, "LFOC": oracles.lfoc_incremental},
-            backend="incremental",
+        production = fig7_dynamic_study(
+            workloads, engine_config=config, platform=platform
         )
-        assert incremental == reference
+        assert production == reference
+        # The oracle drivers also ride the production engine and study layer.
+        assert (
+            fig7_dynamic_study(
+                workloads, engine_config=config, platform=platform, drivers=oracle_drivers
+            )
+            == reference
+        )
 
     def test_fig6_rows_identical_across_policy_backends(self, platform):
         from repro.analysis import fig6_static_study
@@ -178,18 +183,13 @@ class TestStudyRowsDifferential:
         workloads = [Workload("f6-diff", ("lbm06", "xalancbmk06", "soplex06", "gamess06"))]
         reference = fig6_static_study(
             workloads,
-            policies=[DunnPolicy(backend="reference"), LfocPolicy(backend="reference")],
+            policies=[oracles.ReferenceDunnPolicy(), oracles.ReferenceLfocPolicy()],
             platform=platform,
         )
-        incremental = fig6_static_study(
-            workloads,
-            policies=[
-                DunnPolicy(backend="incremental"),
-                LfocPolicy(backend="incremental"),
-            ],
-            platform=platform,
+        production = fig6_static_study(
+            workloads, policies=[DunnPolicy(), LfocPolicy()], platform=platform
         )
-        assert incremental == reference
+        assert production == reference
 
 
 class TestChooseKDecisionOracle:
@@ -198,8 +198,8 @@ class TestChooseKDecisionOracle:
     def test_decisions_identical_on_adversarial_vectors(self, oracle_seeds):
         for seed in oracle_seeds:
             rng = np.random.default_rng(1000 + seed)
-            incremental = DunnPolicy(backend="incremental")
-            reference = DunnPolicy(backend="reference")
+            incremental = DunnPolicy()
+            reference = oracles.ReferenceDunnPolicy()
             for _ in range(150):
                 values = oracles.random_stall_vector(rng)
                 k_inc, labels_inc = incremental.choose_k(values)
@@ -210,8 +210,8 @@ class TestChooseKDecisionOracle:
     def test_allocations_identical_on_adversarial_vectors(self, oracle_seeds, platform):
         for seed in oracle_seeds:
             rng = np.random.default_rng(2000 + seed)
-            incremental = DunnPolicy(backend="incremental")
-            reference = DunnPolicy(backend="reference")
+            incremental = DunnPolicy()
+            reference = oracles.ReferenceDunnPolicy()
             for _ in range(60):
                 values = oracles.random_stall_vector(rng)
                 apps = [f"app{i}" for i in range(values.size)]
@@ -235,8 +235,8 @@ class TestLfocPartitioningOracle:
         for seed in oracle_seeds:
             rng = np.random.default_rng(3000 + seed)
             apps = [f"app{i}" for i in range(int(rng.integers(3, 9)))]
-            incremental = LfocSchedulerPlugin(backend="incremental")
-            reference = LfocSchedulerPlugin(backend="reference")
+            incremental = LfocSchedulerPlugin()
+            reference = oracles.ReferenceLfocDriver()
             incremental.on_start(apps, platform)
             reference.on_start(apps, platform)
             for _ in range(40):
@@ -287,7 +287,7 @@ class TestDecisionCacheSoundness:
         # an interval with no intervening samples (version fast path), and
         # windows refilled with identical values, whose rolling means — and
         # therefore the allocation-cache fingerprint — recur exactly.
-        daemon = DunnUserLevelDaemon(backend="incremental", history_window=3)
+        daemon = DunnUserLevelDaemon(history_window=3)
         daemon.on_start(["a", "b", "c"], platform)
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         for app, value in stalls.items():
@@ -319,7 +319,7 @@ class TestDecisionCacheSoundness:
         assert "choose_k_cache_hits" not in stats
 
     def test_dunn_interval_fast_path_returns_same_allocation(self, platform):
-        daemon = DunnUserLevelDaemon(backend="incremental")
+        daemon = DunnUserLevelDaemon()
         daemon.on_start(["a", "b", "c"], platform)
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         first = daemon._allocation_from_stalls(stalls)
@@ -328,7 +328,7 @@ class TestDecisionCacheSoundness:
         assert daemon.decision_stats()["allocation_cache_hits"] == 1
 
     def test_dunn_choose_k_cache_is_value_keyed(self):
-        policy = DunnPolicy(backend="incremental")
+        policy = DunnPolicy()
         values = np.array([0.1, 0.12, 0.8, 0.82])
         k1, labels1 = policy.choose_k(values)
         k2, labels2 = policy.choose_k(np.array([0.1, 0.12, 0.8, 0.82]))
@@ -339,20 +339,33 @@ class TestDecisionCacheSoundness:
         policy.choose_k(np.array([0.2, 0.3, 0.9, 0.95]))
         assert policy.decisions_computed == 2
 
-    def test_reference_backend_never_caches(self):
-        policy = DunnPolicy(backend="reference")
+    def test_reference_backend_never_caches(self, platform):
+        policy = oracles.ReferenceDunnPolicy()
         values = np.array([0.1, 0.12, 0.8, 0.82])
         policy.choose_k(values)
         policy.choose_k(values)
         assert policy.decision_cache_hits == 0
         assert policy.decisions_computed == 2
+        # The oracle daemon re-clusters at every interval, samples or not.
+        daemon = oracles.ReferenceDunnDaemon()
+        daemon.on_start(["a", "b"], platform)
+        for app, value in (("a", 0.1), ("b", 0.7)):
+            daemon.on_sample(app, _stall_metrics(value), 11.0, 0.0)
+        first = daemon.on_interval(0.5)
+        again = daemon.on_interval(1.0)
+        assert again.masks == first.masks and again is not first
+        assert daemon.decision_stats() == {
+            "intervals_computed": 2,
+            "interval_fast_hits": 0,
+            "allocation_cache_hits": 0,
+        }
 
     def test_lfoc_restart_does_not_serve_previous_runs_allocation(self, platform):
         # Regression: the version fast path must reset on on_start.  A first
         # partitioning before any sweep records an all-zero version vector;
         # a second run's fresh monitors are also all version 0 and must not
         # match it.
-        driver = LfocSchedulerPlugin(backend="incremental")
+        driver = LfocSchedulerPlugin()
         driver.on_start(["a", "b", "c"], platform)
         first = driver._run_partitioning()
         assert set(first.masks) == {"a", "b", "c"}
@@ -367,7 +380,7 @@ class TestDecisionCacheSoundness:
 
         big = skylake_gold_6138()
         small = small_test_platform(ways=4, cores=4)
-        daemon = DunnUserLevelDaemon(backend="incremental")
+        daemon = DunnUserLevelDaemon()
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         daemon.on_start(list(stalls), big)
         assert daemon._allocation_from_stalls(stalls).total_ways == big.llc_ways
@@ -412,13 +425,7 @@ class TestDecisionCacheSoundness:
         assert set(allocation.masks) == set(sensitive)
 
     def test_invalid_backends_rejected(self):
-        from repro.errors import ClusteringError, SimulationError
-
-        with pytest.raises(ClusteringError):
-            DunnPolicy(backend="warp")
-        with pytest.raises(SimulationError):
-            DunnUserLevelDaemon(backend="warp")
-        with pytest.raises(SimulationError):
-            LfocSchedulerPlugin(backend="warp")
-        with pytest.raises(ClusteringError):
-            LfocPolicy(backend="warp")
+        """The removed ``backend`` options are rejected, not silently ignored."""
+        for cls in (DunnPolicy, LfocPolicy, DunnUserLevelDaemon, LfocSchedulerPlugin):
+            with pytest.raises(TypeError):
+                cls(backend="reference")

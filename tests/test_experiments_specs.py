@@ -60,7 +60,7 @@ def rich_study() -> StudySpec:
                 engine=EngineSpec(
                     instructions_per_run=5e8,
                     min_completions=1,
-                    backend="reference",
+                    backend="multirun",
                     max_table_entries=128,
                 ),
                 seeds=(0, 1),
@@ -113,7 +113,7 @@ class TestRoundTrips:
         completions=st.integers(min_value=1, max_value=5),
         interval=st.floats(min_value=0.01, max_value=10.0),
         traces=st.booleans(),
-        backend=st.sampled_from(["incremental", "reference"]),
+        backend=st.sampled_from(["incremental", "multirun"]),
         max_entries=st.one_of(st.none(), st.integers(min_value=1, max_value=10_000)),
     )
     def test_engine_spec_property_round_trip(
@@ -197,6 +197,15 @@ class TestValidationErrors:
     def test_unknown_engine_backend(self):
         with pytest.raises(SpecError, match="engine backend"):
             EngineSpec(backend="warp-drive").to_config()
+
+    def test_removed_reference_engine_backend(self):
+        with pytest.raises(SpecError, match="'reference' was removed"):
+            EngineSpec.from_dict({"backend": "reference"})
+
+    def test_removed_policy_backend_param(self):
+        for name in ("dunn", "lfoc"):
+            with pytest.raises(SpecError, match="rejected params"):
+                resolve_policy(PolicySpec(name, params={"backend": "reference"}))
 
     def test_unknown_solver_backend(self):
         with pytest.raises(SpecError, match="solver backend"):
@@ -301,7 +310,7 @@ class TestRegistry:
         assert {"dunn", "kpart", "lfoc", "best_static", "stock"} <= set(POLICIES.names())
         assert {"dunn", "lfoc", "stock", "static"} <= set(DRIVERS.names())
         assert {"s", "p", "all", "dynamic_study"} <= set(WORKLOAD_SUITES.names())
-        assert set(ENGINE_BACKENDS.names()) >= {"incremental", "reference"}
+        assert set(ENGINE_BACKENDS.names()) == {"incremental", "multirun"}
         assert set(SOLVER_BACKENDS.names()) >= {"tabulated", "reference"}
         assert "skylake_gold_6138" in PLATFORMS
 

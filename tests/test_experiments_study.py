@@ -448,8 +448,7 @@ class TestWorkerTableCache:
         silently share or clobber each other's table state — and repeated
         batches still produce identical results.
         """
-        from repro.runtime import EngineConfig, StockLinuxDriver
-        from repro.runtime.batch import BatchRunner, RunSpec
+        from repro.runtime import EngineConfig, RunSpec, SerialExecutor, StockLinuxDriver
         from repro.runtime.executors import worker_tables
         from repro.hardware import skylake_gold_6138
         from repro.workloads import workload_by_name
@@ -471,7 +470,12 @@ class TestWorkerTableCache:
                 label="bounded",
             ),
         ]
-        results = BatchRunner(platform, jobs=1).run(specs)
+        def run_batch():
+            with SerialExecutor() as executor:
+                executor.prepare(platform)
+                return executor.map_specs(specs)
+
+        results = run_batch()
         assert len(results) == 2
         # Distinct bounds map to distinct table sets for the same platform...
         unbounded = worker_tables(platform, None)
@@ -481,7 +485,7 @@ class TestWorkerTableCache:
         # ...the cache is stable across lookups (interleaved runners share)...
         assert worker_tables(platform, 2) is bounded
         # ...and results do not depend on whatever table state accumulated.
-        r1 = BatchRunner(platform, jobs=1).run(specs)
+        r1 = run_batch()
         assert results[0].slowdowns() == r1[0].slowdowns()
         assert results[1].slowdowns() == r1[1].slowdowns()
 

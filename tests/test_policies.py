@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import ReferenceDunnPolicy, kmeans_1d_reference, silhouette_1d_reference
 from repro.core import AppClass, ClusteringSolution, WayAllocation, classify_profile
 from repro.errors import ClusteringError
 from repro.policies import (
@@ -21,9 +22,8 @@ from repro.policies import (
     evaluate_level,
     kmeans_1d,
     silhouette_1d,
-    silhouette_1d_reference,
 )
-from repro.policies.dunn import _kmeans_1d_reference, _seed_centroids
+from repro.policies.dunn import _seed_centroids
 from repro.simulator import ClusteringEstimator
 
 
@@ -280,7 +280,7 @@ class TestDunnDecisionProperties:
     def test_kmeans_bit_identical_to_reference_and_deterministic(self, values, k):
         k = min(k, values.size)
         labels, centroids = kmeans_1d(values, k)
-        ref_labels, ref_centroids = _kmeans_1d_reference(values, k)
+        ref_labels, ref_centroids = kmeans_1d_reference(values, k)
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(centroids, ref_centroids)
         again_labels, again_centroids = kmeans_1d(values, k)
@@ -329,8 +329,8 @@ class TestDunnDecisionProperties:
     @HYPOTHESIS_SETTINGS
     @given(values=stall_vectors())
     def test_choose_k_decisions_backend_independent(self, values):
-        k_inc, labels_inc = DunnPolicy(backend="incremental").choose_k(values)
-        k_ref, labels_ref = DunnPolicy(backend="reference").choose_k(values)
+        k_inc, labels_inc = DunnPolicy().choose_k(values)
+        k_ref, labels_ref = ReferenceDunnPolicy().choose_k(values)
         assert k_inc == k_ref
         assert np.array_equal(labels_inc, labels_ref)
         assert 1 <= k_inc <= values.size
@@ -366,8 +366,8 @@ class TestChooseKTieBreaking:
 
     def test_constant_vector_collapses_to_single_cluster(self):
         values = np.full(6, 0.25)
-        for backend in ("incremental", "reference"):
-            k, labels = DunnPolicy(backend=backend).choose_k(values)
+        for policy in (DunnPolicy(), ReferenceDunnPolicy()):
+            k, labels = policy.choose_k(values)
             assert k == 1
             assert list(labels) == [0] * 6
 

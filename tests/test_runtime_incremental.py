@@ -1,10 +1,11 @@
-"""Bit-identity of the incremental evaluation layer and engine backend.
+"""Bit-identity of the incremental evaluation layer and the runtime engine.
 
-The ``incremental`` paths (FastProfileView, the occupancy trajectory cache,
-EvaluationTables, the vectorized runtime-engine loop, the BatchRunner) must
-reproduce the ``reference`` implementations *exactly* — same floats, same
-iteration counts, same traces — not merely approximately.  Every assertion
-in this module therefore uses strict equality.
+The incremental paths (FastProfileView, the occupancy trajectory cache,
+EvaluationTables, the vectorized runtime-engine loop, executor batches) must
+reproduce the reference implementations *exactly* — the cold
+ClusteringEstimator and the oracles in ``tests/oracles.py``: same floats,
+same iteration counts, same traces — not merely approximately.  Every
+assertion in this module therefore uses strict equality.
 """
 
 from dataclasses import replace
@@ -23,15 +24,16 @@ from repro.errors import ProfileError, SimulationError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import mask_from_range
 from repro.runtime import (
-    BatchRunner,
     DunnUserLevelDaemon,
     EngineConfig,
     LfocSchedulerPlugin,
     MonitorConfig,
     RunSpec,
     RuntimeEngine,
+    SerialExecutor,
     StockLinuxDriver,
 )
+from repro.runtime.executors import resolve_jobs
 from repro.simulator import (
     ClusteringEstimator,
     EvaluationTables,
@@ -286,6 +288,8 @@ class TestTrajectoryCacheEquivalence:
 
 
 class TestEstimatorBackends:
+    """The cold estimator and the shared evaluation tables agree exactly."""
+
     def test_incremental_estimates_bit_identical(self, platform):
         rng = np.random.default_rng(23)
         workload = Workload(
@@ -293,11 +297,11 @@ class TestEstimatorBackends:
         )
         profiles = workload.profiles(platform.llc_ways)
         reference = ClusteringEstimator(platform, profiles)
-        incremental = ClusteringEstimator(platform, profiles, backend="incremental")
+        tables = EvaluationTables(platform)
         for _ in range(25):
             allocation = _random_allocation(rng, list(profiles), platform.llc_ways)
             ref = reference.evaluate_allocation(allocation)
-            inc = incremental.evaluate_allocation(allocation)
+            inc = tables.evaluate(allocation, profiles)
             assert inc.slowdowns == ref.slowdowns
             assert inc.ipcs == ref.ipcs
             assert inc.effective_ways == ref.effective_ways
@@ -311,27 +315,33 @@ class TestEstimatorBackends:
     def test_repeated_evaluation_is_cached(self, platform):
         workload = Workload("est-mix2", ("lbm06", "gamess06"))
         profiles = workload.profiles(platform.llc_ways)
-        estimator = ClusteringEstimator(platform, profiles, backend="incremental")
+        tables = EvaluationTables(platform)
         allocation = WayAllocation(
             masks={a: platform.full_mask for a in profiles},
             total_ways=platform.llc_ways,
         )
-        first = estimator.evaluate_allocation(allocation)
-        again = estimator.evaluate_allocation(allocation)
+        first = tables.evaluate(allocation, profiles)
+        again = tables.evaluate(allocation, profiles)
         assert again is first  # a lookup, not a recomputation
-        assert estimator.tables.cache_sizes()["estimates"] == 1
+        assert tables.cache_sizes()["estimates"] == 1
 
     def test_unknown_backend_rejected(self, platform):
+        # The estimator has a single (cold) path: backend/tables are gone.
         profiles = Workload("e", ("lbm06",)).profiles(platform.llc_ways)
-        with pytest.raises(SimulationError):
-            ClusteringEstimator(platform, profiles, backend="warp")
+        with pytest.raises(TypeError):
+            ClusteringEstimator(platform, profiles, backend="incremental")
+        with pytest.raises(TypeError):
+            ClusteringEstimator(platform, profiles, tables=EvaluationTables(platform))
 
-    def test_mismatched_shared_tables_rejected(self, platform):
-        profiles = Workload("e2", ("lbm06",)).profiles(platform.llc_ways)
+    def test_mismatched_shared_tables_rejected(self, platform, phased_workload):
         tables = EvaluationTables(platform, occupancy_model=OccupancyModel(damping=0.9))
         with pytest.raises(SimulationError):
-            ClusteringEstimator(
-                platform, profiles, backend="incremental", tables=tables
+            RuntimeEngine(
+                platform,
+                phased_workload.phased_profiles(platform.llc_ways),
+                StockLinuxDriver(),
+                FAST,
+                tables=tables,
             )
 
     def test_token_sharing_across_rebuilt_profiles(self, platform):
@@ -360,22 +370,23 @@ class TestEngineBackendEquivalence:
         ids=["stock", "dunn", "lfoc"],
     )
     def test_run_results_bit_identical(self, platform, phased_workload, driver_factory):
-        reference = RuntimeEngine(
+        reference = oracles.run_reference(
             platform,
             phased_workload.phased_profiles(platform.llc_ways),
             driver_factory(),
-            replace(FAST, backend="reference"),
-        ).run(phased_workload.name)
+            FAST,
+            phased_workload.name,
+        )
         incremental = RuntimeEngine(
             platform,
             phased_workload.phased_profiles(platform.llc_ways),
             driver_factory(),
-            replace(FAST, backend="incremental"),
+            FAST,
         ).run(phased_workload.name)
         assert run_result_fields(incremental) == run_result_fields(reference)
 
     def test_lfoc_run_exercises_phases_and_sampling(self, platform):
-        # Same mix/budget as the reference-backend phase-tracking test:
+        # Same mix/budget as the reference-loop phase-tracking test:
         # mcf06 alternates between sensitive and streaming phases and must be
         # re-sampled beyond its initial classification.
         workload = Workload("inc-phased", ("mcf06", "gamess06", "lbm06", "namd06"))
@@ -385,7 +396,6 @@ class TestEngineBackendEquivalence:
             partition_interval_s=0.05,
             record_traces=False,
             max_simulated_seconds=200.0,
-            backend="incremental",
         )
         engine = RuntimeEngine(
             platform,
@@ -401,7 +411,7 @@ class TestEngineBackendEquivalence:
         assert result.n_repartitions > 3
 
     def test_shared_tables_do_not_change_results(self, platform, phased_workload):
-        config = replace(FAST, backend="incremental")
+        config = FAST
         tables = EvaluationTables(platform)
         solo = RuntimeEngine(
             platform,
@@ -430,22 +440,25 @@ class TestEngineBackendEquivalence:
         # The second identical run adds no new table entries.
         assert tables.cache_sizes() == sizes_after_first
 
-    def test_reference_backend_rejects_tables(self, platform, phased_workload):
-        with pytest.raises(SimulationError):
-            RuntimeEngine(
-                platform,
-                phased_workload.phased_profiles(platform.llc_ways),
-                StockLinuxDriver(),
-                replace(FAST, backend="reference"),
-                tables=EvaluationTables(platform),
-            )
+    def test_reference_backend_removed(self):
+        with pytest.raises(SimulationError, match="tests/oracles.py"):
+            replace(FAST, backend="reference")
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(SimulationError):
             EngineConfig(backend="turbo")
 
 
+def _serial_batch(platform, specs, config=None):
+    """Run ``specs`` in order through an in-process executor."""
+    with SerialExecutor() as executor:
+        executor.prepare(platform, default_config=config)
+        return executor.map_specs(specs)
+
+
 class TestBatchRunner:
+    """Batches of RunSpecs through the in-process executor."""
+
     def test_batch_matches_direct_runs(self, platform, phased_workload):
         config = EngineConfig(
             instructions_per_run=6.0e8,
@@ -457,7 +470,7 @@ class TestBatchRunner:
             RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver),
             RunSpec(workload=phased_workload, driver_cls=DunnUserLevelDaemon),
         ]
-        batch = BatchRunner(platform, jobs=1, config=config).run(specs)
+        batch = _serial_batch(platform, specs, config)
         direct = [
             RuntimeEngine(
                 platform,
@@ -471,25 +484,25 @@ class TestBatchRunner:
             run_result_fields(r) for r in direct
         ]
 
-    def test_batch_respects_reference_backend(self, platform, phased_workload):
+    def test_batch_respects_multirun_backend(self, platform, phased_workload):
         config = EngineConfig(
             instructions_per_run=6.0e8,
             min_completions=1,
             partition_interval_s=0.05,
             record_traces=False,
-            backend="reference",
+            backend="multirun",
         )
         specs = [RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver)]
-        (result,) = BatchRunner(platform, jobs=1, config=config).run(specs)
+        (result,) = _serial_batch(platform, specs, config)
         assert result.policy == "Stock-Linux"
 
     def test_empty_batch(self, platform):
-        assert BatchRunner(platform, jobs=1).run([]) == []
+        assert _serial_batch(platform, []) == []
 
     def test_invalid_jobs_rejected(self, platform, phased_workload):
         specs = [RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver)]
         with pytest.raises(SimulationError):
-            BatchRunner(platform, jobs=0).run(specs)
+            resolve_jobs(0, len(specs))
 
     def test_conflicting_workload_names_rejected(self, platform):
         specs = [
@@ -503,7 +516,7 @@ class TestBatchRunner:
             ),
         ]
         with pytest.raises(SimulationError):
-            BatchRunner(platform, jobs=1).run(specs)
+            _serial_batch(platform, specs)
 
 
 class TestFig7Backends:
@@ -514,10 +527,14 @@ class TestFig7Backends:
         config = EngineConfig(
             instructions_per_run=6.0e8, min_completions=1, record_traces=False
         )
-        reference = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="reference"
-        )
+        reference = oracles.reference_fig7_rows(workloads, config, platform)
         incremental = fig7_dynamic_study(
-            workloads, engine_config=config, platform=platform, backend="incremental"
+            workloads, engine_config=config, platform=platform
+        )
+        multirun = fig7_dynamic_study(
+            workloads,
+            engine_config=replace(config, backend="multirun"),
+            platform=platform,
         )
         assert incremental == reference
+        assert multirun == reference
