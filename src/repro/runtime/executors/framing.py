@@ -13,19 +13,38 @@ Every message on the wire is::
 
 where the length covers the tag byte plus the payload.  Two codecs exist:
 
-* **safe** (tag ``0x02``, the default) — a stdlib-JSON envelope with raw
-  binary sections for NumPy arrays and byte strings::
+* **safe** (tag ``0x02``, the default) — stdlib JSON plus raw binary
+  sections for NumPy arrays and byte strings, behind a binary prefix::
 
-      [4-byte json length][UTF-8 JSON][section 0][section 1]...
+      [4-byte version][4-byte JSON length][4-byte section count n]
+      [n x 4-byte section length][UTF-8 JSON][section 0]...[section n-1]
 
-  The JSON carries the protocol version, the section lengths, and the
-  message body as a *tagged tree*: scalars are plain JSON, every container
-  or rich value is a single-key marker object (``{"t": [...]}`` for a
-  tuple, ``{"nd": i, ...}`` for an ndarray stored in section ``i``, and so
-  on).  Classes and functions travel as ``module:qualname`` references and
-  object instances as a reference plus their encoded state — *never* as
-  executable payloads.  The decoder only resolves references into an
-  allowlist of trusted module prefixes (``repro`` and anything added with
+  All integers are big-endian.  The prefix carries the protocol version
+  and the section table, so the sections are known before the JSON is
+  parsed.  The JSON is the message itself in the v3 grammar:
+
+  - ``None``, bools, ints, floats (``NaN``/``Infinity`` included; a NaN
+    arrives as the canonical NaN), strings, lists and str-keyed dicts are
+    bare JSON;
+  - every other value is a *marker* object, named by its key set:
+    ``{"t": [...]}`` a tuple, ``{"d": [[k, v], ...]}`` a dict with other
+    keys, ``{"od": [[k, v], ...]}`` an OrderedDict, ``{"s": [...]}`` /
+    ``{"fs": [...]}`` a set / frozenset, ``{"dq": [...], "mx": maxlen}``
+    a deque, ``{"by": i}`` / ``{"ba": i}`` bytes / a bytearray in section
+    ``i``, ``{"nd": i, "dt": dtype, "sh": shape}`` an ndarray,
+    ``{"ns": i, "dt": dtype}`` a NumPy scalar, ``{"r": "module:qualname"}``
+    a class or function, ``{"nt": ref, "a": [...]}`` a namedtuple and
+    ``{"o": ref, "st": state}`` any other instance;
+  - **escape rule**: a str-keyed dict whose key set equals a marker's
+    (``{"t": 1}``, ``{"o": .., "st": ..}``) travels in the ``"d"`` pairs
+    form, so a JSON object with a marker's key set is always that marker.
+
+  The decoder is one ``json.loads`` with an ``object_hook`` that rebuilds
+  markers bottom-up; objects with more than three keys are returned at
+  once.  Classes and functions travel only as references, and instances
+  as a reference plus their encoded state — *never* as executable
+  payloads.  The hook only resolves references into an allowlist of
+  trusted module prefixes (``repro`` and anything added with
   :func:`trust_modules` or the ``REPRO_TRUSTED_MODULES`` environment
   variable), so a hostile peer cannot make the receiver import or call
   arbitrary code.
@@ -37,10 +56,12 @@ where the length covers the tag byte plus the payload.  Two codecs exist:
   pickle frames with a loud :class:`ProtocolError` instead of decoding
   them.
 
-Version skew is detected twice: every safe envelope embeds
-:data:`PROTOCOL_VERSION`, and the worker handshake (``("hello", {...})``,
-see :mod:`repro.runtime.executors.worker`) negotiates version and codec
-before any run is dispatched.  Both mismatches surface as
+Version skew is detected twice: every safe payload leads with
+:data:`PROTOCOL_VERSION` (v1/v2 payloads led with a JSON length and
+``{"v": N``, which the refusal reads to name the peer's version), and the
+worker handshake (``("hello", {...})``, see
+:mod:`repro.runtime.executors.worker`) negotiates version and codec before
+any run is dispatched.  Both mismatches surface as
 :class:`ProtocolError`, never as silent misbehaviour.
 """
 
@@ -54,7 +75,7 @@ import pickle
 import socket
 import struct
 import types
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -78,9 +99,9 @@ __all__ = [
 ]
 
 #: Version of the safe wire protocol.  Bump on any change to the frame
-#: layout, the envelope, or the tagged-tree grammar; mismatched peers
-#: refuse each other loudly at handshake time instead of misparsing.
-PROTOCOL_VERSION = 2
+#: layout, the payload prefix, or the grammar; mismatched peers refuse each
+#: other loudly at handshake time instead of misparsing.
+PROTOCOL_VERSION = 3
 
 CODEC_SAFE = "safe"
 CODEC_PICKLE = "pickle"
@@ -128,7 +149,6 @@ def enable_keepalive(sock: socket.socket) -> None:
 
 
 _HEADER = struct.Struct(">I")
-_U32 = struct.Struct(">I")
 
 #: Upper bound on one frame's payload; a corrupt length prefix fails fast
 #: instead of attempting a multi-gigabyte allocation.
@@ -211,15 +231,15 @@ def _ref_path(obj: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The tagged-tree encoder / decoder
+# The v3 encoder / decoder (grammar in the module docstring)
 # ---------------------------------------------------------------------------
-#
-# Grammar: scalars (None/bool/int/float/str) are bare JSON values; every
-# other value is a single-key marker object.  Plain JSON arrays/objects
-# never appear outside a marker, so the tree is unambiguous.
 
 _OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 _OBJECT_SETSTATE = getattr(object, "__setstate__", None)
+
+#: Values the JSON encoder writes and the JSON parser reads back as exactly
+#: themselves.  Subclasses (an IntEnum, NumPy's float64) take the slow path.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _object_state(obj: Any) -> Any:
@@ -275,10 +295,32 @@ class _Encoder:
         self.sections.append(data)
         return len(self.sections) - 1
 
+    def _pairs(self, items: Any) -> List[List[Any]]:
+        return [[self.encode(k), self.encode(v)] for k, v in items]
+
     def encode(self, obj: Any) -> Any:
+        cls = type(obj)
+        if cls in _JSON_SCALARS:
+            return obj
+        if cls is list:
+            encode = self.encode
+            return [v if type(v) in _JSON_SCALARS else encode(v) for v in obj]
+        if cls is dict:
+            if all(type(k) is str for k in obj) and (
+                len(obj) > 3 or frozenset(obj) not in _MARKERS
+            ):
+                encode = self.encode
+                return {
+                    k: v if type(v) in _JSON_SCALARS else encode(v)
+                    for k, v in obj.items()
+                }
+            return {"d": self._pairs(obj.items())}
+        if cls is tuple:
+            encode = self.encode
+            return {"t": [v if type(v) in _JSON_SCALARS else encode(v) for v in obj]}
         if obj is None or isinstance(obj, (bool, str)):
             return obj
-        if isinstance(obj, (int, float)) and not isinstance(obj, (np.generic,)):
+        if isinstance(obj, (int, float)) and not isinstance(obj, np.generic):
             return obj
         if isinstance(obj, np.ndarray):
             if obj.dtype.hasobject or obj.dtype.names:
@@ -298,197 +340,203 @@ class _Encoder:
             return {"by": self._section(obj)}
         if isinstance(obj, bytearray):
             return {"ba": self._section(bytes(obj))}
-        if isinstance(obj, tuple):
-            if hasattr(obj, "_fields"):  # namedtuple: rebuild via its class
-                return {
-                    "nt": _ref_path(type(obj)),
-                    "a": [self.encode(v) for v in obj],
-                }
-            if type(obj) is tuple:
-                return {"t": [self.encode(v) for v in obj]}
-        if type(obj) is list:
-            return {"l": [self.encode(v) for v in obj]}
-        if type(obj) is frozenset:
+        if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+            # namedtuple: rebuilt through its class
+            return {"nt": _ref_path(cls), "a": [self.encode(v) for v in obj]}
+        if cls is frozenset:
             return {"fs": [self.encode(v) for v in obj]}
-        if type(obj) is set:
+        if cls is set:
             return {"s": [self.encode(v) for v in obj]}
         if isinstance(obj, collections.OrderedDict):
-            return {
-                "od": [[self.encode(k), self.encode(v)] for k, v in obj.items()]
-            }
-        if type(obj) is dict:
-            if all(isinstance(k, str) for k in obj):
-                return {"m": {k: self.encode(v) for k, v in obj.items()}}
-            return {
-                "d": [[self.encode(k), self.encode(v)] for k, v in obj.items()]
-            }
+            return {"od": self._pairs(obj.items())}
         if isinstance(obj, collections.deque):
-            return {
-                "dq": [self.encode(v) for v in obj],
-                "mx": obj.maxlen,
-            }
+            return {"dq": [self.encode(v) for v in obj], "mx": obj.maxlen}
         if isinstance(obj, (dict, list, tuple, set, frozenset)):
             # A silently degraded container subclass (defaultdict losing its
             # factory, a custom list losing its type) is a latent bug on the
             # far side; refuse loudly at send time instead.
             raise FrameProtocolError(
-                f"container subclass {type(obj).__name__} is not "
-                f"wire-encodable; ship a plain container (or an OrderedDict/"
-                f"deque, which are supported)"
+                f"container subclass {cls.__name__} is not wire-encodable; "
+                f"ship a plain container (or an OrderedDict/deque, which are "
+                f"supported)"
             )
-        if isinstance(obj, type):
-            return {"r": _ref_path(obj)}
-        if isinstance(obj, (types.FunctionType, types.BuiltinFunctionType)):
+        if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
             return {"r": _ref_path(obj)}
         # Everything else is an instance: reference + encoded state.
         try:
             state = _object_state(obj)
         except Exception as exc:
             raise FrameProtocolError(
-                f"cannot extract wire state from {type(obj).__name__}: {exc}"
+                f"cannot extract wire state from {cls.__name__}: {exc}"
             )
-        return {"o": _ref_path(type(obj)), "st": self.encode(state)}
+        return {"o": _ref_path(cls), "st": self.encode(state)}
 
 
-class _Decoder:
-    def __init__(self, sections: List[bytes]) -> None:
-        self.sections = sections
+def _section(sections: List[bytes], index: Any) -> bytes:
+    if type(index) is not int or not 0 <= index < len(sections):
+        raise FrameProtocolError(f"frame references missing section {index!r}")
+    return sections[index]
 
-    def _section(self, index: Any) -> bytes:
-        if not isinstance(index, int) or not 0 <= index < len(self.sections):
-            raise FrameProtocolError(f"frame references missing section {index!r}")
-        return self.sections[index]
 
-    def decode(self, node: Any) -> Any:
-        if node is None or isinstance(node, (bool, int, float, str)):
-            return node
-        if isinstance(node, dict) and len(node) == 1:
-            (marker, value), = node.items()
-            if marker == "l":
-                return [self.decode(v) for v in value]
-            if marker == "t":
-                return tuple(self.decode(v) for v in value)
-            if marker == "m":
-                return {k: self.decode(v) for k, v in value.items()}
-            if marker == "d":
-                return {self.decode(k): self.decode(v) for k, v in value}
-            if marker == "od":
-                return collections.OrderedDict(
-                    (self.decode(k), self.decode(v)) for k, v in value
-                )
-            if marker == "s":
-                return {self.decode(v) for v in value}
-            if marker == "fs":
-                return frozenset(self.decode(v) for v in value)
-            if marker == "by":
-                return self._section(value)
-            if marker == "ba":
-                return bytearray(self._section(value))
-            if marker == "r":
-                return _resolve_ref(value)
-        if isinstance(node, dict) and "nd" in node:
-            dtype = np.dtype(node["dt"])
-            shape = tuple(node["sh"])
-            raw = self._section(node["nd"])
-            try:
-                return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            except ValueError as exc:
-                raise FrameProtocolError(f"corrupt ndarray section: {exc}")
-        if isinstance(node, dict) and "ns" in node:
-            dtype = np.dtype(node["dt"])
-            raw = self._section(node["ns"])
-            try:
-                return np.frombuffer(raw, dtype=dtype)[0]
-            except (ValueError, IndexError) as exc:
-                raise FrameProtocolError(f"corrupt numpy scalar section: {exc}")
-        if isinstance(node, dict) and "dq" in node:
-            return collections.deque(
-                (self.decode(v) for v in node["dq"]), maxlen=node.get("mx")
-            )
-        if isinstance(node, dict) and "nt" in node:
-            cls = _resolve_ref(node["nt"])
-            return cls(*[self.decode(v) for v in node["a"]])
-        if isinstance(node, dict) and "o" in node:
-            cls = _resolve_ref(node["o"])
-            if not isinstance(cls, type):
-                raise FrameProtocolError(
-                    f"instance reference {node['o']!r} is not a class"
-                )
-            obj = cls.__new__(cls)
-            _restore_state(obj, self.decode(node["st"]))
-            return obj
+def _ndarray(node: Dict[str, Any], sections: List[bytes]) -> np.ndarray:
+    raw = _section(sections, node["nd"])
+    try:
+        array = np.frombuffer(raw, dtype=np.dtype(node["dt"]))
+        return array.reshape(tuple(node["sh"])).copy()
+    except ValueError as exc:
+        raise FrameProtocolError(f"corrupt ndarray section: {exc}")
+
+
+def _numpy_scalar(node: Dict[str, Any], sections: List[bytes]) -> Any:
+    raw = _section(sections, node["ns"])
+    try:
+        return np.frombuffer(raw, dtype=np.dtype(node["dt"]))[0]
+    except (ValueError, IndexError) as exc:
+        raise FrameProtocolError(f"corrupt numpy scalar section: {exc}")
+
+
+def _namedtuple(node: Dict[str, Any], sections: List[bytes]) -> tuple:
+    cls = _resolve_ref(node["nt"])
+    if not (isinstance(cls, type) and issubclass(cls, tuple)):
         raise FrameProtocolError(
-            f"unknown node in safe frame: {str(node)[:120]!r}"
+            f"namedtuple reference {node['nt']!r} is not a tuple class"
         )
+    return cls(*node["a"])
 
 
-def encode_payload(obj: Any) -> bytes:
-    """Serialize ``obj`` as a safe envelope (JSON header + binary sections)."""
+def _instance(node: Dict[str, Any], sections: List[bytes]) -> Any:
+    cls = _resolve_ref(node["o"])
+    if not isinstance(cls, type):
+        raise FrameProtocolError(f"instance reference {node['o']!r} is not a class")
+    obj = cls.__new__(cls)
+    _restore_state(obj, node["st"])
+    return obj
+
+
+#: Marker key set -> rebuild(node, sections).  The JSON parser hands the
+#: hook each object after its members are decoded, so rebuilders see
+#: finished values.
+_MARKERS: Dict[frozenset, Callable[[Dict[str, Any], List[bytes]], Any]] = {
+    frozenset(("t",)): lambda node, sections: tuple(node["t"]),
+    frozenset(("d",)): lambda node, sections: dict(node["d"]),
+    frozenset(("od",)): lambda node, sections: collections.OrderedDict(node["od"]),
+    frozenset(("s",)): lambda node, sections: set(node["s"]),
+    frozenset(("fs",)): lambda node, sections: frozenset(node["fs"]),
+    frozenset(("by",)): lambda node, sections: _section(sections, node["by"]),
+    frozenset(("ba",)): lambda node, sections: bytearray(
+        _section(sections, node["ba"])
+    ),
+    frozenset(("r",)): lambda node, sections: _resolve_ref(node["r"]),
+    frozenset(("dq", "mx")): lambda node, sections: collections.deque(
+        node["dq"], maxlen=node["mx"]
+    ),
+    frozenset(("nd", "dt", "sh")): _ndarray,
+    frozenset(("ns", "dt")): _numpy_scalar,
+    frozenset(("nt", "a")): _namedtuple,
+    frozenset(("o", "st")): _instance,
+}
+
+
+def _json_decoder(sections: List[bytes]) -> json.JSONDecoder:
+    def object_hook(node: Dict[str, Any]) -> Any:
+        if len(node) > 3:  # no marker has more than three keys
+            return node
+        rebuild = _MARKERS.get(frozenset(node))
+        return node if rebuild is None else rebuild(node, sections)
+
+    return json.JSONDecoder(object_hook=object_hook)
+
+
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_SECTIONLESS_DECODER = _json_decoder([])
+
+#: ``[version][JSON length][section count]``, then one length per section.
+_PREFIX = struct.Struct(">III")
+
+
+def _payload_parts(obj: Any) -> List[bytes]:
     encoder = _Encoder()
     try:
-        tree = encoder.encode(obj)
-        header = json.dumps(
-            {
-                "v": PROTOCOL_VERSION,
-                "s": [len(section) for section in encoder.sections],
-                "b": tree,
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        body = _JSON_ENCODER.encode(encoder.encode(obj)).encode("utf-8")
     except FrameProtocolError:
         raise
     except (TypeError, ValueError, RecursionError) as exc:
         raise FrameProtocolError(f"message is not wire-encodable: {exc}")
-    return b"".join([_U32.pack(len(header)), header, *encoder.sections])
+    sections = encoder.sections
+    prefix = _PREFIX.pack(PROTOCOL_VERSION, len(body), len(sections))
+    if sections:
+        lengths = struct.pack(f">{len(sections)}I", *map(len, sections))
+        return [prefix, lengths, body, *sections]
+    return [prefix, body]
+
+
+def encode_payload(obj: Any) -> bytes:
+    """Serialize ``obj`` as a safe envelope (binary prefix, JSON, sections)."""
+    return b"".join(_payload_parts(obj))
+
+
+def _claimed_version(payload: memoryview, head: int) -> Any:
+    """The protocol a refused payload speaks.
+
+    From v3 on the payload leads with its version; v1/v2 envelopes lead
+    with their JSON length, and their JSON opens with ``{"v": N``.
+    """
+    if payload[4:9] == b'{"v":':
+        try:
+            return json.loads(str(payload[4 : 4 + head], "utf-8"))["v"]
+        except (ValueError, TypeError, KeyError):
+            pass
+    return head
+
+
+def _decode_view(payload: memoryview) -> Any:
+    size = len(payload)
+    if size < _PREFIX.size:
+        raise FrameProtocolError("truncated safe frame: missing envelope header")
+    version, json_len, count = _PREFIX.unpack_from(payload)
+    if version != PROTOCOL_VERSION:
+        raise FrameProtocolError(
+            f"peer speaks wire protocol {_claimed_version(payload, version)!r}, "
+            f"this build speaks {PROTOCOL_VERSION}; upgrade the older side"
+        )
+    offset = _PREFIX.size + 4 * count
+    if offset > size:
+        raise FrameProtocolError(
+            "corrupt safe frame: section table exceeds the payload"
+        )
+    lengths = struct.unpack_from(f">{count}I", payload, _PREFIX.size)
+    json_end = offset + json_len
+    end = json_end + sum(lengths)
+    if end > size:
+        raise FrameProtocolError(
+            f"corrupt safe frame: envelope claims {end - _PREFIX.size} bytes "
+            f"of JSON and sections but only {size - _PREFIX.size} follow"
+        )
+    if end != size:
+        raise FrameProtocolError(
+            f"corrupt safe frame: {size - end} trailing bytes after the last "
+            f"section"
+        )
+    decoder = _SECTIONLESS_DECODER
+    if count:
+        sections: List[bytes] = []
+        start = json_end
+        for length in lengths:
+            sections.append(payload[start : start + length].tobytes())
+            start += length
+        decoder = _json_decoder(sections)
+    try:
+        return decoder.decode(str(payload[offset:json_end], "utf-8"))
+    except FrameProtocolError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError,
+            RecursionError) as exc:
+        raise FrameProtocolError(f"corrupt safe frame: {exc}")
 
 
 def decode_payload(payload: bytes) -> Any:
     """Parse a safe envelope back into the message it carried."""
-    if len(payload) < _U32.size:
-        raise FrameProtocolError("truncated safe frame: missing envelope header")
-    (json_len,) = _U32.unpack(payload[: _U32.size])
-    if json_len > len(payload) - _U32.size:
-        raise FrameProtocolError(
-            f"corrupt safe frame: envelope header claims {json_len} bytes of "
-            f"JSON but only {len(payload) - _U32.size} follow"
-        )
-    try:
-        envelope = json.loads(payload[_U32.size : _U32.size + json_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameProtocolError(f"corrupt safe frame: {exc}")
-    if not isinstance(envelope, dict):
-        raise FrameProtocolError("corrupt safe frame: envelope is not an object")
-    version = envelope.get("v")
-    if version != PROTOCOL_VERSION:
-        raise FrameProtocolError(
-            f"peer speaks wire protocol {version!r}, this build speaks "
-            f"{PROTOCOL_VERSION}; upgrade the older side"
-        )
-    lengths = envelope.get("s", [])
-    if not isinstance(lengths, list) or not all(
-        isinstance(n, int) and n >= 0 for n in lengths
-    ):
-        raise FrameProtocolError("corrupt safe frame: bad section table")
-    sections: List[bytes] = []
-    offset = _U32.size + json_len
-    for length in lengths:
-        if offset + length > len(payload):
-            raise FrameProtocolError(
-                "corrupt safe frame: section table exceeds the payload"
-            )
-        sections.append(payload[offset : offset + length])
-        offset += length
-    if offset != len(payload):
-        raise FrameProtocolError(
-            f"corrupt safe frame: {len(payload) - offset} trailing bytes after "
-            f"the last section"
-        )
-    try:
-        return _Decoder(sections).decode(envelope.get("b"))
-    except FrameProtocolError:
-        raise
-    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
-        raise FrameProtocolError(f"corrupt safe frame: {exc}")
+    return _decode_view(memoryview(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +544,12 @@ def decode_payload(payload: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _decode_body(body: bytes, *, allow_pickle: bool) -> Any:
+def _decode_body(body: Union[bytes, bytearray], *, allow_pickle: bool) -> Any:
     if not body:
         raise FrameProtocolError("empty frame (no codec tag)")
     tag = body[0]
     if tag == _TAG_SAFE:
-        return decode_payload(body[1:])
+        return _decode_view(memoryview(body)[1:])
     if tag == _TAG_PICKLE:
         if not allow_pickle:
             raise FrameProtocolError(
@@ -529,15 +577,15 @@ def pack_frame(obj: Any, codec: str = CODEC_SAFE) -> bytes:
             f"unknown codec {codec!r} (known: {', '.join(sorted(_CODEC_TAGS))})"
         )
     if tag == _TAG_SAFE:
-        payload = encode_payload(obj)
+        parts = _payload_parts(obj)
     else:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if 1 + len(payload) > MAX_FRAME:
+        parts = [pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)]
+    size = sum(map(len, parts))
+    if 1 + size > MAX_FRAME:
         raise FrameProtocolError(
-            f"message of {len(payload)} bytes exceeds the {MAX_FRAME}-byte "
-            f"frame limit"
+            f"message of {size} bytes exceeds the {MAX_FRAME}-byte frame limit"
         )
-    return b"".join([_HEADER.pack(1 + len(payload)), bytes([tag]), payload])
+    return b"".join([_HEADER.pack(1 + size), bytes([tag]), *parts])
 
 
 def send_frame(sock: socket.socket, obj: Any, codec: str = CODEC_SAFE) -> None:
@@ -606,6 +654,6 @@ class FrameReader:
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 return
-            body = bytes(self._buffer[_HEADER.size : end])
+            body = self._buffer[_HEADER.size : end]
             del self._buffer[:end]
             yield _decode_body(body, allow_pickle=self._allow_pickle)

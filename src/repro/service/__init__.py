@@ -25,7 +25,11 @@ decision layer into a **long-lived multi-tenant service**:
 * :mod:`repro.service.protocol` — the message schema (``host_hello``,
   ``app_arrive``, ``app_depart``, ``monitor_samples``, ``mask_update``,
   ``host_bye``, read-only ``metrics``) spoken over the safe wire codec
-  under ``PROTOCOL_VERSION`` negotiation;
+  under ``PROTOCOL_VERSION`` negotiation.  Since protocol v3 a payload's
+  lists and str-keyed dicts are bare JSON, so a frame decodes in one
+  ``json.loads``; :func:`~repro.service.protocol.check_frame` then passes
+  well-formed sample batches and mask maps on exact-type checks alone and
+  runs the full checks, with their precise errors, only on a miss;
 * :mod:`repro.service.replay` — the append-only decision log plus the
   offline replay oracle that pins live daemon decisions bit-identical to
   a socket-free run on the same trace;

@@ -52,7 +52,8 @@ and treats a gap as a protocol error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classification import AppClass
 from repro.errors import SimulationError
@@ -99,6 +100,22 @@ SERVICE_KINDS = (
 SEQUENCED_KINDS = ("app_arrive", "app_depart", "monitor_samples", "host_bye")
 
 _CLASS_VALUES = {cls.value for cls in AppClass}
+
+_SAMPLE_NUMBERS = ("llcmpkc", "stall_fraction", "effective_ways")
+_SAMPLE_KEYS = frozenset(("app",) + _SAMPLE_NUMBERS)
+_CLASSIFY_KEYS = frozenset(("app", "class", "slowdown_table", "critical_size"))
+_PAYLOAD_KEYS = {
+    "host_hello": frozenset(("protocol", "host", "boot", "pid")),
+    "hello_ack": frozenset(("protocol", "epoch", "last_seq")),
+    "app_arrive": frozenset(("seq", "app")),
+    "app_depart": frozenset(("seq", "app")),
+    "monitor_samples": frozenset(("seq", "samples", "classify")),
+    "host_bye": frozenset(("seq",)),
+    "metrics": frozenset(("protocol",)),
+    "metrics_reply": frozenset(("protocol", "hosts", "classes", "totals")),
+    "mask_update": frozenset(("epoch", "ack", "masks", "sample", "decision")),
+}
+_INF = math.inf
 
 
 # -- builders ---------------------------------------------------------------------
@@ -203,11 +220,13 @@ def _require_int(
     return value
 
 
-def _check_keys(payload: Any, keys: Sequence[str], where: str) -> Dict[str, Any]:
+def _check_keys(payload: Any, keys: AbstractSet[str], where: str) -> Dict[str, Any]:
+    if type(payload) is dict and payload.keys() == keys:
+        return payload
     if not isinstance(payload, dict):
         raise ServiceProtocolError(f"{where} payload must be a mapping")
-    extra = sorted(set(payload) - set(keys))
-    missing = sorted(set(keys) - set(payload))
+    extra = sorted(set(payload) - keys, key=str)
+    missing = sorted(keys - set(payload))
     if extra or missing:
         raise ServiceProtocolError(
             f"{where} payload has wrong keys "
@@ -216,12 +235,32 @@ def _check_keys(payload: Any, keys: Sequence[str], where: str) -> Dict[str, Any]
     return payload
 
 
+def _samples_ok(samples: List[Any]) -> bool:
+    """True when every sample is well formed and names a distinct app.
+
+    The common case of the ``monitor_samples`` check, allocating nothing
+    per entry: exact types only, so anything unusual (a bool, a NumPy
+    scalar, a missing key) goes to :func:`_check_samples`, which raises
+    the precise error.
+    """
+    for entry in samples:
+        if type(entry) is not dict or entry.keys() != _SAMPLE_KEYS:
+            return False
+        app = entry["app"]
+        if type(app) is not str or not app:
+            return False
+        for key in _SAMPLE_NUMBERS:
+            value = entry[key]
+            number = type(value)
+            if not ((number is float or number is int) and 0.0 <= value < _INF):
+                return False
+    return len({entry["app"] for entry in samples}) == len(samples)
+
+
 def _check_sample(entry: Any, where: str) -> Dict[str, Any]:
-    entry = _check_keys(
-        entry, ("app", "llcmpkc", "stall_fraction", "effective_ways"), where
-    )
+    entry = _check_keys(entry, _SAMPLE_KEYS, where)
     _require_str(entry, "app", where)
-    for key in ("llcmpkc", "stall_fraction", "effective_ways"):
+    for key in _SAMPLE_NUMBERS:
         value = entry.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ServiceProtocolError(f"{where}.{key} must be a number")
@@ -230,10 +269,47 @@ def _check_sample(entry: Any, where: str) -> Dict[str, Any]:
     return entry
 
 
+def _check_samples(samples: List[Any]) -> None:
+    seen_apps = set()
+    for entry in samples:
+        entry = _check_sample(entry, "monitor_samples.samples[]")
+        # One sample per app per batch: a duplicate row would make the
+        # fused bank ingest diverge from the sequential reference (the
+        # batched partial-sum add touches each row exactly once).
+        if entry["app"] in seen_apps:
+            raise ServiceProtocolError(
+                f"monitor_samples.samples[] repeats app {entry['app']!r} "
+                "within one batch"
+            )
+        seen_apps.add(entry["app"])
+
+
+def _masks_ok(masks: Any) -> bool:
+    """The allocation-free common case of the ``mask_update.masks`` check."""
+    if type(masks) is not dict or not masks:
+        return False
+    for app, mask in masks.items():
+        if type(app) is not str or not app or type(mask) is not int or mask <= 0:
+            return False
+    return True
+
+
+def _check_masks(masks: Any) -> None:
+    if not isinstance(masks, dict) or not masks:
+        raise ServiceProtocolError(
+            "mask_update.masks must be None or a non-empty mapping"
+        )
+    for app, mask in masks.items():
+        if not isinstance(app, str) or not app:
+            raise ServiceProtocolError("mask_update.masks keys must be app names")
+        if isinstance(mask, bool) or not isinstance(mask, int) or mask <= 0:
+            raise ServiceProtocolError(
+                "mask_update.masks values must be positive capacity bitmasks"
+            )
+
+
 def _check_classify(entry: Any, where: str) -> Dict[str, Any]:
-    entry = _check_keys(
-        entry, ("app", "class", "slowdown_table", "critical_size"), where
-    )
+    entry = _check_keys(entry, _CLASSIFY_KEYS, where)
     _require_str(entry, "app", where)
     if entry["class"] not in _CLASS_VALUES:
         raise ServiceProtocolError(
@@ -254,6 +330,12 @@ def _check_classify(entry: Any, where: str) -> Dict[str, Any]:
             ):
                 raise ServiceProtocolError(
                     f"{where}.slowdown_table entries must be numbers >= 0"
+                )
+            if value == _INF:
+                # LFOC's lookahead sums slowdowns; an infinite one would
+                # poison every cluster the app could join.
+                raise ServiceProtocolError(
+                    f"{where}.slowdown_table entries must be finite"
                 )
     critical = entry["critical_size"]
     if critical is not None and (
@@ -287,25 +369,25 @@ def check_frame(frame: Any) -> Tuple[str, Any]:
             raise ServiceProtocolError("reject payload must be a reason string")
         return kind, payload
     if kind == "host_hello":
-        payload = _check_keys(payload, ("protocol", "host", "boot", "pid"), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "protocol", kind, minimum=1)
         _require_str(payload, "host", kind)
         _require_int(payload, "boot", kind)
         _require_int(payload, "pid", kind)
         return kind, payload
     if kind == "hello_ack":
-        payload = _check_keys(payload, ("protocol", "epoch", "last_seq"), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "protocol", kind, minimum=1)
         _require_int(payload, "epoch", kind, minimum=1)
         _require_int(payload, "last_seq", kind)
         return kind, payload
     if kind in ("app_arrive", "app_depart"):
-        payload = _check_keys(payload, ("seq", "app"), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "seq", kind, minimum=1)
         _require_str(payload, "app", kind)
         return kind, payload
     if kind == "monitor_samples":
-        payload = _check_keys(payload, ("seq", "samples", "classify"), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "seq", kind, minimum=1)
         samples = payload["samples"]
         classify = payload["classify"]
@@ -313,31 +395,21 @@ def check_frame(frame: Any) -> Tuple[str, Any]:
             raise ServiceProtocolError(
                 "monitor_samples.samples/.classify must be lists"
             )
-        seen_apps = set()
-        for entry in samples:
-            entry = _check_sample(entry, "monitor_samples.samples[]")
-            # One sample per app per batch: a duplicate row would make the
-            # fused bank ingest diverge from the sequential reference (the
-            # batched partial-sum add touches each row exactly once).
-            if entry["app"] in seen_apps:
-                raise ServiceProtocolError(
-                    f"monitor_samples.samples[] repeats app {entry['app']!r} "
-                    "within one batch"
-                )
-            seen_apps.add(entry["app"])
+        if not _samples_ok(samples):
+            _check_samples(samples)
         for entry in classify:
             _check_classify(entry, "monitor_samples.classify[]")
         return kind, payload
     if kind == "host_bye":
-        payload = _check_keys(payload, ("seq",), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "seq", kind, minimum=1)
         return kind, payload
     if kind == "metrics":
-        payload = _check_keys(payload, ("protocol",), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "protocol", kind, minimum=1)
         return kind, payload
     if kind == "metrics_reply":
-        payload = _check_keys(payload, ("protocol", "hosts", "classes", "totals"), kind)
+        payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
         _require_int(payload, "protocol", kind, minimum=1)
         for key in ("hosts", "classes", "totals"):
             if not isinstance(payload[key], dict):
@@ -354,24 +426,12 @@ def check_frame(frame: Any) -> Tuple[str, Any]:
                 )
         return kind, payload
     # mask_update
-    payload = _check_keys(
-        payload, ("epoch", "ack", "masks", "sample", "decision"), kind
-    )
+    payload = _check_keys(payload, _PAYLOAD_KEYS[kind], kind)
     _require_int(payload, "epoch", kind, minimum=1)
     _require_int(payload, "ack", kind)
     masks = payload["masks"]
-    if masks is not None:
-        if not isinstance(masks, dict) or not masks:
-            raise ServiceProtocolError(
-                "mask_update.masks must be None or a non-empty mapping"
-            )
-        for app, mask in masks.items():
-            if not isinstance(app, str) or not app:
-                raise ServiceProtocolError("mask_update.masks keys must be app names")
-            if isinstance(mask, bool) or not isinstance(mask, int) or mask <= 0:
-                raise ServiceProtocolError(
-                    "mask_update.masks values must be positive capacity bitmasks"
-                )
+    if masks is not None and not _masks_ok(masks):
+        _check_masks(masks)
     sample = payload["sample"]
     if not isinstance(sample, list) or any(
         not isinstance(app, str) or not app for app in sample

@@ -51,9 +51,11 @@ def save_snapshot(core: ServiceCore, path: str) -> None:
     }
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp")
+    # One-shot dumps runs the C encoder; streaming json.dump would run the
+    # pure-Python one.  Both write the same bytes.
+    text = json.dumps(envelope, sort_keys=True) + "\n"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)

@@ -19,12 +19,17 @@ of the distributed executors:
 from __future__ import annotations
 
 import json
+import math
 import socket as socket_mod
+import struct
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict, deque, namedtuple
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.runtime import EngineConfig, RunSpec, SerialExecutor, TCPExecutor
@@ -36,10 +41,12 @@ from repro.runtime.executors import (
     FrameProtocolError,
     WorkerSupervisor,
 )
+from repro.runtime.executors import framing
 from repro.runtime.executors.framing import (
     FrameReader,
     MAX_FRAME,
     _HEADER,
+    _PREFIX,
     pack_frame,
     recv_frame,
 )
@@ -127,6 +134,193 @@ class TestSafeCodec:
     def test_untrusted_class_references_refused(self):
         blob = pack_frame(("error", object()))
         with pytest.raises(FrameProtocolError, match="builtins"):
+            list(FrameReader().feed(blob))
+
+
+# ---------------------------------------------------------------------------
+# The v3 grammar: JSON-native containers, markers for everything else
+# ---------------------------------------------------------------------------
+
+Point = namedtuple("Point", "x y")
+
+#: Every marker key set, sorted; a str-keyed dict with one of these key sets
+#: must be escaped, not mistaken for the marker.
+MARKER_KEY_SETS = sorted(tuple(sorted(keys)) for keys in framing._MARKERS)
+
+
+def assert_identical(left, right):
+    """Equal values of exactly equal types, floats compared bit for bit."""
+    assert type(left) is type(right), (left, right)
+    if isinstance(left, np.ndarray):
+        assert left.dtype == right.dtype and left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
+    elif isinstance(left, np.generic):
+        assert left.dtype == right.dtype and left.tobytes() == right.tobytes()
+    elif isinstance(left, float):
+        assert struct.pack(">d", left) == struct.pack(">d", right)
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            assert_identical(a, b)
+    elif isinstance(left, deque):
+        assert left.maxlen == right.maxlen
+        assert_identical(list(left), list(right))
+    elif isinstance(left, dict):
+        assert len(left) == len(right)
+        for (ka, va), (kb, vb) in zip(left.items(), right.items()):
+            assert_identical(ka, kb)
+            assert_identical(va, vb)
+    elif isinstance(left, (set, frozenset)):
+        def typed(x):
+            return type(x).__name__, repr(x)
+
+        assert sorted(map(typed, left)) == sorted(map(typed, right))
+    else:
+        assert left == right
+
+
+def raw_safe_frame(body: str, version: int = PROTOCOL_VERSION) -> bytes:
+    """A hand-built section-free safe frame carrying ``body`` as its JSON."""
+    data = body.encode("utf-8")
+    payload = _PREFIX.pack(version, len(data), 0) + data
+    return _HEADER.pack(1 + len(payload)) + b"\x02" + payload
+
+
+# JSON carries NaN without its sign or payload bits, so NaNs are canonical.
+wire_floats = st.floats().map(lambda x: math.nan if x != x else x)
+wire_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), wire_floats, st.text(max_size=6)
+)
+hashable_keys = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+numpy_values = st.one_of(
+    wire_floats.map(np.float64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+    hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_]),
+        shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    ),
+)
+wire_leaves = st.one_of(
+    wire_scalars,
+    st.binary(max_size=6),
+    st.binary(max_size=6).map(bytearray),
+    numpy_values,
+    st.sets(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.frozensets(st.integers(), max_size=3),
+)
+
+
+def _marker_shaped(children):
+    return st.sampled_from(MARKER_KEY_SETS).flatmap(
+        lambda keys: st.lists(children, min_size=len(keys), max_size=len(keys)).map(
+            lambda values: dict(zip(keys, values))
+        )
+    )
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        _marker_shaped(children),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(hashable_keys, children, max_size=4),
+        st.lists(st.tuples(st.text(max_size=3), children), max_size=4).map(OrderedDict),
+        st.builds(
+            deque,
+            st.lists(children, max_size=4),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+        ),
+    )
+
+
+wire_trees = st.recursive(wire_leaves, _containers, max_leaves=12)
+
+
+class TestV3Grammar:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(wire_trees)
+    def test_round_trip_preserves_exact_types_and_float_bits(self, tree):
+        assert_identical(roundtrip(tree), tree)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"t": 1},
+            {"t": {"t": [1]}},
+            {"nd": 0, "dt": "<f8", "sh": [1]},
+            {"sh": [], "dt": "x", "nd": None},
+            {"o": "repro:nothing", "st": 1},
+            {"d": [[1, 2]]},
+            {"r": "builtins:eval"},
+            {"dq": [1], "mx": None},
+            [{"ns": 1, "dt": "<i4"}, ({"by": 0},)],
+        ],
+    )
+    def test_dicts_shaped_like_markers_come_back_as_dicts(self, value):
+        assert_identical(roundtrip(value), value)
+
+    def test_non_str_keys_tuples_and_ordered_containers(self):
+        value = {
+            "ints": {1: "a", -2: (3, [4, (5,)])},
+            "mixed": {None: 1, True: [2], "s": 3, (1, "x"): 4},
+            "ordered": OrderedDict([("z", 1), ("a", 2), ("m", 3)]),
+            "bounded": deque([1, 2, 3], maxlen=3),
+            "numpy": [np.float64(-0.0), np.int32(7), np.arange(4.0).reshape(2, 2)],
+            "floats": [-0.0, math.inf, -math.inf, math.nan, 5e-324],
+        }
+        out = roundtrip(value)
+        assert_identical(out, value)
+        assert list(out["ordered"]) == ["z", "a", "m"]
+        assert out["bounded"].maxlen == 3
+
+    def test_plain_containers_travel_as_bare_json(self):
+        blob = pack_frame({"samples": [{"app": "a", "ways": 4}], "n": 1.5})
+        assert b'{"samples":[{"app":"a","ways":4}],"n":1.5}' in blob
+
+    def test_namedtuple_round_trips_through_a_trusted_class(self, monkeypatch):
+        monkeypatch.setattr(
+            framing, "_TRUSTED_PREFIXES", [*framing._TRUSTED_PREFIXES, __name__]
+        )
+        out = roundtrip(("p", Point(1, [2.5])))
+        assert_identical(out, ("p", Point(1, [2.5])))
+
+    def test_namedtuple_marker_refuses_non_tuple_callables(self):
+        blob = raw_safe_frame(
+            '{"nt":"repro.runtime.executors.framing:pack_frame","a":[1]}'
+        )
+        with pytest.raises(FrameProtocolError, match="not a tuple class"):
+            list(FrameReader().feed(blob))
+
+    def test_v2_frame_refused_naming_both_versions(self):
+        envelope = json.dumps(
+            {"v": 2, "s": [], "b": {"t": ["ping"]}}, separators=(",", ":")
+        ).encode("utf-8")
+        payload = struct.pack(">I", len(envelope)) + envelope
+        blob = _HEADER.pack(1 + len(payload)) + b"\x02" + payload
+        with pytest.raises(
+            FrameProtocolError,
+            match=f"peer speaks wire protocol 2, this build speaks {PROTOCOL_VERSION}",
+        ):
+            list(FrameReader().feed(blob))
+
+    def test_newer_version_refused_naming_both_versions(self):
+        blob = raw_safe_frame('{"t":["ping"]}', version=PROTOCOL_VERSION + 1)
+        with pytest.raises(
+            FrameProtocolError,
+            match=f"wire protocol {PROTOCOL_VERSION + 1}, this build speaks "
+            f"{PROTOCOL_VERSION}",
+        ):
             list(FrameReader().feed(blob))
 
 

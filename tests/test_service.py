@@ -25,6 +25,7 @@ import json
 import os
 import socket
 import threading
+import zlib
 
 import pytest
 
@@ -56,6 +57,7 @@ from repro.service import (
 from repro.service import protocol
 from repro.service.agent import LocalTransport, drive_host
 from repro.service.protocol import check_frame, check_protocol
+from repro.service.snapshot import SNAPSHOT_FORMAT
 
 WORKLOAD = "S1"
 BATCHES = 12
@@ -171,6 +173,22 @@ class TestProtocolSchema:
             with pytest.raises(ServiceProtocolError):
                 check_frame(classify({**sweep, key: value}))
 
+    def test_infinite_slowdown_table_entry_rejected(self):
+        """LFOC's lookahead sums slowdown tables, so one infinite entry would
+        reach every cluster the application could join."""
+        for value in (float("inf"), float("-inf")):
+            frame = (
+                "monitor_samples",
+                {"seq": 1, "samples": [], "classify": [{
+                    "app": "a",
+                    "class": AppClass.SENSITIVE.value,
+                    "slowdown_table": [value, 1.0],
+                    "critical_size": 2,
+                }]},
+            )
+            with pytest.raises(ServiceProtocolError, match="slowdown_table"):
+                check_frame(frame)
+
     def test_mask_update_validated(self):
         check_frame(protocol.mask_update(1, 0))
         for masks in [{}, {"": 3}, {"a": 0}, {"a": -1}, {"a": True}, {"a": "0x7"}]:
@@ -278,6 +296,91 @@ def sample_entry(app, ways=11, llcmpkc=40.0, stall=0.5):
         "stall_fraction": stall,
         "effective_ways": ways,
     }
+
+
+_GOOD_SAMPLE = {
+    "app": "a", "llcmpkc": 1.5, "stall_fraction": 0.25, "effective_ways": 4,
+}
+
+
+def _samples_frame(*entries):
+    return ("monitor_samples", {"seq": 1, "samples": list(entries), "classify": []})
+
+
+def _masks_frame(masks):
+    return ("mask_update", {"epoch": 1, "ack": 0, "masks": masks, "sample": [],
+                            "decision": None})
+
+
+#: Malformed frames and the exact messages the full (pre-fast-path) checks
+#: raise for them; the fast path must fall back and keep every one.
+_CHECK_FRAME_PARITY = [
+    (_samples_frame({**_GOOD_SAMPLE, "extra": 1}),
+     "monitor_samples.samples[] payload has wrong keys "
+     "(missing [], unexpected ['extra'])"),
+    (_samples_frame({k: v for k, v in _GOOD_SAMPLE.items() if k != "stall_fraction"}),
+     "monitor_samples.samples[] payload has wrong keys "
+     "(missing ['stall_fraction'], unexpected [])"),
+    (_samples_frame({**_GOOD_SAMPLE, "effective_ways": True}),
+     "monitor_samples.samples[].effective_ways must be a number"),
+    (_samples_frame({**_GOOD_SAMPLE, "llcmpkc": float("nan")}),
+     "monitor_samples.samples[].llcmpkc must be finite and >= 0"),
+    (_samples_frame({**_GOOD_SAMPLE, "stall_fraction": float("inf")}),
+     "monitor_samples.samples[].stall_fraction must be finite and >= 0"),
+    (_samples_frame({**_GOOD_SAMPLE, "llcmpkc": -0.5}),
+     "monitor_samples.samples[].llcmpkc must be finite and >= 0"),
+    (_samples_frame({**_GOOD_SAMPLE, "effective_ways": -1}),
+     "monitor_samples.samples[].effective_ways must be finite and >= 0"),
+    (_samples_frame(_GOOD_SAMPLE, {**_GOOD_SAMPLE, "llcmpkc": 2.0}),
+     "monitor_samples.samples[] repeats app 'a' within one batch"),
+    (_samples_frame({**_GOOD_SAMPLE, "app": 7}),
+     "monitor_samples.samples[].app must be a non-empty string"),
+    (_samples_frame({**_GOOD_SAMPLE, "app": ""}),
+     "monitor_samples.samples[].app must be a non-empty string"),
+    (_samples_frame(_GOOD_SAMPLE, ["a"]),
+     "monitor_samples.samples[] payload must be a mapping"),
+    (_samples_frame(_GOOD_SAMPLE, {**_GOOD_SAMPLE, "app": "b", "llcmpkc": "x"}),
+     "monitor_samples.samples[].llcmpkc must be a number"),
+    (("monitor_samples", {"seq": 1, "samples": [], "classify": [], "x": 0}),
+     "monitor_samples payload has wrong keys (missing [], unexpected ['x'])"),
+    (("mask_update", {"epoch": 1, "ack": 0, "masks": None, "sample": [],
+                      "decision": None, "x": 1}),
+     "mask_update payload has wrong keys (missing [], unexpected ['x'])"),
+    (("mask_update", {"epoch": 1, "ack": 0, "masks": None, "sample": []}),
+     "mask_update payload has wrong keys (missing ['decision'], unexpected [])"),
+    (_masks_frame({"a": True}),
+     "mask_update.masks values must be positive capacity bitmasks"),
+    (_masks_frame({"a": 3.0}),
+     "mask_update.masks values must be positive capacity bitmasks"),
+    (_masks_frame({"a": 0}),
+     "mask_update.masks values must be positive capacity bitmasks"),
+    (_masks_frame({"a": -3}),
+     "mask_update.masks values must be positive capacity bitmasks"),
+    (_masks_frame({7: 3}), "mask_update.masks keys must be app names"),
+    (_masks_frame({"": 3}), "mask_update.masks keys must be app names"),
+    (_masks_frame({}), "mask_update.masks must be None or a non-empty mapping"),
+    (_masks_frame([("a", 3)]),
+     "mask_update.masks must be None or a non-empty mapping"),
+]
+
+
+class TestCheckFrameFastPath:
+    @pytest.mark.parametrize(
+        "frame,message", _CHECK_FRAME_PARITY,
+        ids=[f"case{i}" for i in range(len(_CHECK_FRAME_PARITY))],
+    )
+    def test_malformed_frames_keep_their_messages(self, frame, message):
+        with pytest.raises(ServiceProtocolError) as excinfo:
+            check_frame(frame)
+        assert str(excinfo.value) == message
+
+    def test_values_outside_the_fast_path_still_accepted(self):
+        """The fast path takes exact types only; a NumPy scalar (a float
+        subclass) falls back to the full checks, which accept it."""
+        import numpy as np
+
+        entry = {**_GOOD_SAMPLE, "llcmpkc": np.float64(2.5)}
+        assert check_frame(_samples_frame(entry))[1]["samples"] == [entry]
 
 
 class TestHostSession:
@@ -1033,6 +1136,23 @@ class TestSnapshotRestore:
         core = ServiceCore(monitor_backend="reference")
         with pytest.raises(SimulationError, match="bank"):
             core.to_state()
+
+    def test_snapshot_file_bytes_are_one_shot_json(self, tmp_path):
+        core = self._mid_run_core()
+        path = tmp_path / "daemon.snapshot"
+        save_snapshot(core, str(path))
+        state = core.to_state()
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "format": SNAPSHOT_FORMAT,
+            "version": 1,
+            "crc32": zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF,
+            "state": state,
+        }
+        expected = json.dumps(envelope, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        restored = load_snapshot(str(path))
+        assert restored.to_state() == core.to_state()
 
     def test_snapshot_file_round_trip_and_crc_guard(self, tmp_path):
         core = self._mid_run_core()
