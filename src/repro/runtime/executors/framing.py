@@ -93,7 +93,6 @@ __all__ = [
     "ProtocolError",
     "MAX_FRAME",
     "enable_keepalive",
-    "encode_payload",
     "decode_payload",
     "trust_modules",
 ]
@@ -470,11 +469,6 @@ def _payload_parts(obj: Any) -> List[bytes]:
     return [prefix, body]
 
 
-def encode_payload(obj: Any) -> bytes:
-    """Serialize ``obj`` as a safe envelope (binary prefix, JSON, sections)."""
-    return b"".join(_payload_parts(obj))
-
-
 def _claimed_version(payload: memoryview, head: int) -> Any:
     """The protocol a refused payload speaks.
 
@@ -489,14 +483,16 @@ def _claimed_version(payload: memoryview, head: int) -> Any:
     return head
 
 
-def _decode_view(payload: memoryview) -> Any:
-    size = len(payload)
+def decode_payload(payload: Union[bytes, bytearray, memoryview]) -> Any:
+    """Parse a safe envelope (binary prefix, JSON, sections) into its message."""
+    view = memoryview(payload)
+    size = len(view)
     if size < _PREFIX.size:
         raise FrameProtocolError("truncated safe frame: missing envelope header")
-    version, json_len, count = _PREFIX.unpack_from(payload)
+    version, json_len, count = _PREFIX.unpack_from(view)
     if version != PROTOCOL_VERSION:
         raise FrameProtocolError(
-            f"peer speaks wire protocol {_claimed_version(payload, version)!r}, "
+            f"peer speaks wire protocol {_claimed_version(view, version)!r}, "
             f"this build speaks {PROTOCOL_VERSION}; upgrade the older side"
         )
     offset = _PREFIX.size + 4 * count
@@ -504,7 +500,7 @@ def _decode_view(payload: memoryview) -> Any:
         raise FrameProtocolError(
             "corrupt safe frame: section table exceeds the payload"
         )
-    lengths = struct.unpack_from(f">{count}I", payload, _PREFIX.size)
+    lengths = struct.unpack_from(f">{count}I", view, _PREFIX.size)
     json_end = offset + json_len
     end = json_end + sum(lengths)
     if end > size:
@@ -522,21 +518,16 @@ def _decode_view(payload: memoryview) -> Any:
         sections: List[bytes] = []
         start = json_end
         for length in lengths:
-            sections.append(payload[start : start + length].tobytes())
+            sections.append(view[start : start + length].tobytes())
             start += length
         decoder = _json_decoder(sections)
     try:
-        return decoder.decode(str(payload[offset:json_end], "utf-8"))
+        return decoder.decode(str(view[offset:json_end], "utf-8"))
     except FrameProtocolError:
         raise
     except (TypeError, ValueError, KeyError, IndexError, AttributeError,
             RecursionError) as exc:
         raise FrameProtocolError(f"corrupt safe frame: {exc}")
-
-
-def decode_payload(payload: bytes) -> Any:
-    """Parse a safe envelope back into the message it carried."""
-    return _decode_view(memoryview(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +540,7 @@ def _decode_body(body: Union[bytes, bytearray], *, allow_pickle: bool) -> Any:
         raise FrameProtocolError("empty frame (no codec tag)")
     tag = body[0]
     if tag == _TAG_SAFE:
-        return _decode_view(memoryview(body)[1:])
+        return decode_payload(memoryview(body)[1:])
     if tag == _TAG_PICKLE:
         if not allow_pickle:
             raise FrameProtocolError(

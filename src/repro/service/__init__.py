@@ -27,9 +27,10 @@ decision layer into a **long-lived multi-tenant service**:
   ``host_bye``, read-only ``metrics``) spoken over the safe wire codec
   under ``PROTOCOL_VERSION`` negotiation.  Since protocol v3 a payload's
   lists and str-keyed dicts are bare JSON, so a frame decodes in one
-  ``json.loads``; :func:`~repro.service.protocol.check_frame` then passes
-  well-formed sample batches and mask maps on exact-type checks alone and
-  runs the full checks, with their precise errors, only on a miss;
+  ``json.loads``; :func:`~repro.service.protocol.check_frame` then checks
+  a sample batch in one pass that allocates nothing per well-formed entry
+  (exact-type tests first, isinstance tests behind them) and raises the
+  precise error for the first bad entry;
 * :mod:`repro.service.replay` — the append-only decision log plus the
   offline replay oracle that pins live daemon decisions bit-identical to
   a socket-free run on the same trace;

@@ -235,63 +235,34 @@ def _check_keys(payload: Any, keys: AbstractSet[str], where: str) -> Dict[str, A
     return payload
 
 
-def _samples_ok(samples: List[Any]) -> bool:
-    """True when every sample is well formed and names a distinct app.
-
-    The common case of the ``monitor_samples`` check, allocating nothing
-    per entry: exact types only, so anything unusual (a bool, a NumPy
-    scalar, a missing key) goes to :func:`_check_samples`, which raises
-    the precise error.
-    """
+def _check_samples(samples: List[Any]) -> None:
+    # One pass that allocates nothing per well-formed entry: the exact-type
+    # tests take the common case, and anything unusual (a bool, a NumPy
+    # scalar) is judged by the isinstance tests behind them.
+    where = "monitor_samples.samples[]"
+    seen_apps = set()
     for entry in samples:
-        if type(entry) is not dict or entry.keys() != _SAMPLE_KEYS:
-            return False
+        entry = _check_keys(entry, _SAMPLE_KEYS, where)
         app = entry["app"]
-        if type(app) is not str or not app:
-            return False
+        if not isinstance(app, str) or not app:
+            raise ServiceProtocolError(f"{where}.app must be a non-empty string")
         for key in _SAMPLE_NUMBERS:
             value = entry[key]
             number = type(value)
-            if not ((number is float or number is int) and 0.0 <= value < _INF):
-                return False
-    return len({entry["app"] for entry in samples}) == len(samples)
-
-
-def _check_sample(entry: Any, where: str) -> Dict[str, Any]:
-    entry = _check_keys(entry, _SAMPLE_KEYS, where)
-    _require_str(entry, "app", where)
-    for key in _SAMPLE_NUMBERS:
-        value = entry.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ServiceProtocolError(f"{where}.{key} must be a number")
-        if value != value or value in (float("inf"), float("-inf")) or value < 0:
-            raise ServiceProtocolError(f"{where}.{key} must be finite and >= 0")
-    return entry
-
-
-def _check_samples(samples: List[Any]) -> None:
-    seen_apps = set()
-    for entry in samples:
-        entry = _check_sample(entry, "monitor_samples.samples[]")
+            if number is not float and number is not int and (
+                number is bool or not isinstance(value, (int, float))
+            ):
+                raise ServiceProtocolError(f"{where}.{key} must be a number")
+            if not 0.0 <= value < _INF:
+                raise ServiceProtocolError(f"{where}.{key} must be finite and >= 0")
         # One sample per app per batch: a duplicate row would make the
         # fused bank ingest diverge from the sequential reference (the
         # batched partial-sum add touches each row exactly once).
-        if entry["app"] in seen_apps:
+        if app in seen_apps:
             raise ServiceProtocolError(
-                f"monitor_samples.samples[] repeats app {entry['app']!r} "
-                "within one batch"
+                f"monitor_samples.samples[] repeats app {app!r} within one batch"
             )
-        seen_apps.add(entry["app"])
-
-
-def _masks_ok(masks: Any) -> bool:
-    """The allocation-free common case of the ``mask_update.masks`` check."""
-    if type(masks) is not dict or not masks:
-        return False
-    for app, mask in masks.items():
-        if type(app) is not str or not app or type(mask) is not int or mask <= 0:
-            return False
-    return True
+        seen_apps.add(app)
 
 
 def _check_masks(masks: Any) -> None:
@@ -395,8 +366,7 @@ def check_frame(frame: Any) -> Tuple[str, Any]:
             raise ServiceProtocolError(
                 "monitor_samples.samples/.classify must be lists"
             )
-        if not _samples_ok(samples):
-            _check_samples(samples)
+        _check_samples(samples)
         for entry in classify:
             _check_classify(entry, "monitor_samples.classify[]")
         return kind, payload
@@ -430,7 +400,7 @@ def check_frame(frame: Any) -> Tuple[str, Any]:
     _require_int(payload, "epoch", kind, minimum=1)
     _require_int(payload, "ack", kind)
     masks = payload["masks"]
-    if masks is not None and not _masks_ok(masks):
+    if masks is not None:
         _check_masks(masks)
     sample = payload["sample"]
     if not isinstance(sample, list) or any(

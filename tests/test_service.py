@@ -312,8 +312,8 @@ def _masks_frame(masks):
                             "decision": None})
 
 
-#: Malformed frames and the exact messages the full (pre-fast-path) checks
-#: raise for them; the fast path must fall back and keep every one.
+#: Malformed frames and the exact messages the protocol-v2 checks raised
+#: for them; the one-pass sample and mask checks must keep every one.
 _CHECK_FRAME_PARITY = [
     (_samples_frame({**_GOOD_SAMPLE, "extra": 1}),
      "monitor_samples.samples[] payload has wrong keys "
@@ -364,7 +364,7 @@ _CHECK_FRAME_PARITY = [
 ]
 
 
-class TestCheckFrameFastPath:
+class TestCheckFrameMessages:
     @pytest.mark.parametrize(
         "frame,message", _CHECK_FRAME_PARITY,
         ids=[f"case{i}" for i in range(len(_CHECK_FRAME_PARITY))],
@@ -374,9 +374,9 @@ class TestCheckFrameFastPath:
             check_frame(frame)
         assert str(excinfo.value) == message
 
-    def test_values_outside_the_fast_path_still_accepted(self):
-        """The fast path takes exact types only; a NumPy scalar (a float
-        subclass) falls back to the full checks, which accept it."""
+    def test_number_subclasses_still_accepted(self):
+        """The exact-type tests take the common case only; a NumPy scalar
+        (a float subclass) is judged by the isinstance tests, which accept it."""
         import numpy as np
 
         entry = {**_GOOD_SAMPLE, "llcmpkc": np.float64(2.5)}
