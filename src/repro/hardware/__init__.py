@@ -30,6 +30,7 @@ from repro.hardware.pmc import (
     PmcEvent,
     PmcSampler,
     derive_metrics,
+    window_metrics,
 )
 from repro.hardware.resctrl import ControlGroup, ResctrlFilesystem, ResctrlInfo
 
@@ -55,6 +56,7 @@ __all__ = [
     "PmcEvent",
     "PmcSampler",
     "derive_metrics",
+    "window_metrics",
     "ControlGroup",
     "ResctrlFilesystem",
     "ResctrlInfo",

@@ -33,6 +33,7 @@ __all__ = [
     "CounterDelta",
     "DerivedMetrics",
     "derive_metrics",
+    "window_metrics",
     "EventSet",
 ]
 
@@ -123,21 +124,35 @@ class DerivedMetrics:
         }
 
 
-def derive_metrics(delta: CounterDelta) -> DerivedMetrics:
-    """Turn raw counter increments into the metrics the policies consume."""
-    cycles = max(delta.cycles, 1.0)
-    instructions = max(delta.instructions, 0.0)
-    ipc = instructions / cycles
-    llcmpkc = 1000.0 * delta.llc_misses / cycles
-    llcmpki = 1000.0 * delta.llc_misses / max(instructions, 1.0)
-    stall_fraction = min(max(delta.stalls_l2_miss / cycles, 0.0), 1.0)
+def window_metrics(
+    instructions: float, cycles: float, llc_misses: float, stalls_l2_miss: float
+) -> DerivedMetrics:
+    """Derived metrics of one sampling window's counter increments.
+
+    :func:`derive_metrics` without the :class:`CounterDelta`: callers that
+    keep raw window counters (the runtime engines) skip building one, and
+    the same check rejects negative instruction or cycle counts.
+    """
+    if instructions < 0 or cycles < 0:
+        raise ReproError(
+            "counter deltas must be non-negative "
+            f"(instructions={instructions}, cycles={cycles})"
+        )
+    cycles = max(cycles, 1.0)
     return DerivedMetrics(
-        ipc=ipc,
-        llcmpkc=llcmpkc,
-        llcmpki=llcmpki,
-        stall_fraction=stall_fraction,
+        ipc=instructions / cycles,
+        llcmpkc=1000.0 * llc_misses / cycles,
+        llcmpki=1000.0 * llc_misses / max(instructions, 1.0),
+        stall_fraction=min(max(stalls_l2_miss / cycles, 0.0), 1.0),
         instructions=instructions,
         cycles=cycles,
+    )
+
+
+def derive_metrics(delta: CounterDelta) -> DerivedMetrics:
+    """Turn raw counter increments into the metrics the policies consume."""
+    return window_metrics(
+        delta.instructions, delta.cycles, delta.llc_misses, delta.stalls_l2_miss
     )
 
 

@@ -22,15 +22,20 @@ programmed in the (simulated) CAT hardware and to each application's current
 phase profile; whenever the allocation or any phase changes the rates are
 recomputed.
 
-Per-application state is kept as NumPy struct-of-arrays vectors, events
-are searched and advanced with array arithmetic, and rate recomputations
-are answered from shared
-:class:`~repro.simulator.estimator.EvaluationTables` — an event only pays for
-evaluation when its ``(allocation, phase epochs)`` combination has never been
-seen.  The original per-application dict loop, which re-runs the full
-contention estimator on every rate change, lives on as the test oracle
-``run_reference`` in ``tests/oracles.py``; the differential tests and the
-engine benchmark pin this engine against it bit for bit.
+Each per-application counter is one list of Python floats.  An event costs
+two passes over the applications: a search pass for the time to the next
+event and an advance pass that moves every counter and finds the largest
+run position and the smallest sample distance, which tell the completion
+and sample checks whether to look further.  At 8 to 16 applications, plain
+float arithmetic beats a chain of NumPy calls on rows that narrow.  The
+per-application rates, miss rates, stall fractions and effective ways are
+cached per ``(allocation, phase epochs)`` and come from the shared
+:class:`~repro.simulator.estimator.EvaluationTables`, so an event only pays
+for evaluation when its combination has never been seen.  The original
+per-application dict loop, which re-runs the full contention estimator on
+every rate change, lives on as the test oracle ``run_reference`` in
+``tests/oracles.py``; the differential tests and the engine benchmark pin
+this engine against it bit for bit.
 
 The instruction budget defaults to a scaled-down value (the paper runs 150 G
 instructions per application; simulating that faithfully is unnecessary since
@@ -43,15 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.apps.phases import PhasedProfile
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.cat import CatController
 from repro.hardware.cmt import CmtMonitor
 from repro.hardware.platform import PlatformSpec
-from repro.hardware.pmc import CounterDelta, derive_metrics
+from repro.hardware.pmc import window_metrics
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.scheduler import PolicyDriver
 from repro.simulator.estimator import (
@@ -68,6 +71,8 @@ __all__ = ["EngineConfig", "RuntimeEngine", "alone_completion_time"]
 #: ever observe it (completions reset the phase position first).  The margin
 #: absorbs the worst-case overshoot of one clamped 1-nanosecond event.
 _INERT_PHASE_MARGIN = 64.0
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,13 @@ class RuntimeEngine:
             )
         self.tables = tables
         self._snapshot = ProfileSnapshot(self.phased)
-        # Struct-of-arrays state; inert placeholders here, (re)built at the
-        # top of every run().
-        self._ipc: Optional[np.ndarray] = None
-        self._llcmpkc: Optional[np.ndarray] = None
-        self._stall: Optional[np.ndarray] = None
-        self._eff: Optional[np.ndarray] = None
-        self._rate: Optional[np.ndarray] = None
-        self._advance: Optional[np.ndarray] = None
-        self._phase_pos: Optional[np.ndarray] = None
-        self._rate_vectors: Dict[tuple, tuple] = {}
+        # Per-run state, (re)built at the top of every run(): the phase
+        # positions (run()'s instructions-in-run list) and, per
+        # (allocation id, phase epochs), the (rate, llcmpkc, stall fraction,
+        # effective ways) lists of the applications.
+        self._phase_pos: Optional[List[float]] = None
+        self._rates: Optional[Tuple[List[float], ...]] = None
+        self._rate_lists: Dict[tuple, Tuple[List[float], ...]] = {}
         self._alloc_ids: Dict[tuple, int] = {}
         self._alloc_id = -1
         self._phase_epoch_watch: List[Tuple[int, float, List[float]]] = []
@@ -257,39 +259,30 @@ class RuntimeEngine:
 
         names = self.apps
         n = len(names)
+        apps = range(n)
         cps = platform.cycles_per_second
         ipr = config.instructions_per_run
         completion_edge = config.instructions_per_run - 1.0
+        record_traces = config.record_traces
 
-        # Struct-of-arrays state: one (6, n) matrix whose rows are the
-        # per-application counters, advanced with a single fused add per
-        # event (the per-row addends share the row layout, see _recompute).
-        # The phase position is not tracked separately: it advances by the
-        # same increments as instructions_in_run and both reset to zero at a
-        # completion, so phase_position == instructions_in_run is an invariant
-        # (the reference loop in tests/oracles.py keeps the two fields).
-        state = np.zeros((6, n))
-        iir = state[0]  # instructions_in_run == phase_position
-        to_sample = state[1]
-        to_sample[:] = [float(driver.sample_window(name)) for name in names]
-        win_instr = state[2]
-        win_cycles = state[3]
-        win_misses = state[4]
-        win_stalls = state[5]
-        scratch = np.zeros(n)  # event-search scratch buffer
-        addend = np.empty((6, n))
-        self._ipc = np.ones(n)
-        self._llcmpkc = np.zeros(n)
-        self._stall = np.zeros(n)
-        self._eff = np.zeros(n)
-        self._rate = np.full(n, cps)
-        self._advance = np.zeros((6, n))
+        # Per-application counters, one list of floats each.  The phase
+        # position is not tracked separately: it advances by the same
+        # increments as instructions_in_run and both reset to zero at a
+        # completion, so phase_position == instructions_in_run is an
+        # invariant (the reference loop in tests/oracles.py keeps the two
+        # fields).
+        iir = [0.0] * n  # instructions_in_run == phase_position
+        to_sample = [float(driver.sample_window(name)) for name in names]
+        win_instr = [0.0] * n
+        win_cycles = [0.0] * n
+        win_misses = [0.0] * n
+        win_stalls = [0.0] * n
         self._phase_pos = iir
-        self._rate_vectors = {}
-        self._alloc_ids: Dict[tuple, int] = {}
+        self._rate_lists = {}
+        self._alloc_ids = {}
         self._alloc_id = -1
         # Applications with real phase sequences (epoch lookup in recompute).
-        self._phase_epoch_watch: List[Tuple[int, float, List[float]]] = [
+        self._phase_epoch_watch = [
             (
                 i,
                 self.phased[name].cycle_instructions,
@@ -348,19 +341,21 @@ class RuntimeEngine:
                     f"simulation exceeded the {config.max_simulated_seconds}s safety cap "
                     f"(policy {driver.name!r}, workload {workload_name!r})"
                 )
-            # ---- find the next event -------------------------------------------------
-            # rate = ipc * cycles_per_second, computed (and zero-checked) once
-            # per rate vector in _recompute_rates.
-            rate = self._rate
+            rate, mpkc, stall, _ = self._rates
+
+            # ---- find the next event (search pass) ---------------------------------
             # min(sample/rate, remaining/rate) == min(sample, remaining)/rate
-            # element-wise (positive rates preserve the ordering and the
-            # winning quotient is computed by the identical division).
-            np.subtract(ipr, iir, out=scratch)
-            np.minimum(scratch, to_sample, out=scratch)
-            np.divide(scratch, rate, out=scratch)
-            dt = min(next_interval - now, float(scratch.min()))
+            # (positive rates preserve the ordering and the winning quotient
+            # is computed by the identical division).
+            dt = next_interval - now
+            for i in apps:
+                remaining = ipr - iir[i]
+                window = to_sample[i]
+                until = (window if window < remaining else remaining) / rate[i]
+                if until < dt:
+                    dt = until
             for i, cycle, segments in phase_watch:
-                position = float(iir[i]) % cycle
+                position = iir[i] % cycle
                 for segment in segments:
                     if position < segment:
                         until = segment - position
@@ -369,25 +364,38 @@ class RuntimeEngine:
                 else:  # pragma: no cover - numeric edge
                     until = segments[0]
                 dt = min(dt, until / rate[i])
-            dt = max(float(dt), 1e-9)
+            dt = max(dt, 1e-9)
 
-            # ---- advance every application by dt -------------------------------------
-            # One fused update: rows 0-3 of the template scale with dt
-            # (instructions / cycles), rows 4-5 with cycles (misses / stalls);
-            # each element reproduces the reference loop's scalar expression.
+            # ---- advance every application by dt (advance pass) --------------------
+            # Each update is the reference loop's scalar expression
+            # (to_sample - rate*dt has the bits of to_sample + (-rate)*dt).
+            # The pass also finds the largest instructions-in-run and the
+            # smallest sample distance, which is all the completion and
+            # sample checks below need to know whether to look further.
             cycles = dt * cps
-            template = self._advance
-            np.multiply(template[:4], dt, out=addend[:4])
-            np.multiply(template[4:], cycles, out=addend[4:])
-            addend[4] /= 1000.0
-            state += addend
+            top = -_INF
+            low = _INF
+            for i in apps:
+                instructions = rate[i] * dt
+                position = iir[i] + instructions
+                iir[i] = position
+                if position > top:
+                    top = position
+                window = to_sample[i] - instructions
+                to_sample[i] = window
+                if window < low:
+                    low = window
+                win_instr[i] += instructions
+                win_cycles[i] += cycles
+                win_misses[i] += mpkc[i] * cycles / 1000.0
+                win_stalls[i] += stall[i] * cycles
             now += dt
 
             rates_dirty = False
 
             # ---- phase boundaries ------------------------------------------------------
             for i, cycle, segments in phase_watch:
-                position = float(iir[i]) % cycle
+                position = iir[i] % cycle
                 for segment in segments:
                     if position < segment:
                         if segment - position <= 1.0:
@@ -399,11 +407,13 @@ class RuntimeEngine:
                         rates_dirty = True
 
             # ---- completions / restarts --------------------------------------------------
-            if iir.max() >= completion_edge:
-                for i in np.nonzero(iir >= completion_edge)[0]:
+            if top >= completion_edge:
+                for i in apps:
+                    if iir[i] < completion_edge:
+                        continue
                     name = names[i]
                     stats[name].completion_times.append(now - last_completion_start[i])
-                    stats[name].instructions_retired += float(iir[i])
+                    stats[name].instructions_retired += iir[i]
                     last_completion_start[i] = now
                     iir[i] = 0.0  # restart from scratch (run and phase position)
                     ncomp[i] += 1
@@ -412,44 +422,43 @@ class RuntimeEngine:
                     rates_dirty = True
 
             # ---- counter samples ------------------------------------------------------------
-            if to_sample.min() <= 1.0:
-                sampled = np.nonzero(to_sample <= 1.0)[0]
+            if low <= 1.0:
                 # Monitoring snapshot hoisted to once per event batch.
                 state_snapshot: Dict[str, Dict[str, float]] = (
-                    driver.describe_state() if config.record_traces else {}
+                    driver.describe_state() if record_traces else {}
                 )
-                for i in sampled:
+                for i in apps:
+                    if to_sample[i] > 1.0:
+                        continue
                     name = names[i]
-                    delta = CounterDelta(
-                        instructions=float(win_instr[i]),
-                        cycles=float(win_cycles[i]),
-                        llc_misses=float(win_misses[i]),
-                        stalls_l2_miss=float(win_stalls[i]),
+                    metrics = window_metrics(
+                        win_instr[i], win_cycles[i], win_misses[i], win_stalls[i]
                     )
-                    metrics = derive_metrics(delta)
                     stats[name].samples_taken += 1
                     win_instr[i] = 0.0
                     win_cycles[i] = 0.0
                     win_misses[i] = 0.0
                     win_stalls[i] = 0.0
-                    if config.record_traces:
+                    # Read through self._rates: a repartition earlier in this
+                    # batch re-binds it, and later samples see the new
+                    # effective ways (as the reference loop does).
+                    if record_traces:
                         snapshot = state_snapshot.get(name, {})
                         traces[name].append(
                             TracePoint(
                                 time_s=now,
-                                instructions=stats[name].instructions_retired
-                                + float(iir[i]),
+                                instructions=stats[name].instructions_retired + iir[i],
                                 ipc=metrics.ipc,
                                 llcmpkc=metrics.llcmpkc,
                                 stall_fraction=metrics.stall_fraction,
-                                effective_ways=float(self._eff[i]),
+                                effective_ways=self._rates[3][i],
                                 app_class=str(snapshot.get("class", "n/a")),
                             )
                         )
                     new_allocation = driver.on_sample(
-                        name, metrics, float(self._eff[i]), now
+                        name, metrics, self._rates[3][i], now
                     )
-                    to_sample[i] = driver.sample_window(name)
+                    to_sample[i] = float(driver.sample_window(name))
                     if new_allocation is not None:
                         self._program(new_allocation, now, f"sample:{name}", repartitions)
                         rates_dirty = True
@@ -468,8 +477,9 @@ class RuntimeEngine:
         # The simulated CMT occupancy feed is write-only during a run (nothing
         # reads it back until the run is over), so the readings are pushed
         # once at the end instead of on every rate recomputation.
+        eff = self._rates[3]
         for i, name in enumerate(names):
-            self.cmt.update_occupancy(name, float(self._eff[i]))
+            self.cmt.update_occupancy(name, eff[i])
         return self._finalize(workload_name, now, stats, traces, repartitions)
 
     # -- internals ------------------------------------------------------------------------------------
@@ -499,7 +509,7 @@ class RuntimeEngine:
         self._recompute_rates()
 
     def _recompute_rates(self) -> None:
-        """Refresh every application's IPC/miss/stall rates from the tables."""
+        """Refresh every application's rate, miss, stall and occupancy lists."""
         if self._allocation is None:
             raise SimulationError("no allocation programmed")
         tables = self.tables
@@ -511,7 +521,7 @@ class RuntimeEngine:
         # applications are pinned to epoch 0).
         epochs: List[int] = [0] * len(self.apps)
         for i, cycle, segments in self._phase_epoch_watch:
-            position = float(pos[i]) % cycle
+            position = pos[i] % cycle
             index = len(segments) - 1
             for j, segment in enumerate(segments):
                 if position < segment:
@@ -521,8 +531,8 @@ class RuntimeEngine:
             epochs[i] = index
         epoch_key = tuple(epochs)
         key = (self._alloc_id, epoch_key)
-        vectors = self._rate_vectors.get(key)
-        if vectors is None:
+        rates = self._rate_lists.get(key)
+        if rates is None:
             # Token-space evaluation: only the tokens of the applications
             # whose phase changed differ from the previous epoch's map, and
             # no profile objects are re-registered for the others (the
@@ -541,40 +551,21 @@ class RuntimeEngine:
             )
             ipcs = estimate.ipcs
             effective = estimate.effective_ways
-            ipc_vec = np.array([ipcs[name] for name in self.apps])
-            eff_vec = np.array([effective[name] for name in self.apps])
-            mpkc = []
-            stall = []
+            cps = self.platform.cycles_per_second
+            rate: List[float] = []
+            mpkc: List[float] = []
+            stall: List[float] = []
+            eff: List[float] = []
             for i, name in enumerate(self.apps):
+                app_rate = ipcs[name] * cps
+                if not app_rate > 0:
+                    raise SimulationError(f"application {name!r} has a zero rate")
                 view = self._phase_views[i][epochs[i]]
                 eval_ways = max(effective[name], 0.25)
+                rate.append(app_rate)
                 mpkc.append(view.llcmpkc_at(eval_ways))
                 stall.append(view.stall_fraction_at(eval_ways, self.platform))
-            rate_vec = ipc_vec * self.platform.cycles_per_second
-            if not rate_vec.min() > 0:
-                bad = self.apps[int(np.argmin(rate_vec))]
-                raise SimulationError(f"application {bad!r} has a zero rate")
-            mpkc_vec = np.array(mpkc)
-            stall_vec = np.array(stall)
-            # Advance-template rows matching the (6, n) state matrix:
-            # iir += rate*dt, to_sample -= rate*dt (added as (-rate)*dt, an
-            # exact negation), win_instr += rate*dt, win_cycles += cps*dt
-            # (== dt*cps), win_misses += (llcmpkc*cycles)/1000 and
-            # win_stalls += stall*cycles after the cycles scaling in the loop.
-            advance = np.empty((6, len(self.apps)))
-            advance[0] = rate_vec
-            np.negative(rate_vec, out=advance[1])
-            advance[2] = rate_vec
-            advance[3] = self.platform.cycles_per_second
-            advance[4] = mpkc_vec
-            advance[5] = stall_vec
-            vectors = (ipc_vec, mpkc_vec, stall_vec, eff_vec, rate_vec, advance)
-            self._rate_vectors[key] = vectors
-        (
-            self._ipc,
-            self._llcmpkc,
-            self._stall,
-            self._eff,
-            self._rate,
-            self._advance,
-        ) = vectors
+                eff.append(effective[name])
+            rates = (rate, mpkc, stall, eff)
+            self._rate_lists[key] = rates
+        self._rates = rates

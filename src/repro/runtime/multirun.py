@@ -3,12 +3,13 @@
 A dynamic study executes many *independent* engine runs that share a shape —
 same platform, same engine configuration — and differ only in workload mix
 and policy driver.  The single-run loop
-(:meth:`~repro.runtime.engine.RuntimeEngine.run`) already advances the applications *within* one run as a ``(6, n)``
-struct-of-arrays matrix; this module stacks ``R`` such runs along a leading
-run axis into ``(R, 6, n)`` and fuses the hot per-event array work — the
+(:meth:`~repro.runtime.engine.RuntimeEngine.run`) keeps one list of floats
+per counter and advances it with scalar arithmetic; this module lays each
+run's six counters out as a ``(6, n)`` matrix, stacks ``R`` runs along a
+leading run axis into ``(R, 6, n)`` and fuses the hot per-event work — the
 next-event search and the state advance — into single NumPy expressions over
 the whole stack, amortising interpreter and ufunc-dispatch overhead across
-runs.
+runs.  Each element goes through the single-run loop's scalar expression.
 
 Why this is *bit-identical* to running each member serially: a member's time
 step depends only on its own state (its rate vector, its sample/phase/
@@ -52,7 +53,7 @@ from repro.errors import SimulationError
 from repro.hardware.cat import CatController
 from repro.hardware.cmt import CmtMonitor
 from repro.hardware.platform import PlatformSpec
-from repro.hardware.pmc import DerivedMetrics
+from repro.hardware.pmc import window_metrics
 from repro.runtime.engine import (
     EngineConfig,
     _INERT_PHASE_MARGIN,
@@ -443,7 +444,7 @@ class MultiRunEngine:
         completion_edge = config.instructions_per_run - 1.0
 
         # Stacked struct-of-arrays state: run r's (6, n) matrix is
-        # state3d[r], laid out exactly as the serial engine's
+        # state3d[r], one row per counter list of the serial engine
         # (iir, to_sample, win_instr, win_cycles, win_misses, win_stalls).
         # Active runs always occupy the leading rows (see the compaction at
         # the bottom of the round loop), so every fused expression slices
@@ -598,21 +599,11 @@ class MultiRunEngine:
                     eff_l = member.eff_l
                     for i in sampled:
                         name = member.names[i]
-                        # Inline replica of pmc.derive_metrics over the
-                        # window counters (same max/min clamps, same
-                        # divisions) without building the CounterDelta.
-                        instructions = max(float(win_instr[i]), 0.0)
-                        cycles = max(float(win_cycles[i]), 1.0)
-                        misses = float(win_misses[i])
-                        metrics = DerivedMetrics(
-                            ipc=instructions / cycles,
-                            llcmpkc=1000.0 * misses / cycles,
-                            llcmpki=1000.0 * misses / max(instructions, 1.0),
-                            stall_fraction=min(
-                                max(float(win_stalls[i]) / cycles, 0.0), 1.0
-                            ),
-                            instructions=instructions,
-                            cycles=cycles,
+                        metrics = window_metrics(
+                            float(win_instr[i]),
+                            float(win_cycles[i]),
+                            float(win_misses[i]),
+                            float(win_stalls[i]),
                         )
                         member.stats[name].samples_taken += 1
                         win_instr[i] = 0.0

@@ -98,7 +98,11 @@ class BandwidthModel:
         incremental evaluation layer of :mod:`repro.simulator.estimator` —
         share the exact over-commit arithmetic.
         """
-        total = float(sum(demand.values()))
+        # A left fold: builtin sum() compensates float rounding from
+        # Python 3.12 on, which would make over-commit version-dependent.
+        total = 0.0
+        for value in demand.values():
+            total += value
         factors: Dict[str, float] = {}
         if total <= platform.peak_bw_gbs or total == 0.0:
             factors = {app: 1.0 for app in demand}

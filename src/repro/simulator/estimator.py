@@ -30,6 +30,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,7 +67,15 @@ class ClusterEstimate:
     effective_ways: Dict[str, float]
     bandwidth: BandwidthResult
     occupancy: OccupancyResult
-    metrics: WorkloadMetrics
+
+    @cached_property
+    def metrics(self) -> WorkloadMetrics:
+        """Workload metrics of the slowdowns, computed on first use.
+
+        The runtime engine reads only IPCs and effective ways, so most
+        cached estimates never pay for :func:`compute_metrics`.
+        """
+        return compute_metrics(self.slowdowns)
 
     @property
     def unfairness(self) -> float:
@@ -532,7 +541,9 @@ class EvaluationTables:
             demand_row = take(n).tolist()
             factor_row = take(n).tolist()
             bandwidth_scalars = take(2).tolist()
-            metric_scalars = take(4).tolist()
+            # The four saved metric scalars are compute_metrics of the
+            # slowdown row; ClusterEstimate.metrics recomputes them on use.
+            take(4)
             allocation = WayAllocation(
                 masks={app: int(mask) for app, mask in zip(apps, meta["masks"])},
                 total_ways=int(meta["total_ways"]),
@@ -550,13 +561,6 @@ class EvaluationTables:
                 peak_gbs=float(bandwidth_scalars[1]),
                 slowdown_factors={app: float(v) for app, v in zip(apps, factor_row)},
             )
-            metrics = WorkloadMetrics(
-                slowdowns=dict(slowdowns),
-                unfairness=float(metric_scalars[0]),
-                stp=float(metric_scalars[1]),
-                antt=float(metric_scalars[2]),
-                jain=float(metric_scalars[3]),
-            )
             estimate = ClusterEstimate(
                 allocation=allocation,
                 slowdowns=slowdowns,
@@ -564,7 +568,6 @@ class EvaluationTables:
                 effective_ways=dict(occupancy.effective_ways),
                 bandwidth=bandwidth,
                 occupancy=occupancy,
-                metrics=metrics,
             )
             key = (
                 (tuple(allocation.masks.items()), allocation.total_ways),
@@ -690,7 +693,6 @@ class EvaluationTables:
             effective_ways=dict(occupancy.effective_ways),
             bandwidth=bandwidth,
             occupancy=occupancy,
-            metrics=compute_metrics(slowdowns),
         )
 
 
@@ -752,7 +754,6 @@ class ClusteringEstimator:
             effective_ways=dict(occupancy.effective_ways),
             bandwidth=bandwidth,
             occupancy=occupancy,
-            metrics=compute_metrics(slowdowns),
         )
 
     def evaluate(self, solution: ClusteringSolution) -> ClusterEstimate:

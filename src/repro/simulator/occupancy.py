@@ -442,24 +442,34 @@ class OccupancyTrajectoryCache:
                 self._trajectories[key] = trajectory
             trajectories.append((trajectory, members))
 
-        converged = False
-        iteration = 0
-        # Frozen trajectories contribute an exact 0.0 delta from their fixed
-        # iteration onwards, so they can drop out of the stop-condition scan
-        # (deltas are non-negative: the max over the remainder is unchanged).
-        active = [trajectory for trajectory, _ in trajectories]
-        for iteration in range(1, model.max_iterations + 1):
-            delta = 0.0
-            still_active = []
-            for trajectory in active:
+        # The global solve stops at the first iteration where every
+        # component's delta is below the tolerance.  The components are
+        # visited in turn at a candidate iteration: one at or above the
+        # tolerance bumps the candidate (every skipped iteration had such a
+        # component), and the solve ends once all of them in a row are
+        # below it.  Frozen trajectories answer with their exact 0.0
+        # without stepping.
+        tolerance = model.tolerance
+        limit = model.max_iterations
+        iteration = 1
+        settled = 0
+        turn = 0
+        while settled < len(trajectories) and iteration <= limit:
+            trajectory = trajectories[turn][0]
+            trajectory.ensure(iteration, model)
+            if trajectory.delta(iteration) >= tolerance:
+                iteration += 1
+                settled = 0
+            else:
+                settled += 1
+                turn = (turn + 1) % len(trajectories)
+        converged = iteration <= limit
+        if not converged:
+            # Unconverged: the solve reports the last iteration, which every
+            # component must have reached.
+            iteration = limit
+            for trajectory, _ in trajectories:
                 trajectory.ensure(iteration, model)
-                delta = max(delta, trajectory.delta(iteration))
-                if not (trajectory.fixed_at and iteration >= trajectory.fixed_at):
-                    still_active.append(trajectory)
-            active = still_active
-            if delta < model.tolerance:
-                converged = True
-                break
 
         effective: Dict[str, float] = {app: 0.0 for app in apps}
         pressures: Dict[str, float] = {app: 0.0 for app in apps}

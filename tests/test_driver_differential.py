@@ -18,7 +18,7 @@ from repro.core.classification import AppClass
 from repro.hardware import skylake_gold_6138
 from repro.policies import DunnPolicy, LfocPolicy
 from repro.runtime import DunnUserLevelDaemon, LfocSchedulerPlugin
-from repro.workloads import Workload
+from repro.workloads import Workload, random_workload
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,40 @@ class TestEngineDriverCrossProduct:
             again = oracles.random_phased_workload(seed)
             assert again.benchmarks == oracles.random_phased_workload(seed).benchmarks
             assert again.has_phased_benchmarks()
+
+
+class TestWideMixes:
+    """Fig. 7 runs 12 and 16 applications; the seeded oracle mixes stop at 8."""
+
+    @pytest.mark.parametrize("driver_name", oracles.DRIVER_NAMES)
+    @pytest.mark.parametrize("kind", ["P", "S"])
+    @pytest.mark.parametrize("size", [12, 16])
+    def test_engine_bit_identical_to_reference(self, platform, size, kind, driver_name):
+        workload = random_workload(
+            f"wide-{kind}{size}", size, kind=kind, rng=np.random.default_rng(size)
+        )
+        config = replace(oracles.ORACLE_CONFIG, min_completions=2)
+        assert config.record_traces
+        baseline = oracles.differential_run(
+            workload,
+            driver_name,
+            "reference",
+            "incremental",
+            platform=platform,
+            config=config,
+        )
+        candidate = oracles.differential_run(
+            workload,
+            driver_name,
+            "incremental",
+            "incremental",
+            platform=platform,
+            config=config,
+        )
+        assert all(baseline["traces"].values())
+        oracles.assert_identical(
+            candidate, baseline, f"{workload.name}/{driver_name} (RuntimeEngine)"
+        )
 
 
 class TestMultiRunGroupOracle:

@@ -1,6 +1,8 @@
 """Tests for the CMT occupancy monitor and the PMC model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError, RmidExhaustedError
 from repro.hardware import (
@@ -11,7 +13,11 @@ from repro.hardware import (
     derive_metrics,
     skylake_gold_6138,
     small_test_platform,
+    window_metrics,
 )
+
+_COUNTS = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+_ANY = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
 
 class TestCmtMonitor:
@@ -86,6 +92,44 @@ class TestDerivedMetrics:
     def test_negative_delta_rejected(self):
         with pytest.raises(ReproError):
             CounterDelta(instructions=-1, cycles=1, llc_misses=0, stalls_l2_miss=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instructions=_COUNTS | st.sampled_from([0.0, 0.5, 1.0]),
+        cycles=_COUNTS | st.sampled_from([0.0, 0.5, 1.0]),
+        llc_misses=_ANY,
+        stalls=_ANY,
+    )
+    def test_window_metrics_bitwise_equal_to_derive_metrics(
+        self, instructions, cycles, llc_misses, stalls
+    ):
+        expected = derive_metrics(
+            CounterDelta(
+                instructions=instructions,
+                cycles=cycles,
+                llc_misses=llc_misses,
+                stalls_l2_miss=stalls,
+            )
+        )
+        got = window_metrics(instructions, cycles, llc_misses, stalls)
+        assert {k: v.hex() for k, v in got.as_dict().items()} == {
+            k: v.hex() for k, v in expected.as_dict().items()
+        }
+
+    @pytest.mark.parametrize("instructions, cycles", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_window_metrics_rejects_what_counter_delta_rejects(
+        self, instructions, cycles
+    ):
+        with pytest.raises(ReproError) as delta_error:
+            CounterDelta(
+                instructions=instructions,
+                cycles=cycles,
+                llc_misses=0.0,
+                stalls_l2_miss=0.0,
+            )
+        with pytest.raises(ReproError) as window_error:
+            window_metrics(instructions, cycles, 0.0, 0.0)
+        assert str(window_error.value) == str(delta_error.value)
 
     def test_as_dict_contains_all_metrics(self):
         delta = CounterDelta(instructions=100.0, cycles=100.0, llc_misses=1.0, stalls_l2_miss=1.0)

@@ -23,6 +23,7 @@ from repro.core.types import WayAllocation
 from repro.errors import ProfileError, SimulationError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import mask_from_range
+from repro.metrics import compute_metrics
 from repro.runtime import (
     DunnUserLevelDaemon,
     EngineConfig,
@@ -257,6 +258,78 @@ class TestTrajectoryCacheEquivalence:
         assert model.solve(allocation, profiles) == reference
         assert OccupancyTrajectoryCache(model).solve(allocation, tokens, views) == reference
 
+    @staticmethod
+    def _staggered(platform, reverse):
+        """Three components converging at iterations 1, 15 and 16."""
+        catalog = build_catalog(platform.llc_ways)
+        masks = {
+            "gamess06": mask_from_range(0, 2),
+            "lbm06": mask_from_range(2, 3),
+            "xalancbmk06": mask_from_range(2, 3),
+            "mcf06": mask_from_range(5, 4),
+            "soplex06": mask_from_range(7, 4),
+            "omnetpp06": mask_from_range(5, 6),
+        }
+        order = list(masks)[::-1] if reverse else list(masks)
+        allocation = WayAllocation(
+            masks={app: masks[app] for app in order}, total_ways=platform.llc_ways
+        )
+        return allocation, {app: catalog[app] for app in order}
+
+    @staticmethod
+    def _cache_solve(cache, profiles, allocation):
+        tokens = {app: i for i, app in enumerate(sorted(profiles))}
+        views = {app: FastProfileView(profile) for app, profile in profiles.items()}
+        return cache.solve(allocation, tokens, views)
+
+    @staticmethod
+    def _assert_recorded_up_to(cache, iterations):
+        # Every component holds exactly the iterations the solve needed (or
+        # stops where it froze), as the per-iteration scan recorded them.
+        for trajectory in cache._trajectories.values():
+            frozen = trajectory.fixed_at
+            expected = min(frozen, iterations) if frozen else iterations
+            assert len(trajectory.eff) == expected + 1
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["early-first", "late-first"])
+    def test_components_converging_at_different_iterations(self, platform, reverse):
+        allocation, profiles = self._staggered(platform, reverse)
+        model = OccupancyModel()
+        alone = {
+            model.solve(
+                WayAllocation(
+                    masks={app: allocation.masks[app] for app in group},
+                    total_ways=platform.llc_ways,
+                ),
+                profiles,
+            ).iterations
+            for group in (
+                ["gamess06"],
+                ["lbm06", "xalancbmk06"],
+                ["mcf06", "soplex06", "omnetpp06"],
+            )
+        }
+        assert alone == {1, 15, 16}
+        cold = model.solve(allocation, profiles)
+        assert cold.converged and cold.iterations == 16
+        cache = OccupancyTrajectoryCache(model)
+        assert self._cache_solve(cache, profiles, allocation) == cold
+        assert cold == oracles.occupancy_solve_reference(model, allocation, profiles)
+        self._assert_recorded_up_to(cache, cold.iterations)
+        # Replaying the recorded trajectories gives the same solve.
+        assert self._cache_solve(cache, profiles, allocation) == cold
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["early-first", "late-first"])
+    def test_unconverged_solve_matches_cold(self, platform, reverse):
+        allocation, profiles = self._staggered(platform, reverse)
+        model = OccupancyModel(max_iterations=3)
+        cold = model.solve(allocation, profiles)
+        assert not cold.converged and cold.iterations == 3
+        cache = OccupancyTrajectoryCache(model)
+        assert self._cache_solve(cache, profiles, allocation) == cold
+        assert cold == oracles.occupancy_solve_reference(model, allocation, profiles)
+        self._assert_recorded_up_to(cache, 3)
+
     def test_trajectories_are_reused(self, platform):
         workload = Workload("occ-mix2", ("lbm06", "xalancbmk06"))
         profiles = workload.profiles(platform.llc_ways)
@@ -447,6 +520,36 @@ class TestEngineBackendEquivalence:
     def test_invalid_backend_rejected(self):
         with pytest.raises(SimulationError):
             EngineConfig(backend="turbo")
+
+
+class TestLazyEstimateMetrics:
+    """ClusterEstimate.metrics is computed on first use, never by the engine."""
+
+    @staticmethod
+    def _metric_bits(metrics):
+        return [
+            float(getattr(metrics, name)).hex()
+            for name in ("unfairness", "stp", "antt", "jain")
+        ]
+
+    def test_engine_run_leaves_metrics_uncomputed(self, platform, phased_workload):
+        tables = EvaluationTables(platform)
+        RuntimeEngine(
+            platform,
+            phased_workload.phased_profiles(platform.llc_ways),
+            LfocSchedulerPlugin(monitor_config=QUICK_MONITOR),
+            FAST,
+            tables=tables,
+        ).run(phased_workload.name)
+        estimates = list(tables._estimates.values())
+        assert len(estimates) > 1
+        assert not any("metrics" in vars(estimate) for estimate in estimates)
+        for estimate in estimates:
+            metrics = estimate.metrics
+            assert metrics is estimate.metrics  # computed once, then cached
+            expected = compute_metrics(estimate.slowdowns)
+            assert metrics.slowdowns == expected.slowdowns
+            assert self._metric_bits(metrics) == self._metric_bits(expected)
 
 
 def _serial_batch(platform, specs, config=None):

@@ -92,6 +92,15 @@ class TestBandwidthModel:
         with pytest.raises(SimulationError):
             BandwidthModel(max_factor=0.5)
 
+    def test_total_demand_is_a_left_fold(self, platform):
+        # builtin sum() compensates float rounding from Python 3.12 on and
+        # would give 1.0 here; the left fold gives the same bits everywhere.
+        demand = {f"a{i}": 0.1 for i in range(10)}
+        result = BandwidthModel().solve_from_demand(
+            demand, {app: 0.5 for app in demand}, platform
+        )
+        assert result.total_demand_gbs == 0.9999999999999999
+
     def test_overcommit_property(self, platform, streaming_profile):
         result = BandwidthModel().solve({"a": 1.0}, {"a": streaming_profile}, platform)
         assert result.overcommit == pytest.approx(

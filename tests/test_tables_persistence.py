@@ -130,6 +130,21 @@ class TestRoundTrip:
             assert view.ipc_alone == profile.ipc_alone
         assert loaded.cache_sizes()["profiles"] == profiles_before
 
+    def test_lazy_metrics_survive_round_trip(self, warmed_tables, platform, tmp_path):
+        tables, _ = warmed_tables
+        path = str(tmp_path / "tables.repro")
+        tables.save(path)
+        loaded = EvaluationTables.load(path, platform)
+        restored = list(loaded._estimates.values())
+        assert restored
+        assert not any("metrics" in vars(estimate) for estimate in restored)
+        for original, again in zip(tables._estimates.values(), restored):
+            for name in ("unfairness", "stp", "antt", "jain"):
+                assert float(getattr(again.metrics, name)).hex() == float(
+                    getattr(original.metrics, name)
+                ).hex()
+            assert again.metrics.slowdowns == original.metrics.slowdowns
+
     def test_empty_tables_round_trip(self, platform, tmp_path):
         tables = EvaluationTables(platform)
         path = str(tmp_path / "empty.repro")
