@@ -15,6 +15,17 @@ clustering:
 
 The result carries the same :class:`~repro.optimal.exhaustive.OptimalResult`
 interface as the exact solvers, plus the number of moves explored.
+
+Random moves revisit states often (most proposals undo or repeat an earlier
+move), so each call keeps a score memo: ``(unfairness, stp)`` per state,
+keyed by the ordered tuple of per-group member bitmasks plus the ways tuple.
+Group order belongs in the key because it fixes the order of the slowdown
+dict and so the STP summation order; member order inside a group does not,
+because :meth:`~repro.optimal.objective.CachedObjective.cluster_pieces`
+sorts the members.  A memo hit is still counted and compared exactly like a
+fresh score, and the best state is re-scored once at the end for the
+returned :class:`~repro.optimal.objective.CandidateScore`, so results are
+those of scoring every proposal.
 """
 
 from __future__ import annotations
@@ -28,20 +39,10 @@ from repro.core.types import ClusteringSolution
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
 from repro.optimal.exhaustive import OptimalResult, _validate_workload
-from repro.optimal.objective import CachedObjective, CandidateScore
+from repro.optimal.objective import CachedObjective
+from repro.optimal.tabulated import _better
 
 __all__ = ["local_search_clustering"]
-
-State = Tuple[Tuple[Tuple[str, ...], ...], Tuple[int, ...]]
-
-
-def _canonical(groups: Sequence[Sequence[str]], ways: Sequence[int]) -> State:
-    order = sorted(range(len(groups)), key=lambda i: sorted(groups[i])[0])
-    return (
-        tuple(tuple(sorted(groups[i])) for i in order),
-        tuple(int(ways[i]) for i in order),
-    )
-
 
 def _seed_states(
     apps: List[str],
@@ -104,13 +105,24 @@ def local_search_clustering(
     k = platform.llc_ways
     scorer = objective_fn or CachedObjective(platform, profiles)
     rng = np.random.default_rng(seed)
+    bit = {app: 1 << index for index, app in enumerate(apps)}
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[float, float]] = {}
 
-    def score(groups: List[List[str]], ways: List[int]) -> CandidateScore:
-        return scorer.score_candidate(groups, ways)
+    def score(groups: List[List[str]], ways: List[int]) -> Tuple[float, float]:
+        # Memoized (unfairness, stp); see the module docstring for the key.
+        key = (
+            tuple(sum(bit[app] for app in group) for group in groups),
+            tuple(ways),
+        )
+        cached = memo.get(key)
+        if cached is None:
+            result = scorer.score_candidate(groups, ways)
+            cached = memo[key] = (result.unfairness, result.stp)
+        return cached
 
     def propose(groups: List[List[str]], ways: List[int]) -> Optional[Tuple[List[List[str]], List[int]]]:
-        groups = [list(g) for g in groups]
-        ways = list(ways)
+        # The current state's lists are never mutated: a move copies what it
+        # changes once its feasibility checks have passed.
         move = rng.integers(0, 4)
         if move == 0 and len(groups) > 1:
             # Move one application to another cluster.
@@ -121,14 +133,17 @@ def local_search_clustering(
             if dst == src:
                 return None
             app = groups[src][int(rng.integers(0, len(groups[src])))]
-            groups[src].remove(app)
-            groups[dst].append(app)
+            groups = list(groups)
+            groups[src] = [a for a in groups[src] if a != app]
+            groups[dst] = groups[dst] + [app]
             return groups, ways
         if move == 1 and len(groups) > 1:
             # Merge two clusters (their ways add up).
             a, b = rng.choice(len(groups), size=2, replace=False)
             a, b = int(min(a, b)), int(max(a, b))
-            groups[a].extend(groups[b])
+            groups = list(groups)
+            ways = list(ways)
+            groups[a] = groups[a] + groups[b]
             ways[a] += ways[b]
             del groups[b]
             del ways[b]
@@ -143,11 +158,12 @@ def local_search_clustering(
             src = int(rng.choice(candidates))
             members = groups[src]
             cut = int(rng.integers(1, len(members)))
-            left, right = members[:cut], members[cut:]
             ways_right = int(rng.integers(1, ways[src]))
-            groups[src] = left
+            groups = list(groups)
+            ways = list(ways)
+            groups[src] = members[:cut]
             ways[src] = ways[src] - ways_right
-            groups.append(right)
+            groups.append(members[cut:])
             ways.append(ways_right)
             return groups, ways
         if move == 3 and len(groups) > 1:
@@ -159,39 +175,38 @@ def local_search_clustering(
             dst = int(rng.integers(0, len(groups)))
             if dst == src:
                 return None
+            ways = list(ways)
             ways[src] -= 1
             ways[dst] += 1
             return groups, ways
         return None
 
-    best_score: Optional[CandidateScore] = None
+    best: Optional[Tuple[float, float]] = None
     best_state: Optional[Tuple[List[List[str]], List[int]]] = None
     evaluated = 0
     seeds = _seed_states(list(apps), scorer.profiles, k)
     for restart in range(restarts):
-        groups, ways = [
-            [list(g) for g in seeds[restart % len(seeds)][0]],
-            list(seeds[restart % len(seeds)][1]),
-        ]
-        current_score = score(groups, ways)
+        groups, ways = seeds[restart % len(seeds)]
+        current = score(groups, ways)
         evaluated += 1
-        if best_score is None or current_score.better_than(best_score, objective):
-            best_score = current_score
-            best_state = ([list(g) for g in groups], list(ways))
+        if best is None or _better(*current, *best, objective):
+            best = current
+            best_state = (groups, ways)
         for _ in range(iterations):
             proposal = propose(groups, ways)
             if proposal is None:
                 continue
             new_groups, new_ways = proposal
-            new_score = score(new_groups, new_ways)
+            new = score(new_groups, new_ways)
             evaluated += 1
-            if new_score.better_than(current_score, objective):
+            if _better(*new, *current, objective):
                 groups, ways = new_groups, new_ways
-                current_score = new_score
-                if best_score is None or new_score.better_than(best_score, objective):
-                    best_score = new_score
-                    best_state = ([list(g) for g in new_groups], list(new_ways))
-    assert best_score is not None and best_state is not None
+                current = new
+                if _better(*new, *best, objective):
+                    best = new
+                    best_state = (new_groups, new_ways)
+    assert best_state is not None
+    best_score = scorer.score_candidate(*best_state)
     solution = ClusteringSolution.from_groups(best_state[0], best_state[1], k)
     return OptimalResult(
         solution=solution,

@@ -27,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.apps.profile import AppProfile
 from repro.core.types import ClusteringSolution, WayAllocation
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
-from repro.metrics.fairness import stp, unfairness
+from repro.metrics.fairness import _validate_slowdowns
 from repro.simulator.bandwidth import BandwidthModel
 from repro.simulator.estimator import _ipc_with_extrapolation
 from repro.simulator.occupancy import OccupancyModel
@@ -168,10 +170,12 @@ class CachedObjective:
                 )
                 factor = min(max(factor, 1.0), self.bandwidth_model.max_factor)
                 slowdowns[app] = slowdowns[app] * factor
-        values = list(slowdowns.values())
+        # One validation for both metrics, with the NumPy operations of
+        # repro.metrics.fairness.unfairness and .stp.
+        values = _validate_slowdowns(slowdowns.values())
         return CandidateScore(
-            unfairness=unfairness(values),
-            stp=stp(values),
+            unfairness=float(values.max() / values.min()),
+            stp=float(np.sum(1.0 / values)),
             slowdowns=slowdowns,
         )
 

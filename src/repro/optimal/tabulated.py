@@ -10,7 +10,7 @@ per-candidate Python work entirely:
 * every reachable cluster is encoded as an integer **bitmask** over the
   (sorted) application list;
 * the occupancy model is solved **once per (cluster mask, ways) pair** — for
-  all masks of a given way count simultaneously, as one NumPy fixed point —
+  every pair simultaneously, as one NumPy fixed point over the table rows —
   and the results are tabulated into dense matrices of per-member cache
   slowdowns, bandwidth demands and stall fractions;
 * a whole batch of ``(partition, way composition)`` candidates is then scored
@@ -220,81 +220,41 @@ class TabulatedObjective:
 
     # -- table construction -------------------------------------------------------
 
-    def _llcmpkc_interp(self, profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-        """Vector replica of ``profile.llcmpkc_at`` (after the 0.25 floor)."""
-        return llcmpkc_interp(profile, ways)
-
-    def _ipc_interp(self, profile: AppProfile, ways: np.ndarray) -> np.ndarray:
-        return ipc_interp(profile, ways)
-
-    def _ipc_with_extrapolation(self, profile: AppProfile, effective: np.ndarray) -> np.ndarray:
-        """Vector replica of :func:`repro.simulator.estimator._ipc_with_extrapolation`."""
-        return ipc_with_extrapolation(profile, effective)
-
-    def _solve_occupancy_all_masks(self, ways: int, member: np.ndarray) -> np.ndarray:
-        """Solve the shared-mask occupancy fixed point for every cluster mask.
-
-        Replicates :meth:`OccupancyModel.solve` operation for operation for the
-        special case the solvers need — every cluster member shares the full
-        ``ways``-bit capacity mask — but for all ``2^n`` member masks at once.
-        Per-mask convergence is tracked so each row performs exactly the
-        iterations (and the damped updates) the reference performs for it.
-        """
-        model = self.occupancy_model
-        n_masks, n_apps = member.shape
-        effective = np.where(member, float(ways), 0.0)
-        active = self._mask_solved.copy()
-        for _ in range(model.max_iterations):
-            rows = np.nonzero(active)[0]
-            if rows.size == 0:
-                break
-            eff = effective[rows]
-            memb = member[rows]
-            pressure = np.empty_like(eff)
-            for j, app in enumerate(self.app_order):
-                profile = self.profiles[app]
-                pressure[:, j] = model.base_pressure + self._llcmpkc_interp(
-                    profile, np.maximum(eff[:, j], 0.25)
-                )
-            per_way = pressure / ways
-            total = np.zeros(rows.size, dtype=float)
-            for j in range(n_apps):
-                total = total + np.where(memb[:, j], per_way[:, j], 0.0)
-            share = per_way / total[:, None]
-            new_effective = np.zeros_like(share)
-            for _ in range(ways):
-                new_effective = new_effective + share
-            blended = (1.0 - model.damping) * eff + model.damping * new_effective
-            delta = np.where(memb, np.abs(blended - eff), 0.0).max(axis=1)
-            effective[rows] = np.where(memb, blended, 0.0)
-            active[rows] = delta >= model.tolerance
-        return effective
-
     def _build_tables(self) -> None:
+        """Tabulate every ``(mask, ways)`` row, ``row = mask * k + ways - 1``.
+
+        Rows are built in blocks of :data:`BATCH_ROWS`, so the temporaries
+        stay bounded at :data:`MAX_TABULATED_APPS`; each block runs one
+        occupancy fixed point over all its way counts at once
+        (:meth:`_solve_occupancy_rows`) and then the per-member columns.
+        Rows of masks excluded from the build keep their initial occupancy
+        guess and are never read (:meth:`entry` rejects them).
+        """
         n, k = self.n_apps, self.n_ways
-        n_masks = 1 << n
-        mask_values = np.arange(n_masks, dtype=np.int64)
-        member = ((mask_values[:, None] >> np.arange(n)) & 1).astype(bool)
-        rows_total = n_masks * k
-        slowdown = np.zeros((rows_total, n), dtype=float)
-        stall = np.zeros((rows_total, n), dtype=float)
-        demand_total = np.zeros(rows_total, dtype=float)
-        row_max = np.zeros(rows_total, dtype=float)
-        row_min = np.zeros(rows_total, dtype=float)
+        rows_total = (1 << n) * k
+        self._slowdown_rows = np.zeros((rows_total, n), dtype=float)
+        self._stall_rows = np.zeros((rows_total, n), dtype=float)
+        self._demand_rows = np.zeros(rows_total, dtype=float)
+        self._row_max = np.zeros(rows_total, dtype=float)
+        self._row_min = np.zeros(rows_total, dtype=float)
         platform = self.platform
-        for ways in range(1, k + 1):
-            effective = self._solve_occupancy_all_masks(ways, member)
-            rows = mask_values * k + (ways - 1)
-            slow_w = np.zeros((n_masks, n), dtype=float)
-            stall_w = np.zeros((n_masks, n), dtype=float)
-            total_w = np.zeros(n_masks, dtype=float)
+        for start in range(0, rows_total, BATCH_ROWS):
+            stop = min(start + BATCH_ROWS, rows_total)
+            masks, ways_minus_one = np.divmod(np.arange(start, stop), k)
+            ways = (ways_minus_one + 1).astype(float)[:, None]
+            member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+            effective = self._solve_occupancy_rows(
+                member, ways, self._mask_solved[masks]
+            )
+            slowdown = self._slowdown_rows[start:stop]
+            stall = self._stall_rows[start:stop]
+            demand = np.zeros(stop - start, dtype=float)
             for j, app in enumerate(self.app_order):
                 profile = self.profiles[app]
                 eff = effective[:, j]
-                ipc = self._ipc_with_extrapolation(profile, eff)
+                ipc = ipc_with_extrapolation(profile, eff)
                 slow_col = profile.ipc_alone / np.maximum(ipc, 1e-12)
-                eval_ways = np.maximum(eff, 0.25)
-                mpkc = self._llcmpkc_interp(profile, eval_ways)
+                mpkc = llcmpkc_interp(profile, np.maximum(eff, 0.25))
                 bw_col = (
                     mpkc
                     / 1000.0
@@ -305,20 +265,55 @@ class TabulatedObjective:
                 pressure = mpkc * platform.mem_latency_cycles / 1000.0
                 stall_col = np.minimum(0.95, pressure / (1.0 + pressure))
                 in_cluster = member[:, j]
-                slow_w[:, j] = np.where(in_cluster, slow_col, 0.0)
-                stall_w[:, j] = np.where(in_cluster, stall_col, 0.0)
-                total_w = total_w + np.where(in_cluster, bw_col, 0.0)
-            slowdown[rows] = slow_w
-            stall[rows] = stall_w
-            demand_total[rows] = total_w
-            masked = np.where(member, slow_w, -np.inf)
-            row_max[rows] = masked.max(axis=1)
-            row_min[rows] = np.where(member, slow_w, np.inf).min(axis=1)
-        self._slowdown_rows = slowdown
-        self._stall_rows = stall
-        self._demand_rows = demand_total
-        self._row_max = row_max
-        self._row_min = row_min
+                slowdown[:, j] = np.where(in_cluster, slow_col, 0.0)
+                stall[:, j] = np.where(in_cluster, stall_col, 0.0)
+                demand = demand + np.where(in_cluster, bw_col, 0.0)
+            self._demand_rows[start:stop] = demand
+            self._row_max[start:stop] = np.where(member, slowdown, -np.inf).max(axis=1)
+            self._row_min[start:stop] = np.where(member, slowdown, np.inf).min(axis=1)
+
+    def _solve_occupancy_rows(
+        self, member: np.ndarray, ways: np.ndarray, solved: np.ndarray
+    ) -> np.ndarray:
+        """Solve the shared-mask occupancy fixed point for a block of table rows.
+
+        Replicates :meth:`OccupancyModel.solve` operation for operation for
+        the special case the solvers need — every cluster member shares the
+        full capacity mask of ``ways[r]`` ways — for every row at once.  Each
+        row keeps its own convergence flag, so it performs exactly the
+        iterations (and the damped updates) the scalar solve performs for it.
+        The scalar solve adds a member's share once per way of the mask; here
+        the addition runs ``k`` times, masked to the rows with ``ways > t``,
+        so every row adds its share exactly ``ways`` times, in the same order.
+        """
+        model = self.occupancy_model
+        effective = np.where(member, ways, 0.0)
+        active = solved.copy()
+        for _ in range(model.max_iterations):
+            rows = np.nonzero(active)[0]
+            if rows.size == 0:
+                break
+            eff = effective[rows]
+            memb = member[rows]
+            row_ways = ways[rows]
+            pressure = np.empty_like(eff)
+            for j, app in enumerate(self.app_order):
+                pressure[:, j] = model.base_pressure + llcmpkc_interp(
+                    self.profiles[app], np.maximum(eff[:, j], 0.25)
+                )
+            per_way = pressure / row_ways
+            total = np.zeros(rows.size, dtype=float)
+            for j in range(self.n_apps):
+                total = total + np.where(memb[:, j], per_way[:, j], 0.0)
+            share = per_way / total[:, None]
+            new_effective = np.zeros_like(share)
+            for t in range(self.n_ways):
+                np.add(new_effective, share, out=new_effective, where=row_ways > t)
+            blended = (1.0 - model.damping) * eff + model.damping * new_effective
+            delta = np.where(memb, np.abs(blended - eff), 0.0).max(axis=1)
+            effective[rows] = np.where(memb, blended, 0.0)
+            active[rows] = delta >= model.tolerance
+        return effective
 
     # -- lookups ------------------------------------------------------------------
 

@@ -9,9 +9,12 @@ resulting throughput from the combined IPC curves.  The level with the best
 estimated throughput wins.
 
 This is the expensive part the paper contrasts with LFOC in Table 2: the
-algorithm repeatedly rebuilds combined curves and re-runs lookahead, needing
-IPC and MPKI values for *every* way count of *every* application, while LFOC
-only needs slowdown tables for the sensitive applications.
+algorithm builds a combined curve for every group the agglomeration forms and
+re-runs lookahead at every level, needing IPC and MPKI values for *every* way
+count of *every* application, while LFOC only needs slowdown tables for the
+sensitive applications.  :meth:`KPartPolicy.decide` builds each group's curve
+once, during the agglomeration, and reuses it when it evaluates the levels;
+each pairwise Whirlpool distance is likewise computed once.
 
 The implementation is deliberately self-contained (it only consumes profile
 curves) so that its execution time can be measured in isolation, as Table 2
@@ -31,11 +34,7 @@ from repro.core.types import ClusteringSolution
 from repro.errors import ClusteringError
 from repro.hardware.platform import PlatformSpec
 from repro.policies.base import ClusteringPolicy
-from repro.simulator.whirlpool import (
-    combined_ipc_curve,
-    combined_miss_curve,
-    whirlpool_distance,
-)
+from repro.simulator.whirlpool import combined_miss_curve, whirlpool_distance
 
 __all__ = ["KPartPolicy", "build_dendrogram", "evaluate_level"]
 
@@ -49,6 +48,49 @@ class _Level:
     estimated_speedup: float
 
 
+def _agglomerate(
+    profiles: Mapping[str, AppProfile], n_ways: int
+) -> Tuple[List[List[List[str]]], Dict[Tuple[str, ...], np.ndarray]]:
+    """The dendrogram levels plus the combined miss curve of every group in them.
+
+    Each group's curve is built once, keyed by its member tuple (member
+    order matters: the combined curve sums in member order).  A merge only
+    removes two groups and appends one, so the distance between two
+    surviving groups is computed once and reused in every later round.
+    """
+    if not profiles:
+        raise ClusteringError("KPart needs at least one application")
+    groups: List[Tuple[str, ...]] = [(name,) for name in profiles]
+    curves: Dict[Tuple[str, ...], np.ndarray] = {
+        group: combined_miss_curve([profiles[a] for a in group], n_ways)
+        for group in groups
+    }
+    distances: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], float] = {}
+    levels: List[List[List[str]]] = [[list(g) for g in groups]]
+    while len(groups) > 1:
+        best_pair: Optional[Tuple[int, int]] = None
+        best_distance = np.inf
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                pair = (groups[i], groups[j])
+                distance = distances.get(pair)
+                if distance is None:
+                    distance = distances[pair] = whirlpool_distance(
+                        curves[groups[i]], curves[groups[j]]
+                    )
+                if distance < best_distance:
+                    best_distance = distance
+                    best_pair = (i, j)
+        assert best_pair is not None
+        i, j = best_pair
+        merged = groups[i] + groups[j]
+        groups = [g for idx, g in enumerate(groups) if idx not in (i, j)]
+        groups.append(merged)
+        curves[merged] = combined_miss_curve([profiles[a] for a in merged], n_ways)
+        levels.append([list(g) for g in groups])
+    return levels, curves
+
+
 def build_dendrogram(
     profiles: Mapping[str, AppProfile], n_ways: int
 ) -> List[List[List[str]]]:
@@ -58,35 +100,7 @@ def build_dendrogram(
     element merges the two clusters with the smallest Whirlpool distance of
     the previous one.
     """
-    if not profiles:
-        raise ClusteringError("KPart needs at least one application")
-    groups: List[List[str]] = [[name] for name in profiles]
-    curves: Dict[Tuple[str, ...], np.ndarray] = {
-        tuple(group): combined_miss_curve([profiles[a] for a in group], n_ways)
-        for group in groups
-    }
-    levels: List[List[List[str]]] = [[list(g) for g in groups]]
-    while len(groups) > 1:
-        best_pair: Optional[Tuple[int, int]] = None
-        best_distance = np.inf
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                distance = whirlpool_distance(
-                    curves[tuple(groups[i])], curves[tuple(groups[j])]
-                )
-                if distance < best_distance:
-                    best_distance = distance
-                    best_pair = (i, j)
-        assert best_pair is not None
-        i, j = best_pair
-        merged = groups[i] + groups[j]
-        groups = [g for idx, g in enumerate(groups) if idx not in (i, j)]
-        groups.append(merged)
-        curves[tuple(merged)] = combined_miss_curve(
-            [profiles[a] for a in merged], n_ways
-        )
-        levels.append([list(g) for g in groups])
-    return levels
+    return _agglomerate(profiles, n_ways)[0]
 
 
 def evaluate_level(
@@ -108,6 +122,16 @@ def evaluate_level(
     miss_curves = [
         combined_miss_curve([profiles[a] for a in group], n_ways) for group in groups
     ]
+    return _evaluate_level(groups, miss_curves, profiles, n_ways)
+
+
+def _evaluate_level(
+    groups: Sequence[Sequence[str]],
+    miss_curves: Sequence[np.ndarray],
+    profiles: Mapping[str, AppProfile],
+    n_ways: int,
+) -> Tuple[List[int], float]:
+    """:func:`evaluate_level` given the groups' combined miss curves."""
     ways = lookahead(miss_curves, n_ways, min_ways=1)
     speedup = 0.0
     for group, way in zip(groups, ways):
@@ -139,14 +163,18 @@ class KPartPolicy(ClusteringPolicy):
         self._check_workload(profiles, platform)
         k = platform.llc_ways
         resampled = {name: p.resampled(k) for name, p in profiles.items()}
-        levels = build_dendrogram(resampled, k)
+        # Every level's groups are groups of the dendrogram, so their
+        # combined miss curves come from the agglomeration, not a rebuild.
+        levels, curves = _agglomerate(resampled, k)
         best: Optional[_Level] = None
         for groups in levels:
             if len(groups) > k:
                 continue  # infeasible level: more clusters than ways
             if self.max_clusters is not None and len(groups) > self.max_clusters:
                 continue
-            ways, speedup = evaluate_level(groups, resampled, k)
+            ways, speedup = _evaluate_level(
+                groups, [curves[tuple(g)] for g in groups], resampled, k
+            )
             if best is None or speedup > best.estimated_speedup + 1e-12:
                 best = _Level(
                     groups=tuple(tuple(g) for g in groups),

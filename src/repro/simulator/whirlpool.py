@@ -70,9 +70,12 @@ def combined_ipc_curve(profiles: Sequence[AppProfile], n_ways: int) -> np.ndarra
     curve = np.zeros(n_ways, dtype=float)
     for w in range(1, n_ways + 1):
         shares = _share_ways(profiles, float(w))
-        curve[w - 1] = sum(
-            profile.ipc_at(max(share, 1.0)) for profile, share in zip(profiles, shares)
-        )
+        # A left fold, not sum(): from Python 3.12 sum() compensates float
+        # rounding, which would make the curve depend on the interpreter.
+        total = 0.0
+        for profile, share in zip(profiles, shares):
+            total += profile.ipc_at(max(share, 1.0))
+        curve[w - 1] = total
     return curve
 
 

@@ -18,7 +18,14 @@ production code must reproduce *exactly* — same study rows, same
 * :class:`ReferenceLfocPolicy` — static LFOC recomputing every decision;
 * :func:`interp_reference` and :func:`occupancy_solve_reference` — the
   ``np.interp`` curve reading and the dict-based occupancy fixed point that
-  the production scalar kernels must reproduce exactly.
+  the production scalar kernels must reproduce exactly;
+* :func:`build_tables_reference` — the solver's dense cluster tables built
+  with one occupancy fixed point per way count;
+* :func:`local_search_reference` — the local search scoring every proposal,
+  repeated states included;
+* :func:`build_dendrogram_reference`, :func:`evaluate_level_reference` and
+  :func:`kpart_decide_reference` — KPart recomputing every distance and
+  combined miss curve.
 
 Around them sits the harness the differential tests (and deep local fuzz
 runs) are made of:
@@ -64,6 +71,7 @@ from repro.analysis.figures import DynamicStudyRow
 from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile
 from repro.core.lfoc import lfoc_clustering
+from repro.core.lookahead import lookahead
 from repro.core.types import ClusteringSolution, WayAllocation
 from repro.errors import ClusteringError, SimulationError
 from repro.hardware import skylake_gold_6138
@@ -71,6 +79,10 @@ from repro.hardware.cat import CatController
 from repro.hardware.platform import PlatformSpec
 from repro.hardware.pmc import CounterDelta, derive_metrics
 from repro.metrics.aggregate import normalise, short_mean
+from repro.optimal.exhaustive import OptimalResult, _validate_workload
+from repro.optimal.local_search import _seed_states
+from repro.optimal.objective import CachedObjective
+from repro.optimal.tabulated import ipc_with_extrapolation, llcmpkc_interp
 from repro.policies import DunnPolicy, LfocPolicy
 from repro.policies.lfoc import _classify_and_tabulate
 from repro.runtime import (
@@ -87,6 +99,7 @@ from repro.runtime import (
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.simulator import ClusteringEstimator
 from repro.simulator.occupancy import OccupancyResult
+from repro.simulator.whirlpool import combined_miss_curve, whirlpool_distance
 from repro.workloads import Workload, random_workload
 
 __all__ = [
@@ -110,6 +123,11 @@ __all__ = [
     "random_stall_vector",
     "interp_reference",
     "occupancy_solve_reference",
+    "build_tables_reference",
+    "local_search_reference",
+    "build_dendrogram_reference",
+    "evaluate_level_reference",
+    "kpart_decide_reference",
 ]
 
 #: Scaled-down engine configuration: short runs with a tight partitioning
@@ -825,4 +843,285 @@ def occupancy_solve_reference(
         pressures=dict(pressures),
         iterations=iteration,
         converged=converged,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Static-search oracles: table build, local search, KPart
+# ---------------------------------------------------------------------------
+
+
+def _solve_occupancy_all_masks_reference(tables, ways: int, member: np.ndarray) -> np.ndarray:
+    """The shared-mask occupancy fixed point of every cluster mask at one way count.
+
+    One vectorized fixed point per way count, as the table build was first
+    written: per-mask convergence flags, the damped blend and the ``ways``
+    repeated share additions of :meth:`OccupancyModel.solve`.
+    """
+    model = tables.occupancy_model
+    n_masks, n_apps = member.shape
+    effective = np.where(member, float(ways), 0.0)
+    active = tables._mask_solved.copy()
+    for _ in range(model.max_iterations):
+        rows = np.nonzero(active)[0]
+        if rows.size == 0:
+            break
+        eff = effective[rows]
+        memb = member[rows]
+        pressure = np.empty_like(eff)
+        for j, app in enumerate(tables.app_order):
+            profile = tables.profiles[app]
+            pressure[:, j] = model.base_pressure + llcmpkc_interp(
+                profile, np.maximum(eff[:, j], 0.25)
+            )
+        per_way = pressure / ways
+        total = np.zeros(rows.size, dtype=float)
+        for j in range(n_apps):
+            total = total + np.where(memb[:, j], per_way[:, j], 0.0)
+        share = per_way / total[:, None]
+        new_effective = np.zeros_like(share)
+        for _ in range(ways):
+            new_effective = new_effective + share
+        blended = (1.0 - model.damping) * eff + model.damping * new_effective
+        delta = np.where(memb, np.abs(blended - eff), 0.0).max(axis=1)
+        effective[rows] = np.where(memb, blended, 0.0)
+        active[rows] = delta >= model.tolerance
+    return effective
+
+
+def build_tables_reference(tables) -> Dict[str, np.ndarray]:
+    """The five dense arrays of a :class:`TabulatedObjective`, way count by way count.
+
+    Returns ``{"_slowdown_rows", "_stall_rows", "_demand_rows", "_row_max",
+    "_row_min"}`` built with one fixed point per way count over all ``2^n``
+    masks (row ``mask * k + ways - 1``); the production all-ways build must
+    match every array bit for bit, unsolved masks' rows included.
+    """
+    n, k = tables.n_apps, tables.n_ways
+    n_masks = 1 << n
+    mask_values = np.arange(n_masks, dtype=np.int64)
+    member = ((mask_values[:, None] >> np.arange(n)) & 1).astype(bool)
+    rows_total = n_masks * k
+    slowdown = np.zeros((rows_total, n), dtype=float)
+    stall = np.zeros((rows_total, n), dtype=float)
+    demand_total = np.zeros(rows_total, dtype=float)
+    row_max = np.zeros(rows_total, dtype=float)
+    row_min = np.zeros(rows_total, dtype=float)
+    platform = tables.platform
+    for ways in range(1, k + 1):
+        effective = _solve_occupancy_all_masks_reference(tables, ways, member)
+        rows = mask_values * k + (ways - 1)
+        slow_w = np.zeros((n_masks, n), dtype=float)
+        stall_w = np.zeros((n_masks, n), dtype=float)
+        total_w = np.zeros(n_masks, dtype=float)
+        for j, app in enumerate(tables.app_order):
+            profile = tables.profiles[app]
+            eff = effective[:, j]
+            ipc = ipc_with_extrapolation(profile, eff)
+            slow_col = profile.ipc_alone / np.maximum(ipc, 1e-12)
+            eval_ways = np.maximum(eff, 0.25)
+            mpkc = llcmpkc_interp(profile, eval_ways)
+            bw_col = (
+                mpkc / 1000.0 * platform.cycles_per_second * profile.bytes_per_miss / 1e9
+            )
+            pressure = mpkc * platform.mem_latency_cycles / 1000.0
+            stall_col = np.minimum(0.95, pressure / (1.0 + pressure))
+            in_cluster = member[:, j]
+            slow_w[:, j] = np.where(in_cluster, slow_col, 0.0)
+            stall_w[:, j] = np.where(in_cluster, stall_col, 0.0)
+            total_w = total_w + np.where(in_cluster, bw_col, 0.0)
+        slowdown[rows] = slow_w
+        stall[rows] = stall_w
+        demand_total[rows] = total_w
+        row_max[rows] = np.where(member, slow_w, -np.inf).max(axis=1)
+        row_min[rows] = np.where(member, slow_w, np.inf).min(axis=1)
+    return {
+        "_slowdown_rows": slowdown,
+        "_stall_rows": stall,
+        "_demand_rows": demand_total,
+        "_row_max": row_max,
+        "_row_min": row_min,
+    }
+
+
+def local_search_reference(
+    platform: PlatformSpec,
+    profiles: Mapping[str, AppProfile],
+    apps: Optional[Sequence[str]] = None,
+    *,
+    objective: str = "fairness",
+    iterations: int = 2000,
+    restarts: int = 3,
+    seed: int = 0,
+) -> OptimalResult:
+    """:func:`repro.optimal.local_search_clustering` without its score memo.
+
+    Every proposal is copied before its feasibility checks and scored through
+    :meth:`CachedObjective.score_candidate`, repeated states included, and
+    compared with :meth:`CandidateScore.better_than`.
+    """
+    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
+    k = platform.llc_ways
+    scorer = CachedObjective(platform, profiles)
+    rng = np.random.default_rng(seed)
+
+    def propose(groups, ways):
+        groups = [list(g) for g in groups]
+        ways = list(ways)
+        move = rng.integers(0, 4)
+        if move == 0 and len(groups) > 1:
+            src = int(rng.integers(0, len(groups)))
+            if len(groups[src]) == 1:
+                return None
+            dst = int(rng.integers(0, len(groups)))
+            if dst == src:
+                return None
+            app = groups[src][int(rng.integers(0, len(groups[src])))]
+            groups[src].remove(app)
+            groups[dst].append(app)
+            return groups, ways
+        if move == 1 and len(groups) > 1:
+            a, b = rng.choice(len(groups), size=2, replace=False)
+            a, b = int(min(a, b)), int(max(a, b))
+            groups[a].extend(groups[b])
+            ways[a] += ways[b]
+            del groups[b]
+            del ways[b]
+            return groups, ways
+        if move == 2 and len(groups) < min(len(apps), k):
+            candidates = [
+                i for i, (g, w) in enumerate(zip(groups, ways)) if len(g) > 1 and w > 1
+            ]
+            if not candidates:
+                return None
+            src = int(rng.choice(candidates))
+            members = groups[src]
+            cut = int(rng.integers(1, len(members)))
+            left, right = members[:cut], members[cut:]
+            ways_right = int(rng.integers(1, ways[src]))
+            groups[src] = left
+            ways[src] = ways[src] - ways_right
+            groups.append(right)
+            ways.append(ways_right)
+            return groups, ways
+        if move == 3 and len(groups) > 1:
+            src_candidates = [i for i, w in enumerate(ways) if w > 1]
+            if not src_candidates:
+                return None
+            src = int(rng.choice(src_candidates))
+            dst = int(rng.integers(0, len(groups)))
+            if dst == src:
+                return None
+            ways[src] -= 1
+            ways[dst] += 1
+            return groups, ways
+        return None
+
+    best_score = None
+    best_state = None
+    evaluated = 0
+    seeds = _seed_states(list(apps), scorer.profiles, k)
+    for restart in range(restarts):
+        groups = [list(g) for g in seeds[restart % len(seeds)][0]]
+        ways = list(seeds[restart % len(seeds)][1])
+        current_score = scorer.score_candidate(groups, ways)
+        evaluated += 1
+        if best_score is None or current_score.better_than(best_score, objective):
+            best_score = current_score
+            best_state = ([list(g) for g in groups], list(ways))
+        for _ in range(iterations):
+            proposal = propose(groups, ways)
+            if proposal is None:
+                continue
+            new_groups, new_ways = proposal
+            new_score = scorer.score_candidate(new_groups, new_ways)
+            evaluated += 1
+            if new_score.better_than(current_score, objective):
+                groups, ways = new_groups, new_ways
+                current_score = new_score
+                if new_score.better_than(best_score, objective):
+                    best_score = new_score
+                    best_state = ([list(g) for g in new_groups], list(new_ways))
+    solution = ClusteringSolution.from_groups(best_state[0], best_state[1], k)
+    return OptimalResult(
+        solution=solution,
+        score=best_score,
+        candidates_evaluated=evaluated,
+        objective=objective,
+    )
+
+
+def build_dendrogram_reference(
+    profiles: Mapping[str, AppProfile], n_ways: int
+) -> List[List[List[str]]]:
+    """KPart's agglomeration, recomputing every pairwise distance each round."""
+    groups: List[List[str]] = [[name] for name in profiles]
+    curves = {
+        tuple(group): combined_miss_curve([profiles[a] for a in group], n_ways)
+        for group in groups
+    }
+    levels = [[list(g) for g in groups]]
+    while len(groups) > 1:
+        best_pair = None
+        best_distance = np.inf
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                distance = whirlpool_distance(
+                    curves[tuple(groups[i])], curves[tuple(groups[j])]
+                )
+                if distance < best_distance:
+                    best_distance = distance
+                    best_pair = (i, j)
+        i, j = best_pair
+        merged = groups[i] + groups[j]
+        groups = [g for idx, g in enumerate(groups) if idx not in (i, j)]
+        groups.append(merged)
+        curves[tuple(merged)] = combined_miss_curve(
+            [profiles[a] for a in merged], n_ways
+        )
+        levels.append([list(g) for g in groups])
+    return levels
+
+
+def evaluate_level_reference(
+    groups: Sequence[Sequence[str]],
+    profiles: Mapping[str, AppProfile],
+    n_ways: int,
+) -> Tuple[List[int], float]:
+    """KPart's level evaluation, rebuilding every group's combined miss curve."""
+    miss_curves = [
+        combined_miss_curve([profiles[a] for a in group], n_ways) for group in groups
+    ]
+    ways = lookahead(miss_curves, n_ways, min_ways=1)
+    speedup = 0.0
+    for group, way in zip(groups, ways):
+        members = [profiles[a] for a in group]
+        pressures = np.array(
+            [max(p.llcmpkc_at(max(way / len(members), 0.5)), 0.05) for p in members]
+        )
+        shares = pressures / pressures.sum() * way
+        for profile, share in zip(members, shares):
+            speedup += profile.ipc_at(max(share, 1.0)) / profile.ipc_alone
+    return ways, float(speedup)
+
+
+def kpart_decide_reference(
+    profiles: Mapping[str, AppProfile],
+    platform: PlatformSpec,
+    max_clusters: Optional[int] = None,
+) -> ClusteringSolution:
+    """:meth:`KPartPolicy.decide` built from the uncached dendrogram and levels."""
+    k = platform.llc_ways
+    resampled = {name: p.resampled(k) for name, p in profiles.items()}
+    best = None
+    for groups in build_dendrogram_reference(resampled, k):
+        if len(groups) > k:
+            continue
+        if max_clusters is not None and len(groups) > max_clusters:
+            continue
+        ways, speedup = evaluate_level_reference(groups, resampled, k)
+        if best is None or speedup > best[2] + 1e-12:
+            best = (groups, ways, speedup)
+    return ClusteringSolution.from_groups(
+        [list(g) for g in best[0]], list(best[1]), k
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import build_profile, light_curves, sensitive_curves, AppProfile
+from repro.apps import build_profile, light_curves, sensitive_curves, AppProfile, CurveSet
 from repro.core import ClusteringSolution, WayAllocation
 from repro.errors import SimulationError
 from repro.hardware import skylake_gold_6138
@@ -190,6 +190,16 @@ class TestWhirlpool:
     def test_combined_ipc_curve_increases_with_ways(self, catalog):
         curve = combined_ipc_curve([catalog["xalancbmk06"], catalog["soplex06"]], 11)
         assert curve[-1] >= curve[0]
+
+    def test_combined_ipc_curve_is_a_left_fold(self):
+        # Ten members whose IPC is 0.1 at every way count: builtin sum()
+        # compensates float rounding from Python 3.12 on and would give 1.0;
+        # the left fold gives the same bits everywhere.
+        flat = AppProfile(
+            name="flat", curves=CurveSet(ipc=np.full(11, 0.1), llcmpkc=np.full(11, 0.1))
+        )
+        curve = combined_ipc_curve([flat] * 10, 11)
+        assert curve.tolist() == [0.9999999999999999] * 11
 
     def test_distance_is_symmetric(self, catalog):
         a = combined_miss_curve([catalog["lbm06"]], 11)
