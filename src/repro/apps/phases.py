@@ -89,7 +89,12 @@ class PhasedProfile:
     @property
     def cycle_instructions(self) -> float:
         """Instructions retired over one full pass through the phase sequence."""
-        return float(sum(seg.instructions for seg in self.segments))
+        # A left fold, not sum(): from Python 3.12 sum() compensates float
+        # rounding, which would make the phase walk depend on the interpreter.
+        total = 0.0
+        for seg in self.segments:
+            total += seg.instructions
+        return total
 
     # -- phase lookup -----------------------------------------------------------
 

@@ -106,4 +106,9 @@ class CmtMonitor:
 
     def total_occupancy_ways(self) -> float:
         """Aggregate occupancy across all monitored tasks, in ways."""
-        return float(sum(self._occupancy_ways.values()))
+        # A left fold, not sum(): from Python 3.12 sum() compensates float
+        # rounding, which would make the reported total interpreter-dependent.
+        total = 0.0
+        for ways in self._occupancy_ways.values():
+            total += ways
+        return total

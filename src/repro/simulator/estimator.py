@@ -400,6 +400,39 @@ class EvaluationTables:
             handle.write(b"\0" * padding)
             handle.write(payload.tobytes())
 
+    @staticmethod
+    def _trajectory_header(meta: dict, index: int, path: str) -> Tuple[tuple, int, int]:
+        """``(key, length, fixed_at)`` of one saved trajectory, checked.
+
+        The payload CRC does not cover the header, so a trajectory's
+        structure is checked before its floats are read: a non-empty key of
+        ``(token, mask)`` pairs with positive masks, at least the initial
+        iteration, and a freeze point that is either 0 (still live) or the
+        last recorded iteration, as :meth:`_ComponentTrajectory.ensure`
+        leaves it.
+        """
+        try:
+            key = tuple((int(token), int(mask)) for token, mask in meta["key"])
+            length = int(meta["length"])
+            fixed_at = int(meta["fixed_at"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SimulationError(
+                f"trajectory {index} in {path!r} has a malformed header: {exc}"
+            )
+        where = f"trajectory {index} {[list(pair) for pair in key]!r} in {path!r}"
+        if not key:
+            raise SimulationError(f"{where} has an empty key")
+        if any(mask <= 0 for _, mask in key):
+            raise SimulationError(f"{where} has a non-positive relative mask")
+        if length < 1:
+            raise SimulationError(f"{where} has length {length} < 1")
+        if fixed_at not in (0, length - 1):
+            raise SimulationError(
+                f"{where} is frozen at iteration {fixed_at}, "
+                f"neither 0 nor its last iteration {length - 1}"
+            )
+        return key, length, fixed_at
+
     @classmethod
     def load(
         cls,
@@ -418,7 +451,8 @@ class EvaluationTables:
         configured study.  The float payload is mapped read-only with
         ``np.memmap``; the CRC of the payload and the structural cursor are
         both verified, and any mismatch (magic, version, parameters, CRC,
-        truncation) raises :class:`~repro.errors.SimulationError`.
+        truncation, an inconsistent trajectory header) raises
+        :class:`~repro.errors.SimulationError`.
         """
         tables = cls(
             platform,
@@ -503,18 +537,19 @@ class EvaluationTables:
                 ipc.tolist(), llcmpkc.tolist(), bytes_per_miss
             )
 
-        for meta in header["trajectories"]:
-            key = tuple((int(token), int(mask)) for token, mask in meta["key"])
+        for index, meta in enumerate(header["trajectories"]):
+            key, length, fixed_at = cls._trajectory_header(meta, index, path)
             members = len(key)
-            length = int(meta["length"])
-            eff = np.array(take(length * members)).reshape(length, members)
-            if length > 1:
-                pressures = np.array(take((length - 1) * members)).reshape(
-                    length - 1, members
+            eff = take(length * members).tolist()
+            # Stored pressures (rows 1..length-1) are derived again on replay.
+            take((length - 1) * members)
+            deltas = take(length).tolist()
+            if fixed_at and deltas[fixed_at] != 0.0:
+                raise SimulationError(
+                    f"trajectory {index} {[list(pair) for pair in key]!r} in {path!r} "
+                    f"is frozen at iteration {fixed_at}, whose delta "
+                    f"{deltas[fixed_at]!r} is not 0.0"
                 )
-            else:
-                pressures = np.empty((0, members))
-            deltas = np.array(take(length))
             try:
                 views = [tables._views[token] for token, _ in key]
             except KeyError as exc:
@@ -522,14 +557,7 @@ class EvaluationTables:
                     f"trajectory in {path!r} references unknown profile token "
                     f"{exc.args[0]!r}"
                 )
-            tables.occupancy_cache.restore_entry(
-                key,
-                views,
-                eff.tolist(),
-                [()] + [tuple(row) for row in pressures.tolist()],
-                deltas.tolist(),
-                int(meta["fixed_at"]),
-            )
+            tables.occupancy_cache.restore_entry(key, views, eff, deltas, fixed_at)
 
         for meta in header["estimates"]:
             apps = [str(app) for app in meta["apps"]]

@@ -24,6 +24,7 @@ occupancy readings.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -113,8 +114,8 @@ class OccupancyModel:
             ],
         )
         # A cold solve is never replayed, so it keeps only the latest iterate.
-        effective = kernel.eff[0]
-        pressures: Tuple[float, ...] = ()
+        effective: Sequence[float] = kernel.effective(0)
+        pressures: Sequence[float] = ()
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
@@ -153,6 +154,13 @@ class _ComponentTrajectory:
     (``delta == 0.0``, e.g. immediately for applications alone on their
     mask), every later iteration provably repeats it, so a recorded
     trajectory is frozen instead of extended.
+
+    A recorded trajectory is two flat float buffers: ``eff`` holds iteration
+    ``n``'s effective ways at ``[n * members, (n + 1) * members)`` and
+    ``deltas`` its stop-condition value.  Pressures are not stored: those of
+    iteration ``n`` are a pure function of iteration ``n - 1``
+    (:meth:`_pressures`, the first line of :meth:`step`), so :meth:`pressure`
+    derives them on replay with the same arithmetic and the same bits.
     """
 
     __slots__ = (
@@ -160,9 +168,10 @@ class _ComponentTrajectory:
         "mask_sizes",
         "sharer_sets",
         "member_slots",
+        "members",
         "eff",
-        "pressures",
         "deltas",
+        "length",
         "fixed_at",
     )
 
@@ -195,12 +204,11 @@ class _ComponentTrajectory:
                 self.sharer_sets.append(key)
             for j, member in enumerate(key):
                 self.member_slots[member].append(slot_of[key] + j)
+        self.members = len(way_lists)
         # Iteration 0 is the initial guess: every member owns its whole mask.
-        self.eff: List[Tuple[float, ...]] = [
-            tuple(float(len(ways)) for ways in way_lists)
-        ]
-        self.pressures: List[Tuple[float, ...]] = [()]
-        self.deltas: List[float] = [0.0]
+        self.eff = array("d", [float(len(ways)) for ways in way_lists])
+        self.deltas = array("d", [0.0])
+        self.length = 1  # recorded iterations, the initial guess included
         self.fixed_at: int = 0  # 0 = not fixed yet; else first repeating iteration
 
     def ensure(self, n: int, model: "OccupancyModel") -> None:
@@ -211,25 +219,26 @@ class _ComponentTrajectory:
         faster than an equivalent chain of NumPy ufunc calls (measured up to
         16 members).
         """
-        while len(self.eff) <= n and not self.fixed_at:
-            eff, pressures, delta = self.step(self.eff[-1], model)
-            self.eff.append(eff)
-            self.pressures.append(pressures)
+        while self.length <= n and not self.fixed_at:
+            eff, _, delta = self.step(self.eff[-self.members :], model)
+            self.eff.extend(eff)
             self.deltas.append(delta)
             if delta == 0.0:
-                self.fixed_at = len(self.eff) - 1
+                self.fixed_at = self.length
+            self.length += 1
+
+    def _pressures(self, prev: Sequence[float], base: float) -> List[float]:
+        """Insertion pressures of the iteration that steps from ``prev``."""
+        # llcmpkc_at(max(value, 0.25)): interp_ways clips the floor to 1.0.
+        return [base + interp_ways(table, value) for table, value in zip(self.curves, prev)]
 
     def step(
-        self, prev: Tuple[float, ...], model: "OccupancyModel"
-    ) -> Tuple[Tuple[float, ...], Tuple[float, ...], float]:
+        self, prev: Sequence[float], model: "OccupancyModel"
+    ) -> Tuple[List[float], List[float], float]:
         """One damped iteration from ``prev``: (effective ways, pressures, delta)."""
-        base = model.base_pressure
         damping = model.damping
         retained = 1.0 - damping
-        # llcmpkc_at(max(value, 0.25)): interp_ways clips the floor to 1.0.
-        pressures = tuple(
-            [base + interp_ways(table, value) for table, value in zip(self.curves, prev)]
-        )
+        pressures = self._pressures(prev, model.base_pressure)
         per_way = [p / size for p, size in zip(pressures, self.mask_sizes)]
         # Split each distinct sharer set's pressure total (a left fold in
         # member order), then sum every member's shares way by way.
@@ -251,7 +260,7 @@ class _ComponentTrajectory:
             if spread > delta:
                 delta = spread
             blended.append(value)
-        return tuple(blended), pressures, delta
+        return blended, pressures, delta
 
     def _index(self, n: int) -> int:
         if self.fixed_at and n >= self.fixed_at:
@@ -261,11 +270,23 @@ class _ComponentTrajectory:
     def delta(self, n: int) -> float:
         return self.deltas[self._index(n)]
 
-    def effective(self, n: int) -> Tuple[float, ...]:
-        return self.eff[self._index(n)]
+    def effective(self, n: int) -> Sequence[float]:
+        start = self._index(n) * self.members
+        return self.eff[start : start + self.members]
 
-    def pressure(self, n: int) -> Tuple[float, ...]:
-        return self.pressures[self._index(n)]
+    def pressure(self, n: int, model: "OccupancyModel") -> Sequence[float]:
+        """Pressures of iteration ``n >= 1``, derived from iteration ``n - 1``.
+
+        A frozen trajectory answers with the freeze point's pressures: its
+        iterations ``fixed_at - 1`` and ``fixed_at`` are equal, so every later
+        iteration steps from the same values.
+        """
+        return self._pressures(self.effective(self._index(n) - 1), model.base_pressure)
+
+
+# One mask-sharing component of an allocation: its members in workload
+# order, their relative way lists and the matching relative masks.
+_Component = Tuple[List[str], List[List[int]], List[int]]
 
 
 class OccupancyTrajectoryCache:
@@ -285,7 +306,7 @@ class OccupancyTrajectoryCache:
     def __init__(self, model: OccupancyModel) -> None:
         self.model = model
         self._trajectories: Dict[tuple, _ComponentTrajectory] = {}
-        self._decompositions: Dict[tuple, List[Tuple[List[str], List[List[int]]]]] = {}
+        self._decompositions: Dict[tuple, List[_Component]] = {}
 
     def __len__(self) -> int:
         return len(self._trajectories)
@@ -301,30 +322,38 @@ class OccupancyTrajectoryCache:
 
         Each entry is ``(key, state)`` where ``key`` is the component's
         ``((token, relative_mask), ...)`` identity and ``state`` holds the
-        recorded iterations verbatim: ``eff`` and ``pressures`` are lists of
+        recorded iterations: ``eff`` and ``pressures`` are lists of
         per-member tuples (``pressures[0]`` is the empty placeholder of the
-        initial guess), ``deltas`` the per-iteration stop-condition values and
-        ``fixed_at`` the freeze point (0 when the trajectory is still live).
+        initial guess; the others are derived from the previous ``eff`` row,
+        exactly as a replay derives them), ``deltas`` the per-iteration
+        stop-condition values and ``fixed_at`` the freeze point (0 when the
+        trajectory is still live).
         """
-        return [
-            (
-                key,
-                {
-                    "eff": list(trajectory.eff),
-                    "pressures": list(trajectory.pressures),
-                    "deltas": list(trajectory.deltas),
-                    "fixed_at": trajectory.fixed_at,
-                },
+        model = self.model
+        entries = []
+        for key, trajectory in self._trajectories.items():
+            eff = [tuple(trajectory.effective(n)) for n in range(trajectory.length)]
+            pressures = [()] + [
+                tuple(trajectory.pressure(n, model)) for n in range(1, trajectory.length)
+            ]
+            entries.append(
+                (
+                    key,
+                    {
+                        "eff": eff,
+                        "pressures": pressures,
+                        "deltas": list(trajectory.deltas),
+                        "fixed_at": trajectory.fixed_at,
+                    },
+                )
             )
-            for key, trajectory in self._trajectories.items()
-        ]
+        return entries
 
     def restore_entry(
         self,
         key: tuple,
         views: Sequence[FastProfileView],
-        eff: Sequence[Sequence[float]],
-        pressures: Sequence[Sequence[float]],
+        eff: Sequence[float],
         deltas: Sequence[float],
         fixed_at: int,
     ) -> None:
@@ -333,26 +362,29 @@ class OccupancyTrajectoryCache:
         ``views`` must evaluate the same curves the component was recorded
         with (one per member, in key order); the member way lists are decoded
         from the relative masks in ``key``, which enumerate ways in ascending
-        order exactly as the decomposition built them.  The restored
-        trajectory replays bit-identically because the recorded iterations are
-        reinstated verbatim and any further extension runs the same arithmetic
-        on the same curves.
+        order exactly as the decomposition built them.  ``eff`` is the flat
+        row-major sequence of the recorded effective ways (``len(deltas)``
+        rows of one value per member); exported pressures are not taken, as
+        the replay derives them from ``eff``.  The restored trajectory replays
+        bit-identically because the recorded iterations are reinstated
+        verbatim and any further extension runs the same arithmetic on the
+        same curves.
         """
         way_lists = [
             [w for w in range(int(mask).bit_length()) if (int(mask) >> w) & 1]
             for _, mask in key
         ]
         trajectory = _ComponentTrajectory([view.llcmpkc for view in views], way_lists)
-        trajectory.eff = [tuple(float(v) for v in row) for row in eff]
-        trajectory.pressures = [tuple(float(v) for v in row) for row in pressures]
-        trajectory.deltas = [float(d) for d in deltas]
+        trajectory.eff = array("d", eff)
+        trajectory.deltas = array("d", deltas)
+        trajectory.length = len(trajectory.deltas)
         trajectory.fixed_at = int(fixed_at)
         self._trajectories[key] = trajectory
 
     def _decompose(
         self, allocation: WayAllocation, alloc_token: tuple
-    ) -> List[Tuple[List[str], List[List[int]]]]:
-        """Mask-sharing components of an allocation: (members, relative ways).
+    ) -> List[_Component]:
+        """Mask-sharing components: (members, relative ways, relative masks).
 
         Pure mask structure (independent of the profiles in force), so the
         decomposition is cached per allocation token and reused across phase
@@ -401,12 +433,13 @@ class OccupancyTrajectoryCache:
         for app, slot in zip(apps, mask_index):  # members in workload order
             components.setdefault(find(slot), []).append(app)
 
-        decomposition: List[Tuple[List[str], List[List[int]]]] = []
+        decomposition: List[_Component] = []
         for members in components.values():
             union_ways = sorted({w for m in members for w in app_ways[m]})
             rank = {w: r for r, w in enumerate(union_ways)}
             rel_lists = [[rank[w] for w in app_ways[m]] for m in members]
-            decomposition.append((members, rel_lists))
+            rel_masks = [sum(1 << r for r in rel) for rel in rel_lists]
+            decomposition.append((members, rel_lists, rel_masks))
         self._decompositions[alloc_token] = decomposition
         return decomposition
 
@@ -429,11 +462,8 @@ class OccupancyTrajectoryCache:
             alloc_token = (tuple(allocation.masks.items()), allocation.total_ways)
 
         trajectories: List[Tuple[_ComponentTrajectory, List[str]]] = []
-        for members, rel_lists in self._decompose(allocation, alloc_token):
-            key = tuple(
-                (tokens[m], sum(1 << r for r in rel))
-                for m, rel in zip(members, rel_lists)
-            )
+        for members, rel_lists, rel_masks in self._decompose(allocation, alloc_token):
+            key = tuple((tokens[m], mask) for m, mask in zip(members, rel_masks))
             trajectory = self._trajectories.get(key)
             if trajectory is None:
                 trajectory = _ComponentTrajectory(
@@ -475,7 +505,7 @@ class OccupancyTrajectoryCache:
         pressures: Dict[str, float] = {app: 0.0 for app in apps}
         for trajectory, members in trajectories:
             eff = trajectory.effective(iteration)
-            pressure = trajectory.pressure(iteration)
+            pressure = trajectory.pressure(iteration, model)
             for i, member in enumerate(members):
                 effective[member] = eff[i]
                 pressures[member] = pressure[i]

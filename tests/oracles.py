@@ -19,6 +19,10 @@ production code must reproduce *exactly* — same study rows, same
 * :func:`interp_reference` and :func:`occupancy_solve_reference` — the
   ``np.interp`` curve reading and the dict-based occupancy fixed point that
   the production scalar kernels must reproduce exactly;
+* :class:`RecordingTrajectoryCache` — the occupancy trajectory cache
+  recording every iteration as tuples of effective ways and pressures,
+  which the production cache's flat buffers must replay and export
+  exactly;
 * :func:`build_tables_reference` — the solver's dense cluster tables built
   with one occupancy fixed point per way count;
 * :func:`local_search_reference` — the local search scoring every proposal,
@@ -98,7 +102,11 @@ from repro.runtime import (
 )
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.simulator import ClusteringEstimator
-from repro.simulator.occupancy import OccupancyResult
+from repro.simulator.occupancy import (
+    OccupancyResult,
+    OccupancyTrajectoryCache,
+    _ComponentTrajectory,
+)
 from repro.simulator.whirlpool import combined_miss_curve, whirlpool_distance
 from repro.workloads import Workload, random_workload
 
@@ -844,6 +852,110 @@ def occupancy_solve_reference(
         iterations=iteration,
         converged=converged,
     )
+
+
+class RecordingTrajectory(_ComponentTrajectory):
+    """A component trajectory recorded as per-iteration tuples.
+
+    The storage the flat buffers of :class:`_ComponentTrajectory` replaced:
+    every iteration keeps one tuple of effective ways and one of the
+    pressures :meth:`step` computed on the way, and a replay reads both back
+    verbatim instead of deriving the pressures.  The step itself is the
+    production kernel, which :func:`occupancy_solve_reference` pins.
+    """
+
+    __slots__ = ("pressures",)
+
+    def __init__(self, curves, way_lists) -> None:
+        super().__init__(curves, way_lists)
+        self.eff = [tuple(float(len(ways)) for ways in way_lists)]
+        self.pressures = [()]
+        self.deltas = [0.0]
+
+    def ensure(self, n: int, model) -> None:
+        while len(self.eff) <= n and not self.fixed_at:
+            eff, pressures, delta = self.step(self.eff[-1], model)
+            self.eff.append(tuple(eff))
+            self.pressures.append(tuple(pressures))
+            self.deltas.append(delta)
+            if delta == 0.0:
+                self.fixed_at = len(self.eff) - 1
+
+    def effective(self, n: int):
+        return self.eff[self._index(n)]
+
+    def pressure(self, n: int, model=None):
+        return self.pressures[self._index(n)]
+
+
+class RecordingTrajectoryCache(OccupancyTrajectoryCache):
+    """The trajectory cache over :class:`RecordingTrajectory` storage.
+
+    :meth:`solve` builds each component key from the members' relative way
+    lists on every call and applies the global stop condition as a plain
+    per-iteration scan over all components; :meth:`export_entries` returns
+    the recorded tuples verbatim.  The production cache's solves, exported
+    state and saved tables files must equal this one's bit for bit.
+    """
+
+    def export_entries(self):
+        return [
+            (
+                key,
+                {
+                    "eff": list(trajectory.eff),
+                    "pressures": list(trajectory.pressures),
+                    "deltas": list(trajectory.deltas),
+                    "fixed_at": trajectory.fixed_at,
+                },
+            )
+            for key, trajectory in self._trajectories.items()
+        ]
+
+    def solve(self, allocation, tokens, views, alloc_token=None) -> OccupancyResult:
+        model = self.model
+        apps = allocation.apps()
+        if alloc_token is None:
+            alloc_token = (tuple(allocation.masks.items()), allocation.total_ways)
+        trajectories = []
+        for members, rel_lists, _ in self._decompose(allocation, alloc_token):
+            key = tuple(
+                (tokens[m], sum(1 << r for r in rel))
+                for m, rel in zip(members, rel_lists)
+            )
+            trajectory = self._trajectories.get(key)
+            if trajectory is None:
+                trajectory = RecordingTrajectory(
+                    [views[m].llcmpkc for m in members], rel_lists
+                )
+                self._trajectories[key] = trajectory
+            trajectories.append((trajectory, members))
+        # The global stop: the first iteration at which every component's
+        # delta is below the tolerance.
+        iteration = 1
+        converged = False
+        while iteration <= model.max_iterations:
+            for trajectory, _ in trajectories:
+                trajectory.ensure(iteration, model)
+            if all(t.delta(iteration) < model.tolerance for t, _ in trajectories):
+                converged = True
+                break
+            iteration += 1
+        iteration = min(iteration, model.max_iterations)
+        effective: Dict[str, float] = {app: 0.0 for app in apps}
+        pressures: Dict[str, float] = {app: 0.0 for app in apps}
+        for trajectory, members in trajectories:
+            eff = trajectory.effective(iteration)
+            pressure = trajectory.pressure(iteration)
+            for i, member in enumerate(members):
+                effective[member] = eff[i]
+                pressures[member] = pressure[i]
+        return OccupancyResult(
+            effective_ways=effective,
+            pressures=pressures,
+            iterations=iteration,
+            converged=converged,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for phased profiles, the benchmark catalogue and synthetic generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,23 @@ class TestPhasedProfile:
             step = phased.instructions_until_phase_change(position)
             assert step > 0
             position += step
+
+    def test_cycle_instructions_is_a_left_fold(self):
+        # Fractional segments whose compensated sum (math.fsum, and builtin
+        # sum() from Python 3.12) differs from the plain left fold: the
+        # cycle length must not depend on the interpreter version.
+        profile = build_profile("gamess06", 11)
+        lengths = [1e8 + 0.1, 2e8 + 0.2, 3e8 + 0.3]
+        phased = PhasedProfile(
+            name="fractional",
+            segments=tuple(PhaseSegment(instructions=n, profile=profile) for n in lengths),
+        )
+        folded = 0.0
+        for n in lengths:
+            folded += n
+        assert folded != math.fsum(lengths)
+        assert phased.cycle_instructions == folded
+        assert phased.phase_boundaries()[-1] == folded
 
     def test_phase_boundaries_sum_to_cycle(self, phased):
         assert phased.phase_boundaries()[-1] == pytest.approx(phased.cycle_instructions)

@@ -1,5 +1,7 @@
 """Tests for the CMT occupancy monitor and the PMC model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,16 @@ class TestCmtMonitor:
         cmt.update_occupancy("b", 3.0)
         assert cmt.total_occupancy_ways() == pytest.approx(5.0)
         assert cmt.n_monitored == 2
+
+    def test_total_occupancy_is_a_left_fold(self):
+        # math.fsum (and builtin sum() from Python 3.12) rounds these
+        # fractional readings differently from the plain left fold.
+        readings = [0.1, 0.2, 0.3]
+        cmt = CmtMonitor(skylake_gold_6138())
+        for task, ways in zip("abc", readings):
+            cmt.update_occupancy(task, ways)
+        assert cmt.total_occupancy_ways() == (0.1 + 0.2) + 0.3
+        assert cmt.total_occupancy_ways() != math.fsum(readings)
 
 
 class TestDerivedMetrics:

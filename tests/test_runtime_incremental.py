@@ -289,7 +289,7 @@ class TestTrajectoryCacheEquivalence:
         for trajectory in cache._trajectories.values():
             frozen = trajectory.fixed_at
             expected = min(frozen, iterations) if frozen else iterations
-            assert len(trajectory.eff) == expected + 1
+            assert trajectory.length == expected + 1
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["early-first", "late-first"])
     def test_components_converging_at_different_iterations(self, platform, reverse):

@@ -9,6 +9,9 @@ must re-attach to the persisted tokens through their value fingerprints.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.apps import build_profile
@@ -205,3 +208,95 @@ class TestRejection:
             EvaluationTables.load(str(garbage), platform)
         with pytest.raises(SimulationError):
             EvaluationTables.load(str(tmp_path / "missing.repro"), platform)
+
+
+def _rewrite_header(source, target, edit):
+    """Copy a saved tables file, applying ``edit`` to its JSON header.
+
+    The payload is copied unchanged (its CRC still matches) and re-aligned
+    after the edited header, as ``EvaluationTables.save`` lays it out.
+    """
+    blob = source.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    start = 16 + length
+    payload = blob[start + (-start) % 64 :]
+    edit(header)
+    encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    padding = b"\0" * ((-(16 + len(encoded))) % 64)
+    target.write_bytes(
+        blob[:8] + struct.pack("<Q", len(encoded)) + encoded + padding + payload
+    )
+
+
+class TestTrajectoryHeader:
+    """The payload CRC does not cover the header: its structure is checked."""
+
+    @pytest.fixture()
+    def saved(self, warmed_tables, tmp_path):
+        tables, _ = warmed_tables
+        path = tmp_path / "tables.repro"
+        tables.save(str(path))
+        return path
+
+    @staticmethod
+    def _live_index(path, min_length):
+        """A live (unfrozen) trajectory of at least ``min_length`` iterations."""
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + length])
+        for index, meta in enumerate(header["trajectories"]):
+            if meta["fixed_at"] == 0 and meta["length"] >= min_length:
+                return index
+        raise AssertionError("no live trajectory long enough")
+
+    def _load_edited(self, saved, platform, tmp_path, index, edit):
+        edited = tmp_path / "edited.repro"
+        _rewrite_header(saved, edited, lambda header: edit(header["trajectories"][index]))
+        return EvaluationTables.load(str(edited), platform)
+
+    def test_unedited_rewrite_loads(self, saved, platform, tmp_path):
+        loaded = self._load_edited(saved, platform, tmp_path, 0, lambda meta: None)
+        assert loaded.cache_sizes()["components"] > 0
+
+    def test_empty_key(self, saved, platform, tmp_path):
+        with pytest.raises(SimulationError, match="trajectory 0 .*empty key"):
+            self._load_edited(saved, platform, tmp_path, 0, lambda m: m.update(key=[]))
+
+    @pytest.mark.parametrize("mask", [0, -3])
+    def test_non_positive_mask(self, saved, platform, tmp_path, mask):
+        def edit(meta):
+            meta["key"][0][1] = mask
+
+        with pytest.raises(SimulationError, match="trajectory 0 .*non-positive"):
+            self._load_edited(saved, platform, tmp_path, 0, edit)
+
+    def test_length_below_one(self, saved, platform, tmp_path):
+        def edit(meta):
+            meta.update(length=0, fixed_at=0)
+
+        with pytest.raises(SimulationError, match="trajectory 0 .*length 0"):
+            self._load_edited(saved, platform, tmp_path, 0, edit)
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["inside", "past-end"])
+    def test_freeze_point_not_the_last_iteration(self, saved, platform, tmp_path, past_end):
+        # A live trajectory marked frozen at iteration 1 would replay
+        # iteration 1 for every later one.
+        index = self._live_index(saved, 3)
+
+        def edit(meta):
+            meta["fixed_at"] = meta["length"] if past_end else 1
+
+        with pytest.raises(
+            SimulationError, match=f"trajectory {index} .*neither 0 nor its last iteration"
+        ):
+            self._load_edited(saved, platform, tmp_path, index, edit)
+
+    def test_freeze_point_with_nonzero_delta(self, saved, platform, tmp_path):
+        index = self._live_index(saved, 2)
+
+        def edit(meta):
+            meta["fixed_at"] = meta["length"] - 1
+
+        with pytest.raises(SimulationError, match=f"trajectory {index} .*not 0.0"):
+            self._load_edited(saved, platform, tmp_path, index, edit)
