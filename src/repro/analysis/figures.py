@@ -31,10 +31,10 @@ from repro.experiments import (
 )
 from repro.hardware.platform import PlatformSpec, skylake_gold_6138
 from repro.optimal import (
+    TabulatedObjective,
     branch_and_bound_clustering,
     local_search_clustering,
     optimal_partitioning,
-    CachedObjective,
 )
 from repro.policies import (
     BestStaticPolicy,
@@ -120,7 +120,6 @@ def fig2_optimal_breakdown(
     platform: Optional[PlatformSpec] = None,
     seed: int = 7,
     exact_limit: int = 8,
-    backend: str = "tabulated",
 ) -> Dict[str, Dict[int, float]]:
     """Cluster-size statistics of the fairness-optimal clustering (Fig. 2).
 
@@ -146,7 +145,7 @@ def fig2_optimal_breakdown(
         profiles = workload.profiles(platform.llc_ways)
         if len(profiles) <= exact_limit:
             result = branch_and_bound_clustering(
-                platform, profiles, objective="fairness", backend=backend
+                platform, profiles, objective="fairness"
             )
         else:
             result = local_search_clustering(
@@ -181,7 +180,6 @@ def fig3_clustering_vs_partitioning(
     platform: Optional[PlatformSpec] = None,
     seed: int = 11,
     exact_limit: int = 8,
-    backend: str = "tabulated",
 ) -> Dict[int, float]:
     """Average unfairness of optimal partitioning normalised to optimal clustering.
 
@@ -205,39 +203,24 @@ def fig3_clustering_vs_partitioning(
                 f"fig3-{count}-{index}", count, kind="S", rng=rng
             )
             profiles = workload.profiles(platform.llc_ways)
-            if backend == "tabulated" and count <= exact_limit:
-                # One table build serves both searches (the role the shared
-                # CachedObjective plays on the reference path).
-                from repro.optimal import (
-                    TabulatedObjective,
-                    tabulated_branch_and_bound,
-                    tabulated_optimal_partitioning,
-                )
-
+            if count <= exact_limit:
+                # One table build serves both exact searches.
                 tables = TabulatedObjective(platform, profiles)
-                clustering = tabulated_branch_and_bound(
-                    platform, profiles, objective="fairness", tables=tables
-                )
-                partitioning = tabulated_optimal_partitioning(
+                clustering = branch_and_bound_clustering(
                     platform, profiles, objective="fairness", tables=tables
                 )
             else:
-                shared = CachedObjective(platform, profiles)
-                if count <= exact_limit:
-                    clustering = branch_and_bound_clustering(
-                        platform, profiles, objective="fairness", objective_fn=shared
-                    )
-                else:
-                    clustering = local_search_clustering(
-                        platform,
-                        profiles,
-                        objective="fairness",
-                        seed=seed + count * 100 + index,
-                        objective_fn=shared,
-                    )
-                partitioning = optimal_partitioning(
-                    platform, profiles, objective="fairness", objective_fn=shared
+                # Partitioning then tabulates only its n singleton clusters.
+                tables = None
+                clustering = local_search_clustering(
+                    platform,
+                    profiles,
+                    objective="fairness",
+                    seed=seed + count * 100 + index,
                 )
+            partitioning = optimal_partitioning(
+                platform, profiles, objective="fairness", tables=tables
+            )
             ratios.append(partitioning.unfairness / clustering.unfairness)
         result[count] = float(np.mean(ratios))
     return result
@@ -308,13 +291,13 @@ class StaticStudyRow:
     normalized_stp: float
 
 
-def default_static_policies(backend: str = "tabulated") -> List[ClusteringPolicy]:
+def default_static_policies() -> List[ClusteringPolicy]:
     """The policy line-up of Fig. 6 (stock Linux is the implicit baseline)."""
     return [
         DunnPolicy(),
         KPartPolicy(),
         LfocPolicy(),
-        BestStaticPolicy(exact_limit=7, local_search_iterations=800, backend=backend),
+        BestStaticPolicy(exact_limit=7, local_search_iterations=800),
     ]
 
 

@@ -95,7 +95,6 @@ from repro.experiments import (
     STATIC_ROW_FIELDS,
     EngineSpec,
     ExecutorSpec,
-    SolverSpec,
     StudyResult,
     build_sweep_study,
     dump_study_spec,
@@ -120,22 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fig1", help="slowdown and LLCMPKC curves (Fig. 1)")
     sub.add_parser("table1", help="benchmark classification (Table 1)")
 
-    backend_kwargs = dict(
-        choices=("tabulated", "reference"),
-        default="tabulated",
-        help="optimal-solver scoring engine (tabulated batch scoring is the "
-        "fast default; reference is the per-candidate cached objective)",
-    )
-
     fig2 = sub.add_parser("fig2", help="optimal clustering breakdown (Fig. 2)")
     fig2.add_argument("--workloads", type=int, default=8, help="number of random mixes")
     fig2.add_argument("--size", type=int, default=8, help="applications per mix")
-    fig2.add_argument("--backend", **backend_kwargs)
 
     fig3 = sub.add_parser("fig3", help="optimal clustering vs partitioning (Fig. 3)")
     fig3.add_argument("--sizes", type=int, nargs="+", default=[4, 5, 6, 7, 8])
     fig3.add_argument("--per-size", type=int, default=3, help="workloads per size")
-    fig3.add_argument("--backend", **backend_kwargs)
 
     sub.add_parser("fig4", help="LLCMPKC phase trace of fotonik3d (Fig. 4)")
     sub.add_parser("fig5", help="workload composition matrix (Fig. 5)")
@@ -150,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig6 = sub.add_parser("fig6", help="static clustering study (Fig. 6)")
     fig6.add_argument("--max-size", type=int, default=None, help="largest workload size")
-    fig6.add_argument("--backend", **backend_kwargs)
     fig6.add_argument("--jobs", **jobs_kwargs)
 
     fig7 = sub.add_parser("fig7", help="dynamic policy study (Fig. 7)")
@@ -598,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-completions", type=int, default=2,
         help="completions per application before a run ends (dynamic scenarios)",
     )
-    sweep.add_argument(
-        "--solver-backend", choices=("tabulated", "reference"),
-        default="tabulated", help="optimal-solver scoring engine",
-    )
     sweep.add_argument("--jobs", **jobs_kwargs)
     sweep.add_argument(
         "--out", default=None, metavar="FILE", help="save the result rows as JSONL"
@@ -989,7 +974,6 @@ def _sweep_command(args: argparse.Namespace) -> int:
         ways=args.ways,
         seeds=args.seeds,
         engine=engine,
-        solver=SolverSpec(backend=args.solver_backend),
         jobs=args.jobs or None,
     )
     if args.dump_spec:
@@ -1005,17 +989,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "table1":
         print(render_table1(table1_classification()))
     elif args.command == "fig2":
-        print(
-            render_fig2(
-                fig2_optimal_breakdown(args.workloads, args.size, backend=args.backend)
-            )
-        )
+        print(render_fig2(fig2_optimal_breakdown(args.workloads, args.size)))
     elif args.command == "fig3":
         print(
             render_fig3(
-                fig3_clustering_vs_partitioning(
-                    args.sizes, args.per_size, backend=args.backend
-                )
+                fig3_clustering_vs_partitioning(args.sizes, args.per_size)
             )
         )
     elif args.command == "fig4":
@@ -1035,7 +1013,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workloads = static_study_workloads(max_size=args.max_size)
         rows = fig6_static_study(
             workloads,
-            policies=default_static_policies(args.backend),
+            policies=default_static_policies(),
             jobs=args.jobs or None,
         )
         print(render_fig6(rows))

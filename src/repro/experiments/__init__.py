@@ -52,14 +52,12 @@ from repro.experiments.registry import (
     PLATFORMS,
     POLICIES,
     Registry,
-    SOLVER_BACKENDS,
     WORKLOAD_SUITES,
     register_backend,
     register_driver,
     register_executor,
     register_platform,
     register_policy,
-    register_solver_backend,
     register_workload_suite,
 )
 from repro.experiments.specs import (
@@ -112,14 +110,12 @@ __all__ = [
     "DRIVERS",
     "WORKLOAD_SUITES",
     "ENGINE_BACKENDS",
-    "SOLVER_BACKENDS",
     "PLATFORMS",
     "EXECUTORS",
     "register_policy",
     "register_driver",
     "register_workload_suite",
     "register_backend",
-    "register_solver_backend",
     "register_platform",
     "register_executor",
     "resolve_policy",

@@ -23,7 +23,7 @@ Factory conventions (all keyword arguments come from ``PolicySpec.params``):
   :class:`~repro.policies.base.ClusteringPolicy`.  A factory carrying the
   attribute ``wants_solver = True`` additionally receives the scenario's
   :class:`~repro.experiments.specs.SolverSpec` as the keyword ``solver``
-  (used by ``best_static`` to pick the scoring backend and search budget).
+  (used by ``best_static`` to pick its search budget).
 * **drivers** — the factory (usually the driver class itself) is shipped in
   a :class:`~repro.runtime.executors.base.RunSpec` and called once per run
   inside the worker, so it must be picklable (module level).  A factory with
@@ -35,8 +35,6 @@ Factory conventions (all keyword arguments come from ``PolicySpec.params``):
   :class:`~repro.runtime.engine.EngineConfig` backend string the name lowers
   to, so an alias (or a future disk-backed variant) can map onto an existing
   execution path.
-* **solver backends** — value is the optimal-solver scoring engine string
-  accepted by :class:`~repro.policies.best_static.BestStaticPolicy`.
 * **platform presets** — the factory takes no arguments and returns a
   :class:`~repro.hardware.platform.PlatformSpec`.
 * **executors** — the factory receives the scenario-independent
@@ -58,14 +56,12 @@ __all__ = [
     "DRIVERS",
     "WORKLOAD_SUITES",
     "ENGINE_BACKENDS",
-    "SOLVER_BACKENDS",
     "PLATFORMS",
     "EXECUTORS",
     "register_policy",
     "register_driver",
     "register_workload_suite",
     "register_backend",
-    "register_solver_backend",
     "register_platform",
     "register_executor",
 ]
@@ -138,7 +134,6 @@ POLICIES = Registry("policy")
 DRIVERS = Registry("policy driver")
 WORKLOAD_SUITES = Registry("workload suite")
 ENGINE_BACKENDS = Registry("engine backend")
-SOLVER_BACKENDS = Registry("solver backend")
 PLATFORMS = Registry("platform preset")
 EXECUTORS = Registry("executor")
 
@@ -146,7 +141,6 @@ register_policy = POLICIES.register
 register_driver = DRIVERS.register
 register_workload_suite = WORKLOAD_SUITES.register
 register_backend = ENGINE_BACKENDS.register
-register_solver_backend = SOLVER_BACKENDS.register
 register_platform = PLATFORMS.register
 register_executor = EXECUTORS.register
 
@@ -198,7 +192,6 @@ def _best_static_policy(*, solver=None, **params):
     if solver is not None:
         params.setdefault("exact_limit", solver.exact_limit)
         params.setdefault("local_search_iterations", solver.local_search_iterations)
-        params.setdefault("backend", SOLVER_BACKENDS.resolve(solver.backend))
     return BestStaticPolicy(**params)
 
 
@@ -243,9 +236,6 @@ register_workload_suite("dynamic_study", _suite(dynamic_study_workloads))
 
 register_backend("incremental", "incremental")
 register_backend("multirun", "multirun")
-
-register_solver_backend("tabulated", "tabulated")
-register_solver_backend("reference", "reference")
 
 register_platform("skylake_gold_6138", skylake_gold_6138)
 register_platform("broadwell_like", broadwell_like)

@@ -3,7 +3,7 @@
 A study is *data*: a :class:`StudySpec` holds :class:`ScenarioSpec`\\ s, each
 of which names its workloads (:class:`WorkloadSpec`), its policy line-up
 (:class:`PolicySpec`), how the runtime engine executes (:class:`EngineSpec`),
-how optimal solvers are scored (:class:`SolverSpec`) and which platform it
+the optimal solvers' search budget (:class:`SolverSpec`) and which platform it
 runs on.  Every spec round-trips through plain dictionaries (``to_dict`` /
 ``from_dict``) and therefore through JSON and TOML
 (:mod:`repro.experiments.io`), with schema validation that reports unknown
@@ -40,7 +40,6 @@ from repro.experiments.registry import (
     EXECUTORS,
     PLATFORMS,
     POLICIES,
-    SOLVER_BACKENDS,
     WORKLOAD_SUITES,
 )
 from repro.hardware.platform import PlatformSpec
@@ -473,9 +472,12 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """How optimal-clustering policies score candidates in this scenario."""
+    """Search budget of the optimal-clustering policies in this scenario.
 
-    backend: str = "tabulated"
+    ``exact_limit`` is the largest workload solved exactly (branch and bound);
+    larger ones get ``local_search_iterations`` of the local search.
+    """
+
     exact_limit: int = 7
     local_search_iterations: int = 800
 
@@ -485,21 +487,25 @@ class SolverSpec:
         if self.local_search_iterations < 1:
             raise SpecError("solver local_search_iterations must be >= 1")
 
-    _KEYS = ("backend", "exact_limit", "local_search_iterations")
+    _KEYS = ("exact_limit", "local_search_iterations")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "exact_limit": self.exact_limit,
             "local_search_iterations": self.local_search_iterations,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolverSpec":
+        if isinstance(data, Mapping) and "backend" in data:
+            raise SpecError(
+                "SolverSpec.backend was removed (the tabulated scorer is the "
+                "only solver backend; the per-candidate reference search is a "
+                "test oracle); drop the 'backend' key from the solver table"
+            )
         _check_keys(data, cls._KEYS, "SolverSpec")
         defaults = cls()
-        spec = cls(
-            backend=data.get("backend", defaults.backend),
+        return cls(
             exact_limit=_as_int(
                 data.get("exact_limit", defaults.exact_limit),
                 "SolverSpec.exact_limit",
@@ -509,8 +515,6 @@ class SolverSpec:
                 "SolverSpec.local_search_iterations",
             ),
         )
-        SOLVER_BACKENDS.resolve(spec.backend)  # validate eagerly
-        return spec
 
 
 @dataclass(frozen=True)

@@ -3,29 +3,20 @@
 Solver performance
 ------------------
 
-Two scoring backends drive the exact solvers:
+The exact solvers (:func:`optimal_clustering`, :func:`optimal_partitioning`,
+:func:`branch_and_bound_clustering` and :func:`parallel_optimal_clustering`)
+score candidates over the dense tables of :class:`TabulatedObjective`: the
+occupancy model is solved once per (cluster mask, ways) pair, after which
+whole blocks of ``(partition, way composition)`` candidates are scored with
+array arithmetic.  The table build costs ``O(2^n * k)`` occupancy solves up
+front, so it caps the exact solvers at ``tabulated.MAX_TABULATED_APPS``
+applications; :func:`local_search_clustering` covers larger workloads.
+Searches over the same workload share one build through ``tables=``.
 
-* ``backend="reference"`` — :class:`CachedObjective` evaluates candidates one
-  at a time from cached per-cluster pieces (Python dict merges per candidate).
-  It needs no precomputation beyond the clusters it actually visits, so it
-  wins for tiny searches (a handful of applications, a single partition, or a
-  heavily-pruned branch-and-bound run) and for workloads too large to
-  tabulate densely (> ``tabulated.MAX_TABULATED_APPS`` applications).
-* ``backend="tabulated"`` — :class:`TabulatedObjective` solves the occupancy
-  model once per (cluster mask, ways) pair into dense NumPy tables and then
-  batch-scores whole blocks of ``(partition, way composition)`` candidates
-  with array arithmetic.  The table build costs ``O(2^n * k)`` occupancy
-  solves up front, after which each candidate costs a few array ops; it wins —
-  typically by an order of magnitude or more (see
-  ``benchmarks/bench_perf_solver.py`` and ``BENCH_solver.json``) — whenever
-  the candidate count dwarfs the table size, i.e. for any exhaustive search
-  beyond ~5 applications and for the parallel driver, which ships the tables
-  to its workers once.
-
-Both backends return bit-identical optima: the tabulated engine replicates
-the reference arithmetic, visits candidates in the same order with the same
-tie-break tolerances, and re-scores the winner through the reference path
-(asserted by ``tests/test_optimal_tabulated.py``).
+The winner is re-scored through :class:`CachedObjective`, the per-candidate
+scorer the local search uses, so every reported score is bit-identical to a
+per-candidate search.  ``tests/test_optimal_tabulated.py`` asserts this
+against the per-candidate search loops kept in ``tests/oracles.py``.
 """
 
 from repro.optimal.partitions import (
@@ -43,12 +34,7 @@ from repro.optimal.exhaustive import OptimalResult, optimal_clustering, optimal_
 from repro.optimal.bnb import branch_and_bound_clustering
 from repro.optimal.local_search import local_search_clustering
 from repro.optimal.parallel import parallel_optimal_clustering
-from repro.optimal.tabulated import (
-    TabulatedObjective,
-    tabulated_branch_and_bound,
-    tabulated_optimal_clustering,
-    tabulated_optimal_partitioning,
-)
+from repro.optimal.tabulated import TabulatedObjective
 
 __all__ = [
     "bell_number",
@@ -69,7 +55,4 @@ __all__ = [
     "local_search_clustering",
     "parallel_optimal_clustering",
     "TabulatedObjective",
-    "tabulated_branch_and_bound",
-    "tabulated_optimal_clustering",
-    "tabulated_optimal_partitioning",
 ]

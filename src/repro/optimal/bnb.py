@@ -18,21 +18,29 @@ ways, and the bandwidth correction can only increase slowdowns (by at most a
 workload-wide factor that is computed up front).  The solver is exact: the
 test suite checks it returns the same optimum as the exhaustive search.
 
-For the throughput objective the unfairness bounds do not apply and only the
+Both bound levels are O(1) reads of the dense tables of
+:mod:`repro.optimal.tabulated`: the per-row max/min member slowdowns.  For
+the throughput objective the unfairness bounds do not apply and only the
 structural enumeration is shared; pruning is disabled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.apps.profile import AppProfile
-from repro.core.types import ClusteringSolution
-from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
-from repro.optimal.exhaustive import OptimalResult, _validate_workload
-from repro.optimal.objective import CachedObjective, CandidateScore
+from repro.optimal.exhaustive import (
+    OptimalResult,
+    _check_objective,
+    _cluster_limit,
+    _finalize,
+    _validate_workload,
+)
 from repro.optimal.partitions import set_partitions
+from repro.optimal.tabulated import TabulatedObjective, _better, _Incumbent
 
 __all__ = ["branch_and_bound_clustering"]
 
@@ -68,125 +76,112 @@ def branch_and_bound_clustering(
     *,
     objective: str = "fairness",
     max_clusters: Optional[int] = None,
-    objective_fn: Optional[CachedObjective] = None,
-    backend: str = "reference",
+    tables: Optional[TabulatedObjective] = None,
 ) -> OptimalResult:
     """Exact optimal clustering with partition- and composition-level pruning.
 
     Returns the same solution as
     :func:`repro.optimal.exhaustive.optimal_clustering` (verified by tests)
-    while typically scoring far fewer candidates.  With
-    ``backend="tabulated"`` both bound levels and the leaf scoring read the
-    dense tables of :mod:`repro.optimal.tabulated` instead of the per-cluster
-    cache (same optimum, faster still).
+    while typically scoring far fewer candidates.  ``tables`` shares a
+    pre-built :class:`TabulatedObjective` across searches.
     """
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    if backend == "tabulated":
-        if objective_fn is not None:
-            raise SolverError(
-                "objective_fn (a CachedObjective) cannot drive the tabulated "
-                "backend; call tabulated_branch_and_bound with shared tables "
-                "instead"
-            )
-        from repro.optimal.tabulated import tabulated_branch_and_bound
-
-        return tabulated_branch_and_bound(
-            platform,
-            profiles,
-            apps,
-            objective=objective,
-            max_clusters=max_clusters,
-        )
-    if backend != "reference":
-        raise SolverError(f"unknown solver backend {backend!r}")
+    _check_objective(objective)
     apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
     k = platform.llc_ways
-    limit = min(len(apps), k)
-    if max_clusters is not None:
-        if max_clusters < 1:
-            raise SolverError("max_clusters must be >= 1")
-        limit = min(limit, max_clusters)
-    scorer = objective_fn or CachedObjective(platform, profiles)
+    limit = _cluster_limit(len(apps), k, max_clusters)
+    tables = tables or TabulatedObjective(platform, profiles, apps)
     prune = objective == "fairness"
     bw_factor_ub = (
         _bandwidth_factor_upper_bound(
-            scorer.platform, scorer.profiles, scorer.bandwidth_model, apps
+            platform, tables.profiles, tables.bandwidth_model, apps
         )
         if prune
         else 1.0
     )
 
-    best_score: Optional[CandidateScore] = None
-    best_groups: Optional[List[List[str]]] = None
-    best_ways: Optional[Tuple[int, ...]] = None
+    incumbent: Optional[_Incumbent] = None
     evaluated = 0
-
     for groups in set_partitions(apps, limit):
         m = len(groups)
+        masks = [tables.group_mask(group) for group in groups]
         generous = max(k - (m - 1), 1)
-        if prune and best_score is not None:
+        if prune and incumbent is not None:
             # Lower bound on the maximum slowdown: every cluster could at best
             # receive the most generous feasible allocation.
             max_slowdown_lb = 0.0
             # Upper bound on the minimum slowdown: some application will do no
             # worse than being squeezed to one way (times the bandwidth bound).
             min_slowdown_ub = float("inf")
-            for group in groups:
-                generous_pieces = scorer.cluster_pieces(group, generous)
-                max_slowdown_lb = max(max_slowdown_lb, max(generous_pieces.cache_slowdowns.values()))
-                squeezed_pieces = scorer.cluster_pieces(group, 1)
-                min_slowdown_ub = min(
-                    min_slowdown_ub, min(squeezed_pieces.cache_slowdowns.values()) * bw_factor_ub
+            for mask in masks:
+                max_slowdown_lb = max(
+                    max_slowdown_lb, tables.cluster_max_slowdown(mask, generous)
                 )
-            if max_slowdown_lb / min_slowdown_ub >= best_score.unfairness - 1e-12:
+                min_slowdown_ub = min(
+                    min_slowdown_ub,
+                    tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
+                )
+            if max_slowdown_lb / min_slowdown_ub >= incumbent.unfairness - 1e-12:
                 continue
         else:
             min_slowdown_ub = float("inf")
             if prune:
-                for group in groups:
-                    squeezed_pieces = scorer.cluster_pieces(group, 1)
+                for mask in masks:
                     min_slowdown_ub = min(
                         min_slowdown_ub,
-                        min(squeezed_pieces.cache_slowdowns.values()) * bw_factor_ub,
+                        tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
                     )
 
         # Composition-level branch and bound: assign ways cluster by cluster.
-        def assign(index: int, remaining: int, ways_prefix: Tuple[int, ...], partial_max: float) -> None:
-            nonlocal best_score, best_groups, best_ways, evaluated
+        def assign(
+            index: int, remaining: int, ways_prefix: Tuple[int, ...], partial_max: float
+        ) -> None:
+            nonlocal incumbent, evaluated
             if index == m:
                 if remaining != 0:  # pragma: no cover - construction prevents this
                     return
-                score = scorer.score_candidate(groups, ways_prefix)
+                entries = np.asarray(
+                    [
+                        [
+                            mask * k + (ways - 1)
+                            for mask, ways in zip(masks, ways_prefix)
+                        ]
+                    ],
+                    dtype=np.int64,
+                )
+                unfairness, stp = tables.score_entries(entries)
+                u, s = float(unfairness[0]), float(stp[0])
                 evaluated += 1
-                if best_score is None or score.better_than(best_score, objective):
-                    best_score = score
-                    best_groups = [list(g) for g in groups]
-                    best_ways = ways_prefix
+                if incumbent is None or _better(
+                    u, s, incumbent.unfairness, incumbent.stp, objective
+                ):
+                    incumbent = _Incumbent(
+                        unfairness=u,
+                        stp=s,
+                        groups=[list(group) for group in groups],
+                        ways=ways_prefix,
+                    )
                 return
             clusters_left = m - index
             max_here = remaining - (clusters_left - 1)
             for ways_here in range(1, max_here + 1):
-                pieces = scorer.cluster_pieces(groups[index], ways_here)
-                new_partial_max = max(partial_max, max(pieces.cache_slowdowns.values()))
+                new_partial_max = max(
+                    partial_max, tables.cluster_max_slowdown(masks[index], ways_here)
+                )
                 if (
                     prune
-                    and best_score is not None
-                    and new_partial_max / min_slowdown_ub >= best_score.unfairness - 1e-12
+                    and incumbent is not None
+                    and new_partial_max / min_slowdown_ub
+                    >= incumbent.unfairness - 1e-12
                 ):
                     # Giving this cluster even fewer ways only raises the bound,
                     # but *more* ways may still help, so keep scanning upwards.
                     continue
-                assign(index + 1, remaining - ways_here, ways_prefix + (ways_here,), new_partial_max)
+                assign(
+                    index + 1,
+                    remaining - ways_here,
+                    ways_prefix + (ways_here,),
+                    new_partial_max,
+                )
 
         assign(0, k, (), 0.0)
-
-    if best_score is None or best_groups is None or best_ways is None:
-        raise SolverError("branch and bound found no feasible clustering")
-    solution = ClusteringSolution.from_groups(best_groups, list(best_ways), k)
-    return OptimalResult(
-        solution=solution,
-        score=best_score,
-        candidates_evaluated=evaluated,
-        objective=objective,
-    )
+    return _finalize(tables, incumbent, evaluated, objective)

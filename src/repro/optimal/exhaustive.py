@@ -1,10 +1,10 @@
 """Exhaustive optimal cache-clustering / cache-partitioning search.
 
-This is the reference solver behind the Section 3 analysis (and the
-``Best-Static`` policy of Section 5.1): it walks *every* feasible clustering
-(or strict partitioning) of the workload and returns the one that optimises
-the requested objective — minimal unfairness with system throughput as the
-tie-break, or maximal throughput.
+This is the exact solver behind the Section 3 analysis: it walks *every*
+feasible clustering (or strict partitioning) of the workload and returns the
+one that optimises the requested objective — minimal unfairness with system
+throughput as the tie-break, or maximal throughput.  Candidates are scored in
+vectorized batches over the dense tables of :mod:`repro.optimal.tabulated`.
 
 The search space grows like the Bell number, so the exhaustive solver is only
 practical up to roughly nine applications (the paper makes the same point in
@@ -17,15 +17,20 @@ parallel branch-and-bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from repro.apps.profile import AppProfile
 from repro.core.types import ClusteringSolution
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
-from repro.optimal.objective import CachedObjective, CandidateScore
-from repro.optimal.partitions import set_partitions, way_compositions
-from repro.simulator.estimator import ClusteringEstimator
+from repro.optimal.objective import CandidateScore
+from repro.optimal.partitions import set_partitions
+from repro.optimal.tabulated import (
+    TabulatedObjective,
+    _compositions_array,
+    _Incumbent,
+    _scan_partition,
+)
 
 __all__ = ["OptimalResult", "optimal_clustering", "optimal_partitioning"]
 
@@ -48,16 +53,6 @@ class OptimalResult:
         return self.score.stp
 
 
-def _build_objective(
-    platform: PlatformSpec,
-    profiles: Mapping[str, AppProfile],
-    objective_fn: Optional[CachedObjective],
-) -> CachedObjective:
-    if objective_fn is not None:
-        return objective_fn
-    return CachedObjective(platform, profiles)
-
-
 def _validate_workload(apps: Sequence[str], profiles: Mapping[str, AppProfile]) -> List[str]:
     apps = list(apps)
     if not apps:
@@ -70,6 +65,42 @@ def _validate_workload(apps: Sequence[str], profiles: Mapping[str, AppProfile]) 
     return apps
 
 
+def _check_objective(objective: str) -> None:
+    if objective not in ("fairness", "throughput"):
+        raise SolverError(f"unknown objective {objective!r}")
+
+
+def _cluster_limit(n_apps: int, k: int, max_clusters: Optional[int]) -> int:
+    """Largest cluster count a search may use (``min(n, k)``, optionally capped)."""
+    limit = min(n_apps, k)
+    if max_clusters is not None:
+        if max_clusters < 1:
+            raise SolverError("max_clusters must be >= 1")
+        limit = min(limit, max_clusters)
+    return limit
+
+
+def _finalize(
+    tables: TabulatedObjective,
+    incumbent: Optional[_Incumbent],
+    evaluated: int,
+    objective: str,
+) -> OptimalResult:
+    """Re-score the winning candidate exactly and wrap it as a result."""
+    if incumbent is None:
+        raise SolverError("the search found no feasible candidate")
+    score = tables.exact_score(incumbent.groups, list(incumbent.ways))
+    solution = ClusteringSolution.from_groups(
+        incumbent.groups, list(incumbent.ways), tables.n_ways
+    )
+    return OptimalResult(
+        solution=solution,
+        score=score,
+        candidates_evaluated=evaluated,
+        objective=objective,
+    )
+
+
 def optimal_clustering(
     platform: PlatformSpec,
     profiles: Mapping[str, AppProfile],
@@ -77,8 +108,7 @@ def optimal_clustering(
     *,
     objective: str = "fairness",
     max_clusters: Optional[int] = None,
-    objective_fn: Optional[CachedObjective] = None,
-    backend: str = "reference",
+    tables: Optional[TabulatedObjective] = None,
 ) -> OptimalResult:
     """Exhaustively search for the optimal cache clustering.
 
@@ -93,65 +123,22 @@ def optimal_clustering(
         setting) or ``"throughput"`` (maximal STP).
     max_clusters:
         Optional cap on the number of clusters (defaults to ``min(n, k)``).
-    objective_fn:
-        Pre-built :class:`CachedObjective`, useful to share the cluster cache
-        across several searches over the same workload (Fig. 3 does this).
-    backend:
-        ``"reference"`` scores candidates one at a time through
-        :class:`CachedObjective`; ``"tabulated"`` batch-scores them over the
-        dense tables of :mod:`repro.optimal.tabulated` (same optimum, much
-        faster for non-trivial workloads).
+    tables:
+        Pre-built :class:`TabulatedObjective` over the workload, to share the
+        table build across several searches (Fig. 3 does this).
     """
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    if backend == "tabulated":
-        if objective_fn is not None:
-            raise SolverError(
-                "objective_fn (a CachedObjective) cannot drive the tabulated "
-                "backend; call tabulated_optimal_clustering with shared tables "
-                "instead"
-            )
-        from repro.optimal.tabulated import tabulated_optimal_clustering
-
-        return tabulated_optimal_clustering(
-            platform,
-            profiles,
-            apps,
-            objective=objective,
-            max_clusters=max_clusters,
-        )
-    if backend != "reference":
-        raise SolverError(f"unknown solver backend {backend!r}")
+    _check_objective(objective)
     apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
     k = platform.llc_ways
-    limit = min(len(apps), k)
-    if max_clusters is not None:
-        if max_clusters < 1:
-            raise SolverError("max_clusters must be >= 1")
-        limit = min(limit, max_clusters)
-    scorer = _build_objective(platform, profiles, objective_fn)
-
-    best_score: Optional[CandidateScore] = None
-    best_groups: Optional[List[List[str]]] = None
-    best_ways: Optional[Tuple[int, ...]] = None
+    limit = _cluster_limit(len(apps), k, max_clusters)
+    tables = tables or TabulatedObjective(platform, profiles, apps)
+    incumbent: Optional[_Incumbent] = None
     evaluated = 0
     for groups in set_partitions(apps, limit):
-        m = len(groups)
-        for ways in way_compositions(k, m):
-            score = scorer.score_candidate(groups, ways)
-            evaluated += 1
-            if best_score is None or score.better_than(best_score, objective):
-                best_score = score
-                best_groups = [list(g) for g in groups]
-                best_ways = ways
-    assert best_score is not None and best_groups is not None and best_ways is not None
-    solution = ClusteringSolution.from_groups(best_groups, list(best_ways), k)
-    return OptimalResult(
-        solution=solution,
-        score=best_score,
-        candidates_evaluated=evaluated,
-        objective=objective,
-    )
+        comps = _compositions_array(k, len(groups))
+        incumbent = _scan_partition(tables, groups, comps, incumbent, objective)
+        evaluated += len(comps)
+    return _finalize(tables, incumbent, evaluated, objective)
 
 
 def optimal_partitioning(
@@ -160,31 +147,16 @@ def optimal_partitioning(
     apps: Optional[Sequence[str]] = None,
     *,
     objective: str = "fairness",
-    objective_fn: Optional[CachedObjective] = None,
-    backend: str = "reference",
+    tables: Optional[TabulatedObjective] = None,
 ) -> OptimalResult:
     """Exhaustively search for the optimal *strict* cache partitioning.
 
     Every application gets its own partition; only the way distribution is
     searched.  Requires ``n <= k`` (otherwise partitioning is infeasible, as
-    Section 2.2 notes).
+    Section 2.2 notes).  Without shared ``tables`` only the ``n`` singleton
+    clusters are tabulated.
     """
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    if backend == "tabulated":
-        if objective_fn is not None:
-            raise SolverError(
-                "objective_fn (a CachedObjective) cannot drive the tabulated "
-                "backend; call tabulated_optimal_partitioning with shared "
-                "tables instead"
-            )
-        from repro.optimal.tabulated import tabulated_optimal_partitioning
-
-        return tabulated_optimal_partitioning(
-            platform, profiles, apps, objective=objective
-        )
-    if backend != "reference":
-        raise SolverError(f"unknown solver backend {backend!r}")
+    _check_objective(objective)
     apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
     k = platform.llc_ways
     if len(apps) > k:
@@ -192,22 +164,14 @@ def optimal_partitioning(
             f"strict partitioning of {len(apps)} applications is infeasible on a "
             f"{k}-way LLC"
         )
-    scorer = _build_objective(platform, profiles, objective_fn)
+    if tables is None:
+        tables = TabulatedObjective(
+            platform,
+            profiles,
+            apps,
+            cluster_masks=[1 << j for j in range(len(apps))],
+        )
     groups = [[app] for app in apps]
-    best_score: Optional[CandidateScore] = None
-    best_ways: Optional[Tuple[int, ...]] = None
-    evaluated = 0
-    for ways in way_compositions(k, len(apps)):
-        score = scorer.score_candidate(groups, ways)
-        evaluated += 1
-        if best_score is None or score.better_than(best_score, objective):
-            best_score = score
-            best_ways = ways
-    assert best_score is not None and best_ways is not None
-    solution = ClusteringSolution.from_partitioning(apps, list(best_ways), k)
-    return OptimalResult(
-        solution=solution,
-        score=best_score,
-        candidates_evaluated=evaluated,
-        objective=objective,
-    )
+    comps = _compositions_array(k, len(apps))
+    incumbent = _scan_partition(tables, groups, comps, None, objective)
+    return _finalize(tables, incumbent, len(comps), objective)

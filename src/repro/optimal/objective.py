@@ -50,8 +50,9 @@ class ClusterPieces:
     stall_fractions: Dict[str, float]
     #: Sum of ``bandwidth_gbs`` accumulated in sorted member order.  Candidate
     #: scoring adds these per-cluster totals together (instead of re-summing
-    #: the flat per-application demands) so the tabulated backend can combine
-    #: the same partial sums and reproduce the reference scores bit for bit.
+    #: the flat per-application demands) so the dense tables of
+    #: :mod:`repro.optimal.tabulated` can combine the same partial sums and
+    #: reproduce these scores bit for bit.
     demand_total_gbs: float = 0.0
 
 

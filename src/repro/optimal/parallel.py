@@ -6,14 +6,10 @@ our solvers: the space of set partitions is sharded by partition index and
 each shard is explored in a separate worker process; the best candidate across
 shards wins.
 
-Two backends are available.  The default ``"tabulated"`` backend builds the
-dense scoring tables of :mod:`repro.optimal.tabulated` **once** in the parent
-and ships them to every worker through the pool initializer, so workers start
-batch-scoring immediately instead of re-solving the occupancy model for every
-(cluster, ways) pair in their shard.  The ``"reference"`` backend preserves
-the original behaviour: each worker builds its own
-:class:`~repro.optimal.objective.CachedObjective` and scores candidates one at
-a time.
+The dense scoring tables of :mod:`repro.optimal.tabulated` are built **once**
+in the parent and shipped to every worker through the pool initializer, so
+workers start batch-scoring immediately instead of re-solving the occupancy
+model for every (cluster, ways) pair in their shard.
 
 Because worker processes cannot share the incumbent bound cheaply, each worker
 exhaustively scores its shard only; the merge step then applies the global
@@ -24,51 +20,27 @@ the speed-up comes from the embarrassingly parallel shard structure.
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.apps.profile import AppProfile
 from repro.core.types import ClusteringSolution
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
-from repro.optimal.exhaustive import OptimalResult, _validate_workload
-from repro.optimal.objective import CachedObjective, CandidateScore
-from repro.optimal.partitions import set_partitions, way_compositions
+from repro.optimal.exhaustive import (
+    OptimalResult,
+    _check_objective,
+    _cluster_limit,
+    _validate_workload,
+)
+from repro.optimal.objective import CandidateScore
+from repro.optimal.partitions import set_partitions
+from repro.optimal.tabulated import (
+    TabulatedObjective,
+    _compositions_array,
+    _scan_partition,
+)
 
 __all__ = ["parallel_optimal_clustering"]
-
-
-def _shard_worker(args: Tuple) -> Tuple[Optional[dict], int]:
-    """Explore one shard with the reference scorer; returns (best, count)."""
-    (platform, profiles, apps, objective, limit, shard_index, n_shards) = args
-    scorer = CachedObjective(platform, profiles)
-    k = platform.llc_ways
-    best_score: Optional[CandidateScore] = None
-    best_groups: Optional[List[List[str]]] = None
-    best_ways: Optional[Tuple[int, ...]] = None
-    evaluated = 0
-    for partition_index, groups in enumerate(set_partitions(apps, limit)):
-        if partition_index % n_shards != shard_index:
-            continue
-        m = len(groups)
-        for ways in way_compositions(k, m):
-            score = scorer.score_candidate(groups, ways)
-            evaluated += 1
-            if best_score is None or score.better_than(best_score, objective):
-                best_score = score
-                best_groups = [list(g) for g in groups]
-                best_ways = ways
-    if best_score is None:
-        return None, evaluated
-    return (
-        {
-            "groups": best_groups,
-            "ways": list(best_ways),
-            "unfairness": best_score.unfairness,
-            "stp": best_score.stp,
-            "slowdowns": best_score.slowdowns,
-        },
-        evaluated,
-    )
 
 
 # The shared tables live in a module-level slot populated once per worker
@@ -77,19 +49,17 @@ def _shard_worker(args: Tuple) -> Tuple[Optional[dict], int]:
 _WORKER_TABLES = None
 
 
-def _init_tabulated_worker(tables) -> None:
+def _init_worker(tables) -> None:
     global _WORKER_TABLES
     _WORKER_TABLES = tables
 
 
-def _tabulated_shard_worker(args: Tuple) -> Tuple[Optional[dict], int]:
+def _scan_shard(args: Tuple) -> Tuple[Optional[dict], int]:
     """Explore one shard by batch-scoring over the shared dense tables."""
-    from repro.optimal.tabulated import _compositions_array, _scan_partition
-
     (apps, objective, limit, shard_index, n_shards) = args
     tables = _WORKER_TABLES
     if tables is None:
-        raise SolverError("tabulated worker started without shared tables")
+        raise SolverError("shard worker started without shared tables")
     k = tables.n_ways
     incumbent = None
     evaluated = 0
@@ -101,8 +71,8 @@ def _tabulated_shard_worker(args: Tuple) -> Tuple[Optional[dict], int]:
         evaluated += len(comps)
     if incumbent is None:
         return None, evaluated
-    # Re-score the shard winner through the reference path so the merge step
-    # compares (and the caller receives) bit-identical reference scores.
+    # Re-score the shard winner exactly so the merge step compares (and the
+    # caller receives) bit-identical per-candidate scores.
     score = tables.exact_score(incumbent.groups, list(incumbent.ways))
     return (
         {
@@ -124,75 +94,40 @@ def parallel_optimal_clustering(
     objective: str = "fairness",
     max_clusters: Optional[int] = None,
     n_workers: Optional[int] = None,
-    backend: str = "tabulated",
 ) -> OptimalResult:
     """Exhaustive optimal clustering, sharded over worker processes.
 
     Produces the same optimum as the sequential exhaustive solver.  With
     ``n_workers=1`` the search runs in-process (useful for tests and for
-    platforms where spawning processes is undesirable).  ``backend`` selects
-    the per-worker scoring engine: ``"tabulated"`` (default) ships dense
-    tables built once in the parent, ``"reference"`` rebuilds the cached
-    objective per worker as the original implementation did.
+    platforms where spawning processes is undesirable).  Workloads beyond
+    :data:`~repro.optimal.tabulated.MAX_TABULATED_APPS` applications raise a
+    :class:`SolverError`; use the local search for those.
     """
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    if backend not in ("tabulated", "reference"):
-        raise SolverError(f"unknown solver backend {backend!r}")
+    _check_objective(objective)
     apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
     k = platform.llc_ways
-    limit = min(len(apps), k)
-    if max_clusters is not None:
-        if max_clusters < 1:
-            raise SolverError("max_clusters must be >= 1")
-        limit = min(limit, max_clusters)
+    limit = _cluster_limit(len(apps), k, max_clusters)
     if n_workers is None:
         n_workers = max(mp.cpu_count() - 1, 1)
     if n_workers < 1:
         raise SolverError("n_workers must be >= 1")
-    profiles = dict(profiles)
 
-    if backend == "tabulated":
-        from repro.optimal.tabulated import MAX_TABULATED_APPS, TabulatedObjective
-
-        if len(apps) > MAX_TABULATED_APPS:
-            # Dense tables would not fit; fall back to the per-worker cached
-            # objective rather than failing a search that used to run.
-            backend = "reference"
-
-    if backend == "tabulated":
-        from repro.optimal.tabulated import TabulatedObjective
-
-        tables = TabulatedObjective(platform, profiles, apps)
-        shard_args = [
-            (list(apps), objective, limit, shard, n_workers)
-            for shard in range(n_workers)
-        ]
-        if n_workers == 1:
-            _init_tabulated_worker(tables)
-            try:
-                results = [_tabulated_shard_worker(shard_args[0])]
-            finally:
-                _init_tabulated_worker(None)
-        else:
-            ctx = mp.get_context("spawn")
-            with ctx.Pool(
-                processes=n_workers,
-                initializer=_init_tabulated_worker,
-                initargs=(tables,),
-            ) as pool:
-                results = pool.map(_tabulated_shard_worker, shard_args)
+    tables = TabulatedObjective(platform, profiles, apps)
+    shard_args = [
+        (list(apps), objective, limit, shard, n_workers) for shard in range(n_workers)
+    ]
+    if n_workers == 1:
+        _init_worker(tables)
+        try:
+            results = [_scan_shard(shard_args[0])]
+        finally:
+            _init_worker(None)
     else:
-        shard_args = [
-            (platform, profiles, list(apps), objective, limit, shard, n_workers)
-            for shard in range(n_workers)
-        ]
-        if n_workers == 1:
-            results = [_shard_worker(shard_args[0])]
-        else:
-            ctx = mp.get_context("spawn")
-            with ctx.Pool(processes=n_workers) as pool:
-                results = pool.map(_shard_worker, shard_args)
+        ctx = mp.get_context("spawn")
+        with ctx.Pool(
+            processes=n_workers, initializer=_init_worker, initargs=(tables,)
+        ) as pool:
+            results = pool.map(_scan_shard, shard_args)
 
     best: Optional[dict] = None
     best_score: Optional[CandidateScore] = None

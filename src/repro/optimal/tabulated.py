@@ -19,14 +19,17 @@ per-candidate Python work entirely:
   unfairness is ``max/min`` of each slowdown row and STP the row sum of
   reciprocals.
 
-The engine is *exact* with respect to the reference implementation: the
-vectorized occupancy solve and the batch combination replicate the reference
-arithmetic operation for operation (same association order for every running
-sum), candidates are visited in the same enumeration order with the same
-comparison tolerances, and the winning candidate is re-scored through a plain
-:class:`CachedObjective` so the reported :class:`CandidateScore` is
-bit-identical to what the reference backend returns.  The test suite asserts
-this equivalence on seeded workloads for both objectives.
+The engine is *exact* with respect to per-candidate scoring through
+:class:`CachedObjective`: the vectorized occupancy solve and the batch
+combination replicate its arithmetic operation for operation (same
+association order for every running sum), the searches in
+:mod:`repro.optimal.exhaustive` and :mod:`repro.optimal.bnb` visit candidates
+in enumeration order with the comparison tolerances of
+:meth:`CandidateScore.better_than`, and the winning candidate is re-scored
+through a plain :class:`CachedObjective`, so the reported
+:class:`CandidateScore` is bit-identical to a per-candidate search.  The test
+suite asserts this against the per-candidate search loops kept as oracles in
+``tests/oracles.py``, on seeded workloads for both objectives.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.profile import AppProfile
-from repro.core.types import ClusteringSolution
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
 from repro.optimal.objective import CachedObjective, CandidateScore
-from repro.optimal.partitions import set_partitions, way_compositions
+from repro.optimal.partitions import way_compositions
 from repro.simulator.bandwidth import BandwidthModel
 from repro.simulator.occupancy import OccupancyModel
 
@@ -51,9 +53,6 @@ __all__ = [
     "llcmpkc_interp",
     "ipc_interp",
     "ipc_with_extrapolation",
-    "tabulated_optimal_clustering",
-    "tabulated_optimal_partitioning",
-    "tabulated_branch_and_bound",
 ]
 
 #: Dense tables hold 2^n masks; beyond this the table itself would dwarf any
@@ -77,7 +76,7 @@ def _compositions_array(total_ways: int, n_parts: int) -> np.ndarray:
     """All way compositions as a read-only (count, n_parts) int array.
 
     Row order matches :func:`way_compositions`, which the candidate-order
-    equivalence with the reference solvers relies on.
+    equivalence with the per-candidate search relies on.
     """
     arr = np.asarray(list(way_compositions(total_ways, n_parts)), dtype=np.int64)
     arr.setflags(write=False)
@@ -170,9 +169,10 @@ class TabulatedObjective:
             raise SolverError("application names must be unique")
         if len(names) > MAX_TABULATED_APPS:
             raise SolverError(
-                f"the tabulated backend holds dense tables for 2^n clusters and "
-                f"supports at most {MAX_TABULATED_APPS} applications, got "
-                f"{len(names)}; use the reference backend or the local search"
+                f"the exact solvers hold dense tables for 2^n clusters and "
+                f"support at most MAX_TABULATED_APPS = {MAX_TABULATED_APPS} "
+                f"applications, got {len(names)}; use local_search_clustering "
+                f"for larger workloads"
             )
         self.platform = platform
         self.profiles: Dict[str, AppProfile] = {name: profiles[name] for name in names}
@@ -447,220 +447,3 @@ def _scan_partition(
         unfairness, stp = tables.score_entries(entries)
         incumbent = _scan_batch(unfairness, stp, groups, chunk, incumbent, objective)
     return incumbent
-
-
-def _finalize(
-    tables: TabulatedObjective,
-    incumbent: Optional[_Incumbent],
-    evaluated: int,
-    objective: str,
-):
-    from repro.optimal.exhaustive import OptimalResult
-
-    if incumbent is None:
-        raise SolverError("the tabulated search found no feasible candidate")
-    score = tables.exact_score(incumbent.groups, list(incumbent.ways))
-    solution = ClusteringSolution.from_groups(
-        incumbent.groups, list(incumbent.ways), tables.n_ways
-    )
-    return OptimalResult(
-        solution=solution,
-        score=score,
-        candidates_evaluated=evaluated,
-        objective=objective,
-    )
-
-
-def tabulated_optimal_clustering(
-    platform: PlatformSpec,
-    profiles: Mapping[str, AppProfile],
-    apps: Optional[Sequence[str]] = None,
-    *,
-    objective: str = "fairness",
-    max_clusters: Optional[int] = None,
-    tables: Optional[TabulatedObjective] = None,
-):
-    """Exhaustive optimal clustering over precomputed dense tables.
-
-    Returns the same :class:`OptimalResult` as
-    :func:`repro.optimal.exhaustive.optimal_clustering` — same candidate
-    enumeration order, same comparison tolerances, and a final exact re-score
-    of the winner — while evaluating candidates in vectorized batches.
-    """
-    from repro.optimal.exhaustive import _validate_workload
-
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
-    k = platform.llc_ways
-    limit = min(len(apps), k)
-    if max_clusters is not None:
-        if max_clusters < 1:
-            raise SolverError("max_clusters must be >= 1")
-        limit = min(limit, max_clusters)
-    tables = tables or TabulatedObjective(platform, profiles, apps)
-    incumbent: Optional[_Incumbent] = None
-    evaluated = 0
-    for groups in set_partitions(apps, limit):
-        comps = _compositions_array(k, len(groups))
-        incumbent = _scan_partition(tables, groups, comps, incumbent, objective)
-        evaluated += len(comps)
-    return _finalize(tables, incumbent, evaluated, objective)
-
-
-def tabulated_branch_and_bound(
-    platform: PlatformSpec,
-    profiles: Mapping[str, AppProfile],
-    apps: Optional[Sequence[str]] = None,
-    *,
-    objective: str = "fairness",
-    max_clusters: Optional[int] = None,
-    tables: Optional[TabulatedObjective] = None,
-):
-    """Branch-and-bound clustering with bounds read from the dense tables.
-
-    Same pruning structure (and the same optimum) as
-    :func:`repro.optimal.bnb.branch_and_bound_clustering`, but both bound
-    levels become O(1) table lookups instead of occupancy-model solves: the
-    partition-level bound reads the per-row max/min member slowdowns and the
-    composition-level bound reads the same scalars while ways are assigned
-    cluster by cluster.
-    """
-    from repro.optimal.bnb import _bandwidth_factor_upper_bound
-    from repro.optimal.exhaustive import _validate_workload
-
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
-    k = platform.llc_ways
-    limit = min(len(apps), k)
-    if max_clusters is not None:
-        if max_clusters < 1:
-            raise SolverError("max_clusters must be >= 1")
-        limit = min(limit, max_clusters)
-    tables = tables or TabulatedObjective(platform, profiles, apps)
-    prune = objective == "fairness"
-    bw_factor_ub = (
-        _bandwidth_factor_upper_bound(
-            platform, tables.profiles, tables.bandwidth_model, apps
-        )
-        if prune
-        else 1.0
-    )
-
-    incumbent: Optional[_Incumbent] = None
-    evaluated = 0
-    for groups in set_partitions(apps, limit):
-        m = len(groups)
-        masks = [tables.group_mask(group) for group in groups]
-        generous = max(k - (m - 1), 1)
-        if prune and incumbent is not None:
-            max_slowdown_lb = 0.0
-            min_slowdown_ub = float("inf")
-            for mask in masks:
-                max_slowdown_lb = max(
-                    max_slowdown_lb, tables.cluster_max_slowdown(mask, generous)
-                )
-                min_slowdown_ub = min(
-                    min_slowdown_ub,
-                    tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
-                )
-            if max_slowdown_lb / min_slowdown_ub >= incumbent.unfairness - 1e-12:
-                continue
-        else:
-            min_slowdown_ub = float("inf")
-            if prune:
-                for mask in masks:
-                    min_slowdown_ub = min(
-                        min_slowdown_ub,
-                        tables.cluster_min_slowdown(mask, 1) * bw_factor_ub,
-                    )
-
-        def assign(
-            index: int, remaining: int, ways_prefix: Tuple[int, ...], partial_max: float
-        ) -> None:
-            nonlocal incumbent, evaluated
-            if index == m:
-                if remaining != 0:  # pragma: no cover - construction prevents this
-                    return
-                entries = np.asarray(
-                    [
-                        [
-                            mask * k + (ways - 1)
-                            for mask, ways in zip(masks, ways_prefix)
-                        ]
-                    ],
-                    dtype=np.int64,
-                )
-                unfairness, stp = tables.score_entries(entries)
-                u, s = float(unfairness[0]), float(stp[0])
-                evaluated += 1
-                if incumbent is None or _better(
-                    u, s, incumbent.unfairness, incumbent.stp, objective
-                ):
-                    incumbent = _Incumbent(
-                        unfairness=u,
-                        stp=s,
-                        groups=[list(group) for group in groups],
-                        ways=ways_prefix,
-                    )
-                return
-            clusters_left = m - index
-            max_here = remaining - (clusters_left - 1)
-            for ways_here in range(1, max_here + 1):
-                new_partial_max = max(
-                    partial_max, tables.cluster_max_slowdown(masks[index], ways_here)
-                )
-                if (
-                    prune
-                    and incumbent is not None
-                    and new_partial_max / min_slowdown_ub
-                    >= incumbent.unfairness - 1e-12
-                ):
-                    # Fewer ways only raise the bound, but *more* ways may still
-                    # help, so keep scanning upwards.
-                    continue
-                assign(
-                    index + 1,
-                    remaining - ways_here,
-                    ways_prefix + (ways_here,),
-                    new_partial_max,
-                )
-
-        assign(0, k, (), 0.0)
-    return _finalize(tables, incumbent, evaluated, objective)
-
-
-def tabulated_optimal_partitioning(
-    platform: PlatformSpec,
-    profiles: Mapping[str, AppProfile],
-    apps: Optional[Sequence[str]] = None,
-    *,
-    objective: str = "fairness",
-    tables: Optional[TabulatedObjective] = None,
-):
-    """Strict-partitioning counterpart of :func:`tabulated_optimal_clustering`."""
-    from repro.optimal.exhaustive import _validate_workload
-
-    if objective not in ("fairness", "throughput"):
-        raise SolverError(f"unknown objective {objective!r}")
-    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
-    k = platform.llc_ways
-    if len(apps) > k:
-        raise SolverError(
-            f"strict partitioning of {len(apps)} applications is infeasible on a "
-            f"{k}-way LLC"
-        )
-    if tables is None:
-        # Strict partitioning only ever scores singleton clusters, so restrict
-        # the table build to the n singleton masks instead of all 2^n.
-        tables = TabulatedObjective(
-            platform,
-            profiles,
-            apps,
-            cluster_masks=[1 << j for j in range(len(apps))],
-        )
-    groups = [[app] for app in apps]
-    comps = _compositions_array(k, len(apps))
-    incumbent = _scan_partition(tables, groups, comps, None, objective)
-    return _finalize(tables, incumbent, len(comps), objective)

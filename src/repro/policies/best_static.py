@@ -3,8 +3,9 @@
 In Section 5.1 the paper compares every heuristic against ``Best-Static``, the
 cache partitions and application-to-cluster mappings of the *optimal fairness
 solution* determined by the PBBCache simulator.  This policy wraps the solvers
-of :mod:`repro.optimal`: exact search when the workload is small enough,
-randomised local search beyond that (the threshold is configurable).
+of :mod:`repro.optimal`: exact branch and bound over the dense tables of
+:mod:`repro.optimal.tabulated` when the workload is small enough, randomised
+local search beyond that (the threshold is configurable).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class BestStaticPolicy(ClusteringPolicy):
         exact_limit: int = 7,
         local_search_iterations: int = 1500,
         seed: int = 0,
-        backend: str = "tabulated",
     ) -> None:
         """
         Parameters
@@ -41,27 +41,20 @@ class BestStaticPolicy(ClusteringPolicy):
         objective:
             ``"fairness"`` (the paper's setting) or ``"throughput"``.
         exact_limit:
-            Largest workload size solved exactly (branch and bound); larger
-            workloads fall back to the randomised local search.
+            Largest workload size solved exactly (branch and bound over the
+            dense tables, so at most ``MAX_TABULATED_APPS``); larger workloads
+            fall back to the randomised local search.
         local_search_iterations, seed:
             Local-search budget and RNG seed for the fallback path.
-        backend:
-            Scoring engine for the exact search: ``"tabulated"`` (default)
-            batch-scores over the dense tables of
-            :mod:`repro.optimal.tabulated`, ``"reference"`` keeps the original
-            per-candidate cached objective.  Both return the same optimum.
         """
         if objective not in ("fairness", "throughput"):
             raise ClusteringError(f"unknown objective {objective!r}")
         if exact_limit < 1:
             raise ClusteringError("exact_limit must be >= 1")
-        if backend not in ("tabulated", "reference"):
-            raise ClusteringError(f"unknown solver backend {backend!r}")
         self.objective = objective
         self.exact_limit = exact_limit
         self.local_search_iterations = local_search_iterations
         self.seed = seed
-        self.backend = backend
 
     def decide(
         self, profiles: Mapping[str, AppProfile], platform: PlatformSpec
@@ -73,7 +66,7 @@ class BestStaticPolicy(ClusteringPolicy):
         }
         if len(resampled) <= self.exact_limit:
             result = branch_and_bound_clustering(
-                platform, resampled, objective=self.objective, backend=self.backend
+                platform, resampled, objective=self.objective
             )
         else:
             result = local_search_clustering(

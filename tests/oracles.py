@@ -27,6 +27,12 @@ production code must reproduce *exactly* — same study rows, same
   with one occupancy fixed point per way count;
 * :func:`local_search_reference` — the local search scoring every proposal,
   repeated states included;
+* :func:`optimal_clustering_reference`, :func:`optimal_partitioning_reference`,
+  :func:`branch_and_bound_reference` and :func:`shard_worker_reference` — the
+  exact searches scoring one candidate at a time through
+  :class:`~repro.optimal.CachedObjective`, which the batch scoring over the
+  dense tables must reproduce (same optimum, same floats, same candidate
+  counts);
 * :func:`build_dendrogram_reference`, :func:`evaluate_level_reference` and
   :func:`kpart_decide_reference` — KPart recomputing every distance and
   combined miss curve.
@@ -77,15 +83,17 @@ from repro.apps.profile import AppProfile
 from repro.core.lfoc import lfoc_clustering
 from repro.core.lookahead import lookahead
 from repro.core.types import ClusteringSolution, WayAllocation
-from repro.errors import ClusteringError, SimulationError
+from repro.errors import ClusteringError, SimulationError, SolverError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import CatController
 from repro.hardware.platform import PlatformSpec
 from repro.hardware.pmc import CounterDelta, derive_metrics
 from repro.metrics.aggregate import normalise, short_mean
+from repro.optimal.bnb import _bandwidth_factor_upper_bound
 from repro.optimal.exhaustive import OptimalResult, _validate_workload
 from repro.optimal.local_search import _seed_states
-from repro.optimal.objective import CachedObjective
+from repro.optimal.objective import CachedObjective, CandidateScore
+from repro.optimal.partitions import set_partitions, way_compositions
 from repro.optimal.tabulated import ipc_with_extrapolation, llcmpkc_interp
 from repro.policies import DunnPolicy, LfocPolicy
 from repro.policies.lfoc import _classify_and_tabulate
@@ -1160,6 +1168,247 @@ def local_search_reference(
         score=best_score,
         candidates_evaluated=evaluated,
         objective=objective,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact search: per-candidate scoring through CachedObjective
+# ---------------------------------------------------------------------------
+
+
+def optimal_clustering_reference(
+    platform: PlatformSpec,
+    profiles: Mapping[str, AppProfile],
+    apps: Optional[Sequence[str]] = None,
+    *,
+    objective: str = "fairness",
+    max_clusters: Optional[int] = None,
+    objective_fn: Optional[CachedObjective] = None,
+) -> OptimalResult:
+    """:func:`repro.optimal.optimal_clustering`, one candidate at a time.
+
+    Every (partition, way composition) pair is scored through
+    :meth:`CachedObjective.score_candidate`; ``objective_fn`` shares one
+    cluster cache across several oracle searches.
+    """
+    if objective not in ("fairness", "throughput"):
+        raise SolverError(f"unknown objective {objective!r}")
+    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
+    k = platform.llc_ways
+    limit = min(len(apps), k)
+    if max_clusters is not None:
+        if max_clusters < 1:
+            raise SolverError("max_clusters must be >= 1")
+        limit = min(limit, max_clusters)
+    scorer = objective_fn or CachedObjective(platform, profiles)
+
+    best_score: Optional[CandidateScore] = None
+    best_groups: Optional[List[List[str]]] = None
+    best_ways: Optional[Tuple[int, ...]] = None
+    evaluated = 0
+    for groups in set_partitions(apps, limit):
+        m = len(groups)
+        for ways in way_compositions(k, m):
+            score = scorer.score_candidate(groups, ways)
+            evaluated += 1
+            if best_score is None or score.better_than(best_score, objective):
+                best_score = score
+                best_groups = [list(g) for g in groups]
+                best_ways = ways
+    assert best_score is not None and best_groups is not None and best_ways is not None
+    solution = ClusteringSolution.from_groups(best_groups, list(best_ways), k)
+    return OptimalResult(
+        solution=solution,
+        score=best_score,
+        candidates_evaluated=evaluated,
+        objective=objective,
+    )
+
+
+def optimal_partitioning_reference(
+    platform: PlatformSpec,
+    profiles: Mapping[str, AppProfile],
+    apps: Optional[Sequence[str]] = None,
+    *,
+    objective: str = "fairness",
+    objective_fn: Optional[CachedObjective] = None,
+) -> OptimalResult:
+    """:func:`repro.optimal.optimal_partitioning`, one candidate at a time."""
+    if objective not in ("fairness", "throughput"):
+        raise SolverError(f"unknown objective {objective!r}")
+    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
+    k = platform.llc_ways
+    if len(apps) > k:
+        raise SolverError(
+            f"strict partitioning of {len(apps)} applications is infeasible on a "
+            f"{k}-way LLC"
+        )
+    scorer = objective_fn or CachedObjective(platform, profiles)
+    groups = [[app] for app in apps]
+    best_score: Optional[CandidateScore] = None
+    best_ways: Optional[Tuple[int, ...]] = None
+    evaluated = 0
+    for ways in way_compositions(k, len(apps)):
+        score = scorer.score_candidate(groups, ways)
+        evaluated += 1
+        if best_score is None or score.better_than(best_score, objective):
+            best_score = score
+            best_ways = ways
+    assert best_score is not None and best_ways is not None
+    solution = ClusteringSolution.from_partitioning(apps, list(best_ways), k)
+    return OptimalResult(
+        solution=solution,
+        score=best_score,
+        candidates_evaluated=evaluated,
+        objective=objective,
+    )
+
+
+def branch_and_bound_reference(
+    platform: PlatformSpec,
+    profiles: Mapping[str, AppProfile],
+    apps: Optional[Sequence[str]] = None,
+    *,
+    objective: str = "fairness",
+    max_clusters: Optional[int] = None,
+    objective_fn: Optional[CachedObjective] = None,
+) -> OptimalResult:
+    """:func:`repro.optimal.branch_and_bound_clustering` over per-cluster pieces.
+
+    Both bound levels read :meth:`CachedObjective.cluster_pieces` and every
+    surviving leaf is scored through :meth:`CachedObjective.score_candidate`.
+    """
+    if objective not in ("fairness", "throughput"):
+        raise SolverError(f"unknown objective {objective!r}")
+    apps = _validate_workload(apps if apps is not None else list(profiles), profiles)
+    k = platform.llc_ways
+    limit = min(len(apps), k)
+    if max_clusters is not None:
+        if max_clusters < 1:
+            raise SolverError("max_clusters must be >= 1")
+        limit = min(limit, max_clusters)
+    scorer = objective_fn or CachedObjective(platform, profiles)
+    prune = objective == "fairness"
+    bw_factor_ub = (
+        _bandwidth_factor_upper_bound(
+            scorer.platform, scorer.profiles, scorer.bandwidth_model, apps
+        )
+        if prune
+        else 1.0
+    )
+
+    best_score: Optional[CandidateScore] = None
+    best_groups: Optional[List[List[str]]] = None
+    best_ways: Optional[Tuple[int, ...]] = None
+    evaluated = 0
+
+    for groups in set_partitions(apps, limit):
+        m = len(groups)
+        generous = max(k - (m - 1), 1)
+        if prune and best_score is not None:
+            # Lower bound on the maximum slowdown: every cluster could at best
+            # receive the most generous feasible allocation.
+            max_slowdown_lb = 0.0
+            # Upper bound on the minimum slowdown: some application will do no
+            # worse than being squeezed to one way (times the bandwidth bound).
+            min_slowdown_ub = float("inf")
+            for group in groups:
+                generous_pieces = scorer.cluster_pieces(group, generous)
+                max_slowdown_lb = max(max_slowdown_lb, max(generous_pieces.cache_slowdowns.values()))
+                squeezed_pieces = scorer.cluster_pieces(group, 1)
+                min_slowdown_ub = min(
+                    min_slowdown_ub, min(squeezed_pieces.cache_slowdowns.values()) * bw_factor_ub
+                )
+            if max_slowdown_lb / min_slowdown_ub >= best_score.unfairness - 1e-12:
+                continue
+        else:
+            min_slowdown_ub = float("inf")
+            if prune:
+                for group in groups:
+                    squeezed_pieces = scorer.cluster_pieces(group, 1)
+                    min_slowdown_ub = min(
+                        min_slowdown_ub,
+                        min(squeezed_pieces.cache_slowdowns.values()) * bw_factor_ub,
+                    )
+
+        # Composition-level branch and bound: assign ways cluster by cluster.
+        def assign(index: int, remaining: int, ways_prefix: Tuple[int, ...], partial_max: float) -> None:
+            nonlocal best_score, best_groups, best_ways, evaluated
+            if index == m:
+                if remaining != 0:  # pragma: no cover - construction prevents this
+                    return
+                score = scorer.score_candidate(groups, ways_prefix)
+                evaluated += 1
+                if best_score is None or score.better_than(best_score, objective):
+                    best_score = score
+                    best_groups = [list(g) for g in groups]
+                    best_ways = ways_prefix
+                return
+            clusters_left = m - index
+            max_here = remaining - (clusters_left - 1)
+            for ways_here in range(1, max_here + 1):
+                pieces = scorer.cluster_pieces(groups[index], ways_here)
+                new_partial_max = max(partial_max, max(pieces.cache_slowdowns.values()))
+                if (
+                    prune
+                    and best_score is not None
+                    and new_partial_max / min_slowdown_ub >= best_score.unfairness - 1e-12
+                ):
+                    # Giving this cluster even fewer ways only raises the bound,
+                    # but *more* ways may still help, so keep scanning upwards.
+                    continue
+                assign(index + 1, remaining - ways_here, ways_prefix + (ways_here,), new_partial_max)
+
+        assign(0, k, (), 0.0)
+
+    if best_score is None or best_groups is None or best_ways is None:
+        raise SolverError("branch and bound found no feasible clustering")
+    solution = ClusteringSolution.from_groups(best_groups, list(best_ways), k)
+    return OptimalResult(
+        solution=solution,
+        score=best_score,
+        candidates_evaluated=evaluated,
+        objective=objective,
+    )
+
+
+def shard_worker_reference(args: Tuple) -> Tuple[Optional[dict], int]:
+    """One shard of the parallel search, scored candidate by candidate.
+
+    Returns ``(best, count)`` like the production shard worker of
+    :mod:`repro.optimal.parallel`, but takes the platform and profiles in
+    ``args`` and builds its own :class:`CachedObjective` instead of reading
+    shared dense tables.
+    """
+    (platform, profiles, apps, objective, limit, shard_index, n_shards) = args
+    scorer = CachedObjective(platform, profiles)
+    k = platform.llc_ways
+    best_score: Optional[CandidateScore] = None
+    best_groups: Optional[List[List[str]]] = None
+    best_ways: Optional[Tuple[int, ...]] = None
+    evaluated = 0
+    for partition_index, groups in enumerate(set_partitions(apps, limit)):
+        if partition_index % n_shards != shard_index:
+            continue
+        m = len(groups)
+        for ways in way_compositions(k, m):
+            score = scorer.score_candidate(groups, ways)
+            evaluated += 1
+            if best_score is None or score.better_than(best_score, objective):
+                best_score = score
+                best_groups = [list(g) for g in groups]
+                best_ways = ways
+    if best_score is None:
+        return None, evaluated
+    return (
+        {
+            "groups": best_groups,
+            "ways": list(best_ways),
+            "unfairness": best_score.unfairness,
+            "stp": best_score.stp,
+            "slowdowns": best_score.slowdowns,
+        },
+        evaluated,
     )
 
 

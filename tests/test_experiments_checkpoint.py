@@ -208,6 +208,36 @@ class TestResume:
         with pytest.raises(SpecError, match="scenario definitions"):
             run_study(changed, checkpoint=path, resume=True)
 
+    def test_resume_refuses_checkpoint_with_removed_solver_backend(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint written when solver tables carried 'backend' is stale.
+
+        Its recorded scenarios no longer equal the current definitions, so a
+        resume must refuse it with the named error (never reuse its rows or
+        trip over the key), while ``StudyResult.load`` still reads the rows.
+        """
+        path = tmp_path / "rows.jsonl"
+        spec = two_scenario_spec()
+        run_study(spec, checkpoint=path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        for scenario in header["spec"]["scenarios"]:
+            scenario["solver"] = {"backend": "tabulated", **scenario["solver"]}
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+
+        loaded = StudyResult.load(path)
+        assert loaded.spec["scenarios"][0]["solver"]["backend"] == "tabulated"
+        assert loaded.rows() == run_study(spec).rows()
+
+        executed = []
+        monkeypatch.setattr(
+            study_mod, "_run_scenario", lambda *args: executed.append(args)
+        )
+        with pytest.raises(SpecError, match="written for a different version"):
+            run_study(spec, checkpoint=path, resume=True)
+        assert executed == []
+
     def test_resume_from_current_save_format_recomputes_nothing(
         self, tmp_path, monkeypatch
     ):

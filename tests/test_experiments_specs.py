@@ -49,7 +49,7 @@ def rich_study() -> StudySpec:
                     PolicySpec("dunn"),
                     PolicySpec("best_static", params={"exact_limit": 5}, label="Best"),
                 ),
-                solver=SolverSpec(backend="reference", local_search_iterations=50),
+                solver=SolverSpec(exact_limit=6, local_search_iterations=50),
                 platform={"preset": "skylake_gold_6138", "llc_ways": 8},
             ),
             ScenarioSpec(
@@ -203,13 +203,23 @@ class TestValidationErrors:
             EngineSpec.from_dict({"backend": "reference"})
 
     def test_removed_policy_backend_param(self):
-        for name in ("dunn", "lfoc"):
+        for name in ("dunn", "lfoc", "best_static"):
             with pytest.raises(SpecError, match="rejected params"):
                 resolve_policy(PolicySpec(name, params={"backend": "reference"}))
 
     def test_unknown_solver_backend(self):
         with pytest.raises(SpecError, match="solver backend"):
             SolverSpec.from_dict({"backend": "quantum"})
+
+    def test_removed_solver_backend_key(self):
+        for backend in ("tabulated", "reference"):
+            with pytest.raises(SpecError, match="SolverSpec.backend was removed"):
+                SolverSpec.from_dict({"backend": backend, "exact_limit": 5})
+        # The scenario solver table of a study spec gets the same refusal.
+        data = rich_study().to_dict()
+        data["scenarios"][0]["solver"] = {"backend": "tabulated"}
+        with pytest.raises(SpecError, match="SolverSpec.backend was removed"):
+            StudySpec.from_dict(data)
 
     def test_unknown_platform_preset(self):
         with pytest.raises(SpecError, match="platform preset"):
@@ -303,15 +313,17 @@ class TestRegistry:
             ENGINE_BACKENDS,
             PLATFORMS,
             POLICIES,
-            SOLVER_BACKENDS,
             WORKLOAD_SUITES,
         )
+        import repro.experiments as experiments
 
         assert {"dunn", "kpart", "lfoc", "best_static", "stock"} <= set(POLICIES.names())
         assert {"dunn", "lfoc", "stock", "static"} <= set(DRIVERS.names())
         assert {"s", "p", "all", "dynamic_study"} <= set(WORKLOAD_SUITES.names())
         assert set(ENGINE_BACKENDS.names()) == {"incremental", "multirun"}
-        assert set(SOLVER_BACKENDS.names()) >= {"tabulated", "reference"}
+        # One exact solver: no solver-backend registry to extend.
+        assert not hasattr(experiments, "SOLVER_BACKENDS")
+        assert not hasattr(experiments, "register_solver_backend")
         assert "skylake_gold_6138" in PLATFORMS
 
 

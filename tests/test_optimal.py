@@ -7,6 +7,7 @@ from repro.errors import SolverError
 from repro.hardware import skylake_gold_6138, small_test_platform
 from repro.optimal import (
     CachedObjective,
+    TabulatedObjective,
     bell_number,
     branch_and_bound_clustering,
     count_clustering_solutions,
@@ -89,9 +90,9 @@ class TestSolvers:
         assert result.solution.covers(mix5)
 
     def test_branch_and_bound_matches_exhaustive(self, platform, mix5):
-        shared = CachedObjective(platform, mix5)
-        exhaustive = optimal_clustering(platform, mix5, objective_fn=shared)
-        bnb = branch_and_bound_clustering(platform, mix5, objective_fn=shared)
+        shared = TabulatedObjective(platform, mix5)
+        exhaustive = optimal_clustering(platform, mix5, tables=shared)
+        bnb = branch_and_bound_clustering(platform, mix5, tables=shared)
         assert bnb.unfairness == pytest.approx(exhaustive.unfairness, rel=1e-9)
         assert bnb.candidates_evaluated <= exhaustive.candidates_evaluated
 
@@ -124,10 +125,9 @@ class TestSolvers:
             optimal_clustering(platform, mix5, apps=["ghost"])
 
     def test_local_search_feasible_and_close_to_optimal(self, platform, mix5):
-        shared = CachedObjective(platform, mix5)
-        exact = branch_and_bound_clustering(platform, mix5, objective_fn=shared)
+        exact = branch_and_bound_clustering(platform, mix5)
         approx = local_search_clustering(
-            platform, mix5, iterations=400, restarts=2, seed=1, objective_fn=shared
+            platform, mix5, iterations=400, restarts=2, seed=1
         )
         assert approx.solution.covers(mix5)
         assert approx.unfairness <= exact.unfairness * 1.15

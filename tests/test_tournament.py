@@ -321,6 +321,17 @@ class TestTournamentSpec:
         with pytest.raises(SpecError, match="schema"):
             TournamentSpec.from_dict({**data, "schema": 99})
 
+    def test_solver_table_rejects_removed_backend_key(self, tmp_path):
+        data = self._spec().to_dict()
+        data["solver"] = {"backend": "tabulated", "exact_limit": 5}
+        with pytest.raises(SpecError, match="SolverSpec.backend was removed"):
+            TournamentSpec.from_dict(data)
+        path = tmp_path / "spec.toml"
+        dump_tournament_spec(self._spec(), path)
+        path.write_text(path.read_text() + '\n[solver]\nbackend = "reference"\n')
+        with pytest.raises(SpecError, match="SolverSpec.backend was removed"):
+            load_tournament_spec(path)
+
     def test_from_dict_rejects_unknown_policy_eagerly(self):
         data = self._spec().to_dict()
         data["policies"] = [{"name": "no_such_policy"}]
