@@ -48,8 +48,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_multirun.json"
 
-#: Same quick selection as bench_perf_engine: a slice of the Fig. 7 x-axis
-#: at every workload size.
+#: Quick selection: a slice of the Fig. 7 x-axis at every workload size.
 QUICK_WORKLOADS = ["P1", "P6", "S8", "P11", "S15"]
 
 

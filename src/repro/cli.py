@@ -41,9 +41,8 @@ run worker for a ``tcp`` coordinator:
          --bind 127.0.0.1:7070 --workers 2 \\
          --checkpoint rows.jsonl                           # terminal 3
 
-The wire protocol is schema-versioned and safe by default; the legacy
-pickle codec needs ``--unsafe-pickle`` on *both* sides.  ``--chaos`` takes
-a JSON fault plan for deterministic resilience drills.
+The wire protocol is schema-versioned and safe (one codec, no opt-ins).
+``--chaos`` takes a JSON fault plan for deterministic resilience drills.
 
 The online partitioning service (see ``repro.service``) reuses the same
 wire stack as a long-lived control plane: ``serve`` runs the daemon,
@@ -203,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: max(3 * heartbeat, 10))",
     )
     run.add_argument(
-        "--unsafe-pickle",
-        action="store_true",
-        help="tcp: use the legacy pickle wire codec (arbitrary code "
-        "execution; trusted networks only; workers need --unsafe-pickle too)",
-    )
-    run.add_argument(
         "--chaos",
         default=None,
         metavar="JSON",
@@ -267,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fault injection: die without replying when run N+1 arrives "
         "(exercises the coordinator's retry path)",
-    )
-    worker.add_argument(
-        "--unsafe-pickle",
-        action="store_true",
-        help="speak the legacy pickle wire codec (arbitrary code execution; "
-        "trusted networks only; the coordinator must opt in too)",
     )
     worker.add_argument(
         "--chaos",
@@ -693,7 +680,6 @@ def _run_study_command(args: argparse.Namespace) -> int:
             bind=args.bind,
             task_timeout_s=args.task_timeout,
             heartbeat_grace_s=args.heartbeat_grace,
-            unsafe_pickle=args.unsafe_pickle,
             chaos=chaos.to_dict() if chaos is not None else None,
         )
     elif any(
@@ -705,10 +691,10 @@ def _run_study_command(args: argparse.Namespace) -> int:
             args.heartbeat_grace,
             args.chaos,
         )
-    ) or args.unsafe_pickle:
+    ):
         raise SpecError(
             "--workers/--bind/--task-timeout/--heartbeat-grace/"
-            "--unsafe-pickle/--chaos configure the executor selected by "
+            "--chaos configure the executor selected by "
             "--executor; pass --executor as well (or set them in the "
             "spec's [executor] table)"
         )
@@ -743,14 +729,12 @@ def _run_study_command(args: argparse.Namespace) -> int:
 
 def _worker_command(args: argparse.Namespace) -> int:
     from repro.runtime.executors import run_worker
-    from repro.runtime.executors.framing import CODEC_PICKLE, CODEC_SAFE
 
     return run_worker(
         args.connect,
         max_runs=args.max_runs,
         crash_after=args.crash_after,
         quiet=args.quiet,
-        codec=CODEC_PICKLE if args.unsafe_pickle else CODEC_SAFE,
         chaos=_parse_chaos(args.chaos),
     )
 

@@ -270,7 +270,6 @@ def _tcp_kwargs(spec):
         connect_timeout_s=spec.connect_timeout_s,
         task_timeout_s=spec.task_timeout_s,
         max_retries=spec.max_retries,
-        unsafe_pickle=spec.unsafe_pickle,
         chaos=spec.fault_plan(),
     )
 

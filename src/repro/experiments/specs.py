@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, SpecError
+from repro.errors import ReproError, SimulationError, SpecError
 from repro.experiments.registry import (
     DRIVERS,
     ENGINE_BACKENDS,
@@ -44,6 +44,7 @@ from repro.experiments.registry import (
 )
 from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig
+from repro.runtime.executors.tcp import parse_address
 from repro.workloads.generator import Workload, random_workload
 
 __all__ = [
@@ -537,9 +538,7 @@ class ExecutorSpec:
     ``None`` = ``max(3 * heartbeat_s, 10)``) / ``connect_timeout_s`` /
     ``task_timeout_s`` (hard per-run bound on a busy worker; ``None`` = no
     bound) / ``max_retries`` tune the ``tcp`` fault handling and are ignored
-    elsewhere.  ``unsafe_pickle`` opts the coordinator into the legacy
-    pickle wire codec (trusted networks only; workers must pass
-    ``--unsafe-pickle`` too), and ``chaos`` is an optional coordinator-side
+    elsewhere.  ``chaos`` is an optional coordinator-side
     :class:`~repro.runtime.executors.chaos.FaultPlan` as a mapping —
     deterministic fault drills straight from a spec file.
     """
@@ -552,7 +551,6 @@ class ExecutorSpec:
     connect_timeout_s: float = 60.0
     task_timeout_s: Optional[float] = None
     max_retries: int = 2
-    unsafe_pickle: bool = False
     chaos: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -560,6 +558,11 @@ class ExecutorSpec:
             raise SpecError("executor specs need a non-empty 'name'")
         if self.workers is not None and self.workers < 1:
             raise SpecError("executor workers must be >= 1")
+        if self.bind is not None:
+            try:
+                parse_address(self.bind)
+            except SimulationError as exc:
+                raise SpecError(f"executor bind is invalid: {exc}") from exc
         if self.heartbeat_s <= 0:
             raise SpecError("executor heartbeat_s must be > 0")
         if self.heartbeat_grace_s is not None and self.heartbeat_grace_s <= 0:
@@ -570,14 +573,11 @@ class ExecutorSpec:
             raise SpecError("executor task_timeout_s must be > 0")
         if self.max_retries < 0:
             raise SpecError("executor max_retries must be >= 0")
-        if not isinstance(self.unsafe_pickle, bool):
-            raise SpecError("executor unsafe_pickle must be a boolean")
         if self.chaos is not None:
             object.__setattr__(self, "chaos", dict(self.fault_plan().to_dict()))
 
     def fault_plan(self):
         """The validated :class:`FaultPlan` behind the ``chaos`` mapping."""
-        from repro.errors import SimulationError
         from repro.runtime.executors.chaos import FaultPlan
 
         try:
@@ -611,7 +611,6 @@ class ExecutorSpec:
         "connect_timeout_s",
         "task_timeout_s",
         "max_retries",
-        "unsafe_pickle",
         "chaos",
     )
 
@@ -626,6 +625,12 @@ class ExecutorSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutorSpec":
+        if isinstance(data, Mapping) and "unsafe_pickle" in data:
+            raise SpecError(
+                "ExecutorSpec.unsafe_pickle was removed (the safe codec is the "
+                "only wire codec; the pickle codec is gone); drop the "
+                "'unsafe_pickle' key from the executor table"
+            )
         _check_keys(data, cls._KEYS, "ExecutorSpec")
         defaults = cls()
         spec = cls(
@@ -657,9 +662,6 @@ class ExecutorSpec:
             max_retries=_as_int(
                 data.get("max_retries", defaults.max_retries),
                 "ExecutorSpec.max_retries",
-            ),
-            unsafe_pickle=_as_bool(
-                data.get("unsafe_pickle", False), "ExecutorSpec.unsafe_pickle"
             ),
             chaos=data.get("chaos"),
         )
@@ -732,7 +734,6 @@ class ServiceSpec:
 
     def fault_plan(self):
         """The validated :class:`FaultPlan` behind ``agent_chaos``."""
-        from repro.errors import SimulationError
         from repro.runtime.executors.chaos import FaultPlan
 
         try:
@@ -742,7 +743,6 @@ class ServiceSpec:
 
     def create(self, *, quiet: bool = True):
         """Build the live :class:`~repro.service.daemon.PartitionDaemon`."""
-        from repro.runtime.executors.tcp import parse_address
         from repro.service.daemon import PartitionDaemon
 
         return PartitionDaemon(

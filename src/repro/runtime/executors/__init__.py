@@ -9,9 +9,10 @@ Three backends ship in the box, all producing bit-identical results:
   supervised by the coordinator itself (``supervise=N`` / the
   ``supervised`` executor spec).
 
-The TCP wire protocol is schema-versioned and safe by default
-(:mod:`repro.runtime.executors.framing`); the legacy pickle codec is an
-explicit two-sided opt-in.  Resilience is testable: a seeded
+The TCP wire protocol is schema-versioned and safe
+(:mod:`repro.runtime.executors.framing`), and the coordinator runs on the
+single-threaded link server of :mod:`repro.runtime.executors.links`, the
+same event loop as the partitioning daemon.  Resilience is testable: a seeded
 :class:`FaultPlan` (:mod:`repro.runtime.executors.chaos`) scripts frame
 corruption, drops, duplicates, worker kills and slow replies at exact
 points, and :class:`WorkerSupervisor`
@@ -39,7 +40,6 @@ from repro.runtime.executors.base import (
 )
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import (
-    CODEC_PICKLE,
     CODEC_SAFE,
     PROTOCOL_VERSION,
     FrameProtocolError,
@@ -67,7 +67,6 @@ __all__ = [
     "ProtocolError",
     "PROTOCOL_VERSION",
     "CODEC_SAFE",
-    "CODEC_PICKLE",
     "trust_modules",
     "execute_run",
     "worker_tables",

@@ -11,50 +11,45 @@ Every message on the wire is::
 
     [4-byte big-endian length][1-byte codec tag][payload]
 
-where the length covers the tag byte plus the payload.  Two codecs exist:
+where the length covers the tag byte plus the payload.  The one codec is
+**safe** (tag ``0x02``): stdlib JSON plus raw binary sections for NumPy
+arrays and byte strings, behind a binary prefix::
 
-* **safe** (tag ``0x02``, the default) — stdlib JSON plus raw binary
-  sections for NumPy arrays and byte strings, behind a binary prefix::
+    [4-byte version][4-byte JSON length][4-byte section count n]
+    [n x 4-byte section length][UTF-8 JSON][section 0]...[section n-1]
 
-      [4-byte version][4-byte JSON length][4-byte section count n]
-      [n x 4-byte section length][UTF-8 JSON][section 0]...[section n-1]
+All integers are big-endian.  The prefix carries the protocol version
+and the section table, so the sections are known before the JSON is
+parsed.  The JSON is the message itself in the v3 grammar:
 
-  All integers are big-endian.  The prefix carries the protocol version
-  and the section table, so the sections are known before the JSON is
-  parsed.  The JSON is the message itself in the v3 grammar:
+- ``None``, bools, ints, floats (``NaN``/``Infinity`` included; a NaN
+  arrives as the canonical NaN), strings, lists and str-keyed dicts are
+  bare JSON;
+- every other value is a *marker* object, named by its key set:
+  ``{"t": [...]}`` a tuple, ``{"d": [[k, v], ...]}`` a dict with other
+  keys, ``{"od": [[k, v], ...]}`` an OrderedDict, ``{"s": [...]}`` /
+  ``{"fs": [...]}`` a set / frozenset, ``{"dq": [...], "mx": maxlen}``
+  a deque, ``{"by": i}`` / ``{"ba": i}`` bytes / a bytearray in section
+  ``i``, ``{"nd": i, "dt": dtype, "sh": shape}`` an ndarray,
+  ``{"ns": i, "dt": dtype}`` a NumPy scalar, ``{"r": "module:qualname"}``
+  a class or function, ``{"nt": ref, "a": [...]}`` a namedtuple and
+  ``{"o": ref, "st": state}`` any other instance;
+- **escape rule**: a str-keyed dict whose key set equals a marker's
+  (``{"t": 1}``, ``{"o": .., "st": ..}``) travels in the ``"d"`` pairs
+  form, so a JSON object with a marker's key set is always that marker.
 
-  - ``None``, bools, ints, floats (``NaN``/``Infinity`` included; a NaN
-    arrives as the canonical NaN), strings, lists and str-keyed dicts are
-    bare JSON;
-  - every other value is a *marker* object, named by its key set:
-    ``{"t": [...]}`` a tuple, ``{"d": [[k, v], ...]}`` a dict with other
-    keys, ``{"od": [[k, v], ...]}`` an OrderedDict, ``{"s": [...]}`` /
-    ``{"fs": [...]}`` a set / frozenset, ``{"dq": [...], "mx": maxlen}``
-    a deque, ``{"by": i}`` / ``{"ba": i}`` bytes / a bytearray in section
-    ``i``, ``{"nd": i, "dt": dtype, "sh": shape}`` an ndarray,
-    ``{"ns": i, "dt": dtype}`` a NumPy scalar, ``{"r": "module:qualname"}``
-    a class or function, ``{"nt": ref, "a": [...]}`` a namedtuple and
-    ``{"o": ref, "st": state}`` any other instance;
-  - **escape rule**: a str-keyed dict whose key set equals a marker's
-    (``{"t": 1}``, ``{"o": .., "st": ..}``) travels in the ``"d"`` pairs
-    form, so a JSON object with a marker's key set is always that marker.
+The decoder is one ``json.loads`` with an ``object_hook`` that rebuilds
+markers bottom-up; objects with more than three keys are returned at
+once.  Classes and functions travel only as references, and instances
+as a reference plus their encoded state — *never* as executable
+payloads.  The hook only resolves references into an allowlist of
+trusted module prefixes (``repro`` and anything added with
+:func:`trust_modules` or the ``REPRO_TRUSTED_MODULES`` environment
+variable), so a hostile peer cannot make the receiver import or call
+arbitrary code.
 
-  The decoder is one ``json.loads`` with an ``object_hook`` that rebuilds
-  markers bottom-up; objects with more than three keys are returned at
-  once.  Classes and functions travel only as references, and instances
-  as a reference plus their encoded state — *never* as executable
-  payloads.  The hook only resolves references into an allowlist of
-  trusted module prefixes (``repro`` and anything added with
-  :func:`trust_modules` or the ``REPRO_TRUSTED_MODULES`` environment
-  variable), so a hostile peer cannot make the receiver import or call
-  arbitrary code.
-
-* **pickle** (tag ``0x01``) — the legacy transport.  Unpickling executes
-  arbitrary code, so it is an explicit escape hatch for trusted networks
-  only: the coordinator needs ``codec="pickle"`` and workers the
-  ``--unsafe-pickle`` flag, and a peer that was *not* opted in refuses
-  pickle frames with a loud :class:`ProtocolError` instead of decoding
-  them.
+Any other tag is refused with a :class:`ProtocolError`; tag ``0x01``, the
+removed legacy codec, is refused by name.
 
 Version skew is detected twice: every safe payload leads with
 :data:`PROTOCOL_VERSION` (v1/v2 payloads led with a JSON length and
@@ -71,7 +66,6 @@ import collections
 import importlib
 import json
 import os
-import pickle
 import socket
 import struct
 import types
@@ -84,7 +78,6 @@ from repro.errors import SimulationError
 __all__ = [
     "PROTOCOL_VERSION",
     "CODEC_SAFE",
-    "CODEC_PICKLE",
     "pack_frame",
     "send_frame",
     "recv_frame",
@@ -102,13 +95,10 @@ __all__ = [
 #: other loudly at handshake time instead of misparsing.
 PROTOCOL_VERSION = 3
 
+#: The wire codec workers advertise in their hello; the only one there is.
 CODEC_SAFE = "safe"
-CODEC_PICKLE = "pickle"
 
-_TAG_PICKLE = 0x01
 _TAG_SAFE = 0x02
-_TAG_NAMES = {_TAG_PICKLE: CODEC_PICKLE, _TAG_SAFE: CODEC_SAFE}
-_CODEC_TAGS = {CODEC_PICKLE: _TAG_PICKLE, CODEC_SAFE: _TAG_SAFE}
 
 
 class FrameProtocolError(SimulationError):
@@ -535,53 +525,34 @@ def decode_payload(payload: Union[bytes, bytearray, memoryview]) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _decode_body(body: Union[bytes, bytearray], *, allow_pickle: bool) -> Any:
+def _decode_body(body: Union[bytes, bytearray]) -> Any:
     if not body:
         raise FrameProtocolError("empty frame (no codec tag)")
     tag = body[0]
     if tag == _TAG_SAFE:
         return decode_payload(memoryview(body)[1:])
-    if tag == _TAG_PICKLE:
-        if not allow_pickle:
-            raise FrameProtocolError(
-                "peer sent a pickle frame but this side only accepts the safe "
-                "codec; opt in explicitly on both sides (coordinator: "
-                "codec='pickle' / --unsafe-pickle, worker: --unsafe-pickle) "
-                "if you trust the network"
-            )
-        try:
-            return pickle.loads(body[1:])
-        except Exception as exc:
-            raise FrameProtocolError(f"corrupt pickle frame: {exc}")
-    raise FrameProtocolError(
-        f"unknown codec tag 0x{tag:02x} (known: "
-        f"{', '.join(f'0x{t:02x}={n}' for t, n in sorted(_TAG_NAMES.items()))})"
-    )
-
-
-def pack_frame(obj: Any, codec: str = CODEC_SAFE) -> bytes:
-    """Serialize one message: length prefix + codec tag + payload."""
-    try:
-        tag = _CODEC_TAGS[codec]
-    except KeyError:
+    if tag == 0x01:
         raise FrameProtocolError(
-            f"unknown codec {codec!r} (known: {', '.join(sorted(_CODEC_TAGS))})"
+            "peer sent a pickle frame (codec tag 0x01); the pickle codec was "
+            "removed and only the safe codec (tag 0x02) is accepted"
         )
-    if tag == _TAG_SAFE:
-        parts = _payload_parts(obj)
-    else:
-        parts = [pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)]
+    raise FrameProtocolError(f"unknown codec tag 0x{tag:02x} (known: 0x02=safe)")
+
+
+def pack_frame(obj: Any) -> bytes:
+    """Serialize one message: length prefix + codec tag + payload."""
+    parts = _payload_parts(obj)
     size = sum(map(len, parts))
     if 1 + size > MAX_FRAME:
         raise FrameProtocolError(
             f"message of {size} bytes exceeds the {MAX_FRAME}-byte frame limit"
         )
-    return b"".join([_HEADER.pack(1 + size), bytes([tag]), *parts])
+    return b"".join([_HEADER.pack(1 + size), b"\x02", *parts])
 
 
-def send_frame(sock: socket.socket, obj: Any, codec: str = CODEC_SAFE) -> None:
+def send_frame(sock: socket.socket, obj: Any) -> None:
     """Blocking send of one framed message."""
-    sock.sendall(pack_frame(obj, codec))
+    sock.sendall(pack_frame(obj))
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -599,7 +570,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, *, allow_pickle: bool = False) -> Optional[Any]:
+def recv_frame(sock: socket.socket) -> Optional[Any]:
     """Blocking receive of one framed message; None on clean EOF."""
     header = _recv_exactly(sock, _HEADER.size)
     if header is None:
@@ -610,22 +581,21 @@ def recv_frame(sock: socket.socket, *, allow_pickle: bool = False) -> Optional[A
     body = _recv_exactly(sock, length)
     if body is None:
         raise SimulationError("connection closed between frame header and payload")
-    return _decode_body(body, allow_pickle=allow_pickle)
+    return _decode_body(body)
 
 
 class FrameReader:
     """Incremental frame parser for non-blocking sockets.
 
-    Corruption — an oversized length prefix, an unknown codec tag, a refused
-    pickle, a malformed envelope — raises :class:`FrameProtocolError` out of
+    Corruption — an oversized length prefix, an unknown or removed codec
+    tag, a malformed envelope — raises :class:`FrameProtocolError` out of
     :meth:`feed`; truncation (bytes simply missing) never raises, the parser
-    just waits for more input.  The coordinator turns either into a dropped
+    just waits for more input.  The link server turns a raise into a dropped
     link with a recorded reason, never an event-loop crash.
     """
 
-    def __init__(self, *, allow_pickle: bool = False) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._allow_pickle = allow_pickle
 
     def pending(self) -> int:
         """Bytes buffered but not yet parsed into a complete frame."""
@@ -647,4 +617,4 @@ class FrameReader:
                 return
             body = self._buffer[_HEADER.size : end]
             del self._buffer[:end]
-            yield _decode_body(body, allow_pickle=self._allow_pickle)
+            yield _decode_body(body)

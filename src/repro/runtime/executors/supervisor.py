@@ -61,7 +61,6 @@ class WorkerSupervisor:
         address: Union[str, Tuple[str, int]],
         *,
         count: int = 1,
-        unsafe_pickle: bool = False,
         subcommand: Sequence[str] = ("worker",),
         extra_args: Sequence[str] = (),
         slot_extra: Sequence[Sequence[str]] = (),
@@ -89,7 +88,6 @@ class WorkerSupervisor:
             address = parse_address(address)
         self.address = address
         self.count = count
-        self.unsafe_pickle = unsafe_pickle
         self.subcommand = tuple(subcommand)
         self.extra_args = tuple(extra_args)
         #: Per-slot arguments appended on *every* spawn of that slot (unlike
@@ -121,8 +119,6 @@ class WorkerSupervisor:
             f"{host}:{port}",
             "--quiet",
         ]
-        if self.unsafe_pickle:
-            cmd.append("--unsafe-pickle")
         cmd.extend(self.extra_args)
         if self.slot_extra:
             cmd.extend(self.slot_extra[slot.index])

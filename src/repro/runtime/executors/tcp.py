@@ -6,8 +6,9 @@ The coordinator listens on a TCP address; workers (``repro.cli worker
 batch context exactly once, and then stream length-framed
 :class:`~repro.runtime.executors.base.RunSpec` /
 :class:`~repro.runtime.results.RunResult` frames.  The coordinator is a
-plain ``selectors`` loop — no threads — so scheduling is deterministic and
-easy to reason about: accept, read, dispatch, heartbeat, in that order.
+frame handler on a :class:`~repro.runtime.executors.links.LinkServer` — one
+event loop, no threads — so scheduling is deterministic and easy to reason
+about: accept, read, dispatch, heartbeat, in that order.
 
 Fault model:
 
@@ -38,8 +39,8 @@ Fault model:
   reaped and respawned with capped exponential backoff, and a crash-loop
   trips a circuit breaker instead of respawning forever.
 
-Every drop is recorded in :attr:`TCPExecutor.drop_events` and summarised by
-:meth:`TCPExecutor.summary`.
+Every drop is recorded by the link server (the last 256, plus a total) and
+summarised by :meth:`TCPExecutor.summary`.
 
 Determinism: :meth:`~repro.runtime.executors.base.Executor.map_specs` merges
 results in submission order, so the rows of a study are bit-identical no
@@ -48,66 +49,54 @@ seeded :class:`~repro.runtime.executors.chaos.FaultPlan` hooks (scripted
 frame corruption/drops/delays/duplication) ride the same invariant — chaos
 changes retries and wall-clock, never rows.
 
-Security: frames use the schema-versioned safe codec by default
-(:mod:`repro.runtime.executors.framing`); the legacy pickle codec — which
-allows arbitrary code execution and must only cross trusted networks — is
-an explicit opt-in on *both* sides (``unsafe_pickle=True`` here,
-``--unsafe-pickle`` on the worker).
+Security: frames use the schema-versioned safe codec
+(:mod:`repro.runtime.executors.framing`), the only wire codec; a worker
+advertising any other codec is rejected by name.
 """
 
 from __future__ import annotations
 
-import selectors
-import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime.executors.base import Executor, TaskError, Ticket, task_label
 from repro.runtime.executors.chaos import FaultPlan
-from repro.runtime.executors.framing import (
-    CODEC_PICKLE,
-    CODEC_SAFE,
-    PROTOCOL_VERSION,
-    FrameReader,
-    enable_keepalive,
-    pack_frame,
-)
+from repro.runtime.executors.framing import CODEC_SAFE, PROTOCOL_VERSION, pack_frame
+from repro.runtime.executors.links import Link, LinkServer
 
 __all__ = ["TCPExecutor", "parse_address"]
 
 
 def parse_address(text: str) -> Tuple[str, int]:
     """``"host:port"`` -> ``(host, port)`` with a clear error message."""
-    host, sep, port = text.rpartition(":")
+    host, sep, port = str(text).rpartition(":")
     if not sep or not host or not port.isdigit():
         raise SimulationError(
             f"expected an address of the form host:port, got {text!r}"
         )
+    if int(port) > 65535:
+        raise SimulationError(f"port {int(port)} in {text!r} is outside 0-65535")
     return host, int(port)
 
 
-@dataclass
-class _WorkerLink:
-    """Coordinator-side state of one connected worker."""
+@dataclass(eq=False)
+class _WorkerLink(Link):
+    """Coordinator-side state of one connected worker.
 
-    sock: socket.socket
-    peer: str
-    reader: FrameReader = field(default_factory=FrameReader)
+    Liveness is judged from ``awaiting_pong_since`` (cleared by the server
+    whenever the worker sends anything), so an idle coordinator gap (no
+    pumping between batches) can never get a healthy worker dropped before
+    it had a chance to pong.
+    """
+
     #: True once the worker's hello passed version/codec negotiation; only
     #: ready links count toward min_workers or receive work.
     ready: bool = False
-    connected_at: float = 0.0
     in_flight: Optional[Ticket] = None
     dispatched_at: float = 0.0
-    last_seen: float = 0.0
     last_ping: float = 0.0
-    #: When the oldest still-unanswered ping was sent; None once any frame
-    #: arrives.  Liveness is judged from this, not from last_seen, so an
-    #: idle coordinator gap (no pumping between batches) can never get a
-    #: healthy worker dropped before it had a chance to pong.
-    awaiting_pong_since: Optional[float] = None
 
 
 class TCPExecutor(Executor):
@@ -123,7 +112,6 @@ class TCPExecutor(Executor):
         connect_timeout_s: float = 60.0,
         task_timeout_s: Optional[float] = None,
         max_retries: int = 2,
-        unsafe_pickle: bool = False,
         chaos: Optional[FaultPlan] = None,
         supervise: int = 0,
         supervise_extra: Sequence[str] = (),
@@ -151,10 +139,6 @@ class TCPExecutor(Executor):
         max_retries:
             How many times one run may be resubmitted after worker losses
             before it degrades into a ``WorkerLost`` task error.
-        unsafe_pickle:
-            Opt in to the legacy pickle wire codec: send pickle frames and
-            accept them from workers started with ``--unsafe-pickle``.
-            Arbitrary code execution — trusted networks only.
         chaos:
             Optional scripted coordinator-side fault plan (corrupt / drop /
             delay / duplicate received result frames at exact indexes).
@@ -186,26 +170,19 @@ class TCPExecutor(Executor):
         self.connect_timeout_s = connect_timeout_s
         self.task_timeout_s = task_timeout_s
         self.max_retries = max_retries
-        self.codec = CODEC_PICKLE if unsafe_pickle else CODEC_SAFE
-        self.allow_pickle = unsafe_pickle
         self.chaos = chaos or FaultPlan()
         self.supervise = supervise
         self.supervise_extra = tuple(supervise_extra)
         self.supervise_first_extra = tuple(supervise_first_extra)
         #: Total resubmissions performed after worker losses (a statistic).
         self.retries = 0
-        #: Every dropped link as ``(peer, reason)``, oldest first.
-        self.drop_events: List[Tuple[str, str]] = []
-
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(bind)
-        self._listener.listen(64)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
-
-        self._links: List[_WorkerLink] = []
+        #: Accepts, reads and drops the worker links; see :meth:`_on_drop`.
+        self.server = LinkServer(
+            bind,
+            on_frame=self._handle_frame,
+            on_drop=self._on_drop,
+            link_type=_WorkerLink,
+        )
         self._tasks: Dict[Ticket, Any] = {}
         self._retry_count: Dict[Ticket, int] = {}
         self._ready: List[Tuple[Ticket, Any]] = []
@@ -217,56 +194,45 @@ class TCPExecutor(Executor):
         self._chaos_frames = 0  # result/error frames seen, for chaos indexing
         self._supervisor = None
 
-    # -- addresses ---------------------------------------------------------------
-
     @property
     def address(self) -> Tuple[str, int]:
         """The ``(host, port)`` workers should ``--connect`` to."""
-        return self._listener.getsockname()
+        return self.server.address
 
-    # -- observability -----------------------------------------------------------
+    def _ready_links(self) -> List[_WorkerLink]:
+        return [link for link in self.server.links if link.ready]
 
     def summary(self) -> Dict[str, Any]:
         """Health counters for logs and error messages."""
+        ready = len(self._ready_links())
         out: Dict[str, Any] = {
-            "workers": sum(1 for link in self._links if link.ready),
-            "handshaking": sum(1 for link in self._links if not link.ready),
+            **self.server.summary(),
+            "workers": ready,
+            "handshaking": len(self.server.links) - ready,
             "retries": self.retries,
-            "drops": list(self.drop_events),
         }
         if self._supervisor is not None:
             out["supervisor"] = self._supervisor.summary()
         return out
 
-    def _recent_drops(self, limit: int = 3) -> str:
-        if not self.drop_events:
-            return ""
-        recent = "; ".join(
-            f"{peer}: {reason}" for peer, reason in self.drop_events[-limit:]
-        )
-        return f" (recent drops — {recent})"
-
     # -- context / submission hooks ----------------------------------------------
 
     def _context_changed(self) -> None:
-        self._context_blob = pack_frame(
-            ("context", self._worker_fn, self._payload), codec=self.codec
-        )
-        for link in list(self._links):
-            if link.ready:
-                self._send(link, self._context_blob)
+        self._context_blob = pack_frame(("context", self._worker_fn, self._payload))
+        for link in self._ready_links():
+            self.server.send(link, self._context_blob)
 
     def _submitted(self, ticket: Ticket, spec: Any) -> None:
         self._tasks[ticket] = spec
 
     def outstanding(self) -> int:
-        in_flight = sum(1 for link in self._links if link.in_flight is not None)
+        in_flight = sum(1 for link in self.server.links if link.in_flight is not None)
         return len(self._queue) + in_flight + len(self._ready)
 
     def parallelism(self) -> int:
         # Connected workers when known; otherwise the floor the coordinator
         # was told to wait for (workers may still be on their way).
-        return max(sum(1 for link in self._links if link.ready), self.min_workers)
+        return max(len(self._ready_links()), self.min_workers)
 
     # -- the event loop ----------------------------------------------------------
 
@@ -287,12 +253,7 @@ class TCPExecutor(Executor):
         now = time.monotonic()
         self._poll_supervisor(now)
         self._check_starvation(now)
-        timeout = min(0.25, max(self.heartbeat_s / 4.0, 0.02))
-        for key, _events in self._selector.select(timeout):
-            if key.data is None:
-                self._accept_all()
-            else:
-                self._read_link(key.data)
+        self.server.poll(min(0.25, max(self.heartbeat_s / 4.0, 0.02)))
         self._dispatch()
         self._heartbeat(time.monotonic())
 
@@ -305,73 +266,16 @@ class TCPExecutor(Executor):
             self._supervisor = WorkerSupervisor(
                 self.address,
                 count=self.supervise,
-                unsafe_pickle=self.allow_pickle,
                 extra_args=self.supervise_extra,
                 first_spawn_extra=self.supervise_first_extra,
             )
         self._supervisor.poll(now)
 
-    def _accept_all(self) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            # Mirror the worker side: a half-open connection to a *busy*
-            # worker (partition, powered-off host) is otherwise only caught
-            # by the opt-in task_timeout_s — keepalive turns it into an
-            # error the event loop sees within minutes.
-            enable_keepalive(sock)
-            link = _WorkerLink(
-                sock=sock,
-                peer=f"{addr[0]}:{addr[1]}",
-                reader=FrameReader(allow_pickle=self.allow_pickle),
-            )
-            link.connected_at = link.last_seen = time.monotonic()
-            self._links.append(link)
-            self._selector.register(sock, selectors.EVENT_READ, link)
-            # The context is sent once the handshake completes, not here.
-
-    def _read_link(self, link: _WorkerLink) -> None:
-        try:
-            data = link.sock.recv(1 << 20)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop_link(link, reason="read error")
-            return
-        if not data:
-            self._drop_link(link, reason="connection closed")
-            return
-        link.last_seen = time.monotonic()
-        link.awaiting_pong_since = None
-        try:
-            frames = list(link.reader.feed(data))
-        except Exception as exc:
-            # Torn frames merely wait for more bytes; an oversized, corrupt
-            # or refused (pickle without opt-in) frame lands here and costs
-            # the link, never the event loop.
-            self._drop_link(link, reason=f"bad frame: {exc}")
-            return
-        for frame in frames:
-            try:
-                self._handle_frame(link, frame)
-            except (TypeError, ValueError, IndexError, KeyError, AttributeError) as exc:
-                # A well-formed but wrong-shape frame (buggy worker) costs
-                # that link, never the whole study.
-                self._drop_link(link, reason=f"malformed frame: {exc}")
-                return
-            if link not in self._links:
-                return  # a handler (or chaos) dropped the link
-
     def _handle_frame(self, link: _WorkerLink, frame: Any) -> None:
         tag = frame[0]
         if not link.ready and tag != "hello":
-            self._drop_link(
-                link, reason=f"frame {tag!r} before handshake completed"
+            self.server.drop(
+                link, f"frame {tag!r} before handshake completed", frame_error=True
             )
             return
         if tag == "hello":
@@ -383,28 +287,21 @@ class TCPExecutor(Executor):
             for _ in range(repeats):
                 if tag == "result":
                     _, ticket, result = frame
-                    if link.in_flight == ticket:
-                        link.in_flight = None
-                    if ticket not in self._done:
-                        self._done.add(ticket)
-                        self._tasks.pop(ticket, None)
-                        self._ready.append((ticket, result))
                 else:
-                    (_, error) = frame
-                    if link.in_flight == error.ticket:
-                        link.in_flight = None
-                    if error.ticket not in self._done:
-                        self._done.add(error.ticket)
-                        self._tasks.pop(error.ticket, None)
-                        self._ready.append((error.ticket, error))
-        elif tag == "pong":
-            pass  # liveness already recorded via last_seen
-        else:
-            self._drop_link(link, reason=f"unknown frame {tag!r}")
+                    (_, result) = frame
+                    ticket = result.ticket
+                if link.in_flight == ticket:
+                    link.in_flight = None
+                if ticket not in self._done:
+                    self._done.add(ticket)
+                    self._tasks.pop(ticket, None)
+                    self._ready.append((ticket, result))
+        elif tag != "pong":  # a pong's bytes already cleared the pending ping
+            self.server.drop(link, f"unknown frame {tag!r}", frame_error=True)
 
     def _handle_hello(self, link: _WorkerLink, frame: Any) -> None:
         if link.ready:
-            self._drop_link(link, reason="duplicate hello")
+            self.server.drop(link, "duplicate hello", frame_error=True)
             return
         info = frame[1]
         protocol = info.get("protocol")
@@ -415,28 +312,16 @@ class TCPExecutor(Executor):
                 f"protocol version mismatch: worker speaks {protocol!r}, "
                 f"coordinator speaks {PROTOCOL_VERSION} — upgrade the older side"
             )
-        elif codec not in (CODEC_SAFE, CODEC_PICKLE):
+        elif codec != CODEC_SAFE:
             reason = f"unknown wire codec {codec!r}"
-        elif codec == CODEC_PICKLE and not self.allow_pickle:
-            reason = (
-                "worker uses the pickle codec but this coordinator did not "
-                "opt in (unsafe_pickle=False); drop --unsafe-pickle on the "
-                "worker or enable it on both sides"
-            )
         if reason is not None:
-            # Best-effort courtesy: tell the worker why before dropping, so
-            # its exit status and log point at the real problem.
-            try:
-                link.sock.settimeout(5.0)
-                link.sock.sendall(pack_frame(("reject", reason), codec=CODEC_SAFE))
-            except OSError:
-                pass
-            self._drop_link(link, reason=f"handshake rejected: {reason}")
+            # The worker's exit status and log then name the real problem.
+            self.server.reject(link, pack_frame(("reject", reason)), reason)
             return
         link.ready = True
         self._no_worker_since = None
         if self._context_blob is not None:
-            self._send(link, self._context_blob)
+            self.server.send(link, self._context_blob)
 
     def _chaos_gate(self, link: _WorkerLink) -> int:
         """Apply the scripted fault plan to one received result/error frame.
@@ -455,17 +340,15 @@ class TCPExecutor(Executor):
         if index in plan.delay_frames:
             time.sleep(plan.delay_s)
         if index in plan.corrupt_frames:
-            self._drop_link(
-                link, reason=f"chaos: corrupted result frame #{index}"
-            )
+            self.server.drop(link, f"chaos: corrupted result frame #{index}")
             return 0
         if index in plan.drop_frames:
-            self._drop_link(link, reason=f"chaos: dropped result frame #{index}")
+            self.server.drop(link, f"chaos: dropped result frame #{index}")
             return 0
         return 2 if index in plan.duplicate_frames else 1
 
     def _dispatch(self) -> None:
-        ready_links = [link for link in self._links if link.ready]
+        ready_links = self._ready_links()
         if not self._started and len(ready_links) < self.min_workers:
             return
         while self._queue:
@@ -473,27 +356,27 @@ class TCPExecutor(Executor):
             if idle is None:
                 return
             ticket, task = self._queue.popleft()
-            blob = pack_frame(("run", ticket, task), codec=self.codec)
+            blob = pack_frame(("run", ticket, task))
             idle.in_flight = ticket
             idle.dispatched_at = time.monotonic()
             self._started = True
-            # On send failure _drop_link requeues the ticket and the loop
+            # On send failure _on_drop requeues the ticket and the loop
             # carries on with the remaining workers.
-            self._send(idle, blob)
+            self.server.send(idle, blob)
 
     def _heartbeat(self, now: float) -> None:
         grace = self.heartbeat_grace_s
-        for link in list(self._links):
+        for link in list(self.server.links):
             if not link.ready:
                 if now - link.connected_at > grace:
-                    self._drop_link(link, reason="handshake timeout")
+                    self.server.drop(link, "handshake timeout")
                 continue
             if link.in_flight is None:
                 if now - link.last_ping >= self.heartbeat_s:
                     link.last_ping = now
                     if link.awaiting_pong_since is None:
                         link.awaiting_pong_since = now
-                    self._send(link, pack_frame(("ping",), codec=self.codec))
+                    self.server.send(link, pack_frame(("ping",)))
                 if (
                     link.awaiting_pong_since is not None
                     and now - link.awaiting_pong_since > grace
@@ -501,18 +384,18 @@ class TCPExecutor(Executor):
                     # `now` predates this pump's reads and any blocking send;
                     # drain the socket once more before judging, so a pong
                     # that already arrived can never be mistaken for silence.
-                    self._read_link(link)
+                    self.server.read(link)
                     if (
-                        link in self._links
+                        link in self.server.links
                         and link.awaiting_pong_since is not None
                         and time.monotonic() - link.awaiting_pong_since > grace
                     ):
-                        self._drop_link(link, reason="heartbeat timeout")
+                        self.server.drop(link, "heartbeat timeout")
             elif (
                 self.task_timeout_s is not None
                 and now - link.dispatched_at > self.task_timeout_s
             ):
-                self._drop_link(link, reason="task timeout")
+                self.server.drop(link, "task timeout")
 
     def _check_starvation(self, now: float) -> None:
         """Fail loudly instead of waiting forever for workers.
@@ -522,7 +405,7 @@ class TCPExecutor(Executor):
         ``min_workers`` ready before the first dispatch (the timer resets
         whenever a worker completes its handshake).
         """
-        ready_count = sum(1 for link in self._links if link.ready)
+        ready_count = len(self._ready_links())
         work_waiting = self.outstanding() > len(self._ready)
         starved = work_waiting and (
             ready_count == 0
@@ -541,42 +424,15 @@ class TCPExecutor(Executor):
                 f"{self.min_workers} required workers connected and "
                 f"{len(self._queue)} runs outstanding; start workers with "
                 f"`repro.cli worker --connect {host}:{port}`"
-                f"{self._recent_drops()}"
+                f"{self.server.recent_drops()}"
             )
 
-    # -- link management ---------------------------------------------------------
-
-    def _send(self, link: _WorkerLink, blob: bytes) -> bool:
-        """Bounded-blocking send; drops the link (and requeues) on failure."""
-        try:
-            link.sock.settimeout(30.0)
-            try:
-                link.sock.sendall(blob)
-            finally:
-                link.sock.settimeout(0.0)
-            return True
-        except OSError as exc:
-            self._drop_link(link, reason=f"send failed: {exc}")
-            return False
-
-    def _drop_link(self, link: _WorkerLink, *, reason: str) -> None:
-        if link not in self._links:
-            return
-        self._links.remove(link)
-        self.drop_events.append((link.peer, reason))
-        try:
-            self._selector.unregister(link.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            link.sock.close()
-        except OSError:
-            pass
+    def _on_drop(self, link: _WorkerLink, reason: str) -> None:
+        """Retry-on-worker-loss: resubmit the dropped link's orphaned run."""
         ticket = link.in_flight
         link.in_flight = None
         if ticket is None or ticket in self._done:
             return
-        # Retry-on-worker-loss: resubmit the orphaned run elsewhere.
         count = self._retry_count.get(ticket, 0) + 1
         self._retry_count[ticket] = count
         self.retries += 1
@@ -611,31 +467,7 @@ class TCPExecutor(Executor):
         if self._closed:
             return
         self._closed = True
-        shutdown = pack_frame(("shutdown",), codec=self.codec)
-        for link in list(self._links):
-            try:
-                link.sock.settimeout(5.0)
-                link.sock.sendall(shutdown)
-            except OSError:
-                pass
-            try:
-                self._selector.unregister(link.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                link.sock.close()
-            except OSError:
-                pass
-        self._links.clear()
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        self._selector.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self.server.close(parting=pack_frame(("shutdown",)))
         if self._supervisor is not None:
             self._supervisor.stop()
             self._supervisor = None

@@ -2,9 +2,10 @@
 
 A worker is a plain blocking loop: connect to the coordinator, introduce
 itself with a ``("hello", {...})`` frame carrying its protocol version and
-codec, receive the batch context once (``("context", worker_fn, payload)``),
-then execute ``("run", ticket, task)`` frames one at a time, answering each
-with a ``("result", ...)`` — or a shipped
+wire codec (always ``"safe"``), receive the batch context once
+(``("context", worker_fn, payload)``), then execute ``("run", ticket,
+task)`` frames one at a time, answering each with a ``("result", ...)`` —
+or a shipped
 :class:`~repro.runtime.executors.base.TaskError` when the task raises.
 ``("ping",)`` frames are answered with ``("pong",)`` between runs; EOF, a
 ``("shutdown",)`` frame, or the coordinator dropping the connection
@@ -13,11 +14,6 @@ requeued coordinator-side, so a dropped worker did nothing wrong).  A
 ``("reject", reason)`` reply to the hello — version mismatch, refused codec
 — is a protocol failure: the worker reports it and exits 1 so supervisors
 and scripts see it.
-
-The hello is always sent in the safe codec (which every coordinator
-accepts); the codec it *advertises* is what the worker uses for every frame
-after it.  Workers only accept pickle frames back when they themselves were
-started with the pickle codec (``--unsafe-pickle``).
 
 Workers keep per-process caches (phased profiles, evaluation tables) through
 the :class:`~repro.runtime.executors.base.RunContext` they receive; the
@@ -44,7 +40,6 @@ from repro.errors import SimulationError
 from repro.runtime.executors.base import TaskError, clear_worker_tables
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import (
-    CODEC_PICKLE,
     CODEC_SAFE,
     PROTOCOL_VERSION,
     FrameProtocolError,
@@ -84,22 +79,16 @@ def run_worker(
     connect_attempts: int = 40,
     connect_delay_s: float = 0.25,
     quiet: bool = False,
-    codec: str = CODEC_SAFE,
     chaos: Optional[FaultPlan] = None,
 ) -> int:
     """Serve runs for the coordinator at ``address`` until told to stop.
 
     Returns a process exit code (0 on clean shutdown, including connection
     loss; 1 on protocol failure).  ``address`` is ``"host:port"`` or a
-    ``(host, port)`` tuple.  ``codec`` selects the wire codec for every
-    frame this worker sends (``"safe"`` or ``"pickle"``); pickle frames
-    from the coordinator are only accepted when the worker itself uses the
-    pickle codec.
+    ``(host, port)`` tuple.
     """
     from repro.runtime.executors.tcp import parse_address
 
-    if codec not in (CODEC_SAFE, CODEC_PICKLE):
-        raise SimulationError(f"unknown wire codec {codec!r}")
     host, port = parse_address(address) if isinstance(address, str) else address
     chaos = chaos or FaultPlan()
 
@@ -117,7 +106,6 @@ def run_worker(
             log,
             max_runs=max_runs,
             crash_after=crash_after,
-            codec=codec,
             chaos=chaos,
         )
     except (_ProtocolError, FrameProtocolError) as exc:
@@ -145,21 +133,19 @@ def _serve(
     *,
     max_runs: Optional[int],
     crash_after: Optional[int],
-    codec: str,
     chaos: FaultPlan,
 ) -> int:
     context: Optional[Tuple[Any, Any]] = None
     runs_done = 0
-    allow_pickle = codec == CODEC_PICKLE
-    # The hello always travels in the safe codec — every coordinator accepts
-    # it — and advertises the codec used for all frames that follow.
     send_frame(
         sock,
-        ("hello", {"protocol": PROTOCOL_VERSION, "codec": codec, "pid": os.getpid()}),
-        codec=CODEC_SAFE,
+        (
+            "hello",
+            {"protocol": PROTOCOL_VERSION, "codec": CODEC_SAFE, "pid": os.getpid()},
+        ),
     )
     while True:
-        frame = recv_frame(sock, allow_pickle=allow_pickle)
+        frame = recv_frame(sock)
         if frame is None:
             log("coordinator closed the connection")
             return 0
@@ -174,7 +160,7 @@ def _serve(
             # swap, so coordinators can recycle live workers.
             clear_worker_tables()
         elif tag == "ping":
-            send_frame(sock, ("pong",), codec=codec)
+            send_frame(sock, ("pong",))
         elif tag == "shutdown":
             log(f"shutdown after {runs_done} runs")
             return 0
@@ -201,7 +187,6 @@ def _serve(
                             message="worker received a run before any context",
                         ),
                     ),
-                    codec=codec,
                 )
                 continue
             worker_fn, payload = context
@@ -214,10 +199,10 @@ def _serve(
             if runs_done in chaos.slow_runs:
                 log(f"chaos: scripted slow reply at run index {runs_done}")
                 time.sleep(chaos.slow_s)
-            send_frame(sock, reply, codec=codec)
+            send_frame(sock, reply)
             if runs_done in chaos.duplicate_results:
                 log(f"chaos: scripted duplicate reply at run index {runs_done}")
-                send_frame(sock, reply, codec=codec)
+                send_frame(sock, reply)
             runs_done += 1
             if max_runs is not None and runs_done >= max_runs:
                 log(f"max-runs={max_runs} reached; disconnecting")

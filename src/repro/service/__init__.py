@@ -5,8 +5,8 @@ fixed scenario list and exits.  This package lifts the LFOC/Dunn online
 decision layer into a **long-lived multi-tenant service**:
 
 * :mod:`repro.service.daemon` — ``repro.cli serve``: a single-threaded
-  selectors event loop (no thread races, deterministic and replayable —
-  the same non-threaded design the TCP executor uses) that accepts host
+  event loop (no thread races, deterministic and replayable — the same
+  link server the TCP executor runs on) that accepts host
   agents, keeps per-host tenant state and pushes CAT mask updates;
 * :mod:`repro.service.agent` — ``repro.cli agent``: the per-host client
   that registers applications, streams monitor samples and applies pushed

@@ -1,7 +1,8 @@
 """The partitioning daemon: a long-lived control plane over TCP.
 
-``repro.cli serve`` runs one :class:`PartitionDaemon`: a single-threaded
-``selectors`` event loop — the same non-threaded design as the TCP
+``repro.cli serve`` runs one :class:`PartitionDaemon`: a frame handler on
+the same single-threaded
+:class:`~repro.runtime.executors.links.LinkServer` event loop as the TCP
 executor coordinator, and for the same reasons: no locks, no races, and
 every run of the loop over the same frame sequence is deterministic,
 which the replay pin depends on.
@@ -17,9 +18,9 @@ reads every ready link, collects the sequenced frames, and feeds them to
 ``MonitorBank.observe_batch`` call across all hosts, the scaling move
 that keeps this loop single-threaded and paper-faithful.  Each frame's
 reply — always exactly one ``mask_update`` — goes straight back on its
-wire.  Failure policy is inherited from the executor transport:
-**corruption or protocol violations cost the link, never the event
-loop.**  A torn frame waits for more bytes; a garbled one raises out of
+wire.  Failure policy is the link server's: **corruption or protocol
+violations cost the link, never the event loop.**  A torn frame waits
+for more bytes; a garbled one raises out of
 :class:`~repro.runtime.executors.framing.FrameReader` and is charged to
 ``frame_errors``; the agent reconnects — same boot token, so the session
 *resumes* and the agent replays its unacknowledged journal suffix — and
@@ -51,21 +52,15 @@ from __future__ import annotations
 
 import json
 import os
-import selectors
-import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.lfoc import DEFAULT_PARAMS, LfocParams
 from repro.errors import SimulationError
 from repro.runtime.executors.chaos import FaultPlan
-from repro.runtime.executors.framing import (
-    FrameProtocolError,
-    FrameReader,
-    enable_keepalive,
-    pack_frame,
-)
+from repro.runtime.executors.framing import pack_frame
+from repro.runtime.executors.links import Link, LinkServer
 from repro.service import protocol
 from repro.service.protocol import SEQUENCED_KINDS, ServiceProtocolError, check_frame
 from repro.service.replay import ReplayLog
@@ -75,17 +70,12 @@ from repro.service.snapshot import load_snapshot, save_snapshot
 __all__ = ["PartitionDaemon"]
 
 
-@dataclass
-class _AgentLink:
-    """One accepted connection and its parse state."""
+@dataclass(eq=False)
+class _AgentLink(Link):
+    """One agent connection."""
 
-    sock: socket.socket
-    peer: str
-    reader: FrameReader
     #: Host id, set once the handshake completes; None while pending.
     host: Optional[str] = None
-    connected_at: float = 0.0
-    frames: int = field(default=0)
 
 
 class PartitionDaemon:
@@ -153,21 +143,14 @@ class PartitionDaemon:
         #: closed, **no** final snapshot — a simulated crash.
         self.killed = False
         self.quiet = quiet
-        #: Corrupt/violating frames charged to dropped links (never crashes).
-        self.frame_errors = 0
-        #: Every dropped link as ``(peer, reason)``, oldest first.
-        self.drop_events: List[Tuple[str, str]] = []
         self._stop_requested = False
         self._next_snapshot_due: Optional[float] = None
-
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(bind)
-        self._listener.listen(64)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
-        self._links: List[_AgentLink] = []
+        #: Accepts, reads and drops the agent links.
+        self.server = LinkServer(
+            bind, on_frame=self._collect_frame, link_type=_AgentLink
+        )
+        #: Sequenced frames gathered by the current pump, for one drain.
+        self._drain: List[Tuple[_AgentLink, str, Dict[str, Any]]] = []
         self._supervisor = None
         self._closed = False
 
@@ -176,7 +159,12 @@ class PartitionDaemon:
     @property
     def address(self) -> Tuple[str, int]:
         """The ``(host, port)`` agents should ``--connect`` to."""
-        return self._listener.getsockname()
+        return self.server.address
+
+    @property
+    def frame_errors(self) -> int:
+        """Corrupt/violating frames charged to dropped links (never crashes)."""
+        return self.server.frame_errors
 
     @property
     def replay(self) -> ReplayLog:
@@ -189,9 +177,7 @@ class PartitionDaemon:
 
     def summary(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
-            "links": len(self._links),
-            "frame_errors": self.frame_errors,
-            "drops": list(self.drop_events),
+            **self.server.summary(),
             "restored": self.restored,
             "snapshots_written": self.snapshots_written,
             **self.core.summary(),
@@ -210,14 +196,10 @@ class PartitionDaemon:
         """One iteration: accept, gather every ready link's sequenced frames
         into one core drain (one fused ``observe_batch``), reply, then
         checkpoint / chaos / supervise."""
-        drain: List[Tuple[_AgentLink, str, Dict[str, Any]]] = []
-        for key, _events in self._selector.select(timeout):
-            if key.data is None:
-                self._accept_all()
-            else:
-                self._read_link(key.data, drain)
-        if drain:
-            self._handle_drain(drain)
+        self._drain = []
+        self.server.poll(timeout)
+        if self._drain:
+            self._handle_drain(self._drain)
         self._maybe_chaos_kill()
         if self.killed:
             return
@@ -251,12 +233,7 @@ class PartitionDaemon:
                         raise SimulationError(
                             f"daemon deadline after {max_seconds:.0f}s with only "
                             f"{len(self.core.ever_completed)} of {until_byes} "
-                            f"host sessions completed"
-                            + (
-                                f" (recent drops: {self.drop_events[-3:]})"
-                                if self.drop_events
-                                else ""
-                            )
+                            f"host sessions completed{self.server.recent_drops()}"
                         )
                     break
                 self.pump()
@@ -293,107 +270,50 @@ class PartitionDaemon:
             )
         self._supervisor.poll()
 
-    # -- connections -----------------------------------------------------------------
+    # -- frames ----------------------------------------------------------------------
 
-    def _accept_all(self) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            enable_keepalive(sock)
-            link = _AgentLink(
-                sock=sock,
-                peer=f"{addr[0]}:{addr[1]}",
-                reader=FrameReader(),
-                connected_at=time.monotonic(),
-            )
-            self._links.append(link)
-            self._selector.register(sock, selectors.EVENT_READ, link)
-
-    def _read_link(
-        self, link: _AgentLink, drain: List[Tuple[_AgentLink, str, Dict[str, Any]]]
-    ) -> None:
-        try:
-            data = link.sock.recv(1 << 20)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._drop_link(link, reason="read error")
-            return
-        if not data:
-            # Clean EOF: agent exited, was killed, or is reconnecting.
-            self._drop_link(link, reason="connection closed")
-            return
-        try:
-            frames = list(link.reader.feed(data))
-        except Exception as exc:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"bad frame: {exc}")
-            return
-        for frame in frames:
-            self._collect_frame(link, frame, drain)
-            if link not in self._links:
-                return  # the handler dropped the link
-
-    def _collect_frame(
-        self,
-        link: _AgentLink,
-        frame: Any,
-        drain: List[Tuple[_AgentLink, str, Dict[str, Any]]],
-    ) -> None:
+    def _collect_frame(self, link: _AgentLink, frame: Any) -> None:
         """Handle handshake/metrics frames inline; queue sequenced frames for
         the pump's single core drain."""
+        drop = self.server.drop
         try:
             kind, payload = check_frame(frame)
         except ServiceProtocolError as exc:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"invalid frame: {exc}")
+            drop(link, f"invalid frame: {exc}", frame_error=True)
             return
-        link.frames += 1
         if kind == "metrics":
             # Read-only observability: answered from any connection, bound
             # or not, without touching session state.
             try:
                 reply = self.core.handle_metrics(payload)
             except ServiceProtocolError as exc:
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"bad metrics request: {exc}")
+                drop(link, f"bad metrics request: {exc}", frame_error=True)
                 return
-            self._send(link, pack_frame(reply))
+            self.server.send(link, pack_frame(reply))
             return
         if link.host is None:
             if kind != "host_hello":
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"{kind!r} before host_hello")
+                drop(link, f"{kind!r} before host_hello", frame_error=True)
                 return
             try:
                 reply = self.core.handle_hello(payload)
             except ServiceProtocolError as exc:
                 # Courtesy reject so the agent's error names the mismatch.
-                try:
-                    link.sock.settimeout(5.0)
-                    link.sock.sendall(pack_frame(protocol.reject(str(exc))))
-                except OSError:
-                    pass
-                self._drop_link(link, reason=f"handshake rejected: {exc}")
+                reason = str(exc)
+                self.server.reject(link, pack_frame(protocol.reject(reason)), reason)
                 return
             # One live link per host: a reconnecting agent's fresh hello
             # supersedes the old connection even before its EOF surfaces.
-            for other in list(self._links):
+            for other in list(self.server.links):
                 if other is not link and other.host == payload["host"]:
-                    self._drop_link(other, reason="superseded by a newer connection")
+                    drop(other, "superseded by a newer connection")
             link.host = payload["host"]
-            self._send(link, pack_frame(reply))
+            self.server.send(link, pack_frame(reply))
             return
         if kind not in SEQUENCED_KINDS:
-            self.frame_errors += 1
-            self._drop_link(link, reason=f"unexpected {kind!r} after handshake")
+            drop(link, f"unexpected {kind!r} after handshake", frame_error=True)
             return
-        drain.append((link, kind, payload))
+        self._drain.append((link, kind, payload))
 
     def _handle_drain(
         self, drain: List[Tuple[_AgentLink, str, Dict[str, Any]]]
@@ -404,10 +324,11 @@ class PartitionDaemon:
         buffer is skipped; per-frame protocol violations cost that link
         only — the other hosts' frames in the same drain still answer.
         """
+        links = self.server.links
         entries = [
             (link, kind, payload)
             for link, kind, payload in drain
-            if link in self._links and link.host is not None
+            if link in links and link.host is not None
         ]
         if not entries:
             return
@@ -416,10 +337,11 @@ class PartitionDaemon:
         )
         for (link, kind, _payload), result in zip(entries, results):
             if isinstance(result, Exception):
-                self.frame_errors += 1
-                self._drop_link(link, reason=f"protocol violation: {result}")
-            elif link in self._links:
-                self._send(link, pack_frame(result))
+                self.server.drop(
+                    link, f"protocol violation: {result}", frame_error=True
+                )
+            elif link in links:
+                self.server.send(link, pack_frame(result))
 
     # -- checkpoints and scripted crashes ---------------------------------------------
 
@@ -447,43 +369,9 @@ class PartitionDaemon:
         # with the latest periodic one (or none at all).
         self._kill_decisions.pop(0)
         self.killed = True
-        for link in list(self._links):
-            self._drop_link(link, reason="daemon killed by fault plan")
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def _send(self, link: _AgentLink, blob: bytes) -> bool:
-        """Bounded-blocking send; drops the link on failure."""
-        try:
-            link.sock.settimeout(30.0)
-            try:
-                link.sock.sendall(blob)
-            finally:
-                link.sock.settimeout(0.0)
-            return True
-        except OSError as exc:
-            self._drop_link(link, reason=f"send failed: {exc}")
-            return False
-
-    def _drop_link(self, link: _AgentLink, *, reason: str) -> None:
-        if link not in self._links:
-            return
-        self._links.remove(link)
-        self.drop_events.append((link.peer, reason))
-        try:
-            self._selector.unregister(link.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            link.sock.close()
-        except OSError:
-            pass
+        for link in list(self.server.links):
+            self.server.drop(link, "daemon killed by fault plan")
+        self.server.stop_listening()
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -496,17 +384,7 @@ class PartitionDaemon:
             # restarted daemon resumes exactly where this one stopped.
             save_snapshot(self.core, self.snapshot)
             self.snapshots_written += 1
-        for link in list(self._links):
-            self._drop_link(link, reason="daemon shutting down")
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        self._selector.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self.server.close()
         if self._supervisor is not None:
             self._supervisor.stop()
 

@@ -245,6 +245,18 @@ name = "lfoc"
         with pytest.raises(SimulationError, match="host:port"):
             main(["worker", "--connect", "nonsense"])
 
+    def test_removed_unsafe_pickle_flags_are_usage_errors(self, capsys, tmp_path):
+        spec_path = tmp_path / "study.toml"
+        spec_path.write_text(self.SPEC_TOML, encoding="utf-8")
+        for argv in (
+            ["run", str(spec_path), "--executor", "tcp", "--unsafe-pickle"],
+            ["worker", "--connect", "127.0.0.1:7070", "--unsafe-pickle"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            assert "unrecognized arguments: --unsafe-pickle" in capsys.readouterr().err
+
     def test_run_command_rejects_bad_spec(self, tmp_path):
         from repro.errors import SpecError
 

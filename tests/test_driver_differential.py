@@ -211,6 +211,36 @@ class TestStudyRowsDifferential:
             == reference
         )
 
+    def test_fig7_rows_on_catalog_workloads_match_reference_loop(self, platform):
+        """One 8-app, two 12-app and two 16-app Fig. 7 mixes at the study's
+        run length: the production engine's rows equal the reference loop's."""
+        from repro.analysis import fig7_dynamic_study
+        from repro.runtime import EngineConfig
+        from repro.workloads import dynamic_study_workloads
+
+        names = ("P1", "P6", "S8", "P11", "S15")
+        workloads = [w for w in dynamic_study_workloads() if w.name in names]
+        assert [w.name for w in workloads] == list(names)
+        config = EngineConfig(
+            instructions_per_run=1.0e9, min_completions=2, record_traces=False
+        )
+        reference = oracles.reference_fig7_rows(workloads, config, platform)
+        assert (
+            fig7_dynamic_study(workloads, engine_config=config, platform=platform)
+            == reference
+        )
+        # The oracle drivers on the production engine give the same rows.
+        oracle_drivers = {
+            "Dunn": oracles.ReferenceDunnDaemon,
+            "LFOC": oracles.ReferenceLfocDriver,
+        }
+        assert (
+            fig7_dynamic_study(
+                workloads, engine_config=config, platform=platform, drivers=oracle_drivers
+            )
+            == reference
+        )
+
     def test_fig6_rows_identical_across_policy_backends(self, platform):
         from repro.analysis import fig6_static_study
 

@@ -215,6 +215,13 @@ class TestTCPExecutor:
         with pytest.raises(SimulationError, match="host:port"):
             parse_address("host:")
 
+    def test_parse_address_rejects_ports_outside_the_tcp_range(self):
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        for text in ("127.0.0.1:65536", "127.0.0.1:99999"):
+            with pytest.raises(SimulationError, match="outside 0-65535"):
+                parse_address(text)
+
     def test_matches_serial_with_two_workers(self, platform, p1, serial_results):
         executor = TCPExecutor(("127.0.0.1", 0), min_workers=2)
         _host, port = executor.address
@@ -284,19 +291,15 @@ class TestTCPExecutor:
         import socket as socket_mod
 
         from repro.runtime.executors.framing import pack_frame
-        from repro.runtime.executors.tcp import _WorkerLink
 
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             ours, theirs = socket_mod.socketpair()
-            ours.setblocking(False)
-            link = _WorkerLink(sock=ours, peer="test")
-            executor._links.append(link)
-            executor._selector.register(ours, __import__("selectors").EVENT_READ, link)
+            link = executor.server.adopt(ours, "test")
             theirs.sendall(pack_frame("not-a-tuple"))
-            executor._read_link(link)  # must not raise
-            assert link not in executor._links
+            executor.server.read(link)  # must not raise
+            assert link not in executor.server.links
         finally:
             theirs.close()
             executor.close()
@@ -305,20 +308,16 @@ class TestTCPExecutor:
         import socket as socket_mod
 
         from repro.runtime.executors.framing import pack_frame
-        from repro.runtime.executors.tcp import _WorkerLink
 
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             ours, theirs = socket_mod.socketpair()
-            ours.setblocking(False)
-            link = _WorkerLink(sock=ours, peer="test")
-            executor._links.append(link)
-            executor._selector.register(ours, __import__("selectors").EVENT_READ, link)
+            link = executor.server.adopt(ours, "test")
             # An "error" frame whose payload has no .ticket attribute.
             theirs.sendall(pack_frame(("error", object())))
-            executor._read_link(link)  # must not raise
-            assert link not in executor._links
+            executor.server.read(link)  # must not raise
+            assert link not in executor.server.links
         finally:
             theirs.close()
             executor.close()

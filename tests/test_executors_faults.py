@@ -8,7 +8,9 @@ of the distributed executors:
   corruption with at worst a :class:`FrameProtocolError` — never a crash of
   another kind, and never a silently wrong message;
 * version/codec negotiation rejects mismatched workers with a reason that
-  lands in ``drop_events`` and the starvation error;
+  lands in the link server's drop log and the starvation error;
+* the removed pickle codec is refused by name: its frames by the reader,
+  its hello by the coordinator, its spec key and CLI flags by the parsers;
 * a scripted :class:`FaultPlan` (worker kills + corrupted frames +
   duplicated results) on a supervised TCP executor leaves study rows
   bit-identical to :class:`SerialExecutor`;
@@ -34,7 +36,6 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.runtime import EngineConfig, RunSpec, SerialExecutor, TCPExecutor
 from repro.runtime.executors import (
-    CODEC_PICKLE,
     CODEC_SAFE,
     PROTOCOL_VERSION,
     FaultPlan,
@@ -50,7 +51,6 @@ from repro.runtime.executors.framing import (
     pack_frame,
     recv_frame,
 )
-from repro.runtime.executors.tcp import _WorkerLink
 from repro.runtime.scheduler import StockLinuxDriver
 from repro.workloads import workload_by_name
 
@@ -64,9 +64,9 @@ FAST = EngineConfig(
 # ---------------------------------------------------------------------------
 
 
-def roundtrip(obj, *, codec=CODEC_SAFE, allow_pickle=False):
-    reader = FrameReader(allow_pickle=allow_pickle)
-    frames = list(reader.feed(pack_frame(obj, codec=codec)))
+def roundtrip(obj):
+    reader = FrameReader()
+    frames = list(reader.feed(pack_frame(obj)))
     assert len(frames) == 1 and reader.pending() == 0
     return frames[0]
 
@@ -122,14 +122,20 @@ class TestSafeCodec:
         assert out[2].label == "base"
         assert out[2].workload == spec.workload
 
-    def test_pickle_frames_refused_without_opt_in(self):
-        blob = pack_frame(("hello", {}), codec=CODEC_PICKLE)
-        with pytest.raises(FrameProtocolError, match="pickle"):
-            list(FrameReader(allow_pickle=False).feed(blob))
-        # ...and accepted once both sides opt in.
-        assert roundtrip(
-            ("hello", {}), codec=CODEC_PICKLE, allow_pickle=True
-        ) == ("hello", {})
+    def test_pickle_frames_refused_by_name(self):
+        """A hand-built tag-0x01 frame names the removed codec."""
+        body = b"\x01" + b"\x80\x05N."  # the pickle of None
+        blob = _HEADER.pack(len(body)) + body
+        with pytest.raises(FrameProtocolError, match="pickle codec was removed"):
+            list(FrameReader().feed(blob))
+        ours, theirs = socket_mod.socketpair()
+        try:
+            theirs.sendall(blob)
+            with pytest.raises(FrameProtocolError, match="pickle codec was removed"):
+                recv_frame(ours)
+        finally:
+            ours.close()
+            theirs.close()
 
     def test_untrusted_class_references_refused(self):
         blob = pack_frame(("error", object()))
@@ -447,16 +453,8 @@ class TestFaultPlan:
 
 def attach_fake_worker(executor):
     """A socketpair posing as a worker link, bypassing accept()."""
-    import selectors
-
     ours, theirs = socket_mod.socketpair()
-    ours.setblocking(False)
-    link = _WorkerLink(sock=ours, peer="test")
-    link.reader = FrameReader(allow_pickle=executor.allow_pickle)
-    link.connected_at = link.last_seen = time.monotonic()
-    executor._links.append(link)
-    executor._selector.register(ours, selectors.EVENT_READ, link)
-    return link, theirs
+    return executor.server.adopt(ours, "test"), theirs
 
 
 class TestHandshake:
@@ -464,7 +462,7 @@ class TestHandshake:
         link, theirs = attach_fake_worker(executor)
         try:
             theirs.sendall(pack_frame(("hello", info)))
-            executor._read_link(link)
+            executor.server.read(link)
             reject = recv_frame(theirs)
         finally:
             theirs.close()
@@ -477,24 +475,24 @@ class TestHandshake:
             link, reject = self.send_hello(
                 executor, {"protocol": 1, "codec": CODEC_SAFE}
             )
-            assert link not in executor._links
+            assert link not in executor.server.links
             assert reject[0] == "reject" and "version mismatch" in reject[1]
             assert any(
                 "version mismatch" in reason
-                for _peer, reason in executor.drop_events
+                for _peer, reason in executor.server.drops
             )
         finally:
             executor.close()
 
-    def test_pickle_codec_needs_coordinator_opt_in(self, platform):
+    def test_pickle_hello_rejected_naming_the_codec(self, platform):
         executor = TCPExecutor(("127.0.0.1", 0))
         try:
             executor.prepare(platform, default_config=FAST)
             link, reject = self.send_hello(
-                executor, {"protocol": PROTOCOL_VERSION, "codec": CODEC_PICKLE}
+                executor, {"protocol": PROTOCOL_VERSION, "codec": "pickle"}
             )
-            assert link not in executor._links
-            assert reject[0] == "reject" and "opt in" in reject[1]
+            assert link not in executor.server.links
+            assert reject == ("reject", "unknown wire codec 'pickle'")
         finally:
             executor.close()
 
@@ -509,8 +507,8 @@ class TestHandshake:
                         ("hello", {"protocol": PROTOCOL_VERSION, "codec": CODEC_SAFE})
                     )
                 )
-                executor._read_link(link)
-                assert link.ready and link in executor._links
+                executor.server.read(link)
+                assert link.ready and link in executor.server.links
                 context = recv_frame(theirs)
                 assert context[0] == "context"
             finally:
@@ -525,13 +523,13 @@ class TestHandshake:
             link, theirs = attach_fake_worker(executor)
             try:
                 theirs.sendall(pack_frame(("pong",)))
-                executor._read_link(link)
+                executor.server.read(link)
             finally:
                 theirs.close()
-            assert link not in executor._links
+            assert link not in executor.server.links
             assert any(
                 "before handshake" in reason
-                for _peer, reason in executor.drop_events
+                for _peer, reason in executor.server.drops
             )
         finally:
             executor.close()
@@ -602,11 +600,45 @@ class TestHeartbeatGrace:
             try:
                 time.sleep(0.1)
                 executor._heartbeat(time.monotonic())
-                assert link not in executor._links
+                assert link not in executor.server.links
                 assert any(
                     reason == "handshake timeout"
-                    for _peer, reason in executor.drop_events
+                    for _peer, reason in executor.server.drops
                 )
+            finally:
+                theirs.close()
+        finally:
+            executor.close()
+
+    def test_answered_ping_keeps_an_idle_worker_and_silence_drops_it(
+        self, platform
+    ):
+        """Any bytes received clear the pending ping, even when they are only
+        read by the drain just before the grace judgement."""
+        executor = TCPExecutor(
+            ("127.0.0.1", 0), heartbeat_s=0.01, heartbeat_grace_s=0.05
+        )
+        try:
+            executor.prepare(platform, default_config=FAST)
+            link, theirs = attach_fake_worker(executor)
+            try:
+                hello = {"protocol": PROTOCOL_VERSION, "codec": CODEC_SAFE}
+                theirs.sendall(pack_frame(("hello", hello)))
+                executor.server.read(link)
+                assert recv_frame(theirs)[0] == "context"
+                executor._heartbeat(time.monotonic())
+                assert recv_frame(theirs) == ("ping",)
+                theirs.sendall(pack_frame(("pong",)))
+                time.sleep(0.1)
+                executor._heartbeat(time.monotonic())
+                assert link in executor.server.links
+                assert link.awaiting_pong_since is None
+                # A fresh ping left unanswered past the grace costs the link.
+                for _ in range(2):
+                    time.sleep(0.1)
+                    executor._heartbeat(time.monotonic())
+                assert link not in executor.server.links
+                assert executor.server.drops[-1] == ("test", "heartbeat timeout")
             finally:
                 theirs.close()
         finally:
@@ -745,7 +777,7 @@ class TestChaosSoak:
         # The faults actually fired: the killed worker and the corrupted
         # frame each cost a link and forced a resubmission.
         assert executor.retries >= 1
-        assert any("chaos" in reason for _peer, reason in executor.drop_events)
+        assert any("chaos" in reason for _peer, reason in executor.server.drops)
         assert summary["supervisor"]["restarts"] >= 1
 
     def test_seeded_chaos_study_rows_identical_across_backends(self):

@@ -438,6 +438,36 @@ class TestExecutorSelection:
         with pytest.raises(SpecError, match="task_timeout_s"):
             ExecutorSpec(name="tcp", task_timeout_s=0.0)
 
+    @pytest.mark.parametrize("bind", ["nonsense", "127.0.0.1:99999", "host:", 7070])
+    def test_executor_spec_rejects_bad_bind(self, bind):
+        from repro.errors import SpecError
+        from repro.experiments import ExecutorSpec
+
+        with pytest.raises(SpecError, match="executor bind is invalid"):
+            ExecutorSpec(name="tcp", bind=bind)
+        with pytest.raises(SpecError, match="executor bind is invalid"):
+            ExecutorSpec.from_dict({"name": "tcp", "bind": bind})
+        assert ExecutorSpec(name="tcp", bind="127.0.0.1:65535").bind.endswith("65535")
+
+    def test_executor_spec_refuses_removed_unsafe_pickle_key(self, tmp_path):
+        from repro.errors import SpecError
+        from repro.experiments import ExecutorSpec
+
+        for value in (True, False):
+            with pytest.raises(
+                SpecError, match="ExecutorSpec.unsafe_pickle was removed"
+            ):
+                ExecutorSpec.from_dict({"name": "tcp", "unsafe_pickle": value})
+        # A TOML study's [executor] table gets the same refusal.
+        path = tmp_path / "study.toml"
+        path.write_text(
+            study_to_toml(self._spec())
+            + '\n[executor]\nname = "tcp"\nunsafe_pickle = true\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SpecError, match="ExecutorSpec.unsafe_pickle was removed"):
+            load_study_spec(path)
+
 
 class TestWorkerTableCache:
     def test_per_spec_max_table_entries_is_honoured(self):

@@ -658,6 +658,24 @@ class TestLiveService:
         with pytest.raises(SimulationError, match="need a workload"):
             PartitionDaemon(("127.0.0.1", 0), supervise=2)
 
+    def test_drop_log_is_bounded_under_reconnect_churn(self):
+        """300 connect-and-close drops keep the last 256 and count all."""
+        with PartitionDaemon(("127.0.0.1", 0)) as daemon:
+            for batch in range(6):
+                for _ in range(50):
+                    socket.create_connection(daemon.address, timeout=5).close()
+                target = 50 * (batch + 1)
+                for _ in range(2000):
+                    if daemon.server.drops_total >= target:
+                        break
+                    daemon.pump(timeout=0.01)
+            summary = daemon.summary()
+            assert summary["drops_total"] == 300
+            assert len(summary["drops"]) == 256
+            assert summary["drops"][-1][1] == "connection closed"
+            assert daemon.frame_errors == 0
+            assert daemon.server.recent_drops().count("connection closed") == 3
+
 
 # ---------------------------------------------------------------------------
 # Warm pool-worker reuse across a context swap
