@@ -164,14 +164,15 @@ class PhasedProfile:
             # approximated by instruction weighting of the per-phase rate.
             mpkc += weight * segment.profile.curves.llcmpkc
         ipc = 1.0 / cpi
-        bytes_per_miss = float(
-            sum(w * seg.profile.bytes_per_miss for w, seg in zip(weights, self.segments))
-        )
+        # A left fold, not sum(), as in cycle_instructions.
+        bytes_per_miss = 0.0
+        for weight, segment in zip(weights, self.segments):
+            bytes_per_miss += weight * segment.profile.bytes_per_miss
         base = self.segments[0].profile
         return AppProfile(
             name=self.name,
             curves=CurveSet(ipc=ipc, llcmpkc=mpkc),
-            bytes_per_miss=bytes_per_miss,
+            bytes_per_miss=float(bytes_per_miss),
             suite=self.suite,
             metadata=dict(base.metadata),
         )

@@ -97,6 +97,7 @@ class CachedObjective:
             raise SolverError("the objective needs at least one application profile")
         self.platform = platform
         self.profiles = dict(profiles)
+        self._known_apps = frozenset(self.profiles)
         self.occupancy_model = occupancy_model or OccupancyModel()
         self.bandwidth_model = bandwidth_model or BandwidthModel()
         self._cluster_cache: Dict[Tuple[FrozenSet[str], int], ClusterPieces] = {}
@@ -104,20 +105,32 @@ class CachedObjective:
     # -- per-cluster building blocks --------------------------------------------
 
     def cluster_pieces(self, members: Iterable[str], ways: int) -> ClusterPieces:
-        """Cache-sharing slowdowns and bandwidth terms for one cluster."""
-        key = (frozenset(members), int(ways))
+        """Cache-sharing slowdowns and bandwidth terms for one cluster.
+
+        ``ways`` must be an ``int`` in ``[1, platform.llc_ways]`` and every
+        member a profiled application; anything else raises
+        :class:`SolverError` naming the value before the cache is consulted.
+        """
+        if isinstance(ways, bool) or not isinstance(ways, int):
+            raise SolverError(f"a cluster's way count must be an int, got {ways!r}")
+        if not 1 <= ways <= self.platform.llc_ways:
+            raise SolverError(
+                f"a cluster must receive 1..{self.platform.llc_ways} ways, got {ways}"
+            )
+        group = frozenset(members)
+        if not group:
+            raise SolverError("a cluster must contain at least one application")
+        if not group <= self._known_apps:
+            raise SolverError(
+                f"no profile registered for applications {sorted(group - self._known_apps)}"
+            )
+        key = (group, ways)
         cached = self._cluster_cache.get(key)
         if cached is not None:
             return cached
-        member_list = sorted(key[0])
-        if not member_list:
-            raise SolverError("a cluster must contain at least one application")
-        if ways < 1:
-            raise SolverError("a cluster must receive at least one way")
+        member_list = sorted(group)
         mask = (1 << ways) - 1
-        allocation = WayAllocation(
-            masks={app: mask for app in member_list}, total_ways=max(ways, 1)
-        )
+        allocation = WayAllocation(masks={app: mask for app in member_list}, total_ways=ways)
         occupancy = self.occupancy_model.solve(allocation, self.profiles)
         cache_slowdowns: Dict[str, float] = {}
         bandwidth: Dict[str, float] = {}

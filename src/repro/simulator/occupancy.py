@@ -20,12 +20,23 @@ we implement the same idea as a fixed point:
 Applications alone on their ways simply get all of them.  The result feeds the
 slowdown estimation in :mod:`repro.simulator.estimator` and the simulated CMT
 occupancy readings.
+
+Almost every solve is of a *proper cluster*, where all members hold the same
+mask: the optimal search scores clusters one at a time, and the trajectory
+cache splits the disjoint clusters LFOC programs into components of their
+own.  There every way has the same sharers, so one damped step is a handful
+of scalar operations per member (:func:`_cluster_step`).  Overlapping (Dunn)
+components, and cold solves of allocations with several masks, take the
+general step over distinct sharer sets (:meth:`_ComponentTrajectory.step`).
+Both perform the same float operations in the same order, so the choice
+between them, made from the masks alone, never moves a bit.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.profile import AppProfile, FastProfileView, interp_ways
@@ -49,7 +60,8 @@ class OccupancyModel:
     """Fixed-point solver for effective per-application LLC occupancy.
 
     :meth:`solve` and :class:`OccupancyTrajectoryCache` run the same scalar
-    kernel, :meth:`_ComponentTrajectory.step`, under the same stop
+    steps (:func:`_cluster_step` for a proper cluster,
+    :meth:`_ComponentTrajectory.step` otherwise) under the same stop
     condition, so a cold solve and a cached replay agree bit for bit.
     """
 
@@ -97,29 +109,40 @@ class OccupancyModel:
     ) -> OccupancyResult:
         """Compute effective way counts for every application in ``allocation``.
 
-        The whole allocation is stepped by one :class:`_ComponentTrajectory`
-        kernel.  Disconnected groups of applications never read each other's
-        state, so this is the same arithmetic as solving them apart under
-        the shared stop condition.
+        An allocation whose applications all hold one mask is a proper
+        cluster and runs :func:`_cluster_step` directly, with no per-way
+        bookkeeping.  Any other allocation is stepped as a whole by one
+        :class:`_ComponentTrajectory`: disconnected groups of applications
+        never read each other's state, so this is the same arithmetic as
+        solving them apart under the shared stop condition.
         """
         apps = allocation.apps()
         for app in apps:
             if app not in profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")
-        kernel = _ComponentTrajectory(
-            [profiles[app].llcmpkc_points for app in apps],
-            [
-                [w for w in range(allocation.total_ways) if allocation.masks[app] >> w & 1]
-                for app in apps
-            ],
-        )
+        curves = [profiles[app].llcmpkc_points for app in apps]
+        masks = allocation.masks
         # A cold solve is never replayed, so it keeps only the latest iterate.
-        effective: Sequence[float] = kernel.effective(0)
+        effective: Sequence[float]
+        if len(set(masks.values())) == 1:
+            ways = masks[apps[0]].bit_count()
+            step = partial(_cluster_step, curves, ways)
+            effective = [float(ways)] * len(apps)
+        else:
+            kernel = _ComponentTrajectory(
+                curves,
+                [
+                    [w for w in range(allocation.total_ways) if masks[app] >> w & 1]
+                    for app in apps
+                ],
+            )
+            step = kernel.step
+            effective = kernel.effective(0)
         pressures: Sequence[float] = ()
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            effective, pressures, delta = kernel.step(effective, self)
+            effective, pressures, delta = step(effective, self)
             if delta < self.tolerance:
                 converged = True
                 break
@@ -131,8 +154,58 @@ class OccupancyModel:
         )
 
 
+def _cluster_step(
+    curves: Sequence[Sequence[float]],
+    ways: int,
+    prev: Sequence[float],
+    model: OccupancyModel,
+) -> Tuple[List[float], List[float], float]:
+    """One damped iteration of a proper cluster: (effective ways, pressures, delta).
+
+    Every member holds the same ``ways`` ways, so every way has the same
+    sharers and the same shares.  This is :meth:`_ComponentTrajectory.step`
+    with its one sharer set written out: the pressures are
+    :func:`interp_ways` inlined, ``per_way = p / ways`` (recomputed rather
+    than stored), the pressure total is a left fold of those in member
+    order, a member's new value is its share ``per_way / total`` added
+    ``ways`` times (repeated adds, as the way-by-way model does; one
+    multiply would round differently), and the blend and delta are the same
+    expressions.  Same operations in the same order, so the same bits.
+    """
+    base = model.base_pressure
+    damping = model.damping
+    retained = 1.0 - damping
+    pressures = []
+    total = 0.0
+    for table, value in zip(curves, prev):
+        # base + interp_ways(table, value), inlined.
+        if value < 1.0:
+            value = 1.0
+        if value >= len(table):
+            pressure = base + table[-1]
+        else:
+            j = int(value - 1.0)
+            pressure = base + ((table[j + 1] - table[j]) * (value - (j + 1.0)) + table[j])
+        pressures.append(pressure)
+        total = total + pressure / ways
+    delta = 0.0
+    blended = []
+    each_way = range(ways)
+    for prev_i, pressure in zip(prev, pressures):
+        share = pressure / ways / total
+        new_i = 0.0
+        for _ in each_way:
+            new_i += share
+        value = retained * prev_i + damping * new_i
+        spread = abs(value - prev_i)
+        if spread > delta:
+            delta = spread
+        blended.append(value)
+    return blended, pressures, delta
+
+
 class _ComponentTrajectory:
-    """The damped fixed-point kernel: the exact trajectory of one sharing group.
+    """The exact damped fixed-point trajectory of one sharing group.
 
     Applications partition into *components* — the connected groups of the
     "shares a way with" relation.  The per-application updates of one
@@ -144,27 +217,32 @@ class _ComponentTrajectory:
     of each component's private trajectory.
 
     :meth:`step` is the one iteration both :meth:`OccupancyModel.solve` (one
-    kernel over the whole allocation, nothing recorded) and
-    :class:`OccupancyTrajectoryCache` (one recorded trajectory per component)
-    run, so the operation order results depend on lives here alone: per-way
-    pressure totals accumulate over members in workload order, effective
-    ways accumulate over a member's ways in ascending order, and the damped
-    blend is ``(1 - damping) * old + damping * new``.  The test suite pins
-    it to the dict-based reference solve.  Once an iteration changes nothing
-    (``delta == 0.0``, e.g. immediately for applications alone on their
-    mask), every later iteration provably repeats it, so a recorded
-    trajectory is frozen instead of extended.
+    kernel over a whole allocation that is not a proper cluster, nothing
+    recorded) and :class:`OccupancyTrajectoryCache` (one recorded trajectory
+    per component) run, so the operation order results depend on lives here
+    and in :func:`_cluster_step` alone: per-way pressure totals accumulate
+    over members in workload order, effective ways accumulate over a
+    member's ways in ascending order, and the damped blend is
+    ``(1 - damping) * old + damping * new``.  A proper cluster (every member
+    on the same ways, ``cluster_ways`` > 0) steps through
+    :func:`_cluster_step` and builds no per-way sharer tables.  The test
+    suite pins both to the dict-based reference solve.  Once an iteration
+    changes nothing (``delta == 0.0``, e.g. immediately for applications
+    alone on their mask), every later iteration provably repeats it, so a
+    recorded trajectory is frozen instead of extended.
 
     A recorded trajectory is two flat float buffers: ``eff`` holds iteration
     ``n``'s effective ways at ``[n * members, (n + 1) * members)`` and
     ``deltas`` its stop-condition value.  Pressures are not stored: those of
     iteration ``n`` are a pure function of iteration ``n - 1``
-    (:meth:`_pressures`, the first line of :meth:`step`), so :meth:`pressure`
+    (:meth:`_pressures`, the first thing either step computes;
+    :func:`_cluster_step` inlines the same expression), so :meth:`pressure`
     derives them on replay with the same arithmetic and the same bits.
     """
 
     __slots__ = (
         "curves",
+        "cluster_ways",
         "mask_sizes",
         "sharer_sets",
         "member_slots",
@@ -181,6 +259,21 @@ class _ComponentTrajectory:
         """``curves`` holds each member's LLCMPKC points, ``way_lists`` its
         relative ways in ascending order."""
         self.curves = list(curves)
+        self.members = len(way_lists)
+        # Iteration 0 is the initial guess: every member owns its whole mask.
+        self.eff = array("d", [float(len(ways)) for ways in way_lists])
+        self.deltas = array("d", [0.0])
+        self.length = 1  # recorded iterations, the initial guess included
+        self.fixed_at: int = 0  # 0 = not fixed yet; else first repeating iteration
+        self.mask_sizes: List[int] = []
+        self.sharer_sets: List[Tuple[int, ...]] = []
+        self.member_slots: List[List[int]] = []
+        first = way_lists[0]
+        if all(ways == first for ways in way_lists):
+            # A proper cluster: one sharer set, stepped by _cluster_step.
+            self.cluster_ways = len(first)
+            return
+        self.cluster_ways = 0
         self.mask_sizes = [max(len(ways), 1) for ways in way_lists]
         n_rel_ways = 1 + max(max(ways) for ways in way_lists)
         sharers: List[List[int]] = [[] for _ in range(n_rel_ways)]
@@ -188,15 +281,13 @@ class _ComponentTrajectory:
             for way in ways:
                 sharers[way].append(member)
         # Ways with the same sharers carry the same pressure total and the
-        # same shares (a proper cluster has one such set, a Dunn layout one
-        # per overlap region), so each distinct set is split once per step
-        # into a flat list of shares, and a member's new effective ways is
-        # the sum of its shares over its ways in ascending order — repeated
-        # adds, as in the way-by-way model (one multiply would round
-        # differently).
+        # same shares (a Dunn layout has one such set per overlap region),
+        # so each distinct set is split once per step into a flat list of
+        # shares, and a member's new effective ways is the sum of its shares
+        # over its ways in ascending order — repeated adds, as in the
+        # way-by-way model (one multiply would round differently).
         slot_of: Dict[Tuple[int, ...], int] = {}
-        self.sharer_sets: List[Tuple[int, ...]] = []
-        self.member_slots: List[List[int]] = [[] for _ in way_lists]
+        self.member_slots = [[] for _ in way_lists]
         for way_members in sharers:
             key = tuple(way_members)
             if key not in slot_of:
@@ -204,17 +295,11 @@ class _ComponentTrajectory:
                 self.sharer_sets.append(key)
             for j, member in enumerate(key):
                 self.member_slots[member].append(slot_of[key] + j)
-        self.members = len(way_lists)
-        # Iteration 0 is the initial guess: every member owns its whole mask.
-        self.eff = array("d", [float(len(ways)) for ways in way_lists])
-        self.deltas = array("d", [0.0])
-        self.length = 1  # recorded iterations, the initial guess included
-        self.fixed_at: int = 0  # 0 = not fixed yet; else first repeating iteration
 
     def ensure(self, n: int, model: "OccupancyModel") -> None:
         """Extend the trajectory so iteration ``n`` is available.
 
-        The step stays pure Python on purpose: components hold a handful of
+        Both steps stay pure Python on purpose: components hold a handful of
         members and a dozen ways, where inlined float arithmetic runs ~2-5x
         faster than an equivalent chain of NumPy ufunc calls (measured up to
         16 members).
@@ -236,6 +321,8 @@ class _ComponentTrajectory:
         self, prev: Sequence[float], model: "OccupancyModel"
     ) -> Tuple[List[float], List[float], float]:
         """One damped iteration from ``prev``: (effective ways, pressures, delta)."""
+        if self.cluster_ways:
+            return _cluster_step(self.curves, self.cluster_ways, prev, model)
         damping = model.damping
         retained = 1.0 - damping
         pressures = self._pressures(prev, model.base_pressure)

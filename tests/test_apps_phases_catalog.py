@@ -1,6 +1,7 @@
 """Tests for phased profiles, the benchmark catalogue and synthetic generators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ class TestPhasedProfile:
         assert folded != math.fsum(lengths)
         assert phased.cycle_instructions == folded
         assert phased.phase_boundaries()[-1] == folded
+
+    def test_average_bytes_per_miss_is_a_left_fold(self):
+        # Weighted terms whose compensated sum differs from the plain left
+        # fold: the averaged DRAM traffic must not depend on the interpreter.
+        base = build_profile("gamess06", 4)
+        lengths = [1e8 + 0.1, 2e8 + 0.2, 3e8 + 0.3, 4e8]
+        traffic = [70.1, 80.2, 90.3, 100.7]
+        phased = PhasedProfile(
+            name="fractional",
+            segments=tuple(
+                PhaseSegment(instructions=n, profile=replace(base, bytes_per_miss=b))
+                for n, b in zip(lengths, traffic)
+            ),
+        )
+        weights = np.array(lengths) / np.sum(lengths)
+        terms = [float(w * b) for w, b in zip(weights, traffic)]
+        folded = 0.0
+        for term in terms:
+            folded += term
+        assert folded != math.fsum(terms)
+        assert phased.average_profile().bytes_per_miss == folded
 
     def test_phase_boundaries_sum_to_cycle(self, phased):
         assert phased.phase_boundaries()[-1] == pytest.approx(phased.cycle_instructions)

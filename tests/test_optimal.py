@@ -1,5 +1,7 @@
 """Tests for the search-space enumeration and optimal-solution solvers."""
 
+import re
+
 import pytest
 
 from repro.core import ClusteringSolution
@@ -175,3 +177,32 @@ class TestCachedObjective:
         objective = CachedObjective(platform, mix5)
         with pytest.raises(SolverError):
             objective.score_candidate([["lbm06"]], [1, 2])
+
+    @pytest.mark.parametrize("ways", [2.5, 2.0, True, "2", None])
+    def test_cluster_pieces_rejects_non_int_ways(self, platform, mix5, ways):
+        objective = CachedObjective(platform, mix5)
+        # A cached 2-way entry must not answer for a non-int way count.
+        objective.cluster_pieces(["lbm06", "gamess06"], 2)
+        with pytest.raises(SolverError, match=re.escape(repr(ways))):
+            objective.cluster_pieces(["lbm06", "gamess06"], ways)
+
+    @pytest.mark.parametrize("ways", [0, -1, 12, 40])
+    def test_cluster_pieces_rejects_ways_outside_the_llc(self, platform, mix5, ways):
+        objective = CachedObjective(platform, mix5)
+        with pytest.raises(SolverError, match=f"1..{platform.llc_ways} ways, got {ways}"):
+            objective.cluster_pieces(["lbm06"], ways)
+        assert objective.cache_size == 0
+
+    def test_cluster_pieces_accepts_the_whole_llc(self, platform, mix5):
+        objective = CachedObjective(platform, mix5)
+        pieces = objective.cluster_pieces(["lbm06"], platform.llc_ways)
+        assert pieces.cache_slowdowns["lbm06"] == 1.0
+
+    def test_cluster_pieces_rejects_unknown_and_empty_members(self, platform, mix5):
+        objective = CachedObjective(platform, mix5)
+        with pytest.raises(SolverError, match="no profile registered.*'nosuch06'"):
+            objective.cluster_pieces(["lbm06", "nosuch06"], 2)
+        with pytest.raises(SolverError, match="at least one application"):
+            objective.cluster_pieces([], 2)
+        with pytest.raises(SolverError, match="no profile registered.*'nosuch06'"):
+            objective.score_candidate([["lbm06"], ["nosuch06"]], [5, 6])
