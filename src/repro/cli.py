@@ -94,6 +94,7 @@ from repro.experiments import (
     STATIC_ROW_FIELDS,
     EngineSpec,
     ExecutorSpec,
+    ServiceSpec,
     StudyResult,
     build_sweep_study,
     dump_study_spec,
@@ -652,19 +653,25 @@ def _report_study(result: StudyResult, out: Optional[str]) -> int:
     return 0
 
 
-def _parse_chaos(text: Optional[str]):
+def _chaos_json(text: Optional[str], flag: str = "--chaos"):
+    """The mapping a fault-plan flag holds; ``flag`` names it in errors."""
     if text is None:
         return None
     import json
 
     from repro.errors import SpecError
-    from repro.runtime.executors import FaultPlan
 
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
-        raise SpecError(f"--chaos is not valid JSON: {exc}") from exc
-    return FaultPlan.from_dict(data)
+        raise SpecError(f"{flag} is not valid JSON: {exc}") from exc
+
+
+def _parse_chaos(text: Optional[str]):
+    from repro.runtime.executors import FaultPlan
+
+    data = _chaos_json(text)
+    return None if data is None else FaultPlan.from_dict(data)
 
 
 def _run_study_command(args: argparse.Namespace) -> int:
@@ -742,24 +749,21 @@ def _worker_command(args: argparse.Namespace) -> int:
 def _serve_command(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.runtime.executors.tcp import parse_address
-    from repro.service.daemon import PartitionDaemon
-
-    chaos = _parse_chaos(args.agent_chaos)
-    daemon = PartitionDaemon(
-        parse_address(args.bind),
+    spec = ServiceSpec(
+        bind=args.bind,
         policy=args.policy,
-        n_ways=args.ways,
+        ways=args.ways,
         supervise=args.supervise,
         workload=args.workload,
         batches=args.batches,
         seed=args.seed,
-        agent_chaos=chaos.to_dict() if chaos is not None else None,
-        quiet=args.quiet,
-        monitor_backend=args.monitor_backend,
+        agent_chaos=_chaos_json(args.agent_chaos, "--agent-chaos"),
+        replay_log=args.replay_log,
         snapshot=args.snapshot,
         snapshot_every_s=args.snapshot_every,
+        monitor_backend=args.monitor_backend,
     )
+    daemon = spec.create(quiet=args.quiet)
     host, port = daemon.address
     if not args.quiet:
         print(f"partitioning daemon listening on {host}:{port}", flush=True)
@@ -784,15 +788,12 @@ def _serve_command(args: argparse.Namespace) -> int:
     except ValueError:  # pragma: no cover - non-main thread (embedding)
         previous_sigterm = None
     try:
-        summary = daemon.run(until_byes=until, max_seconds=args.max_seconds)
+        summary = spec.serve(daemon, until_byes=until, max_seconds=args.max_seconds)
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         summary = daemon.summary()
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
-        if args.replay_log and not daemon.killed:
-            daemon.replay.save(args.replay_log)
-        daemon.close()
     if not args.quiet:
         print(
             f"served {summary['hosts']} host(s), {summary['decisions']} mask "

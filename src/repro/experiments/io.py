@@ -1,11 +1,20 @@
-"""Study-spec serialization: JSON and TOML, both directions.
+"""The one spec file format layer: JSON and TOML, both directions.
 
-Reading uses the standard library (``json``, ``tomllib``).  Writing TOML has
-no stdlib counterpart, so :func:`toml_dumps` implements the small subset the
-spec schema needs — scalars, homogeneous arrays, nested tables and arrays of
-tables — and the round-trip is pinned by the test suite
-(``tomllib.loads(toml_dumps(d)) == d``).  No third-party dependency is
-involved anywhere.
+:func:`read_spec_file` is the one loader of study, tournament and service
+spec files: it picks the format from the ``.toml`` / ``.json`` suffix and
+turns every read or parse failure into a :class:`~repro.errors.SpecError`.
+TOML is read with the standard library's ``tomllib`` (Python 3.11+) or, on
+Python 3.10, the ``tomli`` backport it was taken from; without either, TOML
+files are refused with a message that says so.  :func:`write_spec_file`
+writes any spec's ``to_dict`` back out.  Writing TOML has no stdlib
+counterpart, so :func:`toml_dumps` implements the subset the spec schema
+needs — scalars, homogeneous arrays, nested tables and arrays of tables —
+and the round-trip is pinned by the test suite
+(``tomllib.loads(toml_dumps(d)) == d``).  Each spec kind keeps only its own
+wrapper on top: ``load_study_spec`` here, ``load_tournament_spec`` in
+:mod:`repro.tournament.grid` and :meth:`ServiceSpec.load
+<repro.experiments.specs.ServiceSpec.load>` (which accepts a ``[service]``
+table).
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from repro.experiments.specs import StudySpec
 
 __all__ = [
     "toml_dumps",
+    "read_spec_file",
+    "parse_spec_text",
+    "write_spec_file",
     "study_to_json",
     "study_from_json",
     "study_to_toml",
@@ -122,8 +134,55 @@ def toml_dumps(data: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Study-spec round trips
+# Reading and writing spec files
 # ---------------------------------------------------------------------------
+
+
+def parse_spec_text(text: str, fmt: str, what: str = "study") -> Any:
+    """Parse spec text in ``fmt`` (``"toml"`` or ``"json"``)."""
+    if fmt == "json":
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{what} spec is not valid JSON: {exc}")
+    if tomllib is None:  # pragma: no cover - Python 3.10 without tomli
+        raise SpecError(
+            f"reading TOML {what} specs needs Python >= 3.11 (tomllib) or the "
+            "'tomli' package; use a .json spec instead"
+        )
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SpecError(f"{what} spec is not valid TOML: {exc}")
+
+
+def _format(path: Path, what: str) -> str:
+    suffix = path.suffix.lower()
+    if suffix not in (".toml", ".json"):
+        raise SpecError(f"{what} specs must be .toml or .json files, got {path.name!r}")
+    return suffix[1:]
+
+
+def read_spec_file(path: Union[str, Path], what: str = "study") -> Any:
+    """The data in a ``.toml`` or ``.json`` spec file (``what`` names the
+    spec kind in error messages)."""
+    path = Path(path)
+    fmt = _format(path, what)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {what} spec {path}: {exc}")
+    return parse_spec_text(text, fmt, what)
+
+
+def write_spec_file(spec: Any, path: Union[str, Path], what: str = "study") -> None:
+    """Write ``spec.to_dict()`` to a ``.toml`` or ``.json`` file."""
+    path = Path(path)
+    if _format(path, what) == "toml":
+        text = toml_dumps(spec.to_dict())
+    else:
+        text = json.dumps(spec.to_dict(), indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def study_to_json(spec: StudySpec, *, indent: int = 2) -> str:
@@ -131,11 +190,7 @@ def study_to_json(spec: StudySpec, *, indent: int = 2) -> str:
 
 
 def study_from_json(text: str) -> StudySpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"study spec is not valid JSON: {exc}")
-    return StudySpec.from_dict(data)
+    return StudySpec.from_dict(parse_spec_text(text, "json"))
 
 
 def study_to_toml(spec: StudySpec) -> str:
@@ -143,45 +198,14 @@ def study_to_toml(spec: StudySpec) -> str:
 
 
 def study_from_toml(text: str) -> StudySpec:
-    if tomllib is None:  # pragma: no cover - Python 3.10 without tomli
-        raise SpecError(
-            "reading TOML study specs needs Python >= 3.11 (tomllib) or the "
-            "'tomli' package; use a .json spec instead"
-        )
-    try:
-        data = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise SpecError(f"study spec is not valid TOML: {exc}")
-    return StudySpec.from_dict(data)
+    return StudySpec.from_dict(parse_spec_text(text, "toml"))
 
 
 def load_study_spec(path: Union[str, Path]) -> StudySpec:
     """Load a study spec from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read study spec {path}: {exc}")
-    suffix = path.suffix.lower()
-    if suffix == ".toml":
-        return study_from_toml(text)
-    if suffix == ".json":
-        return study_from_json(text)
-    raise SpecError(
-        f"study specs must be .toml or .json files, got {path.name!r}"
-    )
+    return StudySpec.from_dict(read_spec_file(path))
 
 
 def dump_study_spec(spec: StudySpec, path: Union[str, Path]) -> None:
     """Write a study spec to a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".toml":
-        text = study_to_toml(spec)
-    elif suffix == ".json":
-        text = study_to_json(spec)
-    else:
-        raise SpecError(
-            f"study specs must be .toml or .json files, got {path.name!r}"
-        )
-    path.write_text(text, encoding="utf-8")
+    write_spec_file(spec, path)

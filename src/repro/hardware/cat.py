@@ -110,9 +110,6 @@ class ClassOfService:
     def n_ways(self) -> int:
         return mask_ways(self.mask)
 
-    def way_indices(self) -> List[int]:
-        return mask_to_ways(self.mask)
-
 
 class CatController:
     """Software model of the CAT allocation hardware of one LLC.
@@ -208,10 +205,6 @@ class CatController:
             self._classes[previous].tasks.discard(task)
         cos.tasks.add(task)
         self._task_to_clos[task] = clos_id
-
-    def unbind_task(self, task: str) -> None:
-        """Return a task to the default class of service."""
-        self.bind_task(task, 0)
 
     def clos_of(self, task: str) -> int:
         """Class of service a task is currently bound to (default 0)."""

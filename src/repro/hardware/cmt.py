@@ -16,7 +16,7 @@ interface real CMT offers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import RmidExhaustedError, ReproError
 from repro.hardware.platform import PlatformSpec
@@ -66,9 +66,6 @@ class CmtMonitor:
             self._free_rmids.append(rmid)
         self._occupancy_ways.pop(task, None)
 
-    def rmid_of(self, task: str) -> Optional[int]:
-        return self._task_to_rmid.get(task)
-
     @property
     def n_monitored(self) -> int:
         return len(self._task_to_rmid)
@@ -99,10 +96,6 @@ class CmtMonitor:
             occupancy_kb=ways * self.platform.llc_way_kb,
             occupancy_ways=ways,
         )
-
-    def read_all(self) -> Dict[str, OccupancyReading]:
-        """Occupancy readings for every monitored task."""
-        return {task: self.read_occupancy(task) for task in self._task_to_rmid}
 
     def total_occupancy_ways(self) -> float:
         """Aggregate occupancy across all monitored tasks, in ways."""

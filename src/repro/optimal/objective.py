@@ -198,20 +198,3 @@ class CachedObjective:
         groups = [list(cluster.apps) for cluster in solution.clusters]
         ways = [cluster.ways for cluster in solution.clusters]
         return self.score_candidate(groups, ways)
-
-    # -- bounds used by branch and bound -------------------------------------------
-
-    def best_case_slowdown(self, app: str, max_ways: int) -> float:
-        """Lower bound on the slowdown of ``app``: alone in a cluster of ``max_ways``."""
-        pieces = self.cluster_pieces([app], max_ways)
-        return pieces.cache_slowdowns[app]
-
-    def worst_case_slowdown(self, app: str) -> float:
-        """Upper bound proxy: the slowdown of ``app`` crammed into a single way
-        with the heaviest aggressor in the workload (no bandwidth term)."""
-        worst = 0.0
-        for other in self.profiles:
-            members = [app] if other == app else [app, other]
-            pieces = self.cluster_pieces(members, 1)
-            worst = max(worst, pieces.cache_slowdowns[app])
-        return worst

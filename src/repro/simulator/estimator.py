@@ -117,14 +117,6 @@ class ProfileSnapshot:
             for name, prof in phased_profiles.items()
         }
 
-    def profile_for(self, app: str, phase_index: int) -> AppProfile:
-        """The (pre-renamed) profile of ``app`` while in phase ``phase_index``."""
-        return self.phase_profiles[app][phase_index]
-
-    def initial_profiles(self) -> Dict[str, AppProfile]:
-        """Phase-0 profile of every application (engine start-up state)."""
-        return {name: phases[0] for name, phases in self.phase_profiles.items()}
-
     def tokenize(self, tables: "EvaluationTables") -> Dict[str, Tuple[int, ...]]:
         """Intern every (application, phase) profile into ``tables`` up front.
 

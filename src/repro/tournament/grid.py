@@ -3,9 +3,11 @@
 A tournament is *data*, exactly like a study: a :class:`TournamentSpec`
 declares the policy line-up, the workload suites (random-mix axes), the
 platform shapes, how many paired seeds to replicate, and the statistical
-knobs (:class:`StatsSpec`).  It round-trips through dictionaries and
-therefore JSON/TOML (:func:`load_tournament_spec` /
-:func:`dump_tournament_spec`), with the same schema-validation contract as
+knobs (:class:`StatsSpec`).  The classes are spec dataclasses on the one
+codec of :mod:`repro.experiments.schema` — their fields are their schema —
+so they round-trip through dictionaries and, through the one file loader of
+:mod:`repro.experiments.io`, JSON/TOML (:func:`load_tournament_spec` /
+:func:`dump_tournament_spec`), with the same validation contract as
 :class:`~repro.experiments.specs.StudySpec`.
 
 :meth:`TournamentSpec.to_study_spec` lowers the tournament onto the existing
@@ -22,10 +24,11 @@ spec => same scenario IDs, same workload draws, on every executor backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SpecError
-from repro.experiments.io import toml_dumps
+from repro.experiments.io import read_spec_file, write_spec_file
+from repro.experiments.schema import Spec, rule
 from repro.experiments.specs import (
     EngineSpec,
     ExecutorSpec,
@@ -36,16 +39,6 @@ from repro.experiments.specs import (
     StudySpec,
     WorkloadSpec,
     resolve_platform,
-)
-# Shared schema-validation helpers of the spec layer (same error contract).
-from repro.experiments.specs import (
-    _as_bool,
-    _as_float,
-    _as_int,
-    _check_keys,
-    _opt_int,
-    _opt_str,
-    _require,
 )
 
 __all__ = [
@@ -65,13 +58,8 @@ TOURNAMENT_SCHEMA_VERSION = 1
 _DRAW_STRIDE = 9973
 
 
-# ---------------------------------------------------------------------------
-# SuiteSpec
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(Spec):
     """One workload axis of the grid: random mixes of a fixed size and kind.
 
     ``count`` workloads are drawn per scenario replica (each from its own
@@ -80,21 +68,11 @@ class SuiteSpec:
     axis in scenario IDs and defaults to ``"<kind><size>"``.
     """
 
-    size: int
-    kind: str = "S"
-    count: int = 1
-    seed: int = 0
+    size: int = field(metadata={"ge": 2})
+    kind: str = rule("S", choices=("S", "P"))
+    count: int = rule(1, ge=1)
+    seed: int = rule(0, ge=0)
     label: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise SpecError("tournament suites need a 'size' >= 2")
-        if self.kind not in ("S", "P"):
-            raise SpecError(
-                f"tournament suite kind must be 'S' or 'P', got {self.kind!r}"
-            )
-        if self.count < 1:
-            raise SpecError("tournament suite count must be >= 1")
 
     @property
     def axis_label(self) -> str:
@@ -113,36 +91,9 @@ class SuiteSpec:
             for slot in range(self.count)
         )
 
-    _KEYS = ("size", "kind", "count", "seed", "label")
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"size": self.size}
-        defaults = SuiteSpec(size=self.size)
-        for key in self._KEYS[1:]:
-            value = getattr(self, key)
-            if value is not None and value != getattr(defaults, key):
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SuiteSpec":
-        _check_keys(data, cls._KEYS, "SuiteSpec")
-        return cls(
-            size=_as_int(_require(data, "size", "SuiteSpec"), "SuiteSpec.size"),
-            kind=data.get("kind", "S"),
-            count=_as_int(data.get("count", 1), "SuiteSpec.count"),
-            seed=_as_int(data.get("seed", 0), "SuiteSpec.seed"),
-            label=_opt_str(data.get("label"), "SuiteSpec.label"),
-        )
-
-
-# ---------------------------------------------------------------------------
-# StatsSpec
-# ---------------------------------------------------------------------------
-
 
 @dataclass(frozen=True)
-class StatsSpec:
+class StatsSpec(Spec):
     """Statistical knobs of the tournament verdict.
 
     ``resamples``/``confidence`` parameterize every bootstrap interval;
@@ -152,46 +103,10 @@ class StatsSpec:
     counts as a tie.
     """
 
-    resamples: int = 1000
-    confidence: float = 0.95
+    resamples: int = rule(1000, ge=1)
+    confidence: float = rule(0.95, gt=0.0, lt=1.0)
     seed: int = 20190805
-    tie_epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.resamples < 1:
-            raise SpecError("stats resamples must be >= 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise SpecError("stats confidence must be in (0, 1)")
-        if self.tie_epsilon < 0:
-            raise SpecError("stats tie_epsilon must be >= 0")
-
-    _KEYS = ("resamples", "confidence", "seed", "tie_epsilon")
-
-    def to_dict(self) -> Dict[str, Any]:
-        defaults = StatsSpec()
-        return {
-            key: getattr(self, key)
-            for key in self._KEYS
-            if getattr(self, key) != getattr(defaults, key)
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StatsSpec":
-        _check_keys(data, cls._KEYS, "StatsSpec")
-        defaults = cls()
-        return cls(
-            resamples=_as_int(
-                data.get("resamples", defaults.resamples), "StatsSpec.resamples"
-            ),
-            confidence=_as_float(
-                data.get("confidence", defaults.confidence), "StatsSpec.confidence"
-            ),
-            seed=_as_int(data.get("seed", defaults.seed), "StatsSpec.seed"),
-            tie_epsilon=_as_float(
-                data.get("tie_epsilon", defaults.tie_epsilon),
-                "StatsSpec.tie_epsilon",
-            ),
-        )
+    tie_epsilon: float = rule(1e-12, ge=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +152,23 @@ def _platform_entry(value: Any, index: int) -> Tuple[str, Any]:
 
 
 @dataclass(frozen=True)
-class TournamentSpec:
-    """Everything a policy tournament needs, as serializable data."""
+class TournamentSpec(Spec):
+    """Everything a policy tournament needs, as serializable data.
+
+    ``platforms`` entries are preset names or
+    :class:`~repro.hardware.platform.PlatformSpec` override mappings (with
+    an optional ``preset`` base and ``label``); a mapping that holds only a
+    ``preset`` is stored as the bare name, so both spellings are one spec.
+    """
 
     name: str
     policies: Tuple[PolicySpec, ...]
     suites: Tuple[SuiteSpec, ...]
-    kind: str = "static"
-    platforms: Tuple[Any, ...] = ("skylake_gold_6138",)
+    kind: str = rule("static", emit="always", choices=("static", "dynamic"))
+    platforms: Tuple[Any, ...] = rule(("skylake_gold_6138",), emit="always")
     #: Paired seeds per (suite x platform) cell: seeds ``seed0 ..
     #: seed0 + seeds - 1`` replicate every scenario.
-    seeds: int = 8
+    seeds: int = rule(8, emit="always", ge=1)
     seed0: int = 0
     engine: EngineSpec = field(default_factory=EngineSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
@@ -255,29 +176,15 @@ class TournamentSpec:
     #: Row label of the reference policy for win/loss records; ``None``
     #: defaults to the first policy's label at verdict time.
     reference: Optional[str] = None
-    description: str = ""
-    jobs: Optional[int] = 1
+    description: str = rule("", blank=True)
+    jobs: Optional[int] = rule(1, ge=1, none_as=0)
     executor: Optional[ExecutorSpec] = None
     fault_tolerance: Optional[FaultToleranceSpec] = None
 
+    _SCHEMA = ("tournament", TOURNAMENT_SCHEMA_VERSION)
+
     def __post_init__(self) -> None:
-        if not self.name:
-            raise SpecError("tournaments need a non-empty 'name'")
-        if self.kind not in ("static", "dynamic"):
-            raise SpecError(
-                f"tournament kind must be 'static' or 'dynamic', got {self.kind!r}"
-            )
-        object.__setattr__(
-            self,
-            "policies",
-            tuple(
-                PolicySpec.coerce(p, where="tournament policy") for p in self.policies
-            ),
-        )
-        object.__setattr__(
-            self, "suites", tuple(self.suites)
-        )
-        object.__setattr__(self, "platforms", tuple(self.platforms))
+        super().__post_init__()
         if len(self.policies) < 2:
             raise SpecError(
                 "a tournament needs at least two policies to compare "
@@ -287,29 +194,22 @@ class TournamentSpec:
             raise SpecError("tournaments need at least one workload suite")
         if not self.platforms:
             raise SpecError("tournaments need at least one platform")
-        if self.seeds < 1:
-            raise SpecError("tournament seeds must be >= 1")
         labels = [s.axis_label for s in self.suites]
         if len(set(labels)) != len(labels):
             raise SpecError(
                 f"tournament suite labels must be unique, got {labels}"
             )
-        if self.executor is not None and not isinstance(self.executor, ExecutorSpec):
-            object.__setattr__(
-                self,
-                "executor",
-                ExecutorSpec.coerce(self.executor, where="TournamentSpec.executor"),
-            )
-        if self.fault_tolerance is not None and not isinstance(
-            self.fault_tolerance, FaultToleranceSpec
-        ):
-            object.__setattr__(
-                self,
-                "fault_tolerance",
-                FaultToleranceSpec.coerce(
-                    self.fault_tolerance, where="TournamentSpec.fault_tolerance"
-                ),
-            )
+        object.__setattr__(
+            self,
+            "platforms",
+            tuple(
+                p["preset"]
+                if isinstance(p, Mapping) and set(p) == {"preset"}
+                and isinstance(p["preset"], str)
+                else p
+                for p in self.platforms
+            ),
+        )
 
     # -- grid generation --------------------------------------------------------
 
@@ -371,102 +271,18 @@ class TournamentSpec:
 
     # -- serialization ----------------------------------------------------------
 
-    _KEYS = (
-        "schema",
-        "name",
-        "description",
-        "kind",
-        "policies",
-        "suites",
-        "platforms",
-        "seeds",
-        "seed0",
-        "engine",
-        "solver",
-        "stats",
-        "reference",
-        "jobs",
-        "executor",
-        "fault_tolerance",
-    )
-
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "schema": TOURNAMENT_SCHEMA_VERSION,
-            "name": self.name,
-            "kind": self.kind,
-            "policies": [p.to_dict() for p in self.policies],
-            "suites": [s.to_dict() for s in self.suites],
-            # Normalise string presets to mappings so the TOML array is
-            # homogeneous (the emitter renders it as [[platforms]] tables).
-            "platforms": [
-                {"preset": p} if isinstance(p, str) else dict(p)
-                for p in self.platforms
-            ],
-            "seeds": self.seeds,
-        }
-        if self.description:
-            out["description"] = self.description
-        if self.seed0:
-            out["seed0"] = self.seed0
-        engine = self.engine.to_dict()
-        if engine != EngineSpec().to_dict():
-            out["engine"] = engine
-        solver = self.solver.to_dict()
-        if solver != SolverSpec().to_dict():
-            out["solver"] = solver
-        stats = self.stats.to_dict()
-        if stats:
-            out["stats"] = stats
-        if self.reference is not None:
-            out["reference"] = self.reference
-        if self.jobs != 1:
-            out["jobs"] = 0 if self.jobs is None else self.jobs
-        if self.executor is not None:
-            out["executor"] = self.executor.to_dict()
-        if self.fault_tolerance is not None:
-            out["fault_tolerance"] = self.fault_tolerance.to_dict()
+        out = super().to_dict()
+        # Preset names become {"preset": ...} tables so the TOML array is
+        # homogeneous (the emitter renders it as [[platforms]] tables).
+        out["platforms"] = [
+            {"preset": p} if isinstance(p, str) else dict(p) for p in self.platforms
+        ]
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TournamentSpec":
-        _check_keys(data, cls._KEYS, "TournamentSpec")
-        schema = data.get("schema", TOURNAMENT_SCHEMA_VERSION)
-        if schema != TOURNAMENT_SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported tournament schema version {schema!r} "
-                f"(this build reads version {TOURNAMENT_SCHEMA_VERSION})"
-            )
-        suites = _require(data, "suites", "TournamentSpec")
-        if isinstance(suites, Mapping):
-            suites = [suites]
-        jobs = data.get("jobs", 1)
-        if jobs is not None:
-            jobs = _opt_int(jobs, "TournamentSpec.jobs")
-            if jobs == 0:
-                jobs = None
-        executor = data.get("executor")
-        if executor is not None:
-            executor = ExecutorSpec.coerce(executor, where="TournamentSpec.executor")
-        spec = cls(
-            name=_require(data, "name", "TournamentSpec"),
-            policies=tuple(_require(data, "policies", "TournamentSpec")),
-            suites=tuple(SuiteSpec.from_dict(s) for s in suites),
-            kind=data.get("kind", "static"),
-            platforms=tuple(data.get("platforms", ("skylake_gold_6138",))),
-            seeds=_as_int(data.get("seeds", 8), "TournamentSpec.seeds"),
-            seed0=_as_int(data.get("seed0", 0), "TournamentSpec.seed0"),
-            engine=EngineSpec.from_dict(data.get("engine", {})),
-            solver=SolverSpec.from_dict(data.get("solver", {})),
-            stats=StatsSpec.from_dict(data.get("stats", {})),
-            reference=_opt_str(data.get("reference"), "TournamentSpec.reference"),
-            description=data.get("description", ""),
-            jobs=jobs,
-            executor=executor,
-            fault_tolerance=FaultToleranceSpec.coerce(
-                data.get("fault_tolerance"), where="TournamentSpec.fault_tolerance"
-            ),
-        )
+        spec = super().from_dict(data)
         # Fail at load time, not mid-run: building the study spec resolves
         # every policy, platform and workload reference through the
         # registries (cheap — no profiles are built).
@@ -474,59 +290,11 @@ class TournamentSpec:
         return spec
 
 
-# ---------------------------------------------------------------------------
-# File round-trips
-# ---------------------------------------------------------------------------
-
-
 def load_tournament_spec(path) -> TournamentSpec:
     """Read a tournament spec from a ``.toml`` or ``.json`` file."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read tournament spec {path}: {exc}")
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"tournament spec is not valid JSON: {exc}")
-    elif suffix == ".toml":
-        from repro.experiments.io import tomllib
-
-        if tomllib is None:  # pragma: no cover - Python 3.10 without tomli
-            raise SpecError(
-                "reading TOML tournament specs needs Python >= 3.11 (tomllib) "
-                "or the 'tomli' package; use a .json spec instead"
-            )
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"tournament spec is not valid TOML: {exc}")
-    else:
-        raise SpecError(
-            f"tournament specs must be .toml or .json files, got {path.name!r}"
-        )
-    return TournamentSpec.from_dict(data)
+    return TournamentSpec.from_dict(read_spec_file(path, "tournament"))
 
 
 def dump_tournament_spec(spec: TournamentSpec, path) -> None:
     """Write a tournament spec to a ``.toml`` or ``.json`` file."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".toml":
-        text = toml_dumps(spec.to_dict())
-    elif suffix == ".json":
-        text = json.dumps(spec.to_dict(), indent=2) + "\n"
-    else:
-        raise SpecError(
-            f"tournament specs must be .toml or .json files, got {path.name!r}"
-        )
-    path.write_text(text, encoding="utf-8")
+    write_spec_file(spec, path, "tournament")
