@@ -33,6 +33,7 @@ driver class) — such specs run but refuse to serialize — and
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -45,7 +46,7 @@ from repro.experiments.registry import (
     POLICIES,
     WORKLOAD_SUITES,
 )
-from repro.experiments.schema import Spec, rule
+from repro.experiments.schema import Spec, _decoder, rule
 from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig
 from repro.runtime.executors.tcp import parse_address
@@ -589,6 +590,9 @@ class ScenarioSpec(Spec):
             raise SpecError(f"scenario {self.name!r} declares no workloads")
         if not self.seeds:
             raise SpecError(f"scenario {self.name!r} declares no seeds")
+        for seed in self.seeds:
+            if seed < 0:
+                raise SpecError(f"scenario {self.name!r} seeds must be >= 0, got {seed}")
 
     def scenario_id(self, seed: int) -> str:
         """Deterministic identifier of one seed replica of this scenario."""
@@ -736,6 +740,11 @@ def resolve_platform(value: Any) -> PlatformSpec:
                 f"{', '.join(repr(k) for k in unknown)} in platform overrides; "
                 f"valid fields: {', '.join(sorted(valid))}"
             )
+        hints = typing.get_type_hints(PlatformSpec)
+        for key, value in overrides.items():
+            if hints[key] in (int, float, str):
+                decode = _decoder(hints[key], blank=True)
+                overrides[key] = decode(value, f"platform override {key!r}")
         try:
             return replace(base, **overrides)
         except (TypeError, ValueError, ReproError) as exc:

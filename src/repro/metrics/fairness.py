@@ -55,7 +55,7 @@ def _validate_slowdowns(slowdowns: Sequence[float]) -> np.ndarray:
     values = np.asarray(list(slowdowns), dtype=float)
     if values.size == 0:
         raise ReproError("at least one slowdown value is required")
-    if np.any(values <= 0):
+    if (values <= 0).any():
         raise ReproError("slowdowns must be positive")
     return values
 
@@ -69,7 +69,7 @@ def unfairness(slowdowns: Sequence[float]) -> float:
 def stp(slowdowns: Sequence[float]) -> float:
     """System throughput / weighted speedup (Eq. 4): sum of 1/slowdown."""
     values = _validate_slowdowns(slowdowns)
-    return float(np.sum(1.0 / values))
+    return float((1.0 / values).sum())
 
 
 def antt(slowdowns: Sequence[float]) -> float:

@@ -39,8 +39,9 @@ from repro.optimal.exhaustive import (
     _finalize,
     _validate_workload,
 )
+from repro.optimal.objective import _better
 from repro.optimal.partitions import set_partitions
-from repro.optimal.tabulated import TabulatedObjective, _better, _Incumbent
+from repro.optimal.tabulated import TabulatedObjective, _Incumbent
 
 __all__ = ["branch_and_bound_clustering"]
 

@@ -25,12 +25,10 @@ the bandwidth model, which is applied at the workload level here exactly as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from repro.apps.profile import AppProfile
-from repro.core.types import ClusteringSolution, WayAllocation
+from repro.core.types import WayAllocation
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
 from repro.metrics.fairness import _validate_slowdowns
@@ -56,6 +54,24 @@ class ClusterPieces:
     demand_total_gbs: float = 0.0
 
 
+def _better(u_a: float, s_a: float, u_b: float, s_b: float, objective: str) -> bool:
+    """Whether score ``(u_a, s_a)`` beats ``(u_b, s_b)`` under ``objective``.
+
+    ``fairness``: lower unfairness wins, STP breaks ties (the paper's
+    "optimal (minimal) unfairness value for the maximum throughput
+    attainable").  ``throughput``: higher STP wins, unfairness breaks ties.
+    """
+    if objective == "fairness":
+        if abs(u_a - u_b) > 1e-9:
+            return u_a < u_b
+        return s_a > s_b + 1e-12
+    if objective == "throughput":
+        if abs(s_a - s_b) > 1e-9:
+            return s_a > s_b
+        return u_a < u_b - 1e-12
+    raise SolverError(f"unknown objective {objective!r}")
+
+
 @dataclass(frozen=True)
 class CandidateScore:
     """Score of one candidate clustering."""
@@ -65,21 +81,8 @@ class CandidateScore:
     slowdowns: Dict[str, float]
 
     def better_than(self, other: "CandidateScore", objective: str) -> bool:
-        """Compare two scores under the given optimisation objective.
-
-        ``fairness``: lower unfairness wins, STP breaks ties (the paper's
-        "optimal (minimal) unfairness value for the maximum throughput
-        attainable").  ``throughput``: higher STP wins, unfairness breaks ties.
-        """
-        if objective == "fairness":
-            if abs(self.unfairness - other.unfairness) > 1e-9:
-                return self.unfairness < other.unfairness
-            return self.stp > other.stp + 1e-12
-        if objective == "throughput":
-            if abs(self.stp - other.stp) > 1e-9:
-                return self.stp > other.stp
-            return self.unfairness < other.unfairness - 1e-12
-        raise SolverError(f"unknown objective {objective!r}")
+        """Whether this score beats ``other`` under ``objective`` (:func:`_better`)."""
+        return _better(self.unfairness, self.stp, other.unfairness, other.stp, objective)
 
 
 class CachedObjective:
@@ -168,33 +171,36 @@ class CachedObjective:
         """Score one clustering candidate given parallel groups/ways sequences."""
         if len(groups) != len(ways):
             raise SolverError("groups and ways must have the same length")
+        unfairness, stp, slowdowns = self._combine(
+            [self.cluster_pieces(group, way) for group, way in zip(groups, ways)]
+        )
+        return CandidateScore(unfairness=unfairness, stp=stp, slowdowns=slowdowns)
+
+    def _combine(
+        self, parts: Sequence[ClusterPieces]
+    ) -> Tuple[float, float, Dict[str, float]]:
+        """``(unfairness, stp, slowdowns)`` of the clusters ``parts``, in order.
+
+        The one place where candidate pieces are combined: the slowdowns in
+        cluster order, the workload-wide bandwidth correction and both
+        metrics.  Callers pass pieces from :meth:`cluster_pieces`, which has
+        already validated each cluster.
+        """
         slowdowns: Dict[str, float] = {}
-        stalls: Dict[str, float] = {}
         total_demand = 0.0
-        for group, way in zip(groups, ways):
-            pieces = self.cluster_pieces(group, way)
+        for pieces in parts:
             slowdowns.update(pieces.cache_slowdowns)
-            stalls.update(pieces.stall_fractions)
             total_demand += pieces.demand_total_gbs
         if total_demand > self.platform.peak_bw_gbs:
             overcommit = total_demand / self.platform.peak_bw_gbs
-            for app in slowdowns:
-                factor = 1.0 + self.bandwidth_model.sensitivity * stalls[app] * (
-                    overcommit - 1.0
-                )
-                factor = min(max(factor, 1.0), self.bandwidth_model.max_factor)
-                slowdowns[app] = slowdowns[app] * factor
+            for pieces in parts:
+                for app, stall in pieces.stall_fractions.items():
+                    factor = 1.0 + self.bandwidth_model.sensitivity * stall * (
+                        overcommit - 1.0
+                    )
+                    factor = min(max(factor, 1.0), self.bandwidth_model.max_factor)
+                    slowdowns[app] = slowdowns[app] * factor
         # One validation for both metrics, with the NumPy operations of
         # repro.metrics.fairness.unfairness and .stp.
         values = _validate_slowdowns(slowdowns.values())
-        return CandidateScore(
-            unfairness=float(values.max() / values.min()),
-            stp=float(np.sum(1.0 / values)),
-            slowdowns=slowdowns,
-        )
-
-    def score_solution(self, solution: ClusteringSolution) -> CandidateScore:
-        """Score a :class:`ClusteringSolution` (convenience wrapper)."""
-        groups = [list(cluster.apps) for cluster in solution.clusters]
-        ways = [cluster.ways for cluster in solution.clusters]
-        return self.score_candidate(groups, ways)
+        return float(values.max() / values.min()), float((1.0 / values).sum()), slowdowns

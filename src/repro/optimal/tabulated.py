@@ -43,7 +43,7 @@ import numpy as np
 from repro.apps.profile import AppProfile
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
-from repro.optimal.objective import CachedObjective, CandidateScore
+from repro.optimal.objective import CachedObjective, CandidateScore, _better
 from repro.optimal.partitions import way_compositions
 from repro.simulator.bandwidth import BandwidthModel
 from repro.simulator.occupancy import OccupancyModel
@@ -81,19 +81,6 @@ def _compositions_array(total_ways: int, n_parts: int) -> np.ndarray:
     arr = np.asarray(list(way_compositions(total_ways, n_parts)), dtype=np.int64)
     arr.setflags(write=False)
     return arr
-
-
-def _better(u_a: float, s_a: float, u_b: float, s_b: float, objective: str) -> bool:
-    """Scalar replica of :meth:`CandidateScore.better_than` (same tolerances)."""
-    if objective == "fairness":
-        if abs(u_a - u_b) > 1e-9:
-            return u_a < u_b
-        return s_a > s_b + 1e-12
-    if objective == "throughput":
-        if abs(s_a - s_b) > 1e-9:
-            return s_a > s_b
-        return u_a < u_b - 1e-12
-    raise SolverError(f"unknown objective {objective!r}")
 
 
 def llcmpkc_interp(profile: AppProfile, ways: np.ndarray) -> np.ndarray:
@@ -373,19 +360,6 @@ class TabulatedObjective:
         unfairness = slow.max(axis=1) / slow.min(axis=1)
         stp = (1.0 / slow).sum(axis=1)
         return unfairness, stp
-
-    def score_candidate_fast(
-        self, groups: Sequence[Sequence[str]], ways: Sequence[int]
-    ) -> Tuple[float, float]:
-        """(unfairness, stp) of a single candidate via the tables."""
-        if len(groups) != len(ways):
-            raise SolverError("groups and ways must have the same length")
-        entries = np.asarray(
-            [[self.entry(self.group_mask(g), w) for g, w in zip(groups, ways)]],
-            dtype=np.intp,
-        )
-        unfairness, stp = self.score_entries(entries)
-        return float(unfairness[0]), float(stp[0])
 
 
 def _scan_batch(

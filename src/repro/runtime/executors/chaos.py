@@ -62,6 +62,22 @@ def _index_tuple(value: Any, where: str) -> Tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
+#: The fault-point index fields of :class:`FaultPlan`.
+_INDEX_FIELDS = (
+    "corrupt_frames",
+    "drop_frames",
+    "duplicate_frames",
+    "delay_frames",
+    "kill_runs",
+    "duplicate_results",
+    "slow_runs",
+    "agent_kill_batches",
+    "agent_corrupt_frames",
+    "agent_delay_batches",
+    "daemon_kill_decisions",
+)
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A scripted set of fault-injection points; empty by default."""
@@ -87,19 +103,7 @@ class FaultPlan:
     daemon_kill_decisions: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "corrupt_frames",
-            "drop_frames",
-            "duplicate_frames",
-            "delay_frames",
-            "kill_runs",
-            "duplicate_results",
-            "slow_runs",
-            "agent_kill_batches",
-            "agent_corrupt_frames",
-            "agent_delay_batches",
-            "daemon_kill_decisions",
-        ):
+        for name in _INDEX_FIELDS:
             object.__setattr__(
                 self, name, _index_tuple(getattr(self, name), f"FaultPlan.{name}")
             )
@@ -107,42 +111,7 @@ class FaultPlan:
             raise SimulationError("FaultPlan delays must be >= 0")
 
     def is_empty(self) -> bool:
-        return not any(
-            (
-                self.corrupt_frames,
-                self.drop_frames,
-                self.duplicate_frames,
-                self.delay_frames,
-                self.kill_runs,
-                self.duplicate_results,
-                self.slow_runs,
-                self.agent_kill_batches,
-                self.agent_corrupt_frames,
-                self.agent_delay_batches,
-                self.daemon_kill_decisions,
-            )
-        )
-
-    def coordinator_faults(self) -> bool:
-        return bool(
-            self.corrupt_frames
-            or self.drop_frames
-            or self.duplicate_frames
-            or self.delay_frames
-        )
-
-    def worker_faults(self) -> bool:
-        return bool(self.kill_runs or self.duplicate_results or self.slow_runs)
-
-    def agent_faults(self) -> bool:
-        return bool(
-            self.agent_kill_batches
-            or self.agent_corrupt_frames
-            or self.agent_delay_batches
-        )
-
-    def daemon_faults(self) -> bool:
-        return bool(self.daemon_kill_decisions)
+        return not any(getattr(self, name) for name in _INDEX_FIELDS)
 
     @classmethod
     def seeded(

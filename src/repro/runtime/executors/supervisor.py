@@ -8,7 +8,8 @@ way), turning the two-terminal TCP setup into a single self-contained
 threads, no signals: the coordinator's event loop calls :meth:`poll` once
 per pump and the supervisor reaps exits, schedules respawns with capped
 exponential backoff, and trips a crash-loop circuit breaker when a slot's
-workers keep dying young.
+workers keep dying young.  After :meth:`retire` a slot's process may
+still finish, but it is never respawned.
 
 The breaker distinguishes *crashing* from *crash-looping* by uptime: a
 worker that survived ``healthy_uptime_s`` before dying resets its slot's
@@ -51,6 +52,9 @@ class _Slot:
     backoff_s: float = 0.0
     fast_crashes: int = 0
     exits: List[int] = field(default_factory=list)
+    #: Set by :meth:`WorkerSupervisor.retire`: the slot's work is done, so
+    #: its exit is reaped but never respawned.
+    retired: bool = False
 
 
 class WorkerSupervisor:
@@ -176,6 +180,8 @@ class WorkerSupervisor:
                 # The worker exited; decide how suspicious that is.
                 slot.exits.append(code)
                 slot.proc = None
+                if slot.retired:
+                    continue
                 uptime = now - slot.spawned_at
                 if uptime < self.healthy_uptime_s:
                     slot.fast_crashes += 1
@@ -196,10 +202,14 @@ class WorkerSupervisor:
                         f"worker command instead of respawning forever"
                     )
                 slot.next_spawn_at = now + slot.backoff_s
-            if slot.proc is None and now >= slot.next_spawn_at:
+            if slot.proc is None and not slot.retired and now >= slot.next_spawn_at:
                 if slot.spawn_count > 0:
                     self.restarts += 1
                 self._spawn(slot, now)
+
+    def retire(self, index: int) -> None:
+        """Never respawn slot ``index`` again; a running process may finish."""
+        self._slots[index].retired = True
 
     # -- observability / lifecycle -----------------------------------------------
 
@@ -212,6 +222,7 @@ class WorkerSupervisor:
                 if slot.proc is not None and slot.proc.poll() is None
             ),
             "restarts": self.restarts,
+            "retired": [slot.index for slot in self._slots if slot.retired],
             "exit_codes": [list(slot.exits) for slot in self._slots],
         }
 

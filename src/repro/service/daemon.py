@@ -42,7 +42,8 @@ restored daemon regenerates a byte-identical log.
 With ``supervise=N`` the daemon babysits its own host agents through
 :class:`~repro.runtime.executors.supervisor.WorkerSupervisor`
 (``subcommand=("agent",)``): each slot gets a stable ``--host-id`` that
-survives respawns, and a scripted
+survives respawns, a slot is retired once its host's ``host_bye`` is
+handled (an agent that finished is never respawned), and a scripted
 :class:`~repro.runtime.executors.chaos.FaultPlan` can be handed to the
 first incarnation only (``first_spawn_extra``) so one agent dies
 mid-trace and its replacement comes up clean — the chaos drill CI runs.
@@ -340,8 +341,13 @@ class PartitionDaemon:
                 self.server.drop(
                     link, f"protocol violation: {result}", frame_error=True
                 )
-            elif link in links:
+                continue
+            if link in links:
                 self.server.send(link, pack_frame(result))
+            if kind == "host_bye" and self._supervisor is not None:
+                # The host's session is complete: a respawn would replay it.
+                if link.host in self.host_ids:
+                    self._supervisor.retire(self.host_ids.index(link.host))
 
     # -- checkpoints and scripted crashes ---------------------------------------------
 

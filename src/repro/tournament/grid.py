@@ -169,7 +169,7 @@ class TournamentSpec(Spec):
     #: Paired seeds per (suite x platform) cell: seeds ``seed0 ..
     #: seed0 + seeds - 1`` replicate every scenario.
     seeds: int = rule(8, emit="always", ge=1)
-    seed0: int = 0
+    seed0: int = rule(0, ge=0)
     engine: EngineSpec = field(default_factory=EngineSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
     stats: StatsSpec = field(default_factory=StatsSpec)

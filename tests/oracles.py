@@ -27,6 +27,9 @@ production code must reproduce *exactly* — same study rows, same
   with one occupancy fixed point per way count;
 * :func:`local_search_reference` — the local search scoring every proposal,
   repeated states included;
+* :func:`score_solution` and :func:`score_candidate_fast` — one solution
+  scored through :class:`~repro.optimal.CachedObjective` and one candidate
+  read from the dense tables, for the scorers' own tests;
 * :func:`optimal_clustering_reference`, :func:`optimal_partitioning_reference`,
   :func:`branch_and_bound_reference` and :func:`shard_worker_reference` — the
   exact searches scoring one candidate at a time through
@@ -1169,6 +1172,27 @@ def local_search_reference(
         candidates_evaluated=evaluated,
         objective=objective,
     )
+
+
+def score_solution(objective: CachedObjective, solution: ClusteringSolution) -> CandidateScore:
+    """Score a :class:`ClusteringSolution` through ``objective.score_candidate``."""
+    groups = [list(cluster.apps) for cluster in solution.clusters]
+    ways = [cluster.ways for cluster in solution.clusters]
+    return objective.score_candidate(groups, ways)
+
+
+def score_candidate_fast(
+    tables, groups: Sequence[Sequence[str]], ways: Sequence[int]
+) -> Tuple[float, float]:
+    """(unfairness, stp) of one candidate read from a :class:`TabulatedObjective`."""
+    if len(groups) != len(ways):
+        raise SolverError("groups and ways must have the same length")
+    entries = np.asarray(
+        [[tables.entry(tables.group_mask(g), w) for g, w in zip(groups, ways)]],
+        dtype=np.intp,
+    )
+    unfairness, stp = tables.score_entries(entries)
+    return float(unfairness[0]), float(stp[0])
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,35 @@ class TestWorkerSupervisor:
         finally:
             supervisor.stop()
 
+    def test_retired_slot_is_reaped_and_never_respawned(self):
+        # The bad flag makes the worker exit young; once retired, that exit
+        # is neither respawned nor counted as a crash.
+        supervisor = WorkerSupervisor(
+            ("127.0.0.1", 1),
+            count=2,
+            extra_args=("--definitely-not-a-flag",),
+            backoff_initial_s=0.01,
+            breaker_threshold=1,
+            healthy_uptime_s=3600.0,
+        )
+        try:
+            supervisor.poll()
+            supervisor.retire(0)
+            supervisor.retire(1)
+            deadline = time.monotonic() + 60.0
+            # breaker_threshold=1: a counted crash would raise from poll().
+            while not all(supervisor.summary()["exit_codes"]):
+                assert time.monotonic() < deadline, "a worker never exited"
+                supervisor.poll()
+                time.sleep(0.02)
+            supervisor.poll()
+            summary = supervisor.summary()
+            assert summary["restarts"] == 0
+            assert summary["retired"] == [0, 1]
+            assert [slot.proc for slot in supervisor._slots] == [None, None]
+        finally:
+            supervisor.stop()
+
     def test_needs_at_least_one_slot(self):
         with pytest.raises(SimulationError):
             WorkerSupervisor(("127.0.0.1", 1), count=0)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from oracles import score_solution
 from repro.core import ClusteringSolution
 from repro.errors import SolverError
 from repro.hardware import skylake_gold_6138, small_test_platform
@@ -170,7 +171,7 @@ class TestCachedObjective:
     def test_score_solution_wrapper(self, platform, mix5):
         objective = CachedObjective(platform, mix5)
         solution = ClusteringSolution.single_cluster(list(mix5), platform.llc_ways)
-        score = objective.score_solution(solution)
+        score = score_solution(objective, solution)
         assert score.unfairness >= 1.0
 
     def test_mismatched_groups_and_ways_rejected(self, platform, mix5):

@@ -15,6 +15,7 @@ from oracles import (
     branch_and_bound_reference,
     optimal_clustering_reference,
     optimal_partitioning_reference,
+    score_candidate_fast,
     shard_worker_reference,
 )
 from repro.apps import build_catalog
@@ -191,7 +192,7 @@ class TestTabulatedObjective:
         for groups in set_partitions(apps, 3):
             for ways in way_compositions(platform.llc_ways, len(groups)):
                 score = reference.score_candidate(groups, ways)
-                unfairness, stp = tables.score_candidate_fast(groups, ways)
+                unfairness, stp = score_candidate_fast(tables, groups, ways)
                 assert unfairness == score.unfairness
                 assert stp == pytest.approx(score.stp, abs=1e-12)
                 checked += 1

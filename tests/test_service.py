@@ -654,6 +654,32 @@ class TestLiveService:
         assert session.epoch >= 2
         assert daemon.replay.final_masks("host0") == golden.final_masks("host0")
 
+    def test_supervised_hosts_that_said_bye_are_not_respawned(self):
+        """An agent exits 0 after its orderly bye.  host0 stalls before its
+        last batch, so host1 exits long before the daemon is done; its slot
+        is retired, not respawned, and the log holds exactly the offline
+        oracle's decisions (no finished session replayed in a new epoch)."""
+        hosts = ["host0", "host1"]
+        golden = offline_replay(hosts, WORKLOAD, batches=BATCHES, seed=SEED)
+        daemon = PartitionDaemon(
+            ("127.0.0.1", 0),
+            supervise=2,
+            workload=WORKLOAD,
+            batches=BATCHES,
+            seed=SEED,
+            agent_chaos={"agent_delay_batches": [BATCHES - 1], "delay_s": 3.0},
+        )
+        try:
+            summary = daemon.run(until_byes=2, max_seconds=180)["supervisor"]
+        finally:
+            daemon.close()
+        assert summary["restarts"] == 0
+        assert summary["retired"] == [0, 1]
+        assert daemon.frame_errors == 0
+        for host in hosts:
+            assert daemon.replay.signature(host) == golden.signature(host)
+        assert len(daemon.replay) == len(golden)
+
     def test_supervise_requires_a_workload(self):
         with pytest.raises(SimulationError, match="need a workload"):
             PartitionDaemon(("127.0.0.1", 0), supervise=2)

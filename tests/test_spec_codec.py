@@ -379,6 +379,23 @@ class TestBoundaryErrors:
         with pytest.raises(SpecError, match="llc_ways"):
             resolve_platform({"llc_ways": value})
 
+    @pytest.mark.parametrize(
+        "key, value", [("llc_ways", 2.5), ("llc_ways", True), ("n_cores", "4"), ("freq_ghz", "x")]
+    )
+    def test_platform_override_types_are_checked(self, key, value):
+        with pytest.raises(SpecError, match=f"platform override '{key}' must be"):
+            resolve_platform({key: value})
+
+    def test_platform_override_int_for_float_is_normalised(self):
+        platform = resolve_platform({"freq_ghz": 3, "llc_ways": 8})
+        assert platform.freq_ghz == 3.0 and isinstance(platform.freq_ghz, float)
+        assert platform.llc_ways == 8
+
+    def test_scenario_seeds_must_be_non_negative(self):
+        data = {"name": "neg", "kind": "static", "workloads": [{"suite": "s"}], "seeds": [0, -1]}
+        with pytest.raises(SpecError, match=r"scenario 'neg' seeds must be >= 0, got -1"):
+            ScenarioSpec.from_dict(data)
+
     def test_engine_ranges_are_spec_errors(self):
         with pytest.raises(SpecError, match="EngineSpec.min_completions must be >= 1"):
             EngineSpec.from_dict({"min_completions": 0})

@@ -258,6 +258,10 @@ class TestTournamentSpec:
         with pytest.raises(SpecError, match="at least two"):
             self._spec(policies=("lfoc",))
 
+    def test_rejects_a_negative_first_seed(self):
+        with pytest.raises(SpecError, match="TournamentSpec.seed0 must be >= 0"):
+            self._spec(seed0=-1)
+
     def test_rejects_duplicate_suite_labels(self):
         with pytest.raises(SpecError, match="unique"):
             self._spec(suites=(SuiteSpec(size=4), SuiteSpec(size=4)))
