@@ -29,7 +29,10 @@ from repro.apps.curves import CurveSet
 from repro.errors import ProfileError
 from repro.hardware.platform import PlatformSpec
 
-__all__ = ["AppProfile", "FastProfileView", "CACHE_LINE_BYTES", "interp_ways"]
+__all__ = [
+    "AppProfile", "FastProfileView", "CACHE_LINE_BYTES", "interp_ways",
+    "stall_fraction_from_llcmpkc", "bandwidth_gbs_from_llcmpkc",
+]
 
 #: Bytes transferred from DRAM per LLC miss (one cache line).
 CACHE_LINE_BYTES = 64
@@ -50,6 +53,31 @@ def interp_ways(table: Sequence[float], ways: float) -> float:
         return table[-1]
     j = int(ways - 1.0)
     return (table[j + 1] - table[j]) * (ways - (j + 1.0)) + table[j]
+
+
+def stall_fraction_from_llcmpkc(llcmpkc: float, platform: PlatformSpec) -> float:
+    """Fraction of cycles stalled on LLC misses (``STALLS_L2_MISS`` proxy).
+
+    With ``m`` misses per kilo-cycle each exposing roughly
+    ``mem_latency_cycles`` of latency, the raw stall pressure is
+    ``x = m * latency / 1000`` *stall cycles per cycle*; since misses
+    overlap with each other and with useful work, the observable stalled
+    fraction saturates as ``x / (1 + x)`` (capped at 0.95).  The saturating
+    form keeps streaming programs (very high miss rates) distinguishable
+    from moderately memory-bound ones, which matters for policies — like
+    Dunn — that cluster on this single metric.
+    """
+    pressure = llcmpkc * platform.mem_latency_cycles / 1000.0
+    return min(0.95, pressure / (1.0 + pressure))
+
+
+def bandwidth_gbs_from_llcmpkc(
+    llcmpkc: float, bytes_per_miss: float, platform: PlatformSpec
+) -> float:
+    """DRAM GB/s of ``llcmpkc`` misses per kilo-cycle: misses per cycle ×
+    cycles per second × bytes per miss."""
+    misses_per_cycle = llcmpkc / 1000.0
+    return misses_per_cycle * platform.cycles_per_second * bytes_per_miss / 1e9
 
 
 @dataclass(frozen=True)
@@ -143,27 +171,12 @@ class AppProfile:
         return self.ipc_alone / max(self.ipc_at(ways), 1e-12)
 
     def stall_fraction_at(self, ways: float, platform: PlatformSpec) -> float:
-        """Fraction of cycles stalled on LLC misses (``STALLS_L2_MISS`` proxy).
-
-        With ``m`` misses per kilo-cycle each exposing roughly
-        ``mem_latency_cycles`` of latency, the raw stall pressure is
-        ``x = m * latency / 1000`` *stall cycles per cycle*; since misses
-        overlap with each other and with useful work, the observable stalled
-        fraction saturates as ``x / (1 + x)`` (capped at 0.95).  The saturating
-        form keeps streaming programs (very high miss rates) distinguishable
-        from moderately memory-bound ones, which matters for policies — like
-        Dunn — that cluster on this single metric.
-        """
-        pressure = self.llcmpkc_at(ways) * platform.mem_latency_cycles / 1000.0
-        return min(0.95, pressure / (1.0 + pressure))
+        """:func:`stall_fraction_from_llcmpkc` at a fractional way allocation."""
+        return stall_fraction_from_llcmpkc(self.llcmpkc_at(ways), platform)
 
     def bandwidth_gbs_at(self, ways: float, platform: PlatformSpec) -> float:
-        """DRAM bandwidth demand in GB/s at a fractional way allocation.
-
-        Misses per cycle × cycles per second × bytes per miss.
-        """
-        misses_per_cycle = self.llcmpkc_at(ways) / 1000.0
-        return misses_per_cycle * platform.cycles_per_second * self.bytes_per_miss / 1e9
+        """:func:`bandwidth_gbs_from_llcmpkc` at a fractional way allocation."""
+        return bandwidth_gbs_from_llcmpkc(self.llcmpkc_at(ways), self.bytes_per_miss, platform)
 
     # -- transformations ------------------------------------------------------
 
@@ -253,9 +266,9 @@ class FastProfileView:
     view shares its profile's point tuples).  The view keeps only what the
     evaluation tables and engines read (the curves, ``n_ways``,
     ``ipc_alone`` and ``bytes_per_miss``), can be rebuilt from raw curve
-    values without an ``AppProfile`` (:meth:`from_arrays`), and replicates
-    the ``AppProfile`` method bodies of the derived quantities operation for
-    operation.
+    values without an ``AppProfile`` (:meth:`from_arrays`), and derives
+    stall fraction and bandwidth demand through the same module-level
+    helpers.
     """
 
     __slots__ = ("ipc", "llcmpkc", "n_ways", "ipc_alone", "bytes_per_miss")
@@ -303,9 +316,7 @@ class FastProfileView:
         return interp_ways(self.llcmpkc, ways)
 
     def stall_fraction_at(self, ways: float, platform: PlatformSpec) -> float:
-        pressure = self.llcmpkc_at(ways) * platform.mem_latency_cycles / 1000.0
-        return min(0.95, pressure / (1.0 + pressure))
+        return stall_fraction_from_llcmpkc(self.llcmpkc_at(ways), platform)
 
     def bandwidth_gbs_at(self, ways: float, platform: PlatformSpec) -> float:
-        misses_per_cycle = self.llcmpkc_at(ways) / 1000.0
-        return misses_per_cycle * platform.cycles_per_second * self.bytes_per_miss / 1e9
+        return bandwidth_gbs_from_llcmpkc(self.llcmpkc_at(ways), self.bytes_per_miss, platform)

@@ -226,23 +226,30 @@ class CatController:
         ``allocation`` maps task ids to capacity bitmasks.  Tasks sharing the
         same mask share a class of service (this is what keeps the CLOS usage
         within the hardware limit when many applications share a cluster).
+        One pass leaves the state :meth:`reset` and a :meth:`bind_task` per
+        task would, but checks every distinct mask and the CLOS count first:
+        a failed apply keeps the previous allocation programmed.
 
         Returns the mapping from task id to the CLOS id it was bound to.
         """
-        # Reuse classes per distinct mask.
-        self.reset()
-        mask_to_clos: Dict[int, int] = {}
-        result: Dict[str, int] = {}
-        for task, mask in allocation.items():
+        clos_of_mask: Dict[int, int] = {self.platform.full_mask: 0}
+        for mask in dict.fromkeys(allocation.values()):
             mask = self.validate_mask(mask)
-            if mask not in mask_to_clos:
-                if mask == self.platform.full_mask and 0 not in mask_to_clos.values():
-                    mask_to_clos[mask] = 0
-                else:
-                    mask_to_clos[mask] = self.create_class(mask).clos_id
-            clos_id = mask_to_clos[mask]
-            self.bind_task(task, clos_id)
-            result[task] = clos_id
+            if mask not in clos_of_mask:
+                if len(clos_of_mask) >= self.platform.n_clos:
+                    raise ClosExhaustedError(
+                        f"platform {self.platform.name!r} supports only "
+                        f"{self.platform.n_clos} classes of service"
+                    )
+                clos_of_mask[mask] = len(clos_of_mask)
+        self._classes = {
+            clos_id: ClassOfService(clos_id=clos_id, mask=mask)
+            for mask, clos_id in clos_of_mask.items()
+        }
+        result = {task: clos_of_mask[int(mask)] for task, mask in allocation.items()}
+        self._task_to_clos = {**dict.fromkeys(self._task_to_clos, 0), **result}
+        for task, clos_id in self._task_to_clos.items():
+            self._classes[clos_id].tasks.add(task)
         return result
 
     def current_allocation(self) -> Dict[str, int]:

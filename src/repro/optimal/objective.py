@@ -32,7 +32,7 @@ from repro.core.types import WayAllocation
 from repro.errors import SolverError
 from repro.hardware.platform import PlatformSpec
 from repro.metrics.fairness import _validate_slowdowns
-from repro.simulator.bandwidth import BandwidthModel
+from repro.simulator.bandwidth import BandwidthModel, read_demand
 from repro.simulator.estimator import _ipc_with_extrapolation
 from repro.simulator.occupancy import OccupancyModel
 
@@ -136,16 +136,13 @@ class CachedObjective:
         allocation = WayAllocation(masks={app: mask for app in member_list}, total_ways=ways)
         occupancy = self.occupancy_model.solve(allocation, self.profiles)
         cache_slowdowns: Dict[str, float] = {}
-        bandwidth: Dict[str, float] = {}
-        stalls: Dict[str, float] = {}
         for app in member_list:
             profile = self.profiles[app]
-            effective = occupancy.effective_ways[app]
-            ipc = _ipc_with_extrapolation(profile, effective)
+            ipc = _ipc_with_extrapolation(profile, occupancy.effective_ways[app])
             cache_slowdowns[app] = profile.ipc_alone / max(ipc, 1e-12)
-            eval_ways = max(effective, 0.25)
-            bandwidth[app] = profile.bandwidth_gbs_at(eval_ways, self.platform)
-            stalls[app] = profile.stall_fraction_at(eval_ways, self.platform)
+        _, bandwidth, stalls = read_demand(
+            occupancy.effective_ways, self.profiles, self.platform
+        )
         demand_total = 0.0
         for app in member_list:
             demand_total += bandwidth[app]
@@ -157,11 +154,6 @@ class CachedObjective:
         )
         self._cluster_cache[key] = pieces
         return pieces
-
-    @property
-    def cache_size(self) -> int:
-        """Number of distinct (cluster, ways) pairs evaluated so far."""
-        return len(self._cluster_cache)
 
     # -- candidate scoring --------------------------------------------------------
 

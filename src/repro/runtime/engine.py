@@ -159,7 +159,12 @@ def alone_completion_time(
 
 
 class RuntimeEngine:
-    """Execute one workload under one dynamic policy driver."""
+    """Execute one workload under one dynamic policy driver.
+
+    A repartition programs the masks into the CAT model, then takes the
+    rate, LLCMPKC, stall-fraction and effective-way lists off the shared
+    tables' estimate, which carries all four (no curve is read here).
+    """
 
     def __init__(
         self,
@@ -205,7 +210,6 @@ class RuntimeEngine:
         # afterwards a phase epoch is described purely by token and no
         # profile objects are re-registered.
         self._phase_tokens: List[Tuple[int, ...]] = []
-        self._phase_views: List[tuple] = []
         self._epoch_token_maps: Dict[tuple, Dict[str, int]] = {}
 
     # -- shared pieces ---------------------------------------------------------------
@@ -296,10 +300,6 @@ class RuntimeEngine:
         tables = self.tables
         token_map = self._snapshot.tokenize(tables)
         self._phase_tokens = [token_map[name] for name in names]
-        self._phase_views = [
-            tuple(tables.view_for_token(token) for token in tokens)
-            for tokens in self._phase_tokens
-        ]
         self._epoch_token_maps = {}
 
         # Phase-epoch bookkeeping: a single-phase application whose only
@@ -550,22 +550,18 @@ class RuntimeEngine:
                 self._allocation, token_map, alloc_token=self._alloc_token
             )
             ipcs = estimate.ipcs
-            effective = estimate.effective_ways
             cps = self.platform.cycles_per_second
             rate: List[float] = []
-            mpkc: List[float] = []
-            stall: List[float] = []
-            eff: List[float] = []
-            for i, name in enumerate(self.apps):
+            for name in self.apps:
                 app_rate = ipcs[name] * cps
                 if not app_rate > 0:
                     raise SimulationError(f"application {name!r} has a zero rate")
-                view = self._phase_views[i][epochs[i]]
-                eval_ways = max(effective[name], 0.25)
                 rate.append(app_rate)
-                mpkc.append(view.llcmpkc_at(eval_ways))
-                stall.append(view.stall_fraction_at(eval_ways, self.platform))
-                eff.append(effective[name])
-            rates = (rate, mpkc, stall, eff)
+            rates = (
+                rate,
+                [estimate.llcmpkc[name] for name in self.apps],
+                [estimate.stall_fractions[name] for name in self.apps],
+                [estimate.effective_ways[name] for name in self.apps],
+            )
             self._rate_lists[key] = rates
         self._rates = rates

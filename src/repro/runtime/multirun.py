@@ -216,10 +216,6 @@ class _MemberRun:
         self.phase_tokens: List[Tuple[int, ...]] = [
             token_map[name] for name in self.names
         ]
-        self.phase_views: List[tuple] = [
-            tuple(tables.view_for_token(token) for token in tokens)
-            for tokens in self.phase_tokens
-        ]
         self.epoch_token_maps: Dict[tuple, Dict[str, int]] = {}
         self.rate_vectors: Dict[tuple, tuple] = {}
         self.names_key = tuple(self.names)
@@ -319,13 +315,8 @@ class _MemberRun:
             effective = estimate.effective_ways
             ipc_vec = np.array([ipcs[name] for name in self.names])
             eff_vec = np.array([effective[name] for name in self.names])
-            mpkc = []
-            stall = []
-            for i, name in enumerate(self.names):
-                view = self.phase_views[i][epochs[i]]
-                eval_ways = max(effective[name], 0.25)
-                mpkc.append(view.llcmpkc_at(eval_ways))
-                stall.append(view.stall_fraction_at(eval_ways, self.platform))
+            mpkc = [estimate.llcmpkc[name] for name in self.names]
+            stall = [estimate.stall_fractions[name] for name in self.names]
             rate_vec = ipc_vec * self.platform.cycles_per_second
             if not rate_vec.min() > 0:
                 bad = self.names[int(np.argmin(rate_vec))]

@@ -19,13 +19,35 @@ variant:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple, Union
 
-from repro.apps.profile import AppProfile
+from repro.apps.profile import AppProfile, FastProfileView
+from repro.apps.profile import bandwidth_gbs_from_llcmpkc, stall_fraction_from_llcmpkc
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
 
-__all__ = ["BandwidthModel", "BandwidthResult"]
+__all__ = ["BandwidthModel", "BandwidthResult", "read_demand"]
+
+
+def read_demand(
+    effective_ways: Mapping[str, float],
+    profiles: Mapping[str, Union[AppProfile, FastProfileView]],
+    platform: PlatformSpec,
+) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+    """Each application's (LLCMPKC, DRAM demand, stall fraction) dicts from
+    one curve read, at its effective ways floored at 0.25.  ``profiles`` are
+    :class:`AppProfile`\\ s or their bit-identical views."""
+    llcmpkc: Dict[str, float] = {}
+    demand: Dict[str, float] = {}
+    stall_fraction: Dict[str, float] = {}
+    for app, ways in effective_ways.items():
+        if app not in profiles:
+            raise SimulationError(f"no profile registered for application {app!r}")
+        profile = profiles[app]
+        mpkc = llcmpkc[app] = profile.llcmpkc_at(max(float(ways), 0.25))
+        demand[app] = bandwidth_gbs_from_llcmpkc(mpkc, profile.bytes_per_miss, platform)
+        stall_fraction[app] = stall_fraction_from_llcmpkc(mpkc, platform)
+    return llcmpkc, demand, stall_fraction
 
 
 @dataclass(frozen=True)
@@ -74,15 +96,7 @@ class BandwidthModel:
         platform: PlatformSpec,
     ) -> BandwidthResult:
         """Compute per-application bandwidth demand and slowdown factors."""
-        demand: Dict[str, float] = {}
-        stall_fraction: Dict[str, float] = {}
-        for app, ways in effective_ways.items():
-            if app not in profiles:
-                raise SimulationError(f"no profile registered for application {app!r}")
-            profile = profiles[app]
-            eval_ways = max(float(ways), 0.25)
-            demand[app] = profile.bandwidth_gbs_at(eval_ways, platform)
-            stall_fraction[app] = profile.stall_fraction_at(eval_ways, platform)
+        _, demand, stall_fraction = read_demand(effective_ways, profiles, platform)
         return self.solve_from_demand(demand, stall_fraction, platform)
 
     def solve_from_demand(

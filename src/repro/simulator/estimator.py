@@ -41,7 +41,7 @@ from repro.core.types import ClusteringSolution, WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
 from repro.metrics.fairness import WorkloadMetrics, compute_metrics
-from repro.simulator.bandwidth import BandwidthModel, BandwidthResult
+from repro.simulator.bandwidth import BandwidthModel, BandwidthResult, read_demand
 from repro.simulator.occupancy import (
     OccupancyModel,
     OccupancyResult,
@@ -67,6 +67,9 @@ class ClusterEstimate:
     effective_ways: Dict[str, float]
     bandwidth: BandwidthResult
     occupancy: OccupancyResult
+    # Each application's miss rate and stall fraction (read_demand).
+    llcmpkc: Dict[str, float]
+    stall_fractions: Dict[str, float]
 
     @cached_property
     def metrics(self) -> WorkloadMetrics:
@@ -154,6 +157,42 @@ def _ipc_with_extrapolation(
     deficit = 1.0 - max(effective_ways, 0.0)
     cpi = min(cpi_1 + slope * deficit, 3.0 * cpi_1)
     return 1.0 / cpi
+
+
+def _estimate(
+    allocation: WayAllocation,
+    occupancy: OccupancyResult,
+    profiles: Mapping[str, Union[AppProfile, FastProfileView]],
+    platform: PlatformSpec,
+    bandwidth_model: BandwidthModel,
+) -> ClusterEstimate:
+    """The estimate of a solved allocation, which both evaluators build.
+
+    Scalar on purpose: at a dozen applications the inlined float
+    arithmetic beats an equivalent NumPy ufunc chain (measured).
+    """
+    llcmpkc, demand, stall_fraction = read_demand(
+        occupancy.effective_ways, profiles, platform
+    )
+    bandwidth = bandwidth_model.solve_from_demand(demand, stall_fraction, platform)
+    slowdowns: Dict[str, float] = {}
+    ipcs: Dict[str, float] = {}
+    for app in allocation.apps():
+        profile = profiles[app]
+        cache_ipc = _ipc_with_extrapolation(profile, occupancy.effective_ways[app])
+        shared_ipc = cache_ipc / bandwidth.slowdown_factors[app]
+        ipcs[app] = shared_ipc
+        slowdowns[app] = profile.ipc_alone / max(shared_ipc, 1e-12)
+    return ClusterEstimate(
+        allocation=allocation,
+        slowdowns=slowdowns,
+        ipcs=ipcs,
+        effective_ways=occupancy.effective_ways,
+        bandwidth=bandwidth,
+        occupancy=occupancy,
+        llcmpkc=llcmpkc,
+        stall_fractions=stall_fraction,
+    )
 
 
 class EvaluationTables:
@@ -581,18 +620,24 @@ class EvaluationTables:
                 peak_gbs=float(bandwidth_scalars[1]),
                 slowdown_factors={app: float(v) for app, v in zip(apps, factor_row)},
             )
+            tokens = tuple(int(token) for token in meta["tokens"])
+            # The saved demand row stays authoritative; the miss rates and
+            # stall fractions are derived from the restored views.
+            views = {app: tables.view_for_token(token) for app, token in zip(apps, tokens)}
+            llcmpkc, _, stall_fractions = read_demand(
+                occupancy.effective_ways, views, platform
+            )
             estimate = ClusterEstimate(
                 allocation=allocation,
                 slowdowns=slowdowns,
                 ipcs={app: float(v) for app, v in zip(apps, ipc_row)},
-                effective_ways=dict(occupancy.effective_ways),
+                effective_ways=occupancy.effective_ways,
                 bandwidth=bandwidth,
                 occupancy=occupancy,
+                llcmpkc=llcmpkc,
+                stall_fractions=stall_fractions,
             )
-            key = (
-                (tuple(allocation.masks.items()), allocation.total_ways),
-                tuple(int(token) for token in meta["tokens"]),
-            )
+            key = ((tuple(allocation.masks.items()), allocation.total_ways), tokens)
             tables._estimates[key] = estimate
             if max_entries is not None and len(tables._estimates) > max_entries:
                 tables._estimates.popitem(last=False)
@@ -677,43 +722,15 @@ class EvaluationTables:
         tokens: Tuple[int, ...],
         alloc_token: tuple,
     ) -> ClusterEstimate:
+        """The occupancy from the trajectory cache, then :func:`_estimate`
+        over the token views: one LLCMPKC read per member, whose miss rate
+        and stall fraction the estimate keeps for the runtime engine."""
         token_map = dict(zip(apps, tokens))
         views = {app: self._views[token_map[app]] for app in apps}
         occupancy = self.occupancy_cache.solve(
             allocation, token_map, views, alloc_token=alloc_token
         )
-        platform = self.platform
-        # Same per-app demand arithmetic as BandwidthModel.solve, evaluated
-        # through the fast views, then the shared contention core.  Scalar on
-        # purpose: at a dozen applications the inlined float arithmetic beats
-        # an equivalent NumPy ufunc chain (measured).
-        demand: Dict[str, float] = {}
-        stall_fraction: Dict[str, float] = {}
-        for app in occupancy.effective_ways:
-            view = views[app]
-            eval_ways = max(float(occupancy.effective_ways[app]), 0.25)
-            demand[app] = view.bandwidth_gbs_at(eval_ways, platform)
-            stall_fraction[app] = view.stall_fraction_at(eval_ways, platform)
-        bandwidth = self.bandwidth_model.solve_from_demand(
-            demand, stall_fraction, platform
-        )
-        slowdowns: Dict[str, float] = {}
-        ipcs: Dict[str, float] = {}
-        for app in apps:
-            view = views[app]
-            effective = occupancy.effective_ways[app]
-            cache_ipc = _ipc_with_extrapolation(view, effective)
-            shared_ipc = cache_ipc / bandwidth.slowdown_factors[app]
-            ipcs[app] = shared_ipc
-            slowdowns[app] = view.ipc_alone / max(shared_ipc, 1e-12)
-        return ClusterEstimate(
-            allocation=allocation,
-            slowdowns=slowdowns,
-            ipcs=ipcs,
-            effective_ways=dict(occupancy.effective_ways),
-            bandwidth=bandwidth,
-            occupancy=occupancy,
-        )
+        return _estimate(allocation, occupancy, views, self.platform, self.bandwidth_model)
 
 
 class ClusteringEstimator:
@@ -755,25 +772,8 @@ class ClusteringEstimator:
             if app not in self.profiles:
                 raise SimulationError(f"no profile registered for application {app!r}")
         occupancy = self.occupancy_model.solve(allocation, self.profiles)
-        bandwidth = self.bandwidth_model.solve(
-            occupancy.effective_ways, self.profiles, self.platform
-        )
-        slowdowns: Dict[str, float] = {}
-        ipcs: Dict[str, float] = {}
-        for app in allocation.apps():
-            profile = self.profiles[app]
-            effective = occupancy.effective_ways[app]
-            cache_ipc = _ipc_with_extrapolation(profile, effective)
-            shared_ipc = cache_ipc / bandwidth.slowdown_factors[app]
-            ipcs[app] = shared_ipc
-            slowdowns[app] = profile.ipc_alone / max(shared_ipc, 1e-12)
-        return ClusterEstimate(
-            allocation=allocation,
-            slowdowns=slowdowns,
-            ipcs=ipcs,
-            effective_ways=dict(occupancy.effective_ways),
-            bandwidth=bandwidth,
-            occupancy=occupancy,
+        return _estimate(
+            allocation, occupancy, self.profiles, self.platform, self.bandwidth_model
         )
 
     def evaluate(self, solution: ClusteringSolution) -> ClusterEstimate:

@@ -475,30 +475,41 @@ class OccupancyTrajectoryCache:
 
         Pure mask structure (independent of the profiles in force), so the
         decomposition is cached per allocation token and reused across phase
-        changes and runs.
+        changes and runs.  Pairwise disjoint masks (every LFOC, sweep and
+        Stock-Linux layout) are one component each, their members in
+        workload order on relative ways ``0..popcount - 1``; overlapping
+        (Dunn) layouts take :meth:`_decompose_overlapping`.
         """
         cached = self._decompositions.get(alloc_token)
         if cached is not None:
             return cached
-        apps = allocation.apps()
-        masks = [allocation.mask_of(app) for app in apps]
-        app_ways: Dict[str, List[int]] = {
-            app: [w for w in range(allocation.total_ways) if mask & (1 << w)]
-            for app, mask in zip(apps, masks)
-        }
+        members_of: Dict[int, List[str]] = {}
+        for app, mask in allocation.masks.items():
+            members_of.setdefault(mask, []).append(app)
+        distinct = list(members_of)
+        union = 0
+        for mask in distinct:
+            if union & mask:
+                decomposition = self._decompose_overlapping(allocation, distinct)
+                break
+            union |= mask
+        else:
+            decomposition = []
+            for mask, members in members_of.items():
+                size, n = int(mask).bit_count(), len(members)
+                rel_ways, rel_mask = list(range(size)), (1 << size) - 1
+                decomposition.append((members, [rel_ways] * n, [rel_mask] * n))
+        self._decompositions[alloc_token] = decomposition
+        return decomposition
 
-        # Union-find over the *distinct* masks (apps sharing a mask are
+    @staticmethod
+    def _decompose_overlapping(
+        allocation: WayAllocation, distinct: List[int]
+    ) -> List[_Component]:
+        """Components of an allocation whose ``distinct`` masks overlap."""
+        # Union-find over the distinct masks (apps sharing a mask are
         # trivially connected; two masks connect iff they overlap).
-        distinct: List[int] = []
-        seen: Dict[int, int] = {}
-        mask_index: List[int] = []
-        for mask in masks:
-            slot = seen.get(mask)
-            if slot is None:
-                slot = len(distinct)
-                seen[mask] = slot
-                distinct.append(mask)
-            mask_index.append(slot)
+        slot_of = {mask: i for i, mask in enumerate(distinct)}
         parent = list(range(len(distinct)))
 
         def find(i: int) -> int:
@@ -517,17 +528,20 @@ class OccupancyTrajectoryCache:
                         parent[root_j] = find(i)
 
         components: Dict[int, List[str]] = {}
-        for app, slot in zip(apps, mask_index):  # members in workload order
-            components.setdefault(find(slot), []).append(app)
+        for app, mask in allocation.masks.items():  # members in workload order
+            components.setdefault(find(slot_of[mask]), []).append(app)
 
         decomposition: List[_Component] = []
         for members in components.values():
-            union_ways = sorted({w for m in members for w in app_ways[m]})
+            app_ways = [
+                [w for w in range(allocation.total_ways) if allocation.masks[m] >> w & 1]
+                for m in members
+            ]
+            union_ways = sorted({w for ways in app_ways for w in ways})
             rank = {w: r for r, w in enumerate(union_ways)}
-            rel_lists = [[rank[w] for w in app_ways[m]] for m in members]
+            rel_lists = [[rank[w] for w in ways] for ways in app_ways]
             rel_masks = [sum(1 << r for r in rel) for rel in rel_lists]
             decomposition.append((members, rel_lists, rel_masks))
-        self._decompositions[alloc_token] = decomposition
         return decomposition
 
     def solve(

@@ -16,9 +16,15 @@ production code must reproduce *exactly* — same study rows, same
   (:func:`silhouette_1d_reference`) and ``np.quantile``-seeded k-means
   (:func:`kmeans_1d_reference`);
 * :class:`ReferenceLfocPolicy` — static LFOC recomputing every decision;
+* :func:`cat_apply_reference` — the CAT programming that resets the
+  controller and rebinds every task, which the one-pass
+  :meth:`~repro.hardware.cat.CatController.apply_allocation` must leave in
+  the same state;
 * :func:`interp_reference` and :func:`occupancy_solve_reference` — the
   ``np.interp`` curve reading and the dict-based occupancy fixed point that
   the production scalar kernels must reproduce exactly;
+* :func:`decompose_reference` — the union-find mask decomposition the
+  trajectory cache's disjoint-mask path must reproduce;
 * :class:`RecordingTrajectoryCache` — the occupancy trajectory cache
   recording every iteration as tuples of effective ways and pressures,
   which the production cache's flat buffers must replay and export
@@ -140,8 +146,10 @@ __all__ = [
     "reference_fig7_rows",
     "assert_identical",
     "random_stall_vector",
+    "cat_apply_reference",
     "interp_reference",
     "occupancy_solve_reference",
+    "decompose_reference",
     "build_tables_reference",
     "local_search_reference",
     "build_dendrogram_reference",
@@ -277,7 +285,7 @@ def run_reference(
             raise SimulationError(
                 f"policy {driver.name!r} left applications unallocated: {missing}"
             )
-        cat.apply_allocation(new_allocation.masks)
+        cat_apply_reference(cat, new_allocation.masks)
         allocation = new_allocation
         repartitions.append(
             RepartitionEvent(time_s=now, reason=reason, masks=dict(new_allocation.masks))
@@ -785,6 +793,29 @@ def random_stall_vector(rng: np.random.Generator) -> np.ndarray:
     return np.clip(values.astype(float), 0.0, 1.0)
 
 
+def cat_apply_reference(cat: CatController, allocation: Mapping[str, int]) -> Dict[str, int]:
+    """Program ``allocation`` by resetting ``cat`` and binding task by task.
+
+    Tasks sharing a mask share a class; the full mask takes CLOS 0 and every
+    other distinct mask a new class.  A failing mask or an exhausted CLOS
+    pool raises part-way, after the reset.
+    """
+    cat.reset()
+    mask_to_clos: Dict[int, int] = {}
+    result: Dict[str, int] = {}
+    for task, mask in allocation.items():
+        mask = cat.validate_mask(mask)
+        if mask not in mask_to_clos:
+            if mask == cat.platform.full_mask and 0 not in mask_to_clos.values():
+                mask_to_clos[mask] = 0
+            else:
+                mask_to_clos[mask] = cat.create_class(mask).clos_id
+        clos_id = mask_to_clos[mask]
+        cat.bind_task(task, clos_id)
+        result[task] = clos_id
+    return result
+
+
 def interp_reference(table: np.ndarray, ways: float) -> float:
     """A per-way curve at fractional ``ways``, clipped to ``[1, n]``, via np.interp."""
     n = len(table)
@@ -863,6 +894,61 @@ def occupancy_solve_reference(
         iterations=iteration,
         converged=converged,
     )
+
+
+def decompose_reference(
+    allocation: WayAllocation,
+) -> List[Tuple[List[str], List[List[int]], List[int]]]:
+    """Mask-sharing components by union-find: (members, relative ways, relative masks).
+
+    Two distinct masks connect when they overlap; a component's members are
+    in workload order, and its ways are rank-compressed over the union of
+    its members' ways.
+    """
+    apps = allocation.apps()
+    masks = [allocation.mask_of(app) for app in apps]
+    app_ways: Dict[str, List[int]] = {
+        app: [w for w in range(allocation.total_ways) if mask & (1 << w)]
+        for app, mask in zip(apps, masks)
+    }
+    distinct: List[int] = []
+    seen: Dict[int, int] = {}
+    mask_index: List[int] = []
+    for mask in masks:
+        slot = seen.get(mask)
+        if slot is None:
+            slot = len(distinct)
+            seen[mask] = slot
+            distinct.append(mask)
+        mask_index.append(slot)
+    parent = list(range(len(distinct)))
+
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for i in range(len(distinct)):
+        for j in range(i + 1, len(distinct)):
+            if distinct[i] & distinct[j]:
+                root_j = find(j)
+                if root_j != find(i):
+                    parent[root_j] = find(i)
+
+    components: Dict[int, List[str]] = {}
+    for app, slot in zip(apps, mask_index):
+        components.setdefault(find(slot), []).append(app)
+    decomposition = []
+    for members in components.values():
+        union_ways = sorted({w for m in members for w in app_ways[m]})
+        rank = {w: r for r, w in enumerate(union_ways)}
+        rel_lists = [[rank[w] for w in app_ways[m]] for m in members]
+        rel_masks = [sum(1 << r for r in rel) for rel in rel_lists]
+        decomposition.append((members, rel_lists, rel_masks))
+    return decomposition
 
 
 class RecordingTrajectory(_ComponentTrajectory):

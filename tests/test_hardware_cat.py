@@ -1,8 +1,14 @@
 """Tests for the simulated Cache Allocation Technology."""
 
-import pytest
+import copy
+import dataclasses
 
-from repro.errors import ClosExhaustedError, InvalidMaskError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import cat_apply_reference
+from repro.errors import ClosExhaustedError, InvalidMaskError, ReproError
 from repro.hardware import (
     CatController,
     contiguous_layout,
@@ -154,3 +160,79 @@ class TestCatController:
         cat.reset()
         assert cat.n_classes == 1
         assert cat.get_class(0).mask == (1 << 11) - 1
+
+
+def cat_state(cat):
+    """Everything a CAT apply programs: classes, task sets and the task map."""
+    return (
+        [(cos.clos_id, cos.mask, set(cos.tasks)) for cos in cat.classes()],
+        list(cat._task_to_clos.items()),
+        list(cat.current_allocation().items()),
+    )
+
+
+class TestApplyAllocationIsAtomic:
+    def test_bad_mask_leaves_the_previous_allocation_programmed(self):
+        cat = CatController(skylake_gold_6138())
+        cat.apply_allocation({"a": 0x3, "b": 0xC, "c": 0x1F0})
+        before = cat_state(cat)
+        with pytest.raises(InvalidMaskError, match="mask 0x5 is not contiguous"):
+            cat.apply_allocation({"a": 0x1, "b": 0x5, "c": 0x2})
+        assert cat_state(cat) == before
+        assert cat.current_allocation() == {"a": 0x3, "b": 0xC, "c": 0x1F0}
+
+    def test_clos_exhaustion_leaves_the_previous_allocation_programmed(self):
+        plat = dataclasses.replace(small_test_platform(ways=4), n_clos=4)
+        cat = CatController(plat)
+        cat.apply_allocation({"a": 0b1, "b": 0b110, "c": 0b1000})
+        before = cat_state(cat)
+        with pytest.raises(ClosExhaustedError, match="supports only 4 classes"):
+            cat.apply_allocation({"a": 0b1, "b": 0b10, "c": 0b100, "d": 0b1000})
+        assert cat_state(cat) == before
+        assert cat.clos_of("d") == 0
+
+
+TASKS = ("t0", "t1", "t2", "t3", "t4", "t5")
+WAYS = 5
+
+
+def contiguous_masks():
+    return st.builds(
+        lambda start, width: ((1 << min(width, WAYS - start)) - 1) << start,
+        st.integers(0, WAYS - 1),
+        st.integers(1, WAYS),
+    )
+
+
+# Mostly valid contiguous masks (shared between tasks, the full mask
+# included); sometimes an empty, non-contiguous or too wide one.
+masks = st.one_of(contiguous_masks(), contiguous_masks(), st.integers(0, 1 << WAYS))
+allocations = st.dictionaries(st.sampled_from(TASKS), masks, max_size=len(TASKS))
+
+
+class TestApplyAllocationMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(allocations, min_size=1, max_size=8), st.integers(2, 6))
+    def test_sequences_match_reset_and_rebind(self, sequence, n_clos):
+        """The one-pass apply leaves the state reset-and-rebind leaves, and
+        where the reference raises part-way it raises the same error and
+        keeps the previous allocation."""
+        plat = dataclasses.replace(small_test_platform(ways=WAYS), n_clos=n_clos)
+        cat = CatController(plat)
+        reference = CatController(plat)
+        for allocation in sequence:
+            before = copy.deepcopy(reference)
+            try:
+                expected = cat_apply_reference(reference, allocation)
+            except ReproError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    cat.apply_allocation(allocation)
+                assert str(raised.value) == str(exc)
+                assert cat_state(cat) == cat_state(before)
+                reference = before
+                continue
+            mapping = cat.apply_allocation(allocation)
+            assert list(mapping.items()) == list(expected.items())
+            assert cat_state(cat) == cat_state(reference)
+            for task in TASKS:
+                assert cat.clos_of(task) == reference.clos_of(task)

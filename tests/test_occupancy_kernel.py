@@ -196,3 +196,76 @@ class TestInlinedInterpolation:
                     (model.base_pressure + interp_ways(table, value)).hex()
                     for table in tables
                 ]
+
+
+class _CountingCache(OccupancyTrajectoryCache):
+    """A trajectory cache counting how often the union-find path runs."""
+
+    overlapping_calls = 0
+
+    def _decompose_overlapping(self, allocation, distinct):
+        self.overlapping_calls += 1
+        return super()._decompose_overlapping(allocation, distinct)
+
+
+@st.composite
+def disjoint_allocations(draw):
+    """Pairwise disjoint masks, non-contiguous ones included, each held by
+    one or more applications in a shuffled workload order."""
+    total_ways = draw(st.integers(min_value=1, max_value=16))
+    n_masks = draw(st.integers(min_value=1, max_value=6))
+    labels = draw(
+        st.lists(
+            st.integers(min_value=-1, max_value=n_masks - 1),
+            min_size=total_ways,
+            max_size=total_ways,
+        )
+    )
+    masks = [
+        sum(1 << w for w, label in enumerate(labels) if label == j) for j in range(n_masks)
+    ]
+    masks = [mask for mask in masks if mask] or [1]
+    holders = draw(
+        st.lists(st.sampled_from(range(len(masks))), min_size=1, max_size=12)
+    )
+    return WayAllocation(
+        masks={f"app{i}": masks[m] for i, m in enumerate(holders)}, total_ways=total_ways
+    )
+
+
+@st.composite
+def any_allocations(draw):
+    """Arbitrary masks, overlapping (and repeated) ones included."""
+    total_ways = draw(st.integers(min_value=1, max_value=12))
+    masks = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=(1 << total_ways) - 1),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return WayAllocation(
+        masks={f"app{i}": mask for i, mask in enumerate(masks)}, total_ways=total_ways
+    )
+
+
+class TestDecomposition:
+    """The cache's decomposition against the union-find reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_allocations())
+    def test_disjoint_masks_skip_union_find(self, allocation):
+        cache = _CountingCache(OccupancyModel())
+        token = (tuple(allocation.masks.items()), allocation.total_ways)
+        assert cache._decompose(allocation, token) == oracles.decompose_reference(allocation)
+        assert cache.overlapping_calls == 0
+        # Cached per allocation token.
+        assert cache._decompose(allocation, token) is cache._decompose(allocation, token)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_allocations())
+    def test_any_masks_match_union_find(self, allocation):
+        cache = _CountingCache(OccupancyModel())
+        token = (tuple(allocation.masks.items()), allocation.total_ways)
+        assert cache._decompose(allocation, token) == oracles.decompose_reference(allocation)
+        assert cache.overlapping_calls == int(allocation.is_overlapping())

@@ -151,9 +151,9 @@ class TestCachedObjective:
     def test_cluster_pieces_are_cached(self, platform, mix5):
         objective = CachedObjective(platform, mix5)
         objective.cluster_pieces(["lbm06", "gamess06"], 2)
-        size = objective.cache_size
+        size = len(objective._cluster_cache)
         objective.cluster_pieces(["gamess06", "lbm06"], 2)  # same key, different order
-        assert objective.cache_size == size
+        assert len(objective._cluster_cache) == size
 
     def test_score_matches_full_estimator(self, platform, mix5):
         from repro.simulator import ClusteringEstimator
@@ -192,7 +192,7 @@ class TestCachedObjective:
         objective = CachedObjective(platform, mix5)
         with pytest.raises(SolverError, match=f"1..{platform.llc_ways} ways, got {ways}"):
             objective.cluster_pieces(["lbm06"], ways)
-        assert objective.cache_size == 0
+        assert len(objective._cluster_cache) == 0
 
     def test_cluster_pieces_accepts_the_whole_llc(self, platform, mix5):
         objective = CachedObjective(platform, mix5)

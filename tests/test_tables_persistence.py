@@ -300,3 +300,72 @@ class TestTrajectoryHeader:
 
         with pytest.raises(SimulationError, match=f"trajectory {index} .*not 0.0"):
             self._load_edited(saved, platform, tmp_path, index, edit)
+
+
+class TestWarmStartStudy:
+    """A dynamic study warm-started through ``EngineSpec.tables_path``.
+
+    The tables a cold serial study leaves in its process are saved, then
+    loaded by a serial study in this process and by the workers of a fresh
+    spawn pool.  Every run then reads its estimates, miss rates and stall
+    fractions included, off restored entries, and the rows must equal the
+    cold study's.
+    """
+
+    @staticmethod
+    def _spec(tables_path=None):
+        from repro.experiments import (
+            EngineSpec,
+            PolicySpec,
+            ScenarioSpec,
+            StudySpec,
+            WorkloadSpec,
+        )
+
+        return StudySpec(
+            name="warm-start",
+            scenarios=(
+                ScenarioSpec(
+                    name="dyn",
+                    kind="dynamic",
+                    workloads=(WorkloadSpec(suite="dynamic_study", names=("P1",)),),
+                    policies=(
+                        PolicySpec("dunn", label="Dunn"),
+                        PolicySpec("lfoc", label="LFOC"),
+                    ),
+                    engine=EngineSpec(
+                        instructions_per_run=6e8,
+                        min_completions=1,
+                        tables_path=tables_path,
+                    ),
+                ),
+            ),
+        )
+
+    def test_serial_and_spawn_pool_rows_equal_the_cold_study(self, tmp_path):
+        from repro.experiments import run_study
+        from repro.runtime import PoolExecutor, SerialExecutor
+        from repro.runtime.executors import base
+
+        def serial_study(spec):
+            """Rows and process tables of a serial study (a context install
+            clears the tables and closing the executor drops them)."""
+            with SerialExecutor() as executor:
+                rows = run_study(spec, executor=executor).rows()
+                ((_, tables),) = base._TABLES_CACHE.values()
+                return rows, tables
+
+        cold_rows, cold_tables = serial_study(self._spec())
+        path = str(tmp_path / "study.tables")
+        cold_tables.save(path)
+        saved_estimates = cold_tables.cache_sizes()["estimates"]
+        assert saved_estimates > 0
+
+        warm_rows, warm_tables = serial_study(self._spec(path))
+        assert warm_rows == cold_rows
+        # Every estimate the warm runs asked for was a restored one.
+        assert warm_tables.cache_sizes()["estimates"] == saved_estimates
+
+        with PoolExecutor(jobs=2) as executor:
+            pool_rows = run_study(self._spec(path), executor=executor).rows()
+        assert pool_rows == cold_rows
