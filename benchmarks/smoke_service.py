@@ -15,8 +15,8 @@ the same seeded trace:
 * **scale** (``--hosts N``) — N hosts' sample batches drain through the
   fused :class:`MonitorBank` ingest: every gathered drain costs exactly
   ONE ``observe_batch`` call, and the batched decisions are bit-identical
-  to the per-``AppMonitor`` reference backend handling the same frames
-  one by one;
+  to the per-``AppMonitor`` parity oracle (``tests/oracles.py``) handling
+  the same frames one by one;
 * **restore** — a daemon is hard-killed mid-session by a scripted
   ``daemon_kill_decisions`` fault (no parting snapshot); a second daemon
   restores from the latest periodic snapshot on the same port and the
@@ -36,6 +36,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "tests"))
 
 from repro.experiments import ServiceSpec  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -50,6 +51,7 @@ from repro.service import (  # noqa: E402
 )
 from repro.service import protocol  # noqa: E402
 from repro.service.agent import drive_host  # noqa: E402
+from oracles import ReferenceServiceCore, reference_offline_replay  # noqa: E402
 
 WORKLOAD = "S1"
 BATCHES = 24
@@ -140,7 +142,7 @@ def drive_scale(core: ServiceCore, host_ids, *, fused: bool):
             for item in h.churn_frames(batch):
                 h.apply(core.handle(*item))
         items = [h.samples_frame(batch) for h in hosts]
-        before = core.ingest.observe_batch_calls if core.ingest else 0
+        before = core.ingest.observe_batch_calls
         if fused:
             results = core.handle_drain(items)
         else:
@@ -148,7 +150,7 @@ def drive_scale(core: ServiceCore, host_ids, *, fused: bool):
         for h, result in zip(hosts, results):
             assert not isinstance(result, Exception), result
             h.apply(result)
-        deltas.append((core.ingest.observe_batch_calls if core.ingest else 0) - before)
+        deltas.append(core.ingest.observe_batch_calls - before)
     for h in hosts:
         core.handle(*h.frame(*protocol.host_bye(0)))
     return deltas
@@ -157,19 +159,19 @@ def drive_scale(core: ServiceCore, host_ids, *, fused: bool):
 def scale_drill(n_hosts: int) -> None:
     host_ids = [f"host{i}" for i in range(n_hosts)]
 
-    bank = offline_replay(host_ids, WORKLOAD, batches=BATCHES, seed=SEED,
-                          monitor_backend="bank")
-    reference = offline_replay(host_ids, WORKLOAD, batches=BATCHES, seed=SEED,
-                               monitor_backend="reference")
+    bank = offline_replay(host_ids, WORKLOAD, batches=BATCHES, seed=SEED)
+    reference = reference_offline_replay(
+        host_ids, WORKLOAD, batches=BATCHES, seed=SEED
+    )
     check(
         len(bank) > 0 and bank.signature() == reference.signature(),
-        f"offline replay: bank backend bit-identical to per-AppMonitor "
-        f"reference across {n_hosts} hosts ({len(bank)} decisions)",
+        f"offline replay: bank ingest bit-identical to the per-AppMonitor "
+        f"oracle across {n_hosts} hosts ({len(bank)} decisions)",
     )
 
     fused_core = ServiceCore()
     deltas = drive_scale(fused_core, host_ids, fused=True)
-    sequential_core = ServiceCore(monitor_backend="reference")
+    sequential_core = ReferenceServiceCore()
     drive_scale(sequential_core, host_ids, fused=False)
     check(
         max(deltas) == 1 and min(deltas) == 1,

@@ -266,9 +266,10 @@ class FastProfileView:
     view shares its profile's point tuples).  The view keeps only what the
     evaluation tables and engines read (the curves, ``n_ways``,
     ``ipc_alone`` and ``bytes_per_miss``), can be rebuilt from raw curve
-    values without an ``AppProfile`` (:meth:`from_arrays`), and derives
-    stall fraction and bandwidth demand through the same module-level
-    helpers.
+    values without an ``AppProfile`` (:meth:`from_arrays`).  Stall fraction
+    and bandwidth demand come from its LLCMPKC through the module-level
+    :func:`stall_fraction_from_llcmpkc` and :func:`bandwidth_gbs_from_llcmpkc`,
+    as :func:`~repro.simulator.bandwidth.read_demand` reads them.
     """
 
     __slots__ = ("ipc", "llcmpkc", "n_ways", "ipc_alone", "bytes_per_miss")
@@ -314,9 +315,3 @@ class FastProfileView:
         if not ways > 0:
             raise ProfileError(f"cannot evaluate a profile at {ways} ways")
         return interp_ways(self.llcmpkc, ways)
-
-    def stall_fraction_at(self, ways: float, platform: PlatformSpec) -> float:
-        return stall_fraction_from_llcmpkc(self.llcmpkc_at(ways), platform)
-
-    def bandwidth_gbs_at(self, ways: float, platform: PlatformSpec) -> float:
-        return bandwidth_gbs_from_llcmpkc(self.llcmpkc_at(ways), self.bytes_per_miss, platform)

@@ -347,13 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between periodic snapshots (<= 0: only on exit)",
     )
     serve.add_argument(
-        "--monitor-backend",
-        choices=("bank", "reference"),
-        default="bank",
-        help="monitor ingest path: the fused MonitorBank (default) or the "
-        "per-AppMonitor reference oracle (parity testing; no snapshots)",
-    )
-    serve.add_argument(
         "--once",
         action="store_true",
         help="without --supervise: exit after the first host session "
@@ -761,7 +754,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         replay_log=args.replay_log,
         snapshot=args.snapshot,
         snapshot_every_s=args.snapshot_every,
-        monitor_backend=args.monitor_backend,
     )
     daemon = spec.create(quiet=args.quiet)
     host, port = daemon.address

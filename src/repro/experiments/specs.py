@@ -431,18 +431,18 @@ class ServiceSpec(Spec):
     snapshot: Optional[str] = None
     #: Seconds between periodic snapshots (<= 0: only on exit).
     snapshot_every_s: float = 5.0
-    #: ``"bank"`` (fused MonitorBank, the live default) or ``"reference"``
-    #: (per-AppMonitor parity oracle; cannot snapshot).
-    monitor_backend: str = rule("bank", choices=("bank", "reference"))
+
+    _REMOVED = {
+        "monitor_backend": "ServiceSpec.monitor_backend was removed (the fused "
+        "MonitorBank is the only monitor ingest; the per-AppMonitor reference "
+        "ingest is a test oracle); drop the 'monitor_backend' key from the "
+        "service table"
+    }
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.supervise and not self.workload:
             raise SpecError("a supervised service spec needs a workload")
-        if self.snapshot and self.monitor_backend != "bank":
-            raise SpecError(
-                "service snapshots need the 'bank' monitor backend"
-            )
         if self.agent_chaos is not None:
             object.__setattr__(self, "agent_chaos", dict(self.fault_plan().to_dict()))
 
@@ -464,7 +464,6 @@ class ServiceSpec(Spec):
             seed=self.seed,
             agent_chaos=self.agent_chaos,
             quiet=quiet,
-            monitor_backend=self.monitor_backend,
             snapshot=self.snapshot,
             snapshot_every_s=self.snapshot_every_s,
         )

@@ -24,18 +24,24 @@ every application and keeps, per application:
 Two monitor implementations share these semantics:
 
 * :class:`AppMonitor` — the original scalar state machine, one object per
-  application.  It remains the **reference oracle**: every fused-path change
-  is pinned bit-identical against it (property tests in
-  ``tests/test_runtime_monitor_sampling.py`` plus the differential-oracle
-  grid, which runs the reference LFOC driver on plain ``AppMonitor``\\ s).
+  application.  It is the **scalar oracle** and has no production caller:
+  every fused-path change is pinned bit-identical against it (property
+  tests in ``tests/test_runtime_monitor_sampling.py``, the
+  differential-oracle grid, which runs the reference LFOC driver on plain
+  ``AppMonitor``\\ s, and the service's sequential ingest oracle in
+  ``tests/oracles.py``).  It stays in this module only because the
+  benchmark's tracer (``perfbench/tracing.py``) names
+  ``AppMonitor.observe`` as an entry point; it moves to ``tests/`` when
+  that list drops it.
 * :class:`MonitorBank` — the fused struct-of-arrays kernel: all per-row
   monitor state lives in NumPy arrays (warm-up countdowns, class codes,
   sampling flags, and one 2-column LLCMPKC/stall ring buffer stacked along a
   leading row axis), and :meth:`MonitorBank.observe_batch` ingests one sample
   for many rows in a single vectorized call, returning the re-sampling
-  trigger mask.  The incremental LFOC driver stores its monitors in a bank
-  (exposed through :class:`BankMonitor` row views with the ``AppMonitor``
-  API), and the multi-run engine stacks the banks of grouped runs.
+  trigger mask.  The incremental LFOC driver and the partitioning service
+  store their monitors in banks (exposed through :class:`BankMonitor` row
+  views with the ``AppMonitor`` API), and the multi-run engine stacks the
+  banks of grouped runs.
 
 A note on batching limits: inside one engine event batch a triggered sampling
 sweep reprograms the cache *between* two applications' samples, which changes

@@ -14,9 +14,9 @@ decision layer into a **long-lived multi-tenant service**:
   restart) is healed by replaying the unacknowledged suffix;
 * :mod:`repro.service.session` — the transport-free core: per-host
   sessions whose monitors are rows of one shared growable
-  :class:`~repro.runtime.monitor.MonitorBank` (each event-loop drain
-  ingests every host's samples through a single fused ``observe_batch``
-  call), fed through the incremental decision layer (fingerprint-keyed
+  :class:`~repro.runtime.monitor.MonitorBank`, the only ingest path (each
+  event-loop drain ingests every host's samples through a single fused
+  ``observe_batch`` call), fed through the incremental decision layer (fingerprint-keyed
   :class:`~repro.core.lfoc.LfocDecisionCache`, Dunn's LRU allocation
   cache) so re-deciding is O(changed apps);
 * :mod:`repro.service.snapshot` — CRC-guarded, atomically-replaced

@@ -96,7 +96,6 @@ class PartitionDaemon:
         seed: int = 0,
         agent_chaos: Optional[Mapping[str, Any]] = None,
         quiet: bool = True,
-        monitor_backend: str = "bank",
         snapshot: Optional[str] = None,
         snapshot_every_s: float = 5.0,
     ) -> None:
@@ -105,11 +104,7 @@ class PartitionDaemon:
                 "supervised agents need a workload (serve --supervise N --workload W)"
             )
         self.core = ServiceCore(
-            policy=policy,
-            n_ways=n_ways,
-            params=params,
-            replay=replay,
-            monitor_backend=monitor_backend,
+            policy=policy, n_ways=n_ways, params=params, replay=replay
         )
         self.snapshot = snapshot
         self.snapshot_every_s = snapshot_every_s

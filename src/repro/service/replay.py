@@ -137,7 +137,6 @@ def offline_replay(
     seed: int = 0,
     policy: str = "lfoc",
     n_ways: Optional[int] = None,
-    monitor_backend: str = "bank",
 ) -> ReplayLog:
     """Socket-free oracle: run the same hosts against a fresh service core.
 
@@ -156,10 +155,10 @@ def offline_replay(
     (see :meth:`~repro.service.session.ServiceCore.handle_drain`); the
     oracle and the daemon must never disagree on it.
 
-    ``monitor_backend`` selects the fused-``MonitorBank`` ingest path
-    (``"bank"``, the live default) or the per-``AppMonitor`` reference
-    path (``"reference"``) — the parity oracle for the bank: the two
-    backends must produce bit-identical logs for any trace.
+    The core ingests through its fused ``MonitorBank``, as the daemon's
+    does; ``tests/oracles.py`` drives the same hosts against the
+    sequential one-``AppMonitor``-per-app ingest, whose log must equal
+    this one bit for bit.
     """
     from repro.service.agent import LocalTransport, drive_host
     from repro.service.session import ServiceCore
@@ -167,7 +166,7 @@ def offline_replay(
 
     if isinstance(host_ids, str):
         host_ids = [host_ids]
-    core = ServiceCore(policy=policy, n_ways=n_ways, monitor_backend=monitor_backend)
+    core = ServiceCore(policy=policy, n_ways=n_ways)
     for host_id in host_ids:
         host = SimulatedHost(
             workload, seed=host_seed(seed, host_id), n_ways=n_ways

@@ -1,14 +1,13 @@
 """Per-host tenant state and the transport-free service core.
 
-:class:`HostSession` is the daemon's brain for one host.  Since the
-control plane moved onto the fused monitor kernel, per-app monitor state
-no longer lives in one Python :class:`~repro.runtime.monitor.AppMonitor`
-per application: every session shares one growable
-:class:`~repro.runtime.monitor.MonitorBank` (wrapped by
-:class:`BankIngest`), each app owning one bank *row*, and the session's
-``monitors`` dict holds :class:`~repro.runtime.monitor.BankMonitor` row
-views with the full ``AppMonitor`` API.  Decisions flow through the PR 5
-incremental decision layer unchanged:
+:class:`HostSession` is the daemon's brain for one host.  Per-app monitor
+state lives in one growable :class:`~repro.runtime.monitor.MonitorBank`
+shared by every session (wrapped by :class:`BankIngest`), each app owning
+one bank *row*; the session's ``monitors`` dict holds
+:class:`~repro.runtime.monitor.BankMonitor` row views.  The bank is the
+service's only ingest path: the sequential one-``AppMonitor``-per-app
+ingest it replaced is the parity oracle in ``tests/oracles.py``.
+Decisions flow through the incremental decision layer:
 
 * **lfoc** — a classification version vector over the live apps guards a
   fingerprint-keyed :class:`~repro.core.lfoc.LfocDecisionCache`, so an
@@ -27,9 +26,9 @@ fused :meth:`~repro.runtime.monitor.MonitorBank.observe_batch` call over
 *every* staged row of *every* host — that is
 :meth:`ServiceCore.handle_drain`, which the daemon feeds one batch of
 frames per event-loop pass.  Rows are arithmetically independent in
-``observe_batch``, so cross-host batching is bit-identical to the old
-per-app path; the one ordering hazard — two frames of the *same* host in
-one drain — is handled by flushing before the second is staged, which
+``observe_batch``, so cross-host batching is bit-identical to sequential
+per-app ingest; the one ordering hazard — two frames of the *same* host
+in one drain — is handled by flushing before the second is staged, which
 preserves exact sequential semantics (**ingest → depart → decide**, the
 order :func:`~repro.service.replay.offline_replay` pins).
 
@@ -49,7 +48,7 @@ restart by the *boot* token:
   reply is cleared, so a reply from a previous boot epoch can never be
   replayed into the new sequence space.  Parked monitors keep their
   classification, so a re-arriving application goes through
-  :meth:`~repro.runtime.monitor.AppMonitor.reset_for_restart` (warm-up
+  :meth:`~repro.runtime.monitor.BankMonitor.reset_for_restart` (warm-up
   and windows restart, the sweep outcome survives) instead of a cold
   start.
 
@@ -73,10 +72,9 @@ from repro.core.classification import AppClass, ClassificationThresholds
 from repro.core.lfoc import DEFAULT_PARAMS, LfocDecisionCache, LfocParams
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
-from repro.hardware.pmc import DerivedMetrics
 from repro.metrics.aggregate import short_mean
 from repro.policies.dunn import DunnPolicy
-from repro.runtime.monitor import AppMonitor, BankMonitor, MonitorBank, MonitorConfig
+from repro.runtime.monitor import BankMonitor, MonitorBank, MonitorConfig
 from repro.service import protocol
 from repro.service.protocol import ServiceProtocolError
 from repro.service.replay import MaskDecision, ReplayLog
@@ -84,24 +82,9 @@ from repro.service.replay import MaskDecision, ReplayLog
 __all__ = ["BankIngest", "HostSession", "ServiceCore"]
 
 POLICIES = ("lfoc", "dunn")
-MONITOR_BACKENDS = ("bank", "reference")
 
 #: Schema version of :meth:`ServiceCore.to_state` payloads.
 STATE_VERSION = 1
-
-
-def _metrics(llcmpkc: float, stall_fraction: float) -> DerivedMetrics:
-    """Monitor-facing metrics from a streamed sample (the monitors only read
-    ``llcmpkc`` and ``stall_fraction``; the other fields never left the
-    host, so they travel as zeros)."""
-    return DerivedMetrics(
-        ipc=0.0,
-        llcmpkc=float(llcmpkc),
-        llcmpki=0.0,
-        stall_fraction=float(stall_fraction),
-        instructions=0.0,
-        cycles=0.0,
-    )
 
 
 class _Pending:
@@ -113,9 +96,8 @@ class _Pending:
         self.kind = kind
         self.seq = seq
         #: ``(app, monitor)`` per staged sample, in frame order.
-        self.staged: List[Tuple[str, Union[AppMonitor, BankMonitor]]] = []
-        #: Trigger verdicts aligned with ``staged``; the bank path fills
-        #: these at flush time, the reference path immediately.
+        self.staged: List[Tuple[str, BankMonitor]] = []
+        #: Trigger verdicts aligned with ``staged``, filled at flush time.
         self.triggers: List[Optional[bool]] = []
         self.bye = kind == "host_bye"
 
@@ -216,14 +198,18 @@ class BankIngest:
         }
 
     @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "BankIngest":
+    def from_state(
+        cls, state: Mapping[str, Any], config: Optional[MonitorConfig] = None
+    ) -> "BankIngest":
+        """Rebuild from :meth:`to_state`; ``config`` configures the bank
+        when the image has none yet (no tenant ever arrived)."""
         bank_state = state.get("bank")
         if bank_state is not None:
             bank = MonitorBank.from_state(bank_state)
             ingest = cls(bank.config)
             ingest.bank = bank
         else:
-            ingest = cls()
+            ingest = cls(config)
         for host, apps in state.get("rows", {}).items():
             for app, row in apps.items():
                 ingest._row_of[(str(host), str(app))] = int(row)
@@ -252,34 +238,22 @@ class HostSession:
         monitor_config: Optional[MonitorConfig] = None,
         history_window: int = 5,
         replay: Optional[ReplayLog] = None,
-        monitor_backend: str = "bank",
         ingest: Optional[BankIngest] = None,
     ) -> None:
         if policy not in POLICIES:
             raise SimulationError(
                 f"unknown service policy {policy!r}; known: {', '.join(POLICIES)}"
             )
-        if monitor_backend not in MONITOR_BACKENDS:
-            raise SimulationError(
-                f"unknown monitor backend {monitor_backend!r}; known: "
-                f"{', '.join(MONITOR_BACKENDS)}"
-            )
         self.host = host
         self.policy = policy
         self.platform = platform or PlatformSpec()
         self.monitor_config = monitor_config or MonitorConfig()
         self.replay = replay if replay is not None else ReplayLog()
-        self.monitor_backend = monitor_backend
-        if monitor_backend == "bank":
-            self.ingest: Optional[BankIngest] = (
-                ingest if ingest is not None else BankIngest(self.monitor_config)
-            )
-        else:
-            self.ingest = None
+        self.ingest = ingest if ingest is not None else BankIngest(self.monitor_config)
         # -- tenant state --
         self.live: List[str] = []  # arrival order (decision input order)
-        self.monitors: Dict[str, Union[AppMonitor, BankMonitor]] = {}
-        self.parked: Dict[str, Union[AppMonitor, BankMonitor]] = {}
+        self.monitors: Dict[str, BankMonitor] = {}
+        self.parked: Dict[str, BankMonitor] = {}
         # -- session identity / idempotence --
         self.boot: Optional[int] = None
         self.epoch = 0
@@ -347,8 +321,7 @@ class HostSession:
         staged = self.stage(kind, payload)
         if not isinstance(staged, _Pending):
             return staged
-        if self.ingest is not None:
-            self.ingest.flush()
+        self.ingest.flush()
         return self.finish(staged)
 
     def stage(
@@ -426,10 +399,8 @@ class HostSession:
             # sweep outcome (class, slowdown table, critical size) is still
             # valid; the short-term state is not.
             monitor.reset_for_restart()
-        elif self.ingest is not None:
-            monitor = self.ingest.monitor(self.host, app)
         else:
-            monitor = AppMonitor(app, self.monitor_config)
+            monitor = self.ingest.monitor(self.host, app)
         self.monitors[app] = monitor
         self.live.append(app)
         self._stalls[app] = deque(maxlen=self.history_window)
@@ -449,8 +420,7 @@ class HostSession:
         samples: List[Mapping[str, Any]],
         classify: List[Mapping[str, Any]],
     ) -> None:
-        """Install sweep outcomes and stage (or, on the reference backend,
-        directly ingest) this frame's samples."""
+        """Install sweep outcomes and stage this frame's samples."""
         seen = set()
         for entry in samples:
             if entry["app"] in seen:
@@ -477,21 +447,13 @@ class HostSession:
                 continue  # sample for an app that departed in this batch
             self.samples_ingested += 1
             pending.staged.append((app, monitor))
-            if self.ingest is not None:
-                self.ingest.stage(
-                    pending,
-                    monitor,  # type: ignore[arg-type]
-                    entry["llcmpkc"],
-                    entry["stall_fraction"],
-                    float(entry["effective_ways"]),
-                )
-            else:
-                pending.triggers.append(
-                    monitor.observe(
-                        _metrics(entry["llcmpkc"], entry["stall_fraction"]),
-                        float(entry["effective_ways"]),
-                    )
-                )
+            self.ingest.stage(
+                pending,
+                monitor,
+                entry["llcmpkc"],
+                entry["stall_fraction"],
+                float(entry["effective_ways"]),
+            )
             self._stalls[app].append(float(entry["stall_fraction"]))
 
     # -- the decision layer -------------------------------------------------------------
@@ -648,7 +610,6 @@ class ServiceCore:
         params: LfocParams = DEFAULT_PARAMS,
         monitor_config: Optional[MonitorConfig] = None,
         replay: Optional[ReplayLog] = None,
-        monitor_backend: str = "bank",
     ) -> None:
         platform = PlatformSpec()
         if n_ways is not None:
@@ -658,15 +619,7 @@ class ServiceCore:
         self.params = params
         self.monitor_config = monitor_config
         self.replay = replay if replay is not None else ReplayLog()
-        if monitor_backend not in MONITOR_BACKENDS:
-            raise SimulationError(
-                f"unknown monitor backend {monitor_backend!r}; known: "
-                f"{', '.join(MONITOR_BACKENDS)}"
-            )
-        self.monitor_backend = monitor_backend
-        self.ingest: Optional[BankIngest] = (
-            BankIngest(monitor_config) if monitor_backend == "bank" else None
-        )
+        self.ingest = BankIngest(monitor_config)
         self.sessions: Dict[str, HostSession] = {}
         #: Hosts that have *ever* completed an orderly ``host_bye``.  Unlike
         #: ``HostSession.completed`` this survives a later reconnection (a
@@ -682,7 +635,6 @@ class ServiceCore:
             params=self.params,
             monitor_config=self.monitor_config,
             replay=self.replay,
-            monitor_backend=self.monitor_backend,
             ingest=self.ingest,
         )
 
@@ -727,8 +679,7 @@ class ServiceCore:
         staged_hosts: set = set()
 
         def flush_and_finish() -> None:
-            if self.ingest is not None:
-                self.ingest.flush()
+            self.ingest.flush()
             for index, session, pending in pendings:
                 try:
                     results[index] = session.finish(pending)
@@ -768,6 +719,14 @@ class ServiceCore:
             host for host, session in self.sessions.items() if session.completed
         )
 
+    def _ingest_totals(self) -> Dict[str, int]:
+        bank = self.ingest.bank
+        return {
+            "monitor_rows": len(bank) if bank is not None else 0,
+            "observe_batch_calls": self.ingest.observe_batch_calls,
+            "samples_ingested": self.ingest.samples_ingested,
+        }
+
     def metrics(self) -> Dict[str, Any]:
         """Read-only live counters (the ``metrics`` protocol reply body)."""
         hosts: Dict[str, Any] = {}
@@ -791,14 +750,7 @@ class ServiceCore:
         totals = {
             "hosts": len(self.sessions),
             "decisions": len(self.replay),
-            "backend": self.monitor_backend,
-            "monitor_rows": len(self.ingest.bank) if self.ingest and self.ingest.bank else 0,
-            "observe_batch_calls": self.ingest.observe_batch_calls if self.ingest else 0,
-            "samples_ingested": (
-                self.ingest.samples_ingested
-                if self.ingest
-                else sum(s.samples_ingested for s in self.sessions.values())
-            ),
+            **self._ingest_totals(),
         }
         return {"hosts": hosts, "classes": classes, "totals": totals}
 
@@ -813,18 +765,7 @@ class ServiceCore:
             "hosts": len(self.sessions),
             "completed": self.completed_hosts(),
             "decisions": len(self.replay),
-            "backend": self.monitor_backend,
-            "ingest": {
-                "observe_batch_calls": self.ingest.observe_batch_calls if self.ingest else 0,
-                "samples_ingested": (
-                    self.ingest.samples_ingested
-                    if self.ingest
-                    else sum(s.samples_ingested for s in self.sessions.values())
-                ),
-                "monitor_rows": (
-                    len(self.ingest.bank) if self.ingest and self.ingest.bank else 0
-                ),
-            },
+            "ingest": self._ingest_totals(),
             "sessions": {
                 host: session.summary() for host, session in sorted(self.sessions.items())
             },
@@ -842,11 +783,6 @@ class ServiceCore:
         recomputation is deterministic, so a restored daemon produces
         bit-identical decisions without it.
         """
-        if self.ingest is None:
-            raise SimulationError(
-                "snapshot/restore requires the 'bank' monitor backend "
-                "(the reference backend is a test oracle)"
-            )
         monitor_config = None
         if self.monitor_config is not None:
             monitor_config = {
@@ -898,9 +834,8 @@ class ServiceCore:
             n_ways=int(state["llc_ways"]),
             params=LfocParams(**{k: int(v) for k, v in state["params"].items()}),
             monitor_config=monitor_config,
-            monitor_backend="bank",
         )
-        core.ingest = BankIngest.from_state(state["ingest"])
+        core.ingest = BankIngest.from_state(state["ingest"], monitor_config)
         for record in state["replay"]:
             decision = MaskDecision.from_dict(record)
             if decision.index != len(core.replay.decisions):
@@ -913,7 +848,6 @@ class ServiceCore:
         for host, session_state in state["sessions"].items():
             session = core._new_session(host)
             session.live = [str(a) for a in session_state["live"]]
-            assert core.ingest is not None
             for app in session.live:
                 session.monitors[app] = core.ingest.monitor(host, app)
             for app in session_state["parked"]:

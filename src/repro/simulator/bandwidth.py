@@ -64,10 +64,6 @@ class BandwidthResult:
         """Ratio of total demand to the platform peak (>= 1 means saturation)."""
         return max(self.total_demand_gbs / self.peak_gbs, 0.0)
 
-    @property
-    def saturated(self) -> bool:
-        return self.total_demand_gbs > self.peak_gbs
-
 
 class BandwidthModel:
     """EFS-style bandwidth contention estimator."""
@@ -89,29 +85,14 @@ class BandwidthModel:
         self.sensitivity = sensitivity
         self.max_factor = max_factor
 
-    def solve(
-        self,
-        effective_ways: Mapping[str, float],
-        profiles: Mapping[str, AppProfile],
-        platform: PlatformSpec,
-    ) -> BandwidthResult:
-        """Compute per-application bandwidth demand and slowdown factors."""
-        _, demand, stall_fraction = read_demand(effective_ways, profiles, platform)
-        return self.solve_from_demand(demand, stall_fraction, platform)
-
     def solve_from_demand(
         self,
         demand: Dict[str, float],
         stall_fraction: Mapping[str, float],
         platform: PlatformSpec,
     ) -> BandwidthResult:
-        """Contention core: turn per-application demand/stall data into factors.
-
-        Split out of :meth:`solve` so callers that obtain the per-application
-        demands through a different (but numerically identical) route — the
-        incremental evaluation layer of :mod:`repro.simulator.estimator` —
-        share the exact over-commit arithmetic.
-        """
+        """Turn per-application demand/stall data (:func:`read_demand`) into
+        contention slowdown factors."""
         # A left fold: builtin sum() compensates float rounding from
         # Python 3.12 on, which would make over-commit version-dependent.
         total = 0.0

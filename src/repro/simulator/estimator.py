@@ -767,10 +767,10 @@ class ClusteringEstimator:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate_allocation(self, allocation: WayAllocation) -> ClusterEstimate:
-        """Evaluate an explicit (possibly overlapping) per-application allocation."""
-        for app in allocation.apps():
-            if app not in self.profiles:
-                raise SimulationError(f"no profile registered for application {app!r}")
+        """Evaluate an explicit (possibly overlapping) per-application allocation.
+
+        An application with no profile raises :class:`SimulationError` from
+        :meth:`OccupancyModel.solve`, before any other work."""
         occupancy = self.occupancy_model.solve(allocation, self.profiles)
         return _estimate(
             allocation, occupancy, self.profiles, self.platform, self.bandwidth_model

@@ -44,7 +44,12 @@ production code must reproduce *exactly* — same study rows, same
   counts);
 * :func:`build_dendrogram_reference`, :func:`evaluate_level_reference` and
   :func:`kpart_decide_reference` — KPart recomputing every distance and
-  combined miss curve.
+  combined miss curve;
+* :class:`ReferenceServiceCore` / :class:`ReferenceHostSession` and
+  :func:`reference_offline_replay` — the partitioning service with one
+  scalar :class:`~repro.runtime.AppMonitor` per application, each sample
+  observed as its frame is staged, which the fused ``MonitorBank`` ingest
+  must reproduce (same replies, same decision log).
 
 Around them sits the harness the differential tests (and deep local fuzz
 runs) are made of:
@@ -81,6 +86,7 @@ option (see ``conftest.py``); deep local runs crank it up::
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -89,6 +95,7 @@ import numpy as np
 from repro.analysis.figures import DynamicStudyRow
 from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile
+from repro.core.classification import AppClass
 from repro.core.lfoc import lfoc_clustering
 from repro.core.lookahead import lookahead
 from repro.core.types import ClusteringSolution, WayAllocation
@@ -96,7 +103,7 @@ from repro.errors import ClusteringError, SimulationError, SolverError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import CatController
 from repro.hardware.platform import PlatformSpec
-from repro.hardware.pmc import CounterDelta, derive_metrics
+from repro.hardware.pmc import CounterDelta, DerivedMetrics, derive_metrics
 from repro.metrics.aggregate import normalise, short_mean
 from repro.optimal.bnb import _bandwidth_factor_upper_bound
 from repro.optimal.exhaustive import OptimalResult, _validate_workload
@@ -118,6 +125,11 @@ from repro.runtime import (
     alone_completion_time,
 )
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
+from repro.service.agent import LocalTransport, drive_host
+from repro.service.protocol import ServiceProtocolError
+from repro.service.replay import ReplayLog
+from repro.service.session import HostSession, ServiceCore, _Pending
+from repro.service.simhost import SimulatedHost, churn_schedule, host_seed
 from repro.simulator import ClusteringEstimator
 from repro.simulator.occupancy import (
     OccupancyResult,
@@ -155,6 +167,9 @@ __all__ = [
     "build_dendrogram_reference",
     "evaluate_level_reference",
     "kpart_decide_reference",
+    "ReferenceHostSession",
+    "ReferenceServiceCore",
+    "reference_offline_replay",
 ]
 
 #: Scaled-down engine configuration: short runs with a tight partitioning
@@ -1596,3 +1611,114 @@ def kpart_decide_reference(
     return ClusteringSolution.from_groups(
         [list(g) for g in best[0]], list(best[1]), k
     )
+
+
+# ---------------------------------------------------------------------------
+# The sequential per-AppMonitor service ingest
+# ---------------------------------------------------------------------------
+
+
+def _metrics(llcmpkc: float, stall_fraction: float) -> DerivedMetrics:
+    """Monitor-facing metrics from a streamed sample (the monitors only read
+    ``llcmpkc`` and ``stall_fraction``; the other fields never left the
+    host, so they travel as zeros)."""
+    return DerivedMetrics(
+        ipc=0.0,
+        llcmpkc=float(llcmpkc),
+        llcmpki=0.0,
+        stall_fraction=float(stall_fraction),
+        instructions=0.0,
+        cycles=0.0,
+    )
+
+
+class ReferenceHostSession(HostSession):
+    """:class:`HostSession` with one scalar :class:`AppMonitor` per
+    application, observed directly as each sample is staged (the shared
+    bank is never staged into, so its flushes are no-ops)."""
+
+    def _arrive(self, app: str) -> None:
+        if app in self.monitors:
+            return  # duplicate arrival within one boot; idempotent
+        monitor = self.parked.pop(app, None)
+        if monitor is not None:
+            monitor.reset_for_restart()
+        else:
+            monitor = AppMonitor(app, self.monitor_config)
+        self.monitors[app] = monitor
+        self.live.append(app)
+        self._stalls[app] = deque(maxlen=self.history_window)
+
+    def _stage_samples(
+        self,
+        pending: _Pending,
+        samples: List[Mapping],
+        classify: List[Mapping],
+    ) -> None:
+        seen = set()
+        for entry in samples:
+            if entry["app"] in seen:
+                raise ServiceProtocolError(
+                    f"host {self.host!r} repeated app {entry['app']!r} within "
+                    "one monitor_samples batch"
+                )
+            seen.add(entry["app"])
+        for entry in classify:
+            monitor = self.monitors.get(entry["app"]) or self.parked.get(entry["app"])
+            if monitor is None:
+                continue  # classified app departed and never came back
+            monitor.set_classification(
+                AppClass(entry["class"]),
+                slowdown_table=entry["slowdown_table"],
+                critical_size=entry["critical_size"],
+            )
+        for entry in samples:
+            app = entry["app"]
+            monitor = self.monitors.get(app)
+            if monitor is None:
+                continue  # sample for an app that departed in this batch
+            self.samples_ingested += 1
+            pending.staged.append((app, monitor))
+            pending.triggers.append(
+                monitor.observe(
+                    _metrics(entry["llcmpkc"], entry["stall_fraction"]),
+                    float(entry["effective_ways"]),
+                )
+            )
+            self._stalls[app].append(float(entry["stall_fraction"]))
+
+
+class ReferenceServiceCore(ServiceCore):
+    """:class:`ServiceCore` whose sessions are :class:`ReferenceHostSession`\\ s."""
+
+    def _new_session(self, host: str) -> HostSession:
+        return ReferenceHostSession(
+            host,
+            policy=self.policy,
+            platform=self.platform,
+            params=self.params,
+            monitor_config=self.monitor_config,
+            replay=self.replay,
+            ingest=self.ingest,
+        )
+
+
+def reference_offline_replay(
+    host_ids,
+    workload,
+    *,
+    batches: int,
+    seed: int = 0,
+    policy: str = "lfoc",
+    n_ways: Optional[int] = None,
+) -> ReplayLog:
+    """:func:`~repro.service.replay.offline_replay` against a
+    :class:`ReferenceServiceCore`: the same hosts, seeds and frame order."""
+    if isinstance(host_ids, str):
+        host_ids = [host_ids]
+    core = ReferenceServiceCore(policy=policy, n_ways=n_ways)
+    for host_id in host_ids:
+        host = SimulatedHost(workload, seed=host_seed(seed, host_id), n_ways=n_ways)
+        churn = churn_schedule(host.apps, batches, host_seed(seed, host_id))
+        drive_host(host, LocalTransport(core, host_id), batches=batches, churn=churn)
+    return core.replay

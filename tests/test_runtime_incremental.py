@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import oracles
 from repro.apps import AppProfile, CurveSet
 from repro.apps.catalog import build_catalog
-from repro.apps.profile import FastProfileView, interp_ways
+from repro.apps.profile import (
+    FastProfileView,
+    bandwidth_gbs_from_llcmpkc,
+    interp_ways,
+    stall_fraction_from_llcmpkc,
+)
 from repro.core.types import WayAllocation
 from repro.errors import ProfileError, SimulationError
 from repro.hardware import skylake_gold_6138
@@ -188,12 +193,12 @@ class TestFastProfileView:
                 assert interp_ways(profile.llcmpkc_points, x) == mpkc
                 assert profile.ipc_at(x) == view.ipc_at(x) == ipc
                 assert profile.llcmpkc_at(x) == view.llcmpkc_at(x) == mpkc
-                assert view.stall_fraction_at(x, platform) == profile.stall_fraction_at(
-                    x, platform
-                )
-                assert view.bandwidth_gbs_at(x, platform) == profile.bandwidth_gbs_at(
-                    x, platform
-                )
+                assert stall_fraction_from_llcmpkc(
+                    view.llcmpkc_at(x), platform
+                ) == profile.stall_fraction_at(x, platform)
+                assert bandwidth_gbs_from_llcmpkc(
+                    view.llcmpkc_at(x), view.bytes_per_miss, platform
+                ) == profile.bandwidth_gbs_at(x, platform)
 
     def test_rejects_non_positive_ways(self, platform):
         profile = next(iter(build_catalog(platform.llc_ways).values()))

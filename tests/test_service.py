@@ -29,10 +29,11 @@ import zlib
 
 import pytest
 
+import oracles
 from repro.core.classification import AppClass
 from repro.errors import SimulationError
 from repro.experiments import ServiceSpec, SpecError
-from repro.runtime import PoolExecutor
+from repro.runtime import MonitorConfig, PoolExecutor
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import (
     FrameProtocolError,
@@ -773,7 +774,6 @@ class TestServiceSpec:
             replay_log="out.jsonl",
             snapshot="daemon.snapshot",
             snapshot_every_s=0.5,
-            monitor_backend="bank",
         )
         assert ServiceSpec.from_dict(spec.to_dict()) == spec
         assert ServiceSpec().to_dict() == {}
@@ -787,10 +787,6 @@ class TestServiceSpec:
             ServiceSpec(batches=0)
         with pytest.raises(SpecError, match="agent_chaos"):
             ServiceSpec(agent_chaos={"agent_kill_batch": [3]})
-        with pytest.raises(SpecError, match="monitor_backend"):
-            ServiceSpec(monitor_backend="threads")
-        with pytest.raises(SpecError, match="'bank' monitor backend"):
-            ServiceSpec(snapshot="x.snapshot", monitor_backend="reference")
 
     def test_load_toml(self, tmp_path):
         path = tmp_path / "service.toml"
@@ -802,7 +798,6 @@ class TestServiceSpec:
             "seed = 7\n"
             'snapshot = "daemon.snapshot"\n'
             "snapshot_every_s = 0.5\n"
-            'monitor_backend = "bank"\n'
             "[service.agent_chaos]\n"
             "agent_kill_batches = [3]\n"
         )
@@ -811,7 +806,6 @@ class TestServiceSpec:
         assert spec.workload == WORKLOAD
         assert spec.snapshot == "daemon.snapshot"
         assert spec.snapshot_every_s == 0.5
-        assert spec.monitor_backend == "bank"
         assert spec.fault_plan() == FaultPlan(agent_kill_batches=(3,))
 
 
@@ -905,7 +899,7 @@ def drive_drains(core, host_ids, *, batches, seed, use_drain):
                 owners.append(h)
         if not items:
             return deltas
-        calls_before = core.ingest.observe_batch_calls if core.ingest else 0
+        calls_before = core.ingest.observe_batch_calls
         if use_drain:
             results = core.handle_drain(items)
         else:
@@ -915,7 +909,7 @@ def drive_drains(core, host_ids, *, batches, seed, use_drain):
         for h, result in zip(owners, results):
             assert not isinstance(result, Exception), result
             h.apply(result)
-        calls_after = core.ingest.observe_batch_calls if core.ingest else 0
+        calls_after = core.ingest.observe_batch_calls
         deltas.append(calls_after - calls_before)
 
 
@@ -927,15 +921,11 @@ class TestBankBatchedIngestion:
             core.handle_hello(protocol.host_hello(host, 1, 0)[1])
 
     def test_bank_backend_matches_reference_backend_bit_for_bit(self):
-        """The tentpole parity pin: the fused-bank offline replay equals the
-        per-AppMonitor reference replay, multi-host, with churn."""
-        bank = offline_replay(
-            list(HOSTS), WORKLOAD, batches=BATCHES, seed=SEED,
-            monitor_backend="bank",
-        )
-        reference = offline_replay(
-            list(HOSTS), WORKLOAD, batches=BATCHES, seed=SEED,
-            monitor_backend="reference",
+        """The parity pin: the fused-bank offline replay equals the
+        per-AppMonitor oracle's replay, multi-host, with churn."""
+        bank = offline_replay(list(HOSTS), WORKLOAD, batches=BATCHES, seed=SEED)
+        reference = oracles.reference_offline_replay(
+            list(HOSTS), WORKLOAD, batches=BATCHES, seed=SEED
         )
         assert len(bank) > 0
         assert bank.signature() == reference.signature()
@@ -944,7 +934,7 @@ class TestBankBatchedIngestion:
         """A cross-host drain costs at most ONE fused observe_batch call and
         answers bit-identically to handling the same frames one by one."""
         batched = ServiceCore()
-        sequential = ServiceCore(monitor_backend="reference")
+        sequential = oracles.ReferenceServiceCore()
         self._hello_all(batched, self.HOSTS4)
         self._hello_all(sequential, self.HOSTS4)
         deltas = drive_drains(
@@ -972,7 +962,7 @@ class TestBankBatchedIngestion:
         documented order): a samples frame and the same host's depart frame
         in ONE drain must behave exactly as if handled back to back."""
         drained = ServiceCore()
-        sequential = ServiceCore(monitor_backend="reference")
+        sequential = oracles.ReferenceServiceCore()
         sweep = {
             "app": "a",
             "class": AppClass.STREAMING.value,
@@ -1176,10 +1166,16 @@ class TestSnapshotRestore:
         reply = restored.handle("h0", "app_arrive", protocol.app_arrive(1, "a")[1])
         assert restored.sessions["h0"].monitors["a"].app_class is AppClass.STREAMING
 
-    def test_reference_backend_refuses_snapshots(self):
-        core = ServiceCore(monitor_backend="reference")
-        with pytest.raises(SimulationError, match="bank"):
-            core.to_state()
+    def test_restore_before_any_arrival_keeps_the_monitor_config(self):
+        """A snapshot taken before the bank has a row still restores the
+        core's monitor config (it used to fall back to the default)."""
+        config = MonitorConfig(warmup_samples=1, history_window=2)
+        core = ServiceCore(monitor_config=config)
+        core.handle_hello(protocol.host_hello("h0", 1, 0)[1])
+        restored = ServiceCore.from_state(json.loads(json.dumps(core.to_state())))
+        assert restored.ingest.config == config
+        restored.handle("h0", "app_arrive", protocol.app_arrive(1, "a")[1])
+        assert restored.ingest.bank.config == config
 
     def test_snapshot_file_bytes_are_one_shot_json(self, tmp_path):
         core = self._mid_run_core()
@@ -1307,7 +1303,6 @@ class TestMetrics:
         kind, payload = check_frame(frame)  # the reply itself is schema-valid
         assert kind == "metrics_reply"
         assert payload["totals"]["hosts"] == 1
-        assert payload["totals"]["backend"] == "bank"
         assert payload["totals"]["observe_batch_calls"] >= 1
         assert payload["hosts"]["h0"]["live"] == 2
         assert payload["hosts"]["h0"]["classes"][AppClass.STREAMING.value] == 1

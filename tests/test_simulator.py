@@ -16,6 +16,13 @@ from repro.simulator import (
     combined_miss_curve,
     whirlpool_distance,
 )
+from repro.simulator.bandwidth import read_demand
+
+
+def _contention(model, effective_ways, profiles, platform):
+    """One curve read per application, then the over-commit arithmetic."""
+    _, demand, stall_fraction = read_demand(effective_ways, profiles, platform)
+    return model.solve_from_demand(demand, stall_fraction, platform)
 
 
 class TestOccupancyModel:
@@ -68,22 +75,22 @@ class TestOccupancyModel:
 class TestBandwidthModel:
     def test_no_contention_below_peak(self, platform, light_profile):
         model = BandwidthModel()
-        result = model.solve({"a": 11.0}, {"a": light_profile}, platform)
-        assert not result.saturated
+        result = _contention(model, {"a": 11.0}, {"a": light_profile}, platform)
+        assert result.total_demand_gbs <= result.peak_gbs
         assert result.slowdown_factors["a"] == 1.0
 
     def test_saturation_slows_memory_bound_apps_most(self, platform, catalog):
         profiles = {f"lbm{i}": catalog["lbm06"].renamed(f"lbm{i}") for i in range(12)}
         profiles["light"] = catalog["gamess06"].renamed("light")
         model = BandwidthModel()
-        result = model.solve({name: 1.0 for name in profiles}, profiles, platform)
-        assert result.saturated
+        result = _contention(model, {name: 1.0 for name in profiles}, profiles, platform)
+        assert result.total_demand_gbs > result.peak_gbs
         assert result.slowdown_factors["lbm0"] > result.slowdown_factors["light"]
 
     def test_factor_capped(self, platform, catalog):
         profiles = {f"lbm{i}": catalog["lbm06"].renamed(f"lbm{i}") for i in range(60)}
         model = BandwidthModel(max_factor=2.0)
-        result = model.solve({name: 0.5 for name in profiles}, profiles, platform)
+        result = _contention(model, {name: 0.5 for name in profiles}, profiles, platform)
         assert max(result.slowdown_factors.values()) <= 2.0
 
     def test_invalid_configuration_rejected(self):
@@ -102,13 +109,23 @@ class TestBandwidthModel:
         assert result.total_demand_gbs == 0.9999999999999999
 
     def test_overcommit_property(self, platform, streaming_profile):
-        result = BandwidthModel().solve({"a": 1.0}, {"a": streaming_profile}, platform)
+        result = _contention(
+            BandwidthModel(), {"a": 1.0}, {"a": streaming_profile}, platform
+        )
         assert result.overcommit == pytest.approx(
             result.total_demand_gbs / platform.peak_bw_gbs
         )
 
 
 class TestClusteringEstimator:
+    def test_unknown_application_in_allocation_raises(self, estimator):
+        allocation = WayAllocation(
+            masks={"gamess06": 0b11, "nosuch06": 0b1100}, total_ways=11
+        )
+        with pytest.raises(SimulationError) as info:
+            estimator.evaluate_allocation(allocation)
+        assert str(info.value) == "no profile registered for application 'nosuch06'"
+
     def test_unpartitioned_baseline_hurts_sensitive_apps(self, estimator):
         estimate = estimator.evaluate_unpartitioned()
         assert estimate.slowdowns["xalancbmk06"] > estimate.slowdowns["gamess06"]

@@ -421,6 +421,11 @@ class TestBoundaryErrors:
                 "ExecutorSpec.unsafe_pickle was removed (the safe codec is the "
                 "only wire codec; the pickle codec is gone); drop the "
                 "'unsafe_pickle' key from the executor table",
+            lambda: ServiceSpec.from_dict({"monitor_backend": "bank"}):
+                "ServiceSpec.monitor_backend was removed (the fused MonitorBank "
+                "is the only monitor ingest; the per-AppMonitor reference ingest "
+                "is a test oracle); drop the 'monitor_backend' key from the "
+                "service table",
         }
         for call, message in messages.items():
             with pytest.raises(SpecError) as info:
