@@ -14,9 +14,11 @@ the same seeded trace:
   final masks of every host converge to the golden run's;
 * **scale** (``--hosts N``) — N hosts' sample batches drain through the
   fused :class:`MonitorBank` ingest: every gathered drain costs exactly
-  ONE ``observe_batch`` call, and the batched decisions are bit-identical
-  to the per-``AppMonitor`` parity oracle (``tests/oracles.py``) handling
-  the same frames one by one;
+  ONE ``observe_batch`` call, the batched decisions and the decision
+  fast path's hit/miss counts are bit-identical to the per-``AppMonitor``
+  parity oracle (``tests/oracles.py``) handling the same frames one by
+  one, and the fused core's state (its bank grown row by row) round-trips
+  through ``ServiceCore.from_state``;
 * **restore** — a daemon is hard-killed mid-session by a scripted
   ``daemon_kill_decisions`` fault (no parting snapshot); a second daemon
   restores from the latest periodic snapshot on the same port and the
@@ -187,6 +189,27 @@ def scale_drill(n_hosts: int) -> None:
     check(
         set(fused_core.completed_hosts()) == set(host_ids),
         f"all {n_hosts} hosts completed through the gathered drain path",
+    )
+    fused_counts = decision_counts(fused_core)
+    check(
+        fused_counts == decision_counts(sequential_core),
+        f"decision fast path hit and missed as the per-app reference did "
+        f"({fused_counts[0]} computed, {fused_counts[1]} fast hits)",
+    )
+    state = fused_core.to_state()
+    check(
+        ServiceCore.from_state(state).to_state() == state,
+        f"the fused core's state, bank grown to "
+        f"{len(fused_core.ingest.bank)} rows, round-trips through from_state",
+    )
+
+
+def decision_counts(core: ServiceCore):
+    """Summed ``(decisions_computed, decision_fast_hits)`` over all hosts."""
+    sessions = core.sessions.values()
+    return (
+        sum(s.decisions_computed for s in sessions),
+        sum(s.decision_fast_hits for s in sessions),
     )
 
 

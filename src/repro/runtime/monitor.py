@@ -233,6 +233,23 @@ class AppMonitor:
 _CLASS_ORDER = (AppClass.UNKNOWN, AppClass.LIGHT, AppClass.STREAMING, AppClass.SENSITIVE)
 _CLASS_CODE = {app_class: code for code, app_class in enumerate(_CLASS_ORDER)}
 
+#: The bank's per-row NumPy arrays (leading axis = row); each one's
+#: :meth:`MonitorBank.state_dict` key is its name without the underscore.
+_ROW_ARRAYS = (
+    "warmup_remaining",
+    "samples_seen",
+    "class_code",
+    "in_sampling_mode",
+    "classification_version",
+    "class_changes",
+    "sampling_mode_entries",
+    "critical_eval",
+    "_win_values",
+    "_win_partials",
+    "_win_start",
+    "_win_live",
+)
+
 
 class MonitorBank:
     """Struct-of-arrays monitor state for many rows, with a fused observe.
@@ -278,6 +295,8 @@ class MonitorBank:
         self._win_partials = np.zeros((rows, window, 2))
         self._win_start = np.zeros(rows, dtype=np.int64)
         self._win_live = np.zeros(rows, dtype=np.int64)
+        #: Capacity buffers behind the per-row arrays, once add_row grew them.
+        self._buffers: Optional[Dict[str, np.ndarray]] = None
 
     # -- row addressing ---------------------------------------------------------
 
@@ -289,35 +308,35 @@ class MonitorBank:
 
         The partitioning service grows one shared bank as hosts register
         applications, so the bank must accept rows after construction.
-        Growth re-allocates the arrays at their exact new size — rows are
-        added a handful at a time and the arrays are tiny, and keeping
-        ``rows == len(names)`` preserves the invariant every other bank
-        consumer (the multi-run engine stacks whole banks) relies on.
+        Growth is amortized: the per-row arrays are exact-length views
+        (``rows == len(names)``, which every other bank consumer relies on)
+        into zero-filled capacity buffers that double when full, so a row
+        costs O(1) array work instead of one O(rows) reallocation per
+        array.  A bank built by the constructor or :meth:`from_state` has
+        no spare capacity until its first ``add_row``.
         """
         if name in self._row_of:
             raise SimulationError(f"duplicate monitor row {name!r}")
         row = len(self.names)
-        window = self.config.history_window
+        buffers = self._buffers
+        if buffers is None or row == buffers["samples_seen"].shape[0]:
+            buffers = {}
+            for attr in _ROW_ARRAYS:
+                current = getattr(self, attr)
+                buffer = np.zeros((2 * row,) + current.shape[1:], dtype=current.dtype)
+                buffer[:row] = current
+                buffers[attr] = buffer
+            self._buffers = buffers
+        for attr in _ROW_ARRAYS:
+            setattr(self, attr, buffers[attr][: row + 1])
+        # Spare rows are zero-filled, which is every field's cold value
+        # except these two (class code 0 is UNKNOWN).
+        self.warmup_remaining[row] = self.config.warmup_samples
+        self.critical_eval[row] = 1.0
         self.names.append(name)
         self._row_of[name] = row
-        self.warmup_remaining = np.append(
-            self.warmup_remaining, np.int64(self.config.warmup_samples)
-        )
-        self.samples_seen = np.append(self.samples_seen, np.int64(0))
-        self.class_code = np.append(self.class_code, np.int8(0))  # UNKNOWN
-        self.in_sampling_mode = np.append(self.in_sampling_mode, False)
-        self.classification_version = np.append(self.classification_version, np.int64(0))
-        self.class_changes = np.append(self.class_changes, np.int64(0))
-        self.sampling_mode_entries = np.append(self.sampling_mode_entries, np.int64(0))
-        self.critical_eval = np.append(self.critical_eval, 1.0)
         self.critical_size.append(None)
         self.slowdown_tables.append(None)
-        self._win_values = np.concatenate([self._win_values, np.zeros((1, window, 2))])
-        self._win_partials = np.concatenate(
-            [self._win_partials, np.zeros((1, window, 2))]
-        )
-        self._win_start = np.append(self._win_start, np.int64(0))
-        self._win_live = np.append(self._win_live, np.int64(0))
         return row
 
     def row_index(self, name: str) -> int:
@@ -592,34 +611,32 @@ class MonitorBank:
             f.name: getattr(self.config.thresholds, f.name)
             for f in dataclass_fields(self.config.thresholds)
         }
-        return {
+        state: Dict[str, Any] = {
             "names": list(self.names),
             "config": {
                 "warmup_samples": self.config.warmup_samples,
                 "history_window": self.config.history_window,
                 "thresholds": thresholds,
             },
-            "warmup_remaining": [int(x) for x in self.warmup_remaining],
-            "samples_seen": [int(x) for x in self.samples_seen],
-            "class_code": [int(x) for x in self.class_code],
-            "in_sampling_mode": [bool(x) for x in self.in_sampling_mode],
-            "classification_version": [int(x) for x in self.classification_version],
-            "class_changes": [int(x) for x in self.class_changes],
-            "sampling_mode_entries": [int(x) for x in self.sampling_mode_entries],
-            "critical_eval": [float(x) for x in self.critical_eval],
-            "critical_size": list(self.critical_size),
-            "slowdown_tables": [
-                list(t) if t is not None else None for t in self.slowdown_tables
-            ],
-            "win_values": self._win_values.tolist(),
-            "win_partials": self._win_partials.tolist(),
-            "win_start": [int(x) for x in self._win_start],
-            "win_live": [int(x) for x in self._win_live],
         }
+        # tolist() yields Python ints, bools and floats (nested per row for
+        # the window arrays), exactly what JSON needs.
+        for attr in _ROW_ARRAYS:
+            state[attr.lstrip("_")] = getattr(self, attr).tolist()
+        state["critical_size"] = list(self.critical_size)
+        state["slowdown_tables"] = [
+            list(t) if t is not None else None for t in self.slowdown_tables
+        ]
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "MonitorBank":
-        """Rebuild a bank from :meth:`state_dict` output (exact restore)."""
+        """Rebuild a bank from :meth:`state_dict` output (exact restore).
+
+        Every per-row field must hold exactly one entry per name (the
+        window arrays one ``(history_window, 2)`` block per name); a
+        mismatch raises :class:`SimulationError` naming the field.
+        """
         try:
             cfg = state["config"]
             config = MonitorConfig(
@@ -628,46 +645,41 @@ class MonitorBank:
                 thresholds=ClassificationThresholds(**cfg["thresholds"]),
             )
             bank = cls(state["names"], config)
-            rows, window = len(bank.names), config.history_window
-            bank.warmup_remaining = np.array(state["warmup_remaining"], dtype=np.int64)
-            bank.samples_seen = np.array(state["samples_seen"], dtype=np.int64)
-            bank.class_code = np.array(state["class_code"], dtype=np.int8)
-            bank.in_sampling_mode = np.array(state["in_sampling_mode"], dtype=bool)
-            bank.classification_version = np.array(
-                state["classification_version"], dtype=np.int64
-            )
-            bank.class_changes = np.array(state["class_changes"], dtype=np.int64)
-            bank.sampling_mode_entries = np.array(
-                state["sampling_mode_entries"], dtype=np.int64
-            )
-            bank.critical_eval = np.array(state["critical_eval"], dtype=float)
-            bank.critical_size = [
+            # The fresh bank's arrays give each field's dtype and shape.
+            arrays = {
+                attr: np.array(state[attr.lstrip("_")], dtype=getattr(bank, attr).dtype)
+                for attr in _ROW_ARRAYS
+            }
+            critical_size = [
                 int(x) if x is not None else None for x in state["critical_size"]
             ]
-            bank.slowdown_tables = [
+            slowdown_tables = [
                 [float(v) for v in t] if t is not None else None
                 for t in state["slowdown_tables"]
             ]
-            bank._win_values = np.array(state["win_values"], dtype=float).reshape(
-                rows, window, 2
-            )
-            bank._win_partials = np.array(state["win_partials"], dtype=float).reshape(
-                rows, window, 2
-            )
-            bank._win_start = np.array(state["win_start"], dtype=np.int64)
-            bank._win_live = np.array(state["win_live"], dtype=np.int64)
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed monitor bank state: {exc}") from exc
-        for name, arr in (
-            ("warmup_remaining", bank.warmup_remaining),
-            ("win_start", bank._win_start),
-            ("win_live", bank._win_live),
-        ):
-            if arr.shape[0] != rows:
+        rows = len(bank.names)
+        for attr, arr in arrays.items():
+            expected = getattr(bank, attr).shape
+            if arr.shape != expected:
                 raise SimulationError(
-                    f"monitor bank state {name} has {arr.shape[0]} rows, "
+                    f"monitor bank state {attr.lstrip('_')} has shape "
+                    f"{arr.shape}, expected {expected} for {rows} rows"
+                )
+        for key, column in (
+            ("critical_size", critical_size),
+            ("slowdown_tables", slowdown_tables),
+        ):
+            if len(column) != rows:
+                raise SimulationError(
+                    f"monitor bank state {key} has {len(column)} rows, "
                     f"expected {rows}"
                 )
+        for attr, arr in arrays.items():
+            setattr(bank, attr, arr)
+        bank.critical_size = critical_size
+        bank.slowdown_tables = slowdown_tables
         return bank
 
 

@@ -9,10 +9,12 @@ service's only ingest path: the sequential one-``AppMonitor``-per-app
 ingest it replaced is the parity oracle in ``tests/oracles.py``.
 Decisions flow through the incremental decision layer:
 
-* **lfoc** — a classification version vector over the live apps guards a
-  fingerprint-keyed :class:`~repro.core.lfoc.LfocDecisionCache`, so an
-  unchanged classification answers without re-running Algorithm 1 and a
-  *recurring* classification answers from the cache in O(changed apps);
+* **lfoc** — a classification version vector over the live apps (one
+  gather of the bank's ``classification_version`` at the live rows)
+  guards a fingerprint-keyed :class:`~repro.core.lfoc.LfocDecisionCache`,
+  so an unchanged classification answers without re-running Algorithm 1
+  and a *recurring* classification answers from the cache in O(changed
+  apps);
 * **dunn** — rolling stall-fraction windows per app feeding
   :meth:`~repro.policies.dunn.DunnPolicy.allocation_for_values` behind an
   LRU keyed on the exact stall vector bytes.
@@ -98,7 +100,7 @@ class _Pending:
         #: ``(app, monitor)`` per staged sample, in frame order.
         self.staged: List[Tuple[str, BankMonitor]] = []
         #: Trigger verdicts aligned with ``staged``, filled at flush time.
-        self.triggers: List[Optional[bool]] = []
+        self.triggers: List[bool] = []
         self.bye = kind == "host_bye"
 
 
@@ -109,9 +111,10 @@ class BankIngest:
     Rows are allocated per ``(host, app)`` on first arrival and live for
     the life of the daemon — a departed app keeps its row so a re-arrival
     restores its classification (the park/restart path).  ``stage`` queues
-    one sample for one row; ``flush`` ingests *all* queued samples through
-    a single :meth:`MonitorBank.observe_batch` call and writes the trigger
-    verdicts back into the pending frames they came from.
+    one frame's samples (its rows and three float columns) in one call;
+    ``flush`` ingests *all* queued samples through a single
+    :meth:`MonitorBank.observe_batch` call and writes the trigger verdicts
+    back into the pending frames they came from.
     """
 
     def __init__(self, config: Optional[MonitorConfig] = None) -> None:
@@ -123,7 +126,9 @@ class BankIngest:
         self._llc: List[float] = []
         self._stl: List[float] = []
         self._eff: List[float] = []
-        self._sinks: List[Tuple[_Pending, int]] = []
+        #: ``(pending, start, count)`` per staged frame: its slice of the
+        #: staged rows, whose verdicts flush appends to ``pending.triggers``.
+        self._sinks: List[Tuple[_Pending, int, int]] = []
         self.observe_batch_calls = 0
         self.samples_ingested = 0
 
@@ -145,25 +150,24 @@ class BankIngest:
     def stage(
         self,
         pending: _Pending,
-        monitor: BankMonitor,
-        llcmpkc: float,
-        stall_fraction: float,
-        effective_ways: float,
+        rows: List[int],
+        llcmpkc: List[float],
+        stall_fraction: List[float],
+        effective_ways: List[float],
     ) -> None:
-        row = monitor.row
-        if row in self._staged:
+        """Queue one frame's samples: bank ``rows`` and their float columns."""
+        if not self._staged.isdisjoint(rows):
             # Defence in depth: observe_batch must see each row once.  The
             # protocol rejects duplicate apps per frame and handle_drain
             # flushes before a host's second frame, so this cannot fire on
             # the wire paths — but a direct caller must not corrupt sums.
             self.flush()
-        self._staged.add(row)
-        self._rows.append(row)
-        self._llc.append(float(llcmpkc))
-        self._stl.append(float(stall_fraction))
-        self._eff.append(float(effective_ways))
-        pending.triggers.append(None)
-        self._sinks.append((pending, len(pending.triggers) - 1))
+        self._staged.update(rows)
+        self._sinks.append((pending, len(self._rows), len(rows)))
+        self._rows.extend(rows)
+        self._llc.extend(llcmpkc)
+        self._stl.extend(stall_fraction)
+        self._eff.extend(effective_ways)
 
     def flush(self) -> None:
         """One fused ``observe_batch`` over everything staged since the last
@@ -173,11 +177,11 @@ class BankIngest:
         assert self.bank is not None
         triggers = self.bank.observe_batch(
             self._llc, self._stl, self._eff, rows=self._rows
-        )
+        ).tolist()
         self.observe_batch_calls += 1
         self.samples_ingested += len(self._rows)
-        for (pending, position), verdict in zip(self._sinks, triggers):
-            pending.triggers[position] = bool(verdict)
+        for pending, start, count in self._sinks:
+            pending.triggers.extend(triggers[start : start + count])
         self._rows, self._llc, self._stl, self._eff = [], [], [], []
         self._sinks = []
         self._staged = set()
@@ -265,7 +269,9 @@ class HostSession:
         # -- decision layer (lfoc) --
         self.params = params
         self._decision_cache = LfocDecisionCache(params=params)
-        self._last_versions: Optional[Tuple[Tuple[str, int], ...]] = None
+        self._last_versions: Optional[Tuple[Tuple[str, ...], bytes]] = None
+        #: ``live`` as a tuple plus its bank rows; rebuilt after churn.
+        self._live_rows: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
         self._last_allocation_masks: Optional[Dict[str, int]] = None
         self._last_pushed: Optional[Dict[str, int]] = None
         self.decision_fast_hits = 0
@@ -297,6 +303,7 @@ class HostSession:
             for app in self.live:
                 self.parked[app] = self.monitors.pop(app)
             self.live = []
+            self._live_rows = None
             self._stalls = {}
             self.last_seq = 0
             self._last_reply = None
@@ -403,6 +410,7 @@ class HostSession:
             monitor = self.ingest.monitor(self.host, app)
         self.monitors[app] = monitor
         self.live.append(app)
+        self._live_rows = None
         self._stalls[app] = deque(maxlen=self.history_window)
 
     def _depart(self, app: str) -> None:
@@ -410,6 +418,7 @@ class HostSession:
             return  # departing an unknown app is a no-op, not a crash
         self.parked[app] = self.monitors.pop(app)
         self.live.remove(app)
+        self._live_rows = None
         self._stalls.pop(app, None)
 
     # -- samples ----------------------------------------------------------------------
@@ -440,21 +449,25 @@ class HostSession:
                 slowdown_table=entry["slowdown_table"],
                 critical_size=entry["critical_size"],
             )
+        rows: List[int] = []
+        llcmpkc: List[float] = []
+        stall_fraction: List[float] = []
+        effective_ways: List[float] = []
         for entry in samples:
             app = entry["app"]
             monitor = self.monitors.get(app)
             if monitor is None:
                 continue  # sample for an app that departed in this batch
-            self.samples_ingested += 1
+            stall = float(entry["stall_fraction"])
             pending.staged.append((app, monitor))
-            self.ingest.stage(
-                pending,
-                monitor,
-                entry["llcmpkc"],
-                entry["stall_fraction"],
-                float(entry["effective_ways"]),
-            )
-            self._stalls[app].append(float(entry["stall_fraction"]))
+            rows.append(monitor.row)
+            llcmpkc.append(float(entry["llcmpkc"]))
+            stall_fraction.append(stall)
+            effective_ways.append(float(entry["effective_ways"]))
+            self._stalls[app].append(stall)
+        if rows:
+            self.samples_ingested += len(rows)
+            self.ingest.stage(pending, rows, llcmpkc, stall_fraction, effective_ways)
 
     # -- the decision layer -------------------------------------------------------------
 
@@ -474,9 +487,7 @@ class HostSession:
             return self._decide_dunn()
         # Algorithm 1's inputs change only when a sweep outcome lands or the
         # tenant set changes; both are visible in the version vector.
-        versions = tuple(
-            (app, self.monitors[app].classification_version) for app in self.live
-        )
+        versions = self._classification_key()
         if versions == self._last_versions and self._last_allocation_masks is not None:
             self.decision_fast_hits += 1
             return self._last_allocation_masks
@@ -500,6 +511,16 @@ class HostSession:
         self._last_allocation_masks = dict(allocation.masks)
         self.decisions_computed += 1
         return self._last_allocation_masks
+
+    def _classification_key(self) -> Tuple[Tuple[str, ...], bytes]:
+        """The live tenants and their classification versions, read from
+        the bank in one gather over the live rows."""
+        if self._live_rows is None:
+            rows = [self.monitors[app].row for app in self.live]
+            self._live_rows = (tuple(self.live), np.array(rows, dtype=np.intp))
+        live, rows = self._live_rows
+        assert self.ingest.bank is not None  # a live app owns a bank row
+        return live, self.ingest.bank.classification_version[rows].tobytes()
 
     def _decide_dunn(self) -> Optional[Dict[str, int]]:
         if any(not self._stalls[app] for app in self.live):

@@ -1,22 +1,26 @@
 """CRC-guarded snapshot files for the partitioning daemon.
 
 A snapshot is one JSON document wrapping
-:meth:`~repro.service.session.ServiceCore.to_state`:
+:meth:`~repro.service.session.ServiceCore.to_state`, written as one line
+with the envelope keys in sorted order:
 
 .. code-block:: json
 
-    {"format": "repro-service-snapshot", "version": 1,
-     "crc32": 123456789, "state": { ... }}
+    {"crc32": 123456789, "format": "repro-service-snapshot", "state": {...}, "version": 1}
 
 The checksum covers the canonical serialization of ``state``
-(``json.dumps(..., sort_keys=True)``), and loading re-serializes the
-parsed state to verify it — floats round-trip exactly through JSON
-(``repr`` is shortest-round-trip), so the canonical bytes are
-reproducible and a flipped bit anywhere in the state is caught before a
-daemon resumes from it.  Writes go through a temp file in the target
-directory followed by :func:`os.replace`, so a daemon killed mid-write
-leaves the previous snapshot intact rather than a torn file — "restore
-from the latest snapshot" always means the latest *complete* one.
+(``json.dumps(..., sort_keys=True, separators=(",", ":"))``), and the
+file embeds exactly those bytes, so a save encodes the state once.
+Loading parses the whole document and re-serializes the parsed state to
+verify it, so it accepts any JSON layout of the same envelope (files
+whose state was written with default separators load too).  Floats
+round-trip exactly through JSON (``repr`` is shortest-round-trip), so
+the canonical bytes are reproducible and a flipped bit anywhere in the
+state is caught before a daemon resumes from it.  Writes go through a
+temp file in the target directory followed by :func:`os.replace`, so a
+daemon killed mid-write leaves the previous snapshot intact rather than
+a torn file — "restore from the latest snapshot" always means the latest
+*complete* one.
 """
 
 from __future__ import annotations
@@ -41,21 +45,18 @@ def _canonical(state: Dict[str, Any]) -> bytes:
 
 def save_snapshot(core: ServiceCore, path: str) -> None:
     """Atomically persist ``core``'s full control-plane state to ``path``."""
-    state = core.to_state()
-    body = _canonical(state)
-    envelope = {
-        "format": SNAPSHOT_FORMAT,
-        "version": _ENVELOPE_VERSION,
-        "crc32": zlib.crc32(body) & 0xFFFFFFFF,
-        "state": state,
-    }
+    body = _canonical(core.to_state())
+    crc = zlib.crc32(body) & 0xFFFFFFFF
+    # The envelope is written around the canonical bytes the CRC covers;
+    # its keys appear in sorted order, as json.dumps(sort_keys=True) has them.
+    head = (
+        f'{{"crc32": {crc}, "format": {json.dumps(SNAPSHOT_FORMAT)}, "state": '
+    ).encode("utf-8")
+    tail = f', "version": {_ENVELOPE_VERSION}}}\n'.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    # One-shot dumps runs the C encoder; streaming json.dump would run the
-    # pure-Python one.  Both write the same bytes.
-    text = json.dumps(envelope, sort_keys=True) + "\n"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(tmp_path, "wb") as handle:
+        handle.writelines((head, body, tail))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)

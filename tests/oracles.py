@@ -1635,7 +1635,14 @@ def _metrics(llcmpkc: float, stall_fraction: float) -> DerivedMetrics:
 class ReferenceHostSession(HostSession):
     """:class:`HostSession` with one scalar :class:`AppMonitor` per
     application, observed directly as each sample is staged (the shared
-    bank is never staged into, so its flushes are no-ops)."""
+    bank is never staged into, so its flushes are no-ops).  Its decision
+    fast path keys on the per-app ``(app, classification_version)`` tuple
+    the bank session's one-gather key replaced."""
+
+    def _classification_key(self):
+        return tuple(
+            (app, self.monitors[app].classification_version) for app in self.live
+        )
 
     def _arrive(self, app: str) -> None:
         if app in self.monitors:
@@ -1701,6 +1708,19 @@ class ReferenceServiceCore(ServiceCore):
             replay=self.replay,
             ingest=self.ingest,
         )
+
+    def drop_memoization(self) -> None:
+        """Forget the decision memos (fast-path key, Algorithm 1 cache,
+        Dunn LRU) exactly as a ``to_state`` → ``from_state`` round trip of
+        the production core does, so the fast-hit counters stay comparable
+        across a restore."""
+        for host, session in self.sessions.items():
+            fresh = self._new_session(host)
+            for attr in (
+                "_decision_cache", "_last_versions", "_last_allocation_masks",
+                "_dunn_cache",
+            ):
+                setattr(session, attr, getattr(fresh, attr))
 
 
 def reference_offline_replay(

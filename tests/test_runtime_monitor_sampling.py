@@ -151,6 +151,130 @@ def _monitor_scripts(draw):
     return n_apps, config, steps
 
 
+#: The bank attributes holding one entry per row.
+_PER_ROW_ATTRS = (
+    "warmup_remaining",
+    "samples_seen",
+    "class_code",
+    "in_sampling_mode",
+    "classification_version",
+    "class_changes",
+    "sampling_mode_entries",
+    "critical_eval",
+    "critical_size",
+    "slowdown_tables",
+    "_win_values",
+    "_win_partials",
+    "_win_start",
+    "_win_live",
+)
+#: Their ``MonitorBank.state_dict`` keys.
+_PER_ROW_STATE = tuple(attr.lstrip("_") for attr in _PER_ROW_ATTRS)
+#: Rows a grown bank ends with: past the doublings to 2, 4, 8, 16 and 32.
+_GROWN_ROWS = 20
+
+
+@st.composite
+def _growth_scripts(draw):
+    config = MonitorConfig(
+        warmup_samples=draw(st.integers(min_value=0, max_value=3)),
+        history_window=draw(st.sampled_from([1, 2, 3, 5])),
+    )
+    sample = st.tuples(_VALUES, _VALUES, _VALUES)  # (llcmpkc, stall, ways)
+    row = st.integers(0, _GROWN_ROWS - 1)  # taken modulo the grown length
+    step = st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4)),
+        st.tuples(
+            st.just("observe"),
+            st.lists(sample, min_size=_GROWN_ROWS, max_size=_GROWN_ROWS),
+            st.lists(st.booleans(), min_size=_GROWN_ROWS, max_size=_GROWN_ROWS),
+        ),
+        st.tuples(
+            st.just("observe_all"),
+            st.lists(sample, min_size=_GROWN_ROWS, max_size=_GROWN_ROWS),
+        ),
+        st.tuples(st.just("observe_row"), row, sample),
+        st.tuples(
+            st.just("classify"),
+            row,
+            st.sampled_from(_CLASSES),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        ),
+        st.tuples(st.just("begin"), row),
+    )
+    return config, draw(st.lists(step, min_size=1, max_size=40))
+
+
+class TestGrownBank:
+    """A bank grown row by row through ``add_row`` behaves exactly like one
+    built with every name at once and driven the same way."""
+
+    @staticmethod
+    def _assert_grown_matches(grown, full):
+        rows = len(grown)
+        for attr in _PER_ROW_ATTRS:
+            assert len(getattr(grown, attr)) == rows, attr
+        mine, theirs = grown.state_dict(), full.state_dict()
+        for key, value in mine.items():
+            if key in _PER_ROW_STATE or key == "names":
+                assert value == theirs[key][:rows], key
+            else:
+                assert value == theirs[key], key
+
+    @settings(max_examples=40, deadline=None)
+    @given(_growth_scripts())
+    def test_grown_bank_equals_a_bank_built_at_once(self, script):
+        config, steps = script
+        names = [f"app{i}" for i in range(_GROWN_ROWS)]
+        full = MonitorBank(names, config)
+        grown = MonitorBank(names[:1], config)
+        for step in steps:
+            rows = len(grown)
+            if step[0] == "add":
+                for name in names[rows : rows + step[1]]:
+                    assert grown.add_row(name) == full.row_index(name)
+            elif step[0] == "observe":
+                _, samples, included = step
+                picked = [i for i in range(rows) if included[i]]
+                if picked:
+                    columns = [[samples[i][c] for i in picked] for c in range(3)]
+                    assert list(grown.observe_batch(*columns, rows=picked)) == list(
+                        full.observe_batch(*columns, rows=picked)
+                    )
+            elif step[0] == "observe_all":
+                columns = [[sample[c] for sample in step[1][:rows]] for c in range(3)]
+                assert list(grown.observe_batch(*columns)) == list(
+                    full.observe_batch(*columns, rows=list(range(rows)))
+                )
+            elif step[0] == "observe_row":
+                _, row, sample = step
+                row %= rows
+                assert grown.observe_row(row, *sample) == full.observe_row(row, *sample)
+            elif step[0] == "classify":
+                _, row, app_class, critical = step
+                row %= rows
+                table = [1.2] * 4 if app_class is AppClass.SENSITIVE else None
+                for bank in (grown, full):
+                    bank.set_classification(
+                        row, app_class, slowdown_table=table, critical_size=critical
+                    )
+            else:
+                row = step[1] % rows
+                grown.begin_sampling(row)
+                full.begin_sampling(row)
+            self._assert_grown_matches(grown, full)
+        restored = MonitorBank.from_state(grown.state_dict())
+        assert restored.state_dict() == grown.state_dict()
+        for name in names[len(grown):]:
+            grown.add_row(name)
+            restored.add_row(name)
+        assert grown.state_dict() == full.state_dict() == restored.state_dict()
+        llc, stl, eff = [5.0] * _GROWN_ROWS, [0.3] * _GROWN_ROWS, [4.0] * _GROWN_ROWS
+        expected = list(full.observe_batch(llc, stl, eff))
+        assert list(grown.observe_batch(llc, stl, eff)) == expected
+        assert list(restored.observe_batch(llc, stl, eff)) == expected
+
+
 class TestMonitorBankEquivalence:
     """The fused bank must reproduce the scalar AppMonitor bit for bit."""
 
@@ -318,6 +442,20 @@ class TestMonitorBankEquivalence:
         truncated["warmup_remaining"] = [0]  # row count mismatch
         with pytest.raises(SimulationError):
             MonitorBank.from_state(truncated)
+
+    @pytest.mark.parametrize("field", _PER_ROW_STATE)
+    def test_from_state_rejects_a_short_per_row_field(self, field):
+        state = MonitorBank(["a", "b", "c"]).state_dict()
+        state[field] = state[field][:1]
+        with pytest.raises(SimulationError, match=f"monitor bank state {field} "):
+            MonitorBank.from_state(state)
+
+    @pytest.mark.parametrize("field", ["win_values", "win_partials"])
+    def test_from_state_rejects_a_window_of_the_wrong_depth(self, field):
+        state = MonitorBank(["a", "b"], MonitorConfig(history_window=3)).state_dict()
+        state[field] = [rows[:2] for rows in state[field]]
+        with pytest.raises(SimulationError, match=f"monitor bank state {field} "):
+            MonitorBank.from_state(state)
 
     def test_warmup_boundary_and_sampling_reset_and_short_window(self):
         # The three named edge cases, deterministically: a sample batch that

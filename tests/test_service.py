@@ -1178,9 +1178,28 @@ class TestSnapshotRestore:
         assert restored.ingest.bank.config == config
 
     def test_snapshot_file_bytes_are_one_shot_json(self, tmp_path):
+        """One JSON document around the exact bytes the CRC covers."""
         core = self._mid_run_core()
         path = tmp_path / "daemon.snapshot"
         save_snapshot(core, str(path))
+        state = core.to_state()
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+        expected = (
+            f'{{"crc32": {crc}, "format": "{SNAPSHOT_FORMAT}", '
+            f'"state": {canonical}, "version": 1}}\n'
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert json.loads(path.read_bytes()) == {
+            "format": SNAPSHOT_FORMAT, "version": 1, "crc32": crc, "state": state,
+        }
+        restored = load_snapshot(str(path))
+        assert restored.to_state() == core.to_state()
+
+    def test_snapshot_in_the_default_separator_layout_still_loads(self, tmp_path):
+        """Files whose state was encoded with ``json.dumps`` default
+        separators (one document, envelope keys sorted) restore alike."""
+        core = self._mid_run_core()
         state = core.to_state()
         canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
         envelope = {
@@ -1189,10 +1208,10 @@ class TestSnapshotRestore:
             "crc32": zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF,
             "state": state,
         }
-        expected = json.dumps(envelope, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
+        path = tmp_path / "daemon.snapshot"
+        path.write_text(json.dumps(envelope, sort_keys=True) + "\n", encoding="utf-8")
         restored = load_snapshot(str(path))
-        assert restored.to_state() == core.to_state()
+        assert restored.to_state() == state
 
     def test_snapshot_file_round_trip_and_crc_guard(self, tmp_path):
         core = self._mid_run_core()

@@ -7,8 +7,9 @@ one frame at a time) with the same random frames: hellos under the same and
 a new boot token, tenant churn, monitor samples carrying sweep outcomes,
 duplicate and stale sequence numbers, sequence gaps and ``host_bye``.
 Mid-run the production core is replaced by its own ``to_state`` →
-``from_state`` image.  After every step both cores must have answered
-alike and hold the same decision log and session bookkeeping.
+``from_state`` image (and the oracle forgets the decision memos the
+restore drops).  After every step both cores must have answered alike and
+hold the same decision log, session bookkeeping and decision counters.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class ServiceCoreMachine(RuleBasedStateMachine):
         state = json.loads(json.dumps(self.bank.to_state()))
         self.bank = ServiceCore.from_state(state)
         assert json.loads(json.dumps(self.bank.to_state())) == state
+        self.reference.drop_memoization()
 
     @invariant()
     def cores_agree(self):
@@ -169,6 +171,11 @@ class ServiceCoreMachine(RuleBasedStateMachine):
             other = self.reference.sessions[host]
             assert (session.epoch, session.last_seq, session.completed) == (
                 other.epoch, other.last_seq, other.completed
+            )
+            # The bank's one-gather decision key hits and misses exactly
+            # where the oracle's per-app version tuple does.
+            assert (session.decisions_computed, session.decision_fast_hits) == (
+                other.decisions_computed, other.decision_fast_hits
             )
             assert session.live == other.live
             assert sorted(session.parked) == sorted(other.parked)
