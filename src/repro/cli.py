@@ -58,13 +58,25 @@ spawns and babysits N local agents in one command:
 ``--checkpoint``/``--resume`` make long studies crash-safe: completed
 scenarios are appended durably (with per-line checksums) and a re-run
 skips them.
+
+Every flag that sets a spec field is generated from that field by
+:func:`_spec_flags`: the ``serve`` flags (:class:`ServiceSpec`), the host
+flags of ``agent``, the execution flags of ``run`` and ``tournament run``
+(``StudySpec``/``TournamentSpec`` and :class:`ExecutorSpec`) and the engine
+flags of ``fig7`` and ``sweep`` (:class:`EngineSpec`).  The field's type,
+choices and help make the flag, an omitted flag leaves the spec's default,
+and the given flags build the spec through ``from_dict``, so every check
+stays with the spec.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Any, Optional, Sequence
+import typing
+from math import nan
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis import (
     default_static_policies,
@@ -90,22 +102,126 @@ from repro.analysis import (
 )
 from repro.experiments import (
     DYNAMIC_ROW_FIELDS,
-    EXECUTORS,
     STATIC_ROW_FIELDS,
     EngineSpec,
     ExecutorSpec,
     ServiceSpec,
     StudyResult,
+    StudySpec,
     build_sweep_study,
     dump_study_spec,
     load_study_spec,
     run_study,
 )
-from repro.runtime import EngineConfig
+from repro.errors import SpecError
+from repro.experiments.schema import SpecField, spec_fields
+from repro.tournament import TournamentSpec
 from repro.version import PAPER, __version__
 from repro.workloads import dynamic_study_workloads, static_study_workloads
 
 __all__ = ["main", "build_parser"]
+
+
+#: Flag names that are not their field's name (see :func:`_spec_flags`).
+_RENAMED = {
+    "EngineSpec.instructions_per_run": "instructions",
+    "ExecutorSpec.name": "executor",
+}
+
+#: The engine of ``fig7`` and ``sweep`` before their flags apply.
+_ENGINE_PRESET = dict(instructions_per_run=1.0e9, min_completions=2, record_traces=False)
+
+
+def _flag(f: SpecField) -> str:
+    name = _RENAMED.get(f.where) or f.name.removesuffix("_s").replace("_", "-")
+    return f"--{name}"
+
+
+class _JsonText:
+    """``type=`` of the mapping flags: JSON text, whose parse error names the flag."""
+
+    def __init__(self, flag: str) -> None:
+        self.flag = flag
+
+    def __call__(self, text: str) -> Any:
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise SpecError(f"{self.flag} is not valid JSON: {exc}") from exc
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _spec_flags(parser, cls: type, names: Sequence[str] = (), *, required: Sequence[str] = ()):
+    """Add one flag per listed field of spec class ``cls`` (all fields if none).
+
+    The flag is the field name with ``_`` as ``-`` and a trailing ``_s``
+    dropped, unless :data:`_RENAMED` names it.  Its type is the field's
+    scalar type (JSON text for mappings and nested specs), its choices and
+    help come from the field's metadata, and its default is ``None``: the
+    spec's own default.  The value is stored under the field's qualified
+    name (``ServiceSpec.batches``), where :func:`_given` reads it.
+    """
+    plan = {f.name: f for f in spec_fields(cls)}
+    for f in [plan[name] for name in names] if names else plan.values():
+        flag, tp, choices = _flag(f), f.type, f.meta.get("choices")
+        if typing.get_origin(tp) is typing.Union:
+            tp = next(a for a in typing.get_args(tp) if a is not type(None))
+        if tp not in (int, float, str):
+            tp, metavar = _JsonText(flag), "JSON"
+        elif choices is not None:
+            metavar = None
+        elif tp is int:
+            metavar = "N"
+        elif "parse" in f.meta:
+            metavar = "HOST:PORT"
+        else:
+            metavar = "S" if f.name.endswith("_s") else flag[2:].upper().replace("-", "_")
+        action = parser.add_argument(
+            flag,
+            dest=f.where,
+            type=tp,
+            choices=choices,
+            metavar=metavar,
+            required=f.name in required,
+            help=f.meta.get("help"),
+        )
+        action.spec_field = f
+
+
+def _given(args: argparse.Namespace, cls: type) -> Dict[str, Any]:
+    """The fields of ``cls`` whose flags were given, by field name."""
+    values = ((f.name, getattr(args, f.where, None)) for f in spec_fields(cls))
+    return {name: value for name, value in values if value is not None}
+
+
+def _spec_from_flags(cls: type, args: argparse.Namespace, **base: Any):
+    """``cls`` from ``base`` and the given flags, checked by ``cls.from_dict``."""
+    return cls.from_dict({**base, **_given(args, cls)})
+
+
+def _execution_flags(parser, cls: type, label: str, executor: Sequence[str]) -> None:
+    """The spec and execution flags ``run`` and ``tournament run`` share."""
+    parser.add_argument("spec", help=f"path to the {label} spec (.toml or .json)")
+    _spec_flags(parser, cls, ("jobs",))
+    _spec_flags(parser, ExecutorSpec, ("name", "workers", "bind", *executor))
+    _spec_flags(parser, cls, ("fault_tolerance",))
+    parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="FILE",
+        help="durably append each completed scenario to this JSONL file (crash-safe)",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip scenarios already completed in --checkpoint instead of starting fresh",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="benchmark classification (Table 1)")
 
     fig2 = sub.add_parser("fig2", help="optimal clustering breakdown (Fig. 2)")
-    fig2.add_argument("--workloads", type=int, default=8, help="number of random mixes")
+    fig2.add_argument("--workloads", type=_count, default=8, help="number of random mixes")
     fig2.add_argument("--size", type=int, default=8, help="applications per mix")
 
     fig3 = sub.add_parser("fig3", help="optimal clustering vs partitioning (Fig. 3)")
     fig3.add_argument("--sizes", type=int, nargs="+", default=[4, 5, 6, 7, 8])
-    fig3.add_argument("--per-size", type=int, default=3, help="workloads per size")
+    fig3.add_argument("--per-size", type=_count, default=3, help="workloads per size")
 
     sub.add_parser("fig4", help="LLCMPKC phase trace of fotonik3d (Fig. 4)")
     sub.add_parser("fig5", help="workload composition matrix (Fig. 5)")
@@ -144,94 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig7 = sub.add_parser("fig7", help="dynamic policy study (Fig. 7)")
     fig7.add_argument("--quick", action="store_true", help="only the 8-app workloads")
-    fig7.add_argument(
-        "--instructions", type=float, default=1.0e9, help="instructions per completion"
-    )
+    _spec_flags(fig7, EngineSpec, ("instructions_per_run",))
     fig7.add_argument("--jobs", **jobs_kwargs)
 
     table2 = sub.add_parser("table2", help="algorithm execution cost (Table 2)")
     table2.add_argument("--sizes", type=int, nargs="+", default=[4, 5, 6, 7, 8, 9, 10, 11])
-    table2.add_argument("--repetitions", type=int, default=5)
+    table2.add_argument("--repetitions", type=_count, default=5)
 
     run = sub.add_parser(
         "run", help="run a declarative study from a .toml/.json spec file"
     )
-    run.add_argument("spec", help="path to the study spec (.toml or .json)")
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's worker-process count (0 = all available CPUs)",
-    )
-    run.add_argument(
-        "--executor",
-        default=None,
-        metavar="NAME",
-        help="execution backend (registered executors: "
-        f"{', '.join(EXECUTORS.names())}); overrides the spec and --jobs",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="executor worker count: pool size (pool) or workers required "
-        "before dispatch (tcp)",
-    )
-    run.add_argument(
-        "--bind",
-        default=None,
-        metavar="HOST:PORT",
-        help="tcp coordinator listen address (default 127.0.0.1:0 = any free "
-        "port); workers join with `worker --connect HOST:PORT`",
-    )
-    run.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="tcp: declare a worker lost when one run takes longer than S "
-        "seconds and resubmit it (default: no bound)",
-    )
-    run.add_argument(
-        "--heartbeat-grace",
-        type=float,
-        default=None,
-        metavar="S",
-        help="tcp: drop a worker whose ping goes unanswered for S seconds "
-        "(default: max(3 * heartbeat, 10))",
-    )
-    run.add_argument(
-        "--chaos",
-        default=None,
-        metavar="JSON",
-        help="tcp: coordinator-side fault plan as JSON, e.g. "
-        '\'{"corrupt_frames": [1], "drop_frames": [3]}\' '
-        "(deterministic resilience drills)",
-    )
-    run.add_argument(
-        "--fault-tolerance",
-        default=None,
-        metavar="JSON",
-        help="retry/quarantine policy as JSON, e.g. "
-        '\'{"max_attempts": 3, "backoff_s": 0.5}\' (or "true" for the '
-        "defaults, \"false\" to disable): failed runs are retried with "
-        "backoff and then quarantined as structured failure records "
-        "instead of aborting the study",
-    )
-    run.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="durably append each completed scenario to this JSONL file "
-        "(crash-safe; the file doubles as a result store)",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip scenarios already completed in --checkpoint instead of "
-        "starting fresh",
+    _execution_flags(
+        run, StudySpec, "study", ("task_timeout_s", "heartbeat_grace_s", "chaos")
     )
     run.add_argument(
         "--out", default=None, metavar="FILE", help="save the result rows as JSONL"
@@ -264,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--chaos",
+        type=_JsonText("--chaos"),
         default=None,
         metavar="JSON",
         help="worker-side fault plan as JSON, e.g. "
@@ -277,75 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the online partitioning daemon (long-lived control plane)",
     )
-    serve.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="listen address (default 127.0.0.1:0 = any free port, printed "
-        "at startup); host agents join with `agent --connect HOST:PORT`",
-    )
-    serve.add_argument(
-        "--policy",
-        choices=("lfoc", "dunn"),
-        default="lfoc",
-        help="online partitioning policy driving mask decisions",
-    )
-    serve.add_argument(
-        "--ways", type=int, default=None, metavar="N", help="LLC way count"
-    )
-    serve.add_argument(
-        "--supervise",
-        type=int,
-        default=0,
-        metavar="N",
-        help="spawn and babysit N local host agents (crash -> respawn with "
-        "backoff); requires --workload",
-    )
-    serve.add_argument(
-        "--workload",
-        default=None,
-        metavar="W",
-        help="workload the supervised agents simulate (S7, P12...)",
-    )
-    serve.add_argument(
-        "--batches",
-        type=int,
-        default=50,
-        metavar="N",
-        help="monitoring batches each supervised agent streams",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0, help="seed for the supervised agents"
-    )
-    serve.add_argument(
-        "--agent-chaos",
-        default=None,
-        metavar="JSON",
-        help="fault plan handed to the FIRST supervised agent incarnation "
-        'only, e.g. \'{"agent_kill_batches": [3]}\' (its respawn comes up '
-        "clean — a deterministic supervision drill)",
-    )
-    serve.add_argument(
-        "--replay-log",
-        default=None,
-        metavar="FILE",
-        help="save the mask-decision log as JSONL on exit",
-    )
-    serve.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="FILE",
-        help="CRC-guarded daemon state snapshot: restored at startup when "
-        "FILE exists, refreshed periodically and on SIGTERM/clean exit, so "
-        "a restarted daemon resumes every host session mid-epoch",
-    )
-    serve.add_argument(
-        "--snapshot-every",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="seconds between periodic snapshots (<= 0: only on exit)",
-    )
+    _spec_flags(serve, ServiceSpec)
     serve.add_argument(
         "--once",
         action="store_true",
@@ -382,25 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         "resumes its daemon-side session mid-epoch, a respawned process "
         "(new boot token) restarts it with a bumped epoch",
     )
-    agent.add_argument(
-        "--workload",
-        required=True,
-        metavar="W",
-        help="workload this host simulates (S7, P12...)",
-    )
-    agent.add_argument(
-        "--batches",
-        type=int,
-        default=50,
-        metavar="N",
-        help="monitoring batches to stream before the orderly host_bye",
-    )
-    agent.add_argument("--seed", type=int, default=0, help="run seed")
-    agent.add_argument(
-        "--ways", type=int, default=None, metavar="N", help="LLC way count"
+    _spec_flags(
+        agent, ServiceSpec, ("workload", "batches", "seed", "ways"), required=("workload",)
     )
     agent.add_argument(
         "--chaos",
+        type=_JsonText("--chaos"),
         default=None,
         metavar="JSON",
         help="agent-side fault plan as JSON, e.g. "
@@ -420,54 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     trun = tsub.add_parser(
         "run", help="run a tournament from a .toml/.json spec and judge it"
     )
-    trun.add_argument("spec", help="path to the tournament spec (.toml or .json)")
-    trun.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's worker-process count (0 = all available CPUs)",
-    )
-    trun.add_argument(
-        "--executor",
-        default=None,
-        metavar="NAME",
-        help="execution backend (registered executors: "
-        f"{', '.join(EXECUTORS.names())}); overrides the spec and --jobs; "
-        "finer executor knobs live in the spec's [executor] table",
-    )
-    trun.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="executor worker count (pool size, or tcp/supervised workers)",
-    )
-    trun.add_argument(
-        "--bind",
-        default=None,
-        metavar="HOST:PORT",
-        help="tcp/supervised coordinator listen address",
-    )
-    trun.add_argument(
-        "--fault-tolerance",
-        default=None,
-        metavar="JSON",
-        help="retry/quarantine policy as JSON (or \"true\"/\"false\"); "
-        "quarantined runs drop their paired units from the statistics",
-    )
-    trun.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="durably append each completed scenario replica to this JSONL "
-        "file (crash-safe)",
-    )
-    trun.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip scenario replicas already completed in --checkpoint",
-    )
+    _execution_flags(trun, TournamentSpec, "tournament", ())
     trun.add_argument(
         "--out",
         default=None,
@@ -560,14 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=None, metavar="S",
         help="seed replicas per scenario (offsets random workload specs)",
     )
-    sweep.add_argument(
-        "--instructions", type=float, default=1.0e9,
-        help="instructions per completion (dynamic scenarios)",
-    )
-    sweep.add_argument(
-        "--min-completions", type=int, default=2,
-        help="completions per application before a run ends (dynamic scenarios)",
-    )
+    _spec_flags(sweep, EngineSpec, ("instructions_per_run", "min_completions"))
     sweep.add_argument("--jobs", **jobs_kwargs)
     sweep.add_argument(
         "--out", default=None, metavar="FILE", help="save the result rows as JSONL"
@@ -583,6 +489,15 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
+
+
+def _print_means(summary: Dict[str, Dict[str, float]], prefix: str = "mean_norm_") -> None:
+    """The per-policy table of mean normalised unfairness and STP."""
+    rows = [
+        [p, f"{s.get(prefix + 'unfairness', nan):.3f}", f"{s.get(prefix + 'stp', nan):.3f}"]
+        for p, s in summary.items()
+    ]
+    print(format_table(["policy", "mean norm. unfairness", "mean norm. STP"], rows))
 
 
 def _print_degraded(failures: Sequence[Any]) -> None:
@@ -620,21 +535,8 @@ def _print_study(result: StudyResult) -> None:
                 f"{failure.get('message')}"
             )
         print()
-    summary = result.aggregate()
     print("# aggregate (mean over workloads, scenarios and seeds)")
-    print(
-        format_table(
-            ["policy", "mean norm. unfairness", "mean norm. STP"],
-            [
-                [
-                    policy,
-                    f"{stats.get('mean_normalized_unfairness', float('nan')):.3f}",
-                    f"{stats.get('mean_normalized_stp', float('nan')):.3f}",
-                ]
-                for policy, stats in summary.items()
-            ],
-        )
-    )
+    _print_means(result.aggregate(), "mean_normalized_")
     _print_degraded(result.failures())
 
 
@@ -646,85 +548,45 @@ def _report_study(result: StudyResult, out: Optional[str]) -> int:
     return 0
 
 
-def _chaos_json(text: Optional[str], flag: str = "--chaos"):
-    """The mapping a fault-plan flag holds; ``flag`` names it in errors."""
-    if text is None:
-        return None
-    import json
-
-    from repro.errors import SpecError
-
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise SpecError(f"{flag} is not valid JSON: {exc}") from exc
-
-
-def _parse_chaos(text: Optional[str]):
+def _fault_plan(data: Any):
     from repro.runtime.executors import FaultPlan
 
-    data = _chaos_json(text)
     return None if data is None else FaultPlan.from_dict(data)
 
 
-def _run_study_command(args: argparse.Namespace) -> int:
-    from repro.errors import SpecError
+def _execution(args: argparse.Namespace, cls: type) -> Dict[str, Any]:
+    """``run_study``/``run_tournament`` keywords from the execution flags.
 
-    spec = load_study_spec(args.spec)
-    executor = None
-    chaos = _parse_chaos(args.chaos)
-    if args.executor is not None:
-        executor = ExecutorSpec(
-            name=args.executor,
-            workers=args.workers,
-            bind=args.bind,
-            task_timeout_s=args.task_timeout,
-            heartbeat_grace_s=args.heartbeat_grace,
-            chaos=chaos.to_dict() if chaos is not None else None,
-        )
-    elif any(
-        v is not None
-        for v in (
-            args.workers,
-            args.bind,
-            args.task_timeout,
-            args.heartbeat_grace,
-            args.chaos,
-        )
-    ):
+    ``--jobs`` and ``--fault-tolerance`` override the fields of spec class
+    ``cls`` and are decoded by its rules; the executor flags build an
+    :class:`ExecutorSpec`, so they need ``--executor``.
+    """
+    executor = _given(args, ExecutorSpec)
+    if executor and "name" not in executor:
+        flags = "/".join(_flag(f) for f in spec_fields(ExecutorSpec) if f.name in executor)
         raise SpecError(
-            "--workers/--bind/--task-timeout/--heartbeat-grace/"
-            "--chaos configure the executor selected by "
-            "--executor; pass --executor as well (or set them in the "
-            "spec's [executor] table)"
+            f"{flags} configure the executor selected by --executor; pass "
+            "--executor as well (or set them in the spec's [executor] table)"
         )
     if args.resume and args.checkpoint is None:
         raise SpecError(
             "--resume reads completed scenarios from --checkpoint; pass "
             "--checkpoint FILE as well"
         )
-    extra = dict(
-        executor=executor, checkpoint=args.checkpoint, resume=args.resume
+    extra: Dict[str, Any] = dict(
+        executor=ExecutorSpec.from_dict(executor) if executor else None,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
     )
-    if args.fault_tolerance is not None:
-        import json
+    plan = {f.name: f for f in spec_fields(cls)}
+    for name, value in _given(args, cls).items():
+        extra[name] = plan[name].decode(value)
+    return extra
 
-        from repro.experiments.specs import FaultToleranceSpec
 
-        try:
-            data = json.loads(args.fault_tolerance)
-        except ValueError as exc:
-            raise SpecError(
-                f"--fault-tolerance is not valid JSON: {exc}"
-            ) from exc
-        extra["fault_tolerance"] = FaultToleranceSpec.coerce(
-            data, where="--fault-tolerance"
-        )
-    if args.jobs is None:
-        result = run_study(spec, **extra)  # the spec's own jobs setting
-    else:
-        result = run_study(spec, jobs=args.jobs or None, **extra)
-    return _report_study(result, args.out)
+def _run_study_command(args: argparse.Namespace) -> int:
+    extra = _execution(args, StudySpec)
+    return _report_study(run_study(load_study_spec(args.spec), **extra), args.out)
 
 
 def _worker_command(args: argparse.Namespace) -> int:
@@ -735,32 +597,20 @@ def _worker_command(args: argparse.Namespace) -> int:
         max_runs=args.max_runs,
         crash_after=args.crash_after,
         quiet=args.quiet,
-        chaos=_parse_chaos(args.chaos),
+        chaos=_fault_plan(args.chaos),
     )
 
 
 def _serve_command(args: argparse.Namespace) -> int:
     import signal
 
-    spec = ServiceSpec(
-        bind=args.bind,
-        policy=args.policy,
-        ways=args.ways,
-        supervise=args.supervise,
-        workload=args.workload,
-        batches=args.batches,
-        seed=args.seed,
-        agent_chaos=_chaos_json(args.agent_chaos, "--agent-chaos"),
-        replay_log=args.replay_log,
-        snapshot=args.snapshot,
-        snapshot_every_s=args.snapshot_every,
-    )
+    spec = _spec_from_flags(ServiceSpec, args)
     daemon = spec.create(quiet=args.quiet)
     host, port = daemon.address
     if not args.quiet:
         print(f"partitioning daemon listening on {host}:{port}", flush=True)
         if daemon.restored:
-            print(f"restored daemon state from {args.snapshot}", flush=True)
+            print(f"restored daemon state from {spec.snapshot}", flush=True)
     if daemon.supervise:
         until: Optional[int] = daemon.supervise  # exit when every agent finished
     elif args.once:
@@ -791,8 +641,8 @@ def _serve_command(args: argparse.Namespace) -> int:
             f"served {summary['hosts']} host(s), {summary['decisions']} mask "
             f"decisions, {summary['frame_errors']} frame errors"
         )
-        if args.replay_log:
-            print(f"saved replay log to {args.replay_log}")
+        if spec.replay_log:
+            print(f"saved replay log to {spec.replay_log}")
     return 0
 
 
@@ -800,67 +650,37 @@ def _agent_command(args: argparse.Namespace) -> int:
     from repro.runtime.executors.tcp import parse_address
     from repro.service.agent import run_agent
 
-    chaos = _parse_chaos(args.chaos)
+    spec = _spec_from_flags(ServiceSpec, args)
+    chaos = _fault_plan(args.chaos)
     return run_agent(
         parse_address(args.connect),
         host_id=args.host_id,
-        workload=args.workload,
-        batches=args.batches,
-        seed=args.seed,
-        n_ways=args.ways,
+        workload=spec.workload,
+        batches=spec.batches,
+        seed=spec.seed,
+        n_ways=spec.ways,
         chaos=chaos.to_dict() if chaos is not None else None,
         quiet=args.quiet,
     )
 
 
-def _tournament_run_command(args: argparse.Namespace) -> int:
-    from repro.errors import SpecError
-    from repro.tournament import load_tournament_spec, run_tournament
-
-    spec = load_tournament_spec(args.spec)
-    executor = None
-    if args.executor is not None:
-        executor = ExecutorSpec(
-            name=args.executor, workers=args.workers, bind=args.bind
-        )
-    elif args.workers is not None or args.bind is not None:
-        raise SpecError(
-            "--workers/--bind configure the executor selected by --executor; "
-            "pass --executor as well (or set them in the spec's [executor] "
-            "table)"
-        )
-    if args.resume and args.checkpoint is None:
-        raise SpecError(
-            "--resume reads completed scenarios from --checkpoint; pass "
-            "--checkpoint FILE as well"
-        )
-    extra: dict = dict(
-        executor=executor, checkpoint=args.checkpoint, resume=args.resume
-    )
-    if args.fault_tolerance is not None:
-        import json
-
-        from repro.experiments.specs import FaultToleranceSpec
-
-        try:
-            data = json.loads(args.fault_tolerance)
-        except ValueError as exc:
-            raise SpecError(
-                f"--fault-tolerance is not valid JSON: {exc}"
-            ) from exc
-        extra["fault_tolerance"] = FaultToleranceSpec.coerce(
-            data, where="--fault-tolerance"
-        )
-    if args.jobs is not None:
-        extra["jobs"] = args.jobs or None
-    result = run_tournament(spec, **extra)
+def _print_verdict(result: Any, markdown_path: Optional[str]) -> None:
+    """Print a tournament's leaderboard; also write it to ``markdown_path``."""
     markdown = result.render_markdown()
     print(markdown, end="")
     _print_degraded(result.failures)
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
+    if markdown_path:
+        with open(markdown_path, "w", encoding="utf-8") as handle:
             handle.write(markdown)
-        print(f"\nwrote leaderboard to {args.markdown}")
+        print(f"\nwrote leaderboard to {markdown_path}")
+
+
+def _tournament_run_command(args: argparse.Namespace) -> int:
+    from repro.tournament import load_tournament_spec, run_tournament
+
+    extra = _execution(args, TournamentSpec)
+    result = run_tournament(load_tournament_spec(args.spec), **extra)
+    _print_verdict(result, args.markdown)
     if args.out:
         result.save(args.out)
         print(
@@ -874,16 +694,8 @@ def _tournament_report_command(args: argparse.Namespace) -> int:
     from repro.tournament import TournamentResult
 
     result = TournamentResult.load(args.result)
-    markdown = result.render_markdown()
-    print(markdown, end="")
-    _print_degraded(result.failures)
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        print(f"\nwrote leaderboard to {args.markdown}")
+    _print_verdict(result, args.markdown)
     if args.json:
-        import json
-
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.to_report_dict(), handle, indent=2)
             handle.write("\n")
@@ -938,11 +750,7 @@ def _tournament_command(args: argparse.Namespace) -> int:
 
 
 def _sweep_command(args: argparse.Namespace) -> int:
-    engine = EngineSpec(
-        instructions_per_run=args.instructions,
-        min_completions=args.min_completions,
-        record_traces=False,
-    )
+    engine = _spec_from_flags(EngineSpec, args, **_ENGINE_PRESET)
     spec = build_sweep_study(
         args.name,
         args.kind,
@@ -995,38 +803,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(render_fig6(rows))
         print()
-        summary = summarize_static_study(rows)
-        print(
-            format_table(
-                ["policy", "mean norm. unfairness", "mean norm. STP"],
-                [
-                    [p, f"{s['mean_norm_unfairness']:.3f}", f"{s['mean_norm_stp']:.3f}"]
-                    for p, s in summary.items()
-                ],
-            )
-        )
+        _print_means(summarize_static_study(rows))
     elif args.command == "fig7":
         workloads = dynamic_study_workloads()
         if args.quick:
             workloads = [w for w in workloads if w.size <= 8]
-        config = EngineConfig(
-            instructions_per_run=args.instructions,
-            min_completions=2,
-            record_traces=False,
-        )
+        config = _spec_from_flags(EngineSpec, args, **_ENGINE_PRESET).to_config()
         rows = fig7_dynamic_study(workloads, engine_config=config, jobs=args.jobs or None)
         print(render_fig7(rows))
         print()
-        summary = summarize_dynamic_study(rows)
-        print(
-            format_table(
-                ["policy", "mean norm. unfairness", "mean norm. STP"],
-                [
-                    [p, f"{s['mean_norm_unfairness']:.3f}", f"{s['mean_norm_stp']:.3f}"]
-                    for p, s in summary.items()
-                ],
-            )
-        )
+        _print_means(summarize_dynamic_study(rows))
     elif args.command == "table2":
         print(render_table2(table2_algorithm_cost(args.sizes, args.repetitions)))
     elif args.command == "run":

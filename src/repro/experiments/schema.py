@@ -15,6 +15,8 @@ rules:
 * ``none_as`` — the dict value that stands for ``None`` (TOML has no null);
 * ``required=True`` — ``from_dict`` needs the key although the field has a
   default;
+* ``help`` — the field's one-line description, also the help text of the
+  ``lfoc-repro`` flag generated from it;
 * ``emit="always"`` — ``to_dict`` writes the field even at its default.
   Otherwise a field is written only when it is not ``None`` (or has a
   ``none_as``) and differs from its default; fields without a default are

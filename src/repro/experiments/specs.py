@@ -259,8 +259,12 @@ class EngineSpec(Spec):
     not traces), unlike the engine's own default.
     """
 
-    instructions_per_run: float = rule(2.0e9, emit="always", gt=0)
-    min_completions: int = rule(3, emit="always", ge=1)
+    instructions_per_run: float = rule(
+        2.0e9, emit="always", gt=0, help="instructions each application retires per completion"
+    )
+    min_completions: int = rule(
+        3, emit="always", ge=1, help="completions per application before a run ends"
+    )
     partition_interval_s: float = rule(0.5, emit="always", gt=0)
     record_traces: bool = rule(False, emit="always")
     max_simulated_seconds: float = rule(600.0, emit="always", gt=0)
@@ -340,29 +344,39 @@ class ExecutorSpec(Spec):
     are built in.  Every backend produces bit-identical rows — the spec only
     chooses *where* the runs execute.
 
-    ``workers`` is the pool size (``pool``) or the number of workers that
-    must be connected before the first dispatch (``tcp`` — and the number of
-    supervised local worker subprocesses for ``supervised``); ``bind`` is
-    the ``tcp``/``supervised`` coordinator's listen address
-    (``"host:port"``, port ``0`` picks a free port).  ``heartbeat_s`` /
-    ``heartbeat_grace_s`` (how long an unanswered ping is tolerated;
-    ``None`` = ``max(3 * heartbeat_s, 10)``) / ``connect_timeout_s`` /
-    ``task_timeout_s`` (hard per-run bound on a busy worker; ``None`` = no
-    bound) / ``max_retries`` tune the ``tcp`` fault handling and are ignored
-    elsewhere.  ``chaos`` is an optional coordinator-side
-    :class:`~repro.runtime.executors.chaos.FaultPlan` as a mapping —
-    deterministic fault drills straight from a spec file.
+    ``heartbeat_s``, ``heartbeat_grace_s``, ``connect_timeout_s``,
+    ``task_timeout_s`` and ``max_retries`` tune the ``tcp`` fault handling
+    and are ignored elsewhere.
     """
 
-    name: str = rule("serial", emit="always", required=True)
-    workers: Optional[int] = rule(ge=1)
-    bind: Optional[str] = rule(parse=_address("executor"))
+    name: str = rule(
+        "serial", emit="always", required=True,
+        help="execution backend: serial, pool, tcp, supervised or another registered "
+        "executor (overrides jobs)",
+    )
+    workers: Optional[int] = rule(
+        ge=1, help="worker count: pool size (pool), workers connected before the first "
+        "dispatch (tcp) or supervised local worker subprocesses (supervised)",
+    )
+    bind: Optional[str] = rule(
+        parse=_address("executor"), help="tcp/supervised coordinator listen address "
+        "(port 0 = any free port); workers join with `worker --connect HOST:PORT`",
+    )
     heartbeat_s: float = rule(5.0, gt=0)
-    heartbeat_grace_s: Optional[float] = rule(gt=0)
+    heartbeat_grace_s: Optional[float] = rule(
+        gt=0, help="tcp: drop a worker whose ping goes unanswered for this many seconds "
+        "(default: max(3 * heartbeat, 10))",
+    )
     connect_timeout_s: float = rule(60.0, gt=0)
-    task_timeout_s: Optional[float] = rule(gt=0)
+    task_timeout_s: Optional[float] = rule(
+        gt=0, help="tcp: declare a worker lost when one run takes longer than this many "
+        "seconds and resubmit it (default: no bound)",
+    )
     max_retries: int = rule(2, ge=0)
-    chaos: Optional[Mapping[str, Any]] = None
+    chaos: Optional[Mapping[str, Any]] = rule(
+        help="tcp: coordinator-side FaultPlan, e.g. '{\"corrupt_frames\": [1], "
+        "\"drop_frames\": [3]}' (deterministic resilience drills)"
+    )
 
     _REMOVED = {
         "unsafe_pickle": "ExecutorSpec.unsafe_pickle was removed (the safe codec is "
@@ -405,32 +419,48 @@ class ExecutorSpec(Spec):
 class ServiceSpec(Spec):
     """A declarative online-partitioning service session.
 
-    Mirrors the flags of ``repro.cli serve`` — which builds one of these —
-    so a whole supervised service run (daemon policy, agent fleet, trace
-    length, scripted chaos) lives in one TOML/JSON file (see
+    Its fields generate the flags of ``repro.cli serve`` (and the host
+    flags of ``repro.cli agent``), which build one of these, so a whole
+    supervised service run (daemon policy, agent fleet, trace length,
+    scripted chaos) also lives in one TOML/JSON file (see
     ``examples/service_session.toml``).  :meth:`create` builds the live
     :class:`~repro.service.daemon.PartitionDaemon`; :meth:`serve` drives one
     to completion and saves the replay log; :meth:`run` does both.
     """
 
-    bind: str = rule("127.0.0.1:0", parse=_address("service"))
-    policy: str = rule("lfoc", choices=("lfoc", "dunn"))
-    ways: Optional[int] = rule(ge=1)
-    #: Local host agents the daemon spawns and babysits (0 = external agents).
-    supervise: int = rule(0, ge=0)
-    workload: Optional[str] = None
-    batches: int = rule(50, ge=1)
-    seed: int = 0
-    #: Fault plan for the first supervised agent incarnation only (daemon-side
-    #: faults such as ``daemon_kill_decisions`` ride in the same dict).
-    agent_chaos: Optional[Mapping[str, Any]] = None
-    #: Where to save the mask-decision log (JSONL); None keeps it in memory.
-    replay_log: Optional[str] = None
-    #: CRC-guarded daemon state snapshot: restored at startup when the file
-    #: exists, refreshed periodically and on clean exit.
-    snapshot: Optional[str] = None
-    #: Seconds between periodic snapshots (<= 0: only on exit).
-    snapshot_every_s: float = 5.0
+    bind: str = rule(
+        "127.0.0.1:0", parse=_address("service"), help="listen address (port 0 = any "
+        "free port, printed at startup); agents join with `agent --connect HOST:PORT`",
+    )
+    policy: str = rule(
+        "lfoc", choices=("lfoc", "dunn"), help="online partitioning policy driving mask decisions"
+    )
+    ways: Optional[int] = rule(ge=1, help="LLC way count")
+    supervise: int = rule(
+        0, ge=0, help="local host agents the daemon spawns and babysits (crash -> respawn "
+        "with backoff; 0 = external agents); needs a workload",
+    )
+    workload: Optional[str] = rule(help="workload each host agent simulates (S7, P12...)")
+    batches: int = rule(
+        50, ge=1, help="monitoring batches each host agent streams before its host_bye"
+    )
+    seed: int = rule(0, help="seed of the simulated hosts")
+    agent_chaos: Optional[Mapping[str, Any]] = rule(
+        help="fault plan for the FIRST supervised agent incarnation only, e.g. "
+        "'{\"agent_kill_batches\": [3]}' (its respawn comes up clean); daemon-side "
+        "faults such as daemon_kill_decisions ride in the same mapping",
+    )
+    replay_log: Optional[str] = rule(
+        help="save the mask-decision log as JSONL on exit (unset: kept in memory only)"
+    )
+    snapshot: Optional[str] = rule(
+        help="CRC-guarded daemon state snapshot: restored at startup when the file exists "
+        "(a restarted daemon resumes every host session mid-epoch), refreshed periodically "
+        "and on SIGTERM/clean exit",
+    )
+    snapshot_every_s: float = rule(
+        5.0, help="seconds between periodic snapshots (<= 0: only on exit)"
+    )
 
     _REMOVED = {
         "monitor_backend": "ServiceSpec.monitor_backend was removed (the fused "
@@ -550,6 +580,18 @@ class FaultToleranceSpec(Spec):
         )
 
 
+#: Help of the ``jobs`` and ``fault_tolerance`` fields of studies and tournaments.
+JOBS_HELP = (
+    "worker processes for the run batches when no executor is set (0 = all available "
+    "CPUs, 1 = serial)"
+)
+FAULT_TOLERANCE_HELP = (
+    "retry/quarantine policy, e.g. '{\"max_attempts\": 3, \"backoff_s\": 0.5}', true for "
+    "the defaults or false to abort on the first failure: failed runs are retried with "
+    "backoff, then quarantined as failure records"
+)
+
+
 # ---------------------------------------------------------------------------
 # ScenarioSpec / StudySpec
 # ---------------------------------------------------------------------------
@@ -637,18 +679,12 @@ class StudySpec(Spec):
     name: str
     scenarios: Tuple[ScenarioSpec, ...]
     description: str = rule("", blank=True)
-    #: Default worker-process count for the run batches (``None`` = all CPUs,
-    #: written as 0 since TOML has no null).  Only consulted when no
-    #: ``executor`` is given (1 -> serial, else pool).
-    jobs: Optional[int] = rule(1, ge=1, none_as=0)
+    jobs: Optional[int] = rule(1, ge=1, none_as=0, help=JOBS_HELP)
     #: Execution strategy for every scenario (:class:`ExecutorSpec`, a
     #: registered backend name, or a mapping); ``None`` derives one from
     #: ``jobs``.  Results are independent of the choice.
     executor: Optional[ExecutorSpec] = None
-    #: Graceful-degradation policy (:class:`FaultToleranceSpec`, a mapping,
-    #: or ``True`` for the defaults); ``None`` keeps the historical
-    #: fail-fast behaviour.
-    fault_tolerance: Optional[FaultToleranceSpec] = None
+    fault_tolerance: Optional[FaultToleranceSpec] = rule(help=FAULT_TOLERANCE_HELP)
 
     _SCHEMA = ("study", SCHEMA_VERSION)
 

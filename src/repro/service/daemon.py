@@ -125,6 +125,7 @@ class PartitionDaemon:
                 )
             self.core = restored
             self.restored = True
+        self.n_ways = n_ways
         self.supervise = supervise
         self.workload = workload
         self.batches = batches
@@ -252,6 +253,8 @@ class PartitionDaemon:
                 "--seed",
                 str(self.seed),
             ]
+            if self.n_ways is not None:
+                extra += ["--ways", str(self.n_ways)]
             first = (
                 ("--chaos", json.dumps(self.agent_chaos)) if self.agent_chaos else ()
             )

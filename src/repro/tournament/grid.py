@@ -30,6 +30,8 @@ from repro.errors import SpecError
 from repro.experiments.io import read_spec_file, write_spec_file
 from repro.experiments.schema import Spec, rule
 from repro.experiments.specs import (
+    FAULT_TOLERANCE_HELP,
+    JOBS_HELP,
     EngineSpec,
     ExecutorSpec,
     FaultToleranceSpec,
@@ -177,9 +179,12 @@ class TournamentSpec(Spec):
     #: defaults to the first policy's label at verdict time.
     reference: Optional[str] = None
     description: str = rule("", blank=True)
-    jobs: Optional[int] = rule(1, ge=1, none_as=0)
+    jobs: Optional[int] = rule(1, ge=1, none_as=0, help=JOBS_HELP)
     executor: Optional[ExecutorSpec] = None
-    fault_tolerance: Optional[FaultToleranceSpec] = None
+    fault_tolerance: Optional[FaultToleranceSpec] = rule(
+        help=f"{FAULT_TOLERANCE_HELP}; quarantined runs drop their paired units from the "
+        "statistics"
+    )
 
     _SCHEMA = ("tournament", TOURNAMENT_SCHEMA_VERSION)
 

@@ -125,11 +125,19 @@ class TestReporting:
 
 
 class TestCli:
-    def test_parser_knows_every_experiment(self):
+    def test_parser_knows_every_experiment(self, capsys):
         parser = build_parser()
         for command in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2"):
             args = parser.parse_args([command])
             assert args.command == command
+        # Count flags refuse values below 1 instead of printing empty or NaN tables.
+        for command, flag in (
+            ("table2", "--repetitions"), ("fig3", "--per-size"), ("fig2", "--workloads")
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                parser.parse_args([command, flag, "0"])
+            assert exc_info.value.code == 2
+            assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_fig1_command(self, capsys):
         assert main(["fig1"]) == 0
@@ -238,6 +246,14 @@ name = "lfoc"
         spec_path.write_text(self.SPEC_TOML, encoding="utf-8")
         with pytest.raises(SpecError, match="--checkpoint"):
             main(["run", str(spec_path), "--resume"])
+
+    def test_jobs_override_is_checked_by_the_spec_rule(self, tmp_path):
+        from repro.errors import SpecError
+
+        spec_path = tmp_path / "study.toml"
+        spec_path.write_text(self.SPEC_TOML, encoding="utf-8")
+        with pytest.raises(SpecError, match="StudySpec.jobs must be >= 1, got -1"):
+            main(["run", str(spec_path), "--jobs", "-1"])
 
     def test_worker_command_requires_valid_address(self):
         from repro.errors import SimulationError

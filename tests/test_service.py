@@ -788,6 +788,17 @@ class TestServiceSpec:
         with pytest.raises(SpecError, match="agent_chaos"):
             ServiceSpec(agent_chaos={"agent_kill_batch": [3]})
 
+    def test_supervised_agents_simulate_the_daemons_ways(self, tmp_path):
+        """The daemon hands ``ways`` to the agents it spawns, so a live
+        session at 8 ways matches the offline oracle at 8 ways."""
+        log = tmp_path / "replay.jsonl"
+        spec = ServiceSpec(
+            supervise=1, workload="S1", batches=6, seed=0, ways=8, replay_log=str(log)
+        )
+        spec.run(max_seconds=120)
+        golden = offline_replay(["host0"], "S1", batches=6, seed=0, n_ways=8)
+        assert ReplayLog.load(str(log)).signature("host0") == golden.signature("host0")
+
     def test_load_toml(self, tmp_path):
         path = tmp_path / "service.toml"
         path.write_text(

@@ -369,6 +369,26 @@ class TestBoundaryErrors:
         with pytest.raises(SpecError, match="service bind is invalid"):
             main(["serve", "--bind", "nonsense", "--quiet"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batches", "0"], "ServiceSpec.batches must be >= 1"),
+            (["--batches", "-3"], "ServiceSpec.batches must be >= 1"),
+            (["--ways", "0"], "ServiceSpec.ways must be >= 1"),
+            (["--workload", ""], "ServiceSpec.workload must be a non-empty string"),
+        ],
+    )
+    def test_agent_is_validated_like_the_service_spec(self, monkeypatch, flags, message):
+        import repro.service.agent as agent
+
+        def connect(*args, **kwargs):
+            raise AssertionError("the agent connected before its flags were checked")
+
+        monkeypatch.setattr(agent, "run_agent", connect)
+        argv = ["agent", "--connect", "127.0.0.1:9", "--workload", "S1", *flags]
+        with pytest.raises(SpecError, match=message):
+            main(argv)
+
     def test_serve_chaos_error_names_its_flag(self):
         with pytest.raises(SpecError, match="^--agent-chaos is not valid JSON"):
             main(["serve", "--agent-chaos", "{bad", "--supervise", "1",

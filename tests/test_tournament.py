@@ -747,6 +747,8 @@ class TestTournamentCli:
             main(["tournament", "run", str(spec_path), "--workers", "2"])
         with pytest.raises(SpecError, match="--checkpoint"):
             main(["tournament", "run", str(spec_path), "--resume"])
+        with pytest.raises(SpecError, match="TournamentSpec.jobs must be >= 1, got -1"):
+            main(["tournament", "run", str(spec_path), "--jobs", "-1"])
         with pytest.raises(SpecError, match="--fault-tolerance"):
             main(
                 ["tournament", "run", str(spec_path),
