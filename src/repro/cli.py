@@ -157,6 +157,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _static_max_size(text: str) -> int:
+    """``--max-size`` of fig6: at least the smallest static-study workload."""
+    value, smallest = int(text), min(w.size for w in static_study_workloads())
+    if value < smallest:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {smallest} (the smallest static-study workload), got {value}"
+        )
+    return value
+
+
 def _spec_flags(parser, cls: type, names: Sequence[str] = (), *, required: Sequence[str] = ()):
     """Add one flag per listed field of spec class ``cls`` (all fields if none).
 
@@ -255,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig6 = sub.add_parser("fig6", help="static clustering study (Fig. 6)")
-    fig6.add_argument("--max-size", type=int, default=None, help="largest workload size")
+    fig6.add_argument(
+        "--max-size", type=_static_max_size, default=None, help="largest workload size"
+    )
     fig6.add_argument("--jobs", **jobs_kwargs)
 
     fig7 = sub.add_parser("fig7", help="dynamic policy study (Fig. 7)")

@@ -26,9 +26,11 @@ Factory conventions (all keyword arguments come from ``PolicySpec.params``):
   (used by ``best_static`` to pick its search budget).
 * **drivers** — the factory (usually the driver class itself) is shipped in
   a :class:`~repro.runtime.executors.base.RunSpec` and called once per run
-  inside the worker, so it must be picklable (module level).  A factory with
-  ``wants_profiles = True`` receives the workload's stationary profiles as
-  the keyword ``profiles`` (used by the ``static`` replay driver).
+  inside the worker; a TCP worker receives it as its name in this registry,
+  so the worker process must have imported the registering module.  A
+  factory with ``wants_profiles = True`` receives the workload's stationary
+  profiles as the keyword ``profiles``, built where the run executes (used
+  by the ``static`` replay driver).
 * **workload suites** — the factory takes an optional ``max_size`` keyword
   and returns a list of :class:`~repro.workloads.generator.Workload`.
 * **engine backends** — the registered value is the

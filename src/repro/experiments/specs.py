@@ -51,6 +51,7 @@ from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig
 from repro.runtime.executors.tcp import parse_address
 from repro.workloads.generator import Workload, random_workload
+from repro.workloads.suites import all_workloads
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -83,6 +84,19 @@ def _address(owner: str):
         return value
 
     return parse
+
+
+def _catalogue_workload(value: Any, where: str) -> str:
+    """``parse`` rule of an evaluation-workload name (``S7``, ``P12``...)."""
+    if not isinstance(value, str) or not value:
+        raise SpecError(f"{where} must be a non-empty string, got {value!r}")
+    names = [workload.name for workload in all_workloads()]
+    if value not in names:
+        raise SpecError(
+            f"{where} {value!r} is not an evaluation workload; known: "
+            f"{', '.join(names)}"
+        )
+    return value
 
 
 def _fault_plan(value: Mapping[str, Any], where: str):
@@ -440,7 +454,9 @@ class ServiceSpec(Spec):
         0, ge=0, help="local host agents the daemon spawns and babysits (crash -> respawn "
         "with backoff; 0 = external agents); needs a workload",
     )
-    workload: Optional[str] = rule(help="workload each host agent simulates (S7, P12...)")
+    workload: Optional[str] = rule(
+        parse=_catalogue_workload, help="workload each host agent simulates (S7, P12...)"
+    )
     batches: int = rule(
         50, ge=1, help="monitoring batches each host agent streams before its host_bye"
     )
@@ -733,19 +749,20 @@ def resolve_policy(spec: PolicySpec, solver: Optional[SolverSpec] = None):
 
 
 def resolve_driver(spec: PolicySpec, solver: Optional[SolverSpec] = None):
-    """``(factory, kwargs, wants_profiles)`` for a dynamic-scenario spec.
+    """``(factory, kwargs)`` for a dynamic-scenario spec.
 
     The factory and kwargs are shipped in a
-    :class:`~repro.runtime.executors.base.RunSpec`; when ``wants_profiles`` is true the
-    lowering adds the workload's stationary profiles under ``profiles``.
+    :class:`~repro.runtime.executors.base.RunSpec`; a factory whose
+    ``wants_profiles`` is true gets the workload's stationary profiles
+    where the run executes (:meth:`RunSpec.make_driver`).
     """
     if spec.instance is not None:
-        return spec.instance, dict(spec.params), False
+        return spec.instance, dict(spec.params)
     factory = DRIVERS.resolve(spec.name)
     kwargs = dict(spec.params)
     if getattr(factory, "wants_solver", False):
         kwargs.setdefault("solver", solver or SolverSpec())
-    return factory, kwargs, bool(getattr(factory, "wants_profiles", False))
+    return factory, kwargs
 
 
 def driver_label(spec: PolicySpec, factory: Any) -> str:

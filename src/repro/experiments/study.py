@@ -56,6 +56,7 @@ from repro.experiments.specs import (
     resolve_platform,
     resolve_policy,
 )
+from repro.hardware.platform import PlatformSpec
 from repro.metrics.aggregate import normalise
 from repro.runtime.executors import (
     Executor,
@@ -432,13 +433,35 @@ def _map_specs_resilient(
 # ---------------------------------------------------------------------------
 
 
-def _static_scenario_worker(context: tuple, workload: Workload) -> List[Dict[str, Any]]:
+@dataclass
+class StaticContext:
+    """A static-study worker's inputs: the platform, the ``(label,
+    PolicySpec)`` pairs and the solver budget.  The policies are resolved
+    once per context install and reused across its workloads."""
+
+    platform: PlatformSpec
+    policies: Tuple[Tuple[Optional[str], PolicySpec], ...]
+    solver: Optional[SolverSpec] = None
+    _resolved: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    def resolved_policies(self) -> list:
+        if self._resolved is None:
+            self._resolved = [
+                (label, resolve_policy(spec, self.solver)) for label, spec in self.policies
+            ]
+        return self._resolved
+
+
+def _static_scenario_worker(
+    context: StaticContext, workload: Workload
+) -> List[Dict[str, Any]]:
     """One static-study column: every policy evaluated on one workload.
 
     Replicates the pre-refactor ``fig6`` worker operation for operation (same
     estimator, same evaluation order) so rows stay bit-identical.
     """
-    platform, policies = context
+    platform = context.platform
+    policies = context.resolved_policies()
     profiles = workload.profiles(platform.llc_ways)
     estimator = ClusteringEstimator(platform, profiles)
     baseline = estimator.evaluate_unpartitioned(list(profiles))
@@ -495,13 +518,14 @@ def _run_static_scenario(
     executor: Executor,
     tolerance: Optional[FaultToleranceSpec] = None,
 ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    platform = resolve_platform(scenario.platform)
+    context = StaticContext(
+        resolve_platform(scenario.platform),
+        tuple((spec.label, spec) for spec in scenario.policies),
+        scenario.solver,
+    )
     workloads = _resolve_workloads(scenario, seed)
-    policies = [
-        (spec.label, resolve_policy(spec, scenario.solver))
-        for spec in scenario.policies
-    ]
-    executor.set_context(_static_scenario_worker, (platform, policies))
+    context.resolved_policies()  # a bad policy spec fails here, not per task
+    executor.set_context(_static_scenario_worker, context)
     if tolerance is None:
         per_workload = executor.map_specs(workloads)
         return [row for rows in per_workload for row in rows], []
@@ -521,21 +545,17 @@ def _run_dynamic_scenario(
     platform = resolve_platform(scenario.platform)
     workloads = _resolve_workloads(scenario, seed)
     config = scenario.engine.to_config()
-    drivers: List[Tuple[str, Any, Dict[str, Any], bool]] = []
+    drivers: List[Tuple[str, Any, Dict[str, Any]]] = []
     for spec in scenario.policies:
-        factory, kwargs, wants_profiles = resolve_driver(spec, scenario.solver)
-        drivers.append((driver_label(spec, factory), factory, kwargs, wants_profiles))
+        factory, kwargs = resolve_driver(spec, scenario.solver)
+        drivers.append((driver_label(spec, factory), factory, kwargs))
 
     specs: List[RunSpec] = []
     for workload in workloads:
         specs.append(
             RunSpec(workload=workload, driver_cls=StockLinuxDriver, label=BASELINE_LABEL)
         )
-        for label, factory, kwargs, wants_profiles in drivers:
-            if wants_profiles:
-                kwargs = dict(
-                    kwargs, profiles=workload.profiles(platform.llc_ways)
-                )
+        for label, factory, kwargs in drivers:
             specs.append(
                 RunSpec(
                     workload=workload,
@@ -594,7 +614,7 @@ def _run_dynamic_scenario(
                 "sampling_entries": 0,
             }
         )
-        for offset, (label, _, _, _) in enumerate(drivers, start=1):
+        for offset, (label, _, _) in enumerate(drivers, start=1):
             result = block[offset]
             if result is None:
                 continue  # quarantined driver run: its row alone is missing

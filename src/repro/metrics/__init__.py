@@ -11,7 +11,6 @@ from repro.metrics.fairness import (
     unfairness,
 )
 from repro.metrics.aggregate import (
-    RollingMeanWindow,
     average_percent_reduction,
     geometric_mean,
     normalise,
@@ -21,7 +20,6 @@ from repro.metrics.aggregate import (
 )
 
 __all__ = [
-    "RollingMeanWindow",
     "short_mean",
     "WorkloadMetrics",
     "antt",

@@ -8,8 +8,7 @@ normalisation, percentage improvements).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "average_percent_reduction",
     "normalised_series",
     "short_mean",
-    "RollingMeanWindow",
     "RollingMeanRing",
 ]
 
@@ -48,111 +46,40 @@ def short_mean(values: Iterable[float]) -> float:
     return float(np.mean(values))
 
 
-class RollingMeanWindow:
-    """Rolling mean over the last ``maxlen`` samples with O(1) mean reads,
-    bit-identical to ``np.mean`` over the same window.
-
-    The online monitors consult their rolling averages on *every* sample, so
-    the repeated :func:`short_mean` full-window scans (deque -> list -> loop)
-    sat on the driver-layer hot path.  A classic running sum (add the new
-    sample, subtract the evicted one) would be O(1) but **not** bit-identical:
-    float addition does not associate, and ``np.mean`` below eight elements is
-    a strict left-to-right reduction.  Exactness therefore requires every
-    window's sum to be *built* left-to-right — so this structure keeps one
-    running partial sum per live window start (at most ``maxlen``).  Appending
-    a sample advances each partial sum by one addition and opens a new one;
-    the oldest partial sum is then, by construction, exactly the left-to-right
-    sum of the current window, making the mean a single division.
-
-    Appends cost ``min(len, maxlen)`` additions — the same arithmetic the
-    full-window rescan performed — but reads are O(1) and no per-read list
-    materialisation happens, which is what the monitors pay for today.
-
-    For windows of eight or more samples ``np.mean`` switches to its pairwise
-    (unrolled) reduction, which cannot be maintained incrementally; those
-    windows fall back to :func:`short_mean` per read, preserving exactness.
-    The equivalence is pinned by the test suite either way.
-    """
-
-    __slots__ = ("maxlen", "_values", "_partials")
-
-    #: Window length below which NumPy reduces strictly left-to-right.
-    _PAIRWISE_CUTOVER = 8
-
-    def __init__(self, maxlen: int) -> None:
-        if maxlen < 1:
-            raise ReproError(f"window length must be >= 1, got {maxlen}")
-        self.maxlen = maxlen
-        self._values: Deque[float] = deque(maxlen=maxlen)
-        self._partials: Deque[float] = deque()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self):
-        return iter(self._values)
-
-    @property
-    def full(self) -> bool:
-        return len(self._values) == self.maxlen
-
-    def append(self, value: float) -> None:
-        value = float(value)
-        if self.maxlen < self._PAIRWISE_CUTOVER:
-            if len(self._values) == self.maxlen:
-                # The evicted sample's window start dies with it.
-                self._partials.popleft()
-            for index in range(len(self._partials)):
-                self._partials[index] += value
-            # Seed with 0.0 + value (not value) to mirror the reduction's
-            # zero-initialised accumulator (normalises -0.0 to +0.0).
-            self._partials.append(0.0 + value)
-        self._values.append(value)
-
-    def clear(self) -> None:
-        self._values.clear()
-        self._partials.clear()
-
-    def mean(self) -> float:
-        """Mean of the current window; raises on an empty window."""
-        n = len(self._values)
-        if n == 0:
-            raise ReproError("mean of an empty window")
-        if self.maxlen < self._PAIRWISE_CUTOVER:
-            return self._partials[0] / n
-        return short_mean(self._values)
-
-
 class RollingMeanRing:
-    """Multi-column :class:`RollingMeanWindow` in one flat ring buffer.
+    """Rolling means of ``columns`` series over one window, in a flat ring.
 
-    The online monitors track two rolling averages per application (LLCMPKC
-    and stall fraction) over the *same* window of samples.  Keeping two
-    independent :class:`RollingMeanWindow` deques doubles the bookkeeping and
-    rules out array-level batching, so this structure stores the samples and
-    the per-window-start partial sums for all ``columns`` side by side in two
+    The online monitors consult two rolling averages per application
+    (LLCMPKC and stall fraction) over the *same* window of samples on every
+    sample, and each must be bit-identical to ``np.mean`` over the window.
+    A classic running sum (add the new sample, subtract the evicted one)
+    would not be: float addition does not associate, and ``np.mean`` below
+    eight elements is a strict left-to-right reduction.  So this structure
+    keeps one running partial sum per live window start, and stores the
+    samples and those partial sums for all ``columns`` side by side in two
     ``(maxlen, columns)`` arrays laid out as a ring:
 
     * slot ``(start + j) % maxlen`` holds the ``j``-th oldest live sample and
       the partial sum of the window beginning at that sample;
     * appending evicts the oldest partial when full, adds the new sample once
-      to every live partial (the same single float addition per window start
-      the deque loop performed, so every mean stays bit-identical to
+      to every live partial (one float addition per window start, as in
+      the one-column deque oracle, so every mean stays bit-identical to
       ``np.mean`` over the window) and seeds a fresh partial with
       ``0.0 + value`` (normalising -0.0, mirroring the reduction's
       zero-initialised accumulator);
     * ``means()`` is one vector divide: ``partials[start] / len``.
 
-    Windows of :data:`RollingMeanWindow._PAIRWISE_CUTOVER` (eight) or more
-    samples fall back to :func:`short_mean` per column per read, exactly like
-    the deque implementation, because NumPy's pairwise reduction cannot be
-    maintained incrementally.  The per-column equivalence with
-    :class:`RollingMeanWindow` is pinned by the test suite.
+    Windows of :data:`_PAIRWISE_CUTOVER` (eight) or more samples fall back
+    to :func:`short_mean` per column per read, because NumPy's pairwise
+    reduction cannot be maintained incrementally.  The per-column
+    equivalence with the one-column deque oracle
+    (``tests/oracles.RollingMeanWindow``) is pinned by the test suite.
     """
 
     __slots__ = ("maxlen", "columns", "_values", "_partials", "_start", "_live")
 
-    _PAIRWISE_CUTOVER = RollingMeanWindow._PAIRWISE_CUTOVER
+    #: Window length below which NumPy reduces strictly left-to-right.
+    _PAIRWISE_CUTOVER = 8
 
     def __init__(self, maxlen: int, columns: int = 2) -> None:
         if maxlen < 1:
@@ -182,7 +109,7 @@ class RollingMeanRing:
             self._start = (self._start + 1) % maxlen
             self._live -= 1
         # One addition per live partial per column — identical arithmetic to
-        # the per-column deque loop.  The live slots form a contiguous range
+        # a per-column deque loop.  The live slots form a contiguous range
         # modulo maxlen, so at most two slice adds cover them.
         start, live = self._start, self._live
         end = start + live

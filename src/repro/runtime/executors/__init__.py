@@ -9,8 +9,11 @@ Three backends ship in the box, all producing bit-identical results:
   supervised by the coordinator itself (``supervise=N`` / the
   ``supervised`` executor spec).
 
-The TCP wire protocol is schema-versioned and safe
-(:mod:`repro.runtime.executors.framing`), and the coordinator runs on the
+The TCP wire protocol is schema-versioned and carries plain data and a
+closed table of named records only (:mod:`repro.runtime.executors.framing`):
+run specs travel with their driver's registry name and the worker kernels
+by fixed names, so decoding never imports anything a peer names.  The
+coordinator runs on the
 single-threaded link server of :mod:`repro.runtime.executors.links`, the
 same event loop as the partitioning daemon.  Resilience is testable: a seeded
 :class:`FaultPlan` (:mod:`repro.runtime.executors.chaos`) scripts frame
@@ -44,7 +47,6 @@ from repro.runtime.executors.framing import (
     PROTOCOL_VERSION,
     FrameProtocolError,
     ProtocolError,
-    trust_modules,
 )
 from repro.runtime.executors.pool import PoolExecutor
 from repro.runtime.executors.serial import SerialExecutor
@@ -67,7 +69,6 @@ __all__ = [
     "ProtocolError",
     "PROTOCOL_VERSION",
     "CODEC_SAFE",
-    "trust_modules",
     "execute_run",
     "worker_tables",
     "clear_worker_tables",

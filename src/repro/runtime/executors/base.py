@@ -10,7 +10,8 @@ protocol the strategies implement and the single-run kernel they all share:
   worker exactly once — the platform and the default engine configuration —
   plus per-worker caches (phased profiles, evaluation tables) that are
   rebuilt lazily on the worker side, so streaming a :class:`RunSpec` never
-  has to carry profile data for already-seen workloads;
+  carries profile data: a driver that wants the workload's stationary
+  profiles gets them built where it runs;
 * :func:`execute_run` turns ``(RunContext, RunSpec)`` into a
   :class:`~repro.runtime.results.RunResult` — the one function every backend
   (in-process, spawn pool, TCP worker) invokes per run;
@@ -20,11 +21,14 @@ protocol the strategies implement and the single-run kernel they all share:
   study layer — results merge deterministically in submission order no
   matter which worker finished first.
 
-Executors are generic underneath: ``set_context(worker_fn, payload)`` ships
-an arbitrary picklable ``worker_fn(payload, task) -> result`` pair, which is
-how the static study shards per-workload evaluation over the same
-backends.  ``prepare(platform, ...)`` is the :class:`RunSpec` layer on
-top, installing :func:`execute_run` with a :class:`RunContext`.
+Executors are generic underneath: ``set_context(worker_fn, payload)``
+installs a kernel ``worker_fn(payload, task) -> result``, which is how the
+static study shards per-workload evaluation over the same backends.
+``prepare(platform, ...)`` is the :class:`RunSpec` layer on top,
+installing :func:`execute_run` with a :class:`RunContext`.  The in-process
+and pool backends accept any module-level kernel; the TCP backend ships
+only the kernels, payloads and tasks listed in the wire's record table
+(:mod:`repro.runtime.executors.framing`).
 
 Backends register under a string name in
 :data:`repro.experiments.registry.EXECUTORS` (``serial``, ``pool``, ``tcp``)
@@ -90,8 +94,13 @@ class RunSpec:
     #: Label recorded on the result (defaults to the driver's ``name``).
     label: str = ""
 
-    def make_driver(self):
-        return self.driver_cls(**dict(self.driver_kwargs))
+    def make_driver(self, platform: PlatformSpec):
+        """The driver; one that ``wants_profiles`` gets the workload's
+        stationary profiles on ``platform`` (built here, never shipped)."""
+        kwargs = dict(self.driver_kwargs)
+        if getattr(self.driver_cls, "wants_profiles", False):
+            kwargs.setdefault("profiles", self.workload.profiles(platform.llc_ways))
+        return self.driver_cls(**kwargs)
 
 
 def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
@@ -211,6 +220,7 @@ def worker_tables(
     return tables
 
 
+@dataclass
 class RunContext:
     """Batch-wide inputs shipped to every worker once, plus worker-side caches.
 
@@ -221,20 +231,11 @@ class RunContext:
     workload for the lifetime of the context.
     """
 
-    def __init__(
-        self,
-        platform: PlatformSpec,
-        default_config: Optional[EngineConfig] = None,
-    ) -> None:
-        self.platform = platform
-        self.default_config = default_config
-        self._profiles: Dict[str, Tuple[Workload, Mapping]] = {}
-
-    def __getstate__(self):
-        return {"platform": self.platform, "default_config": self.default_config}
-
-    def __setstate__(self, state):
-        self.__init__(state["platform"], state["default_config"])
+    platform: PlatformSpec
+    default_config: Optional[EngineConfig] = None
+    _profiles: Dict[str, Tuple[Workload, Mapping]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def profiles_for(self, workload: Workload) -> Mapping:
         cached = self._profiles.get(workload.name)
@@ -268,7 +269,7 @@ def execute_run(context: RunContext, spec: Any) -> Any:
     engine = RuntimeEngine(
         context.platform,
         context.profiles_for(spec.workload),
-        spec.make_driver(),
+        spec.make_driver(context.platform),
         config,
         tables=tables,
     )
@@ -291,7 +292,7 @@ def _execute_run_group(context: RunContext, group: RunGroup) -> List[RunResult]:
             (
                 member.workload.name,
                 context.profiles_for(member.workload),
-                member.make_driver(),
+                member.make_driver(context.platform),
             )
             for member in group.members
         ],
@@ -369,7 +370,7 @@ class Executor(ABC):
     def set_context(self, worker_fn: Callable[[Any, Any], Any], payload: Any) -> None:
         """Install the shared context every subsequent task runs against.
 
-        ``worker_fn`` must be a module-level (picklable) callable; it receives
+        ``worker_fn`` must be a module-level callable; it receives
         ``(payload, task)``.  Replacing the context mid-batch is an error.
         """
         if self.outstanding():
@@ -413,13 +414,13 @@ class Executor(ABC):
                 "executor has no context; call prepare() or set_context() first"
             )
         ticket = self._next_ticket
+        self._submitted(ticket, spec)
         self._next_ticket += 1
         self._queue.append((ticket, spec))
-        self._submitted(ticket, spec)
         return ticket
 
     def _submitted(self, ticket: Ticket, spec: Any) -> None:
-        """Hook invoked after a task is enqueued."""
+        """Hook invoked before a task is enqueued; raising refuses it."""
 
     @abstractmethod
     def as_completed(

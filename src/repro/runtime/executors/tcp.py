@@ -51,7 +51,9 @@ changes retries and wall-clock, never rows.
 
 Security: frames use the schema-versioned safe codec
 (:mod:`repro.runtime.executors.framing`), the only wire codec; a worker
-advertising any other codec is rejected by name.
+advertising any other codec is rejected by name.  Run frames are encoded
+at submit time, so a task the codec refuses (an unregistered driver, say)
+raises from :meth:`submit` before any frame is sent.
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ class TCPExecutor(Executor):
             link_type=_WorkerLink,
         )
         self._tasks: Dict[Ticket, Any] = {}
+        #: Each outstanding task's encoded ("run", ticket, task) frame.
+        self._run_frames: Dict[Ticket, bytes] = {}
         self._retry_count: Dict[Ticket, int] = {}
         self._ready: List[Tuple[Ticket, Any]] = []
         self._done: Set[Ticket] = set()
@@ -223,6 +227,7 @@ class TCPExecutor(Executor):
             self.server.send(link, self._context_blob)
 
     def _submitted(self, ticket: Ticket, spec: Any) -> None:
+        self._run_frames[ticket] = pack_frame(("run", ticket, spec))
         self._tasks[ticket] = spec
 
     def outstanding(self) -> int:
@@ -295,6 +300,7 @@ class TCPExecutor(Executor):
                 if ticket not in self._done:
                     self._done.add(ticket)
                     self._tasks.pop(ticket, None)
+                    self._run_frames.pop(ticket, None)
                     self._ready.append((ticket, result))
         elif tag != "pong":  # a pong's bytes already cleared the pending ping
             self.server.drop(link, f"unknown frame {tag!r}", frame_error=True)
@@ -355,8 +361,10 @@ class TCPExecutor(Executor):
             idle = next((l for l in ready_links if l.in_flight is None), None)
             if idle is None:
                 return
-            ticket, task = self._queue.popleft()
-            blob = pack_frame(("run", ticket, task))
+            ticket, _ = self._queue.popleft()
+            blob = self._run_frames.get(ticket)
+            if blob is None:
+                continue  # a requeued run whose late result already arrived
             idle.in_flight = ticket
             idle.dispatched_at = time.monotonic()
             self._started = True
@@ -443,6 +451,7 @@ class TCPExecutor(Executor):
             # exception escaping the event loop mid-batch.
             self._done.add(ticket)
             self._tasks.pop(ticket, None)
+            self._run_frames.pop(ticket, None)
             self._ready.append(
                 (
                     ticket,

@@ -3,10 +3,13 @@
 A worker is a plain blocking loop: connect to the coordinator, introduce
 itself with a ``("hello", {...})`` frame carrying its protocol version and
 wire codec (always ``"safe"``), receive the batch context once
-(``("context", worker_fn, payload)``), then execute ``("run", ticket,
+(``("context", kernel, payload)``), then execute ``("run", ticket,
 task)`` frames one at a time, answering each with a ``("result", ...)`` —
-or a shipped
-:class:`~repro.runtime.executors.base.TaskError` when the task raises.
+or a shipped :class:`~repro.runtime.executors.base.TaskError` when the
+task raises.  Frames carry plain data and the records of
+:mod:`repro.runtime.executors.framing`; for extension drivers, start the
+worker from a script that imports their registering module, then calls
+:func:`run_worker`.
 ``("ping",)`` frames are answered with ``("pong",)`` between runs; EOF, a
 ``("shutdown",)`` frame, or the coordinator dropping the connection
 mid-conversation all end the loop cleanly (exit code 0 — an in-flight run is
@@ -15,8 +18,8 @@ requeued coordinator-side, so a dropped worker did nothing wrong).  A
 — is a protocol failure: the worker reports it and exits 1 so supervisors
 and scripts see it.
 
-Workers keep per-process caches (phased profiles, evaluation tables) through
-the :class:`~repro.runtime.executors.base.RunContext` they receive; the
+Workers keep per-process caches (phased profiles, evaluation tables,
+resolved static-study policies) through the context they receive; the
 table cache is reset on every context frame, so a long-lived worker serving
 many studies never accumulates stale table sets.  A ``("reset_context",)``
 frame clears those caches without replacing the context, letting a

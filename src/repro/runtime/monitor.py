@@ -94,8 +94,8 @@ class AppMonitor:
         self.app_class: AppClass = AppClass.UNKNOWN
         self.warmup_remaining = self.config.warmup_samples
         # Both rolling windows (LLCMPKC, stall fraction) live in one 2-column
-        # ring buffer with O(1) mean reads, bit-identical per column to the
-        # former pair of RollingMeanWindow deques (and to np.mean).
+        # ring buffer with O(1) mean reads, bit-identical per column to
+        # np.mean over the window.
         self._history = RollingMeanRing(self.config.history_window, 2)
         #: Slowdown table (indexed by way count - 1) built from the last
         #: sampling-mode sweep; only meaningful for sensitive applications.

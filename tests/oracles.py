@@ -45,6 +45,8 @@ production code must reproduce *exactly* — same study rows, same
 * :func:`build_dendrogram_reference`, :func:`evaluate_level_reference` and
   :func:`kpart_decide_reference` — KPart recomputing every distance and
   combined miss curve;
+* :class:`RollingMeanWindow` — one rolling mean per deque, the form the
+  monitors' multi-column ``RollingMeanRing`` must reproduce per column;
 * :class:`ReferenceServiceCore` / :class:`ReferenceHostSession` and
   :func:`reference_offline_replay` — the partitioning service with one
   scalar :class:`~repro.runtime.AppMonitor` per application, each sample
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +101,7 @@ from repro.core.classification import AppClass
 from repro.core.lfoc import lfoc_clustering
 from repro.core.lookahead import lookahead
 from repro.core.types import ClusteringSolution, WayAllocation
-from repro.errors import ClusteringError, SimulationError, SolverError
+from repro.errors import ClusteringError, ReproError, SimulationError, SolverError
 from repro.hardware import skylake_gold_6138
 from repro.hardware.cat import CatController
 from repro.hardware.platform import PlatformSpec
@@ -170,6 +172,7 @@ __all__ = [
     "ReferenceHostSession",
     "ReferenceServiceCore",
     "reference_offline_replay",
+    "RollingMeanWindow",
 ]
 
 #: Scaled-down engine configuration: short runs with a tight partitioning
@@ -1742,3 +1745,84 @@ def reference_offline_replay(
         churn = churn_schedule(host.apps, batches, host_seed(seed, host_id))
         drive_host(host, LocalTransport(core, host_id), batches=batches, churn=churn)
     return core.replay
+
+
+# ---------------------------------------------------------------------------
+# Rolling means
+# ---------------------------------------------------------------------------
+
+
+class RollingMeanWindow:
+    """Rolling mean over the last ``maxlen`` samples with O(1) mean reads,
+    bit-identical to ``np.mean`` over the same window: the one-column deque
+    form of :class:`~repro.metrics.aggregate.RollingMeanRing`.
+
+    The online monitors consult their rolling averages on *every* sample, so
+    the repeated :func:`short_mean` full-window scans (deque -> list -> loop)
+    sat on the driver-layer hot path.  A classic running sum (add the new
+    sample, subtract the evicted one) would be O(1) but **not** bit-identical:
+    float addition does not associate, and ``np.mean`` below eight elements is
+    a strict left-to-right reduction.  Exactness therefore requires every
+    window's sum to be *built* left-to-right — so this structure keeps one
+    running partial sum per live window start (at most ``maxlen``).  Appending
+    a sample advances each partial sum by one addition and opens a new one;
+    the oldest partial sum is then, by construction, exactly the left-to-right
+    sum of the current window, making the mean a single division.
+
+    Appends cost ``min(len, maxlen)`` additions — the same arithmetic the
+    full-window rescan performed — but reads are O(1) and no per-read list
+    materialisation happens, which is what the monitors pay for today.
+
+    For windows of eight or more samples ``np.mean`` switches to its pairwise
+    (unrolled) reduction, which cannot be maintained incrementally; those
+    windows fall back to :func:`short_mean` per read, preserving exactness.
+    The equivalence is pinned by the test suite either way.
+    """
+
+    __slots__ = ("maxlen", "_values", "_partials")
+
+    #: Window length below which NumPy reduces strictly left-to-right.
+    _PAIRWISE_CUTOVER = 8
+
+    def __init__(self, maxlen: int) -> None:
+        if maxlen < 1:
+            raise ReproError(f"window length must be >= 1, got {maxlen}")
+        self.maxlen = maxlen
+        self._values: Deque[float] = deque(maxlen=maxlen)
+        self._partials: Deque[float] = deque()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return iter(self._values)
+
+    @property
+    def full(self) -> bool:
+        return len(self._values) == self.maxlen
+
+    def append(self, value: float) -> None:
+        value = float(value)
+        if self.maxlen < self._PAIRWISE_CUTOVER:
+            if len(self._values) == self.maxlen:
+                # The evicted sample's window start dies with it.
+                self._partials.popleft()
+            for index in range(len(self._partials)):
+                self._partials[index] += value
+            # Seed with 0.0 + value (not value) to mirror the reduction's
+            # zero-initialised accumulator (normalises -0.0 to +0.0).
+            self._partials.append(0.0 + value)
+        self._values.append(value)
+
+    def clear(self) -> None:
+        self._values.clear()
+        self._partials.clear()
+
+    def mean(self) -> float:
+        """Mean of the current window; raises on an empty window."""
+        n = len(self._values)
+        if n == 0:
+            raise ReproError("mean of an empty window")
+        if self.maxlen < self._PAIRWISE_CUTOVER:
+            return self._partials[0] / n
+        return short_mean(self._values)

@@ -138,6 +138,14 @@ class TestCli:
                 parser.parse_args([command, flag, "0"])
             assert exc_info.value.code == 2
             assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+        # fig6 refuses a size cap that would leave no workload at all.
+        with pytest.raises(SystemExit) as exc_info:
+            parser.parse_args(["fig6", "--max-size", "7"])
+        assert exc_info.value.code == 2
+        assert (
+            "argument --max-size: must be >= 8 (the smallest static-study workload), got 7"
+            in capsys.readouterr().err
+        )
 
     def test_fig1_command(self, capsys):
         assert main(["fig1"]) == 0

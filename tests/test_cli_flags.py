@@ -166,8 +166,8 @@ def _cases():
              dict(policies=FIG6_POLICIES, jobs=1)),
         ),
         (
-            ["fig6", "--max-size", "5", "--jobs", "0"],
-            ("fig6_static_study", (names(static_study_workloads(max_size=5)),),
+            ["fig6", "--max-size", "8", "--jobs", "0"],
+            ("fig6_static_study", (names(static_study_workloads(max_size=8)),),
              dict(policies=FIG6_POLICIES, jobs=None)),
         ),
         (

@@ -315,7 +315,7 @@ class TestTCPExecutor:
             ours, theirs = socket_mod.socketpair()
             link = executor.server.adopt(ours, "test")
             # An "error" frame whose payload has no .ticket attribute.
-            theirs.sendall(pack_frame(("error", object())))
+            theirs.sendall(pack_frame(("error", {"ticket": 0})))
             executor.server.read(link)  # must not raise
             assert link not in executor.server.links
         finally:

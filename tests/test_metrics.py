@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from oracles import RollingMeanWindow
 from repro.metrics import (
-    RollingMeanWindow,
     antt,
     short_mean,
     average_percent_reduction,
@@ -20,6 +20,7 @@ from repro.metrics import (
     stp,
     unfairness,
 )
+from repro.metrics.aggregate import RollingMeanRing
 
 
 class TestSlowdown:
@@ -221,3 +222,15 @@ class TestRollingMeanWindow:
             window.append(value)
             history.append(float(value))
             assert window.mean() == float(np.mean(history[-12:]))
+
+    def test_ring_columns_match_the_window_oracle(self):
+        rng = np.random.default_rng(11)
+        for maxlen in (1, 3, 7, 8, 12):
+            ring = RollingMeanRing(maxlen, 2)
+            windows = [RollingMeanWindow(maxlen), RollingMeanWindow(maxlen)]
+            for row in rng.uniform(-5.0, 500.0, size=(40, 2)):
+                ring.append(row)
+                for column, window in enumerate(windows):
+                    window.append(row[column])
+                    assert ring.mean(column) == window.mean(), (maxlen, column)
+                assert list(ring.means()) == [w.mean() for w in windows]

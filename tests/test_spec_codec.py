@@ -108,6 +108,7 @@ OVERRIDES = {
     (ExecutorSpec, "chaos"): st.sampled_from([None, {}, {"kill_runs": [1]}]),
     (ServiceSpec, "bind"): st.sampled_from(["127.0.0.1:0", "0.0.0.0:7080"]),
     (ServiceSpec, "agent_chaos"): st.sampled_from([None, {"agent_kill_batches": [3]}]),
+    (ServiceSpec, "workload"): st.sampled_from([None, "S1", "P12"]),
     (ScenarioSpec, "platform"): _PLATFORMS,
     (ScenarioSpec, "seeds"): st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True).map(tuple),
     (TournamentSpec, "platforms"): st.lists(_PLATFORMS, min_size=1, max_size=2, unique_by=str).map(tuple),
@@ -369,6 +370,16 @@ class TestBoundaryErrors:
         with pytest.raises(SpecError, match="service bind is invalid"):
             main(["serve", "--bind", "nonsense", "--quiet"])
 
+    def test_serve_refuses_an_unknown_workload_before_any_agent_spawns(self, monkeypatch):
+        from repro.service.daemon import PartitionDaemon
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("the daemon started before its workload was checked")
+
+        monkeypatch.setattr(PartitionDaemon, "__init__", spawn)
+        with pytest.raises(SpecError, match="ServiceSpec.workload 'S99' is not an evaluation workload"):
+            main(["serve", "--supervise", "1", "--workload", "S99", "--quiet"])
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -376,6 +387,7 @@ class TestBoundaryErrors:
             (["--batches", "-3"], "ServiceSpec.batches must be >= 1"),
             (["--ways", "0"], "ServiceSpec.ways must be >= 1"),
             (["--workload", ""], "ServiceSpec.workload must be a non-empty string"),
+            (["--workload", "S99"], "ServiceSpec.workload 'S99' is not an evaluation workload"),
         ],
     )
     def test_agent_is_validated_like_the_service_spec(self, monkeypatch, flags, message):
