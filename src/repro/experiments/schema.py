@@ -18,8 +18,8 @@ rules:
 * ``help`` — the field's one-line description, also the help text of the
   ``lfoc-repro`` flag generated from it;
 * ``emit="always"`` — ``to_dict`` writes the field even at its default.
-  Otherwise a field is written only when it is not ``None`` (or has a
-  ``none_as``) and differs from its default; fields without a default are
+  Otherwise a field is written only when it differs from its default (a
+  ``None`` as its ``none_as``, if it has one); fields without a default are
   always written.
 
 :meth:`Spec.__post_init__` checks and normalises every field (an ``int``
@@ -219,9 +219,7 @@ class Spec:
             out["schema"] = self._SCHEMA[1]
         for f in spec_fields(type(self)):
             value = getattr(self, f.name)
-            if f.always or not (
-                value == f.default or (value is None and "none_as" not in f.meta)
-            ):
+            if f.always or value != f.default:
                 out[f.name] = f.encode(value)
         return out
 

@@ -50,6 +50,7 @@ from repro.experiments.schema import Spec, _decoder, rule
 from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig
 from repro.runtime.executors.tcp import parse_address
+from repro.simulator.estimator import DEFAULT_MAX_ENTRIES
 from repro.workloads.generator import Workload, random_workload
 from repro.workloads.suites import all_workloads
 
@@ -265,9 +266,13 @@ class EngineSpec(Spec):
     """Runtime-engine execution parameters; mirrors ``EngineConfig``.
 
     ``backend`` (``incremental`` or ``multirun``) is resolved through the
-    engine-backend registry; ``max_table_entries`` bounds the shared
-    :class:`~repro.simulator.estimator.EvaluationTables` (LRU eviction,
-    ``None`` = unbounded); ``tables_path`` is their warm-start file (see
+    engine-backend registry.  ``max_table_entries`` is the LRU bound on each
+    table of the shared :class:`~repro.simulator.estimator.EvaluationTables`:
+    estimates, component trajectories, decompositions and engine vectors
+    (default :data:`~repro.simulator.estimator.DEFAULT_MAX_ENTRIES`).
+    ``None`` is unbounded and a JSON spec writes it as ``null``; TOML has no
+    null, so a TOML study asks for a bound larger than it will ever fill.
+    ``tables_path`` is the tables' warm-start file (see
     :attr:`EngineConfig.tables_path`; a missing file means a cold start).
     ``record_traces`` defaults to *off* here (studies persist metric rows,
     not traces), unlike the engine's own default.
@@ -283,7 +288,11 @@ class EngineSpec(Spec):
     record_traces: bool = rule(False, emit="always")
     max_simulated_seconds: float = rule(600.0, emit="always", gt=0)
     backend: str = rule("incremental", emit="always")
-    max_table_entries: Optional[int] = rule(ge=1)
+    max_table_entries: Optional[int] = rule(
+        DEFAULT_MAX_ENTRIES, ge=1,
+        help=f"LRU bound on each shared evaluation table (default {DEFAULT_MAX_ENTRIES}); "
+        "evicted entries are recomputed with the same bits",
+    )
     tables_path: Optional[str] = None
 
     def to_config(self) -> EngineConfig:

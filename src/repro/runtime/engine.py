@@ -58,9 +58,11 @@ from repro.hardware.pmc import window_metrics
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.scheduler import PolicyDriver
 from repro.simulator.estimator import (
+    DEFAULT_MAX_ENTRIES,
     EvaluationTables,
     ProfileSnapshot,
     allocation_token,
+    tables_signature,
 )
 
 __all__ = ["EngineConfig", "RuntimeEngine", "alone_completion_time"]
@@ -96,10 +98,12 @@ class EngineConfig:
     #: under ``"multirun"`` is the same one-run loop).  Both produce
     #: bit-identical results.
     backend: str = "incremental"
-    #: LRU bound on the shared evaluation tables' estimate cache (``None`` =
+    #: LRU bound on each table of the shared evaluation tables: estimates,
+    #: component trajectories, decompositions and engine vectors (default
+    #: :data:`~repro.simulator.estimator.DEFAULT_MAX_ENTRIES`, ``None`` =
     #: unbounded).  Evicted entries are recomputed on demand, so results are
     #: unaffected.
-    max_table_entries: Optional[int] = None
+    max_table_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     #: Warm-start file for the shared evaluation tables (``None`` = start
     #: cold).  When set, every worker process seeds its tables from this
     #: :meth:`~repro.simulator.estimator.EvaluationTables.load` snapshot if
@@ -188,7 +192,7 @@ class RuntimeEngine:
         self._alloc_token: Optional[tuple] = None
         if tables is None:
             tables = EvaluationTables(platform, max_entries=self.config.max_table_entries)
-        elif tables.params_signature() != EvaluationTables(platform).params_signature():
+        elif tables.params_signature() != tables_signature(platform):
             raise SimulationError(
                 "shared evaluation tables were built for different "
                 "platform or model parameters"

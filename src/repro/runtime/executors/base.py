@@ -61,7 +61,11 @@ from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig, RuntimeEngine
 from repro.runtime.multirun import MultiRunEngine, RunGroup
 from repro.runtime.results import RunResult
-from repro.simulator.estimator import EvaluationTables
+from repro.simulator.estimator import (
+    DEFAULT_MAX_ENTRIES,
+    EvaluationTables,
+    tables_signature,
+)
 from repro.workloads.generator import Workload
 
 __all__ = [
@@ -162,8 +166,8 @@ _TABLES_CACHE_MAX = 8
 # _TABLES_CACHE this survives context installs: a snapshot file is
 # immutable for a given (mtime, size), so re-reading it on every study in a
 # long-lived process would buy nothing — repeated studies and recycled pool
-# workers keep starting warm from the first load.  Entries only accumulate
-# extra estimates (pure functions of their keys), never study results.
+# workers keep starting warm from the first load.  Entries only gain and
+# evict cached values (pure functions of their keys), never study results.
 _SNAPSHOT_CACHE: Dict[tuple, EvaluationTables] = {}
 _SNAPSHOT_CACHE_MAX = 4
 
@@ -179,7 +183,7 @@ def clear_worker_tables() -> None:
 
 def worker_tables(
     platform: PlatformSpec,
-    max_entries: Optional[int] = None,
+    max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     tables_path: Optional[str] = None,
 ) -> EvaluationTables:
     """This process's shared evaluation tables for ``(platform, max_entries)``.
@@ -202,7 +206,7 @@ def worker_tables(
             stat.st_mtime_ns,
             stat.st_size,
             max_entries,
-            EvaluationTables(platform).params_signature(),
+            tables_signature(platform),
         )
         tables = _SNAPSHOT_CACHE.get(snap_key)
         if tables is None:

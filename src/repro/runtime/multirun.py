@@ -65,6 +65,7 @@ from repro.simulator.estimator import (
     EvaluationTables,
     ProfileSnapshot,
     allocation_token,
+    tables_signature,
 )
 
 __all__ = ["MultiRunEngine", "RunGroup", "group_run_specs"]
@@ -344,7 +345,7 @@ class _MemberRun:
                 rate_vec.tolist(),
             )
             self.rate_vectors[key] = vectors
-            self.tables.engine_vectors[shared_key] = vectors
+            self.tables.engine_vectors.put(shared_key, vectors)
         self.eff = vectors[3]
         self.rate = vectors[4]
         self.advance = vectors[5]
@@ -412,7 +413,7 @@ class MultiRunEngine:
             tables = EvaluationTables(
                 platform, max_entries=self.config.max_table_entries
             )
-        elif tables.params_signature() != EvaluationTables(platform).params_signature():
+        elif tables.params_signature() != tables_signature(platform):
             raise SimulationError(
                 "shared evaluation tables were built for different "
                 "platform or model parameters"

@@ -279,6 +279,9 @@ class HostSession:
         # -- decision layer (dunn) --
         self.history_window = history_window
         self._dunn = DunnPolicy()
+        # Per-app stall windows, kept by Dunn sessions only (LFOC decides
+        # from the bank's classifications and reads no stall history).
+        self._keep_stalls = policy == "dunn"
         self._stalls: Dict[str, Deque[float]] = {}
         self._dunn_cache = LruDict(4096)
 
@@ -411,7 +414,8 @@ class HostSession:
         self.monitors[app] = monitor
         self.live.append(app)
         self._live_rows = None
-        self._stalls[app] = deque(maxlen=self.history_window)
+        if self._keep_stalls:
+            self._stalls[app] = deque(maxlen=self.history_window)
 
     def _depart(self, app: str) -> None:
         if app not in self.monitors:
@@ -453,6 +457,7 @@ class HostSession:
         llcmpkc: List[float] = []
         stall_fraction: List[float] = []
         effective_ways: List[float] = []
+        stalls = self._stalls if self._keep_stalls else None
         for entry in samples:
             app = entry["app"]
             monitor = self.monitors.get(app)
@@ -464,7 +469,8 @@ class HostSession:
             llcmpkc.append(float(entry["llcmpkc"]))
             stall_fraction.append(stall)
             effective_ways.append(float(entry["effective_ways"]))
-            self._stalls[app].append(stall)
+            if stalls is not None:
+                stalls[app].append(stall)
         if rows:
             self.samples_ingested += len(rows)
             self.ingest.stage(pending, rows, llcmpkc, stall_fraction, effective_ways)
@@ -614,6 +620,10 @@ class HostSession:
         self.decisions_computed = int(state["decisions_computed"])
         self.history_window = int(state["history_window"])
         self._stalls = {}
+        if not self._keep_stalls:
+            # An LFOC snapshot from an earlier build may carry stall
+            # windows; the session never reads them.
+            return
         for app in self.live:
             window: Deque[float] = deque(maxlen=self.history_window)
             window.extend(float(v) for v in state["stalls"].get(app, ()))

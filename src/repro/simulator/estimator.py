@@ -28,7 +28,6 @@ import hashlib
 import json
 import struct
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -37,6 +36,7 @@ import numpy as np
 
 from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile, FastProfileView
+from repro.core.caching import LruDict
 from repro.core.types import ClusteringSolution, WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
@@ -51,10 +51,35 @@ from repro.simulator.occupancy import (
 __all__ = [
     "ClusterEstimate",
     "ClusteringEstimator",
+    "DEFAULT_MAX_ENTRIES",
     "EvaluationTables",
     "ProfileSnapshot",
     "allocation_token",
+    "tables_signature",
 ]
+
+#: Default LRU bound of each evaluation table.  Measured on Fig. 7 dynamic
+#: studies (EXPERIMENTS.md): every estimate, multi-member trajectory and
+#: decomposition hit recurs within 71 distinct entries of its table, so 128
+#: is the smallest power of two that keeps them all.  Single-member
+#: trajectories recur further apart, and each costs one step to rebuild.
+DEFAULT_MAX_ENTRIES = 128
+
+
+def tables_signature(
+    platform: PlatformSpec,
+    occupancy_model: Optional[OccupancyModel] = None,
+    bandwidth_model: Optional[BandwidthModel] = None,
+) -> tuple:
+    """The :meth:`EvaluationTables.params_signature` of tables built with
+    these arguments (default models when ``None``), without building any."""
+    occ = occupancy_model or OccupancyModel()
+    bw = bandwidth_model or BandwidthModel()
+    return (
+        platform,
+        (occ.max_iterations, occ.tolerance, occ.damping, occ.base_pressure),
+        (bw.sensitivity, bw.max_factor),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +232,8 @@ class EvaluationTables:
       identical profiles — across phases, policy drivers, engine runs, even
       freshly rebuilt workloads — share all derived tables;
     * an :class:`~repro.simulator.occupancy.OccupancyTrajectoryCache` stores
-      the exact fixed-point trajectory of every mask-sharing component ever
-      solved;
+      the exact fixed-point trajectories of recently solved mask-sharing
+      components and the component decompositions of recent allocations;
     * a full-estimate cache keyed by ``(allocation, profile tokens)`` makes a
       repeated :meth:`evaluate` call a single dictionary lookup.
 
@@ -227,36 +252,38 @@ class EvaluationTables:
         *,
         occupancy_model: Optional[OccupancyModel] = None,
         bandwidth_model: Optional[BandwidthModel] = None,
-        max_entries: Optional[int] = None,
+        max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     ) -> None:
         """
         Parameters
         ----------
         max_entries:
-            Upper bound on cached full estimates (``None``, the default, is
-            unbounded).  When set, the estimate cache evicts its
-            least-recently-used entry on overflow, so long-lived services do
-            not grow monotonically; evicted entries are simply recomputed on
-            the next request (results stay bit-identical either way).  The
-            occupancy-trajectory and profile-token tables are not bounded —
-            they grow with distinct components/profiles, not with evaluations.
+            LRU bound on each table that grows with evaluations: the full
+            estimates, the component trajectories, the allocation
+            decompositions and :attr:`engine_vectors` (``None`` is
+            unbounded).  Each table evicts its least-recently-used entry on
+            overflow, and a hit refreshes an entry's recency.  Every entry is
+            a pure function of its key, so an evicted one is recomputed on
+            its next use with the same bits.  Without the bound these tables
+            keep one estimate and about one trajectory per evaluation: a
+            Fig. 7 dynamic job builds 1,603 trajectories for 1,554
+            evaluations, and 63 of its 1,617 estimate lookups hit.  The
+            profile-token registry is not bounded: it is keyed by curve
+            values, so it grows with distinct profiles only.
         """
         if max_entries is not None and max_entries < 1:
             raise SimulationError("max_entries must be >= 1 (or None for unbounded)")
         self.platform = platform
         self.occupancy_model = occupancy_model or OccupancyModel()
         self.bandwidth_model = bandwidth_model or BandwidthModel()
-        self.occupancy_cache = OccupancyTrajectoryCache(self.occupancy_model)
-        self.max_entries = max_entries
-        # An OrderedDict only when bounded: the unbounded path keeps the plain
-        # dict (no recency bookkeeping on the hot lookup).
-        self._estimates: Dict[tuple, ClusterEstimate] = (
-            OrderedDict() if max_entries is not None else {}
+        self.occupancy_cache = OccupancyTrajectoryCache(
+            self.occupancy_model, max_entries=max_entries
         )
-        # Token registry: id -> token with strong references (so ids cannot be
-        # recycled), plus a value-fingerprint table for cross-object sharing.
-        self._token_by_id: Dict[int, int] = {}
-        self._token_refs: List[AppProfile] = []
+        self.max_entries = max_entries
+        self._estimates = LruDict(max_entries)
+        # Token registry: one token per distinct value fingerprint.  No
+        # profile object is kept, so renamed per-run copies of one profile
+        # cost nothing once their run ends.
         self._token_by_value: Dict[tuple, int] = {}
         self._views: Dict[int, FastProfileView] = {}
         # Engine-facing scratch: rate/advance vectors derived from estimates,
@@ -264,32 +291,22 @@ class EvaluationTables:
         # phase tokens)) so any engine sharing these tables — across runs,
         # groups, even repeated studies — reuses them.  Populated by the
         # multi-run engine; never persisted.
-        self.engine_vectors: Dict[tuple, tuple] = {}
+        self.engine_vectors = LruDict(max_entries)
 
     # -- bookkeeping -------------------------------------------------------------
 
     def params_signature(self) -> tuple:
         """Model/platform parameters a compatible sharer must match."""
-        occ = self.occupancy_model
-        bw = self.bandwidth_model
-        return (
-            self.platform,
-            (occ.max_iterations, occ.tolerance, occ.damping, occ.base_pressure),
-            (bw.sensitivity, bw.max_factor),
-        )
+        return tables_signature(self.platform, self.occupancy_model, self.bandwidth_model)
 
     def token_for(self, profile: AppProfile) -> int:
         """Value-fingerprint token of a profile (stable across copies)."""
-        token = self._token_by_id.get(id(profile))
+        fingerprint = profile.value_fingerprint()
+        token = self._token_by_value.get(fingerprint)
         if token is None:
-            fingerprint = profile.value_fingerprint()
-            token = self._token_by_value.get(fingerprint)
-            if token is None:
-                token = len(self._token_by_value)
-                self._token_by_value[fingerprint] = token
-                self._views[token] = FastProfileView(profile)
-            self._token_by_id[id(profile)] = token
-            self._token_refs.append(profile)
+            token = len(self._token_by_value)
+            self._token_by_value[fingerprint] = token
+            self._views[token] = FastProfileView(profile)
         return token
 
     def view_for(self, profile: AppProfile) -> FastProfileView:
@@ -352,7 +369,8 @@ class EvaluationTables:
         Writes the token registry (per-token IPC/LLCMPKC curves and bytes per
         miss — enough to re-derive the value fingerprints and rebuild the
         :class:`FastProfileView`\\ s), every cached occupancy trajectory and
-        every cached full estimate.  :meth:`load` restores all three
+        every cached full estimate, each table from its least to its most
+        recently used entry.  :meth:`load` restores all three
         bit-identically; profile *objects* interned later re-attach to the
         restored tokens through their value fingerprints.
         """
@@ -472,9 +490,13 @@ class EvaluationTables:
         *,
         occupancy_model: Optional[OccupancyModel] = None,
         bandwidth_model: Optional[BandwidthModel] = None,
-        max_entries: Optional[int] = None,
+        max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     ) -> "EvaluationTables":
         """Rebuild saved tables, bit-identical to the instance that saved them.
+
+        Each bounded table keeps the ``max_entries`` most recently used of
+        its saved entries, in their saved recency order; the token registry
+        is restored whole.
 
         The caller supplies the platform and models (they are code-level
         objects, not data); the stored ``params_signature`` digest must match
@@ -638,9 +660,7 @@ class EvaluationTables:
                 stall_fractions=stall_fractions,
             )
             key = ((tuple(allocation.masks.items()), allocation.total_ways), tokens)
-            tables._estimates[key] = estimate
-            if max_entries is not None and len(tables._estimates) > max_entries:
-                tables._estimates.popitem(last=False)
+            tables._estimates.put(key, estimate)
 
         if cursor != count:
             raise SimulationError(
@@ -708,11 +728,7 @@ class EvaluationTables:
         estimate = self._estimates.get(key)
         if estimate is None:
             estimate = self._compute(allocation, apps, tokens, alloc_token)
-            self._estimates[key] = estimate
-            if self.max_entries is not None and len(self._estimates) > self.max_entries:
-                self._estimates.popitem(last=False)
-        elif self.max_entries is not None:
-            self._estimates.move_to_end(key)
+            self._estimates.put(key, estimate)
         return estimate
 
     def _compute(

@@ -40,6 +40,7 @@ from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.profile import AppProfile, FastProfileView, interp_ways
+from repro.core.caching import LruDict
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 
@@ -388,12 +389,17 @@ class OccupancyTrajectoryCache:
     by their members' curve fingerprints and rank-compressed relative masks,
     so the same cluster reappearing at a different cache offset, in a
     different allocation, or in a rebuilt run reuses the stored iterations.
+
+    Both tables — trajectories by component key, decompositions by
+    allocation token — are LRU-bounded by ``max_entries`` (``None`` is
+    unbounded).  Either is a pure function of its key, so an evicted entry
+    is rebuilt with the same bits on its next use.
     """
 
-    def __init__(self, model: OccupancyModel) -> None:
+    def __init__(self, model: OccupancyModel, max_entries: Optional[int] = None) -> None:
         self.model = model
-        self._trajectories: Dict[tuple, _ComponentTrajectory] = {}
-        self._decompositions: Dict[tuple, List[_Component]] = {}
+        self._trajectories = LruDict(max_entries)
+        self._decompositions = LruDict(max_entries)
 
     def __len__(self) -> int:
         return len(self._trajectories)
@@ -466,7 +472,7 @@ class OccupancyTrajectoryCache:
         trajectory.deltas = array("d", deltas)
         trajectory.length = len(trajectory.deltas)
         trajectory.fixed_at = int(fixed_at)
-        self._trajectories[key] = trajectory
+        self._trajectories.put(key, trajectory)
 
     def _decompose(
         self, allocation: WayAllocation, alloc_token: tuple
@@ -499,7 +505,7 @@ class OccupancyTrajectoryCache:
                 size, n = int(mask).bit_count(), len(members)
                 rel_ways, rel_mask = list(range(size)), (1 << size) - 1
                 decomposition.append((members, [rel_ways] * n, [rel_mask] * n))
-        self._decompositions[alloc_token] = decomposition
+        self._decompositions.put(alloc_token, decomposition)
         return decomposition
 
     @staticmethod
@@ -570,7 +576,7 @@ class OccupancyTrajectoryCache:
                 trajectory = _ComponentTrajectory(
                     [views[m].llcmpkc for m in members], rel_lists
                 )
-                self._trajectories[key] = trajectory
+                self._trajectories.put(key, trajectory)
             trajectories.append((trajectory, members))
 
         # The global solve stops at the first iteration where every

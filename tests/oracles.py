@@ -1043,7 +1043,7 @@ class RecordingTrajectoryCache(OccupancyTrajectoryCache):
                 trajectory = RecordingTrajectory(
                     [views[m].llcmpkc for m in members], rel_lists
                 )
-                self._trajectories[key] = trajectory
+                self._trajectories.put(key, trajectory)
             trajectories.append((trajectory, members))
         # The global stop: the first iteration at which every component's
         # delta is below the tolerance.

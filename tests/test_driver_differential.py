@@ -46,6 +46,17 @@ class TestEngineDriverCrossProduct:
                     f"{workload.name}/{driver_name} "
                     f"(engine={engine_backend}, driver={driver_backend})",
                 )
+            # Tables that keep two entries each evict on almost every solve.
+            evicting = oracles.differential_run(
+                workload,
+                driver_name,
+                "incremental",
+                "incremental",
+                config=replace(oracles.ORACLE_CONFIG, max_table_entries=2),
+            )
+            oracles.assert_identical(
+                evicting, baseline, f"{workload.name}/{driver_name} (max_table_entries=2)"
+            )
 
     def test_oracle_workloads_are_reproducible_and_phased(self, oracle_seeds):
         for seed in oracle_seeds:

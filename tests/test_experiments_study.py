@@ -476,11 +476,13 @@ class TestWorkerTableCache:
         The per-worker cache is keyed by ``(id(platform), max_entries)``, so
         interleaved runners with different bounds (or platforms) can never
         silently share or clobber each other's table state — and repeated
-        batches still produce identical results.
+        batches still produce identical results.  A spec that leaves the
+        field unset gets the default bound.
         """
         from repro.runtime import EngineConfig, RunSpec, SerialExecutor, StockLinuxDriver
         from repro.runtime.executors import worker_tables
         from repro.hardware import skylake_gold_6138
+        from repro.simulator.estimator import DEFAULT_MAX_ENTRIES
         from repro.workloads import workload_by_name
 
         platform = skylake_gold_6138()
@@ -491,7 +493,7 @@ class TestWorkerTableCache:
                 workload=workload,
                 driver_cls=StockLinuxDriver,
                 config=EngineConfig(**base),
-                label="unbounded",
+                label="default",
             ),
             RunSpec(
                 workload=workload,
@@ -507,17 +509,88 @@ class TestWorkerTableCache:
 
         results = run_batch()
         assert len(results) == 2
+        assert specs[0].config.max_table_entries == DEFAULT_MAX_ENTRIES
         # Distinct bounds map to distinct table sets for the same platform...
-        unbounded = worker_tables(platform, None)
+        default = worker_tables(platform, DEFAULT_MAX_ENTRIES)
         bounded = worker_tables(platform, 2)
-        assert unbounded is not bounded
-        assert bounded.max_entries == 2 and unbounded.max_entries is None
+        assert default is not bounded
+        assert bounded.max_entries == 2 and default.max_entries == DEFAULT_MAX_ENTRIES
         # ...the cache is stable across lookups (interleaved runners share)...
         assert worker_tables(platform, 2) is bounded
         # ...and results do not depend on whatever table state accumulated.
         r1 = run_batch()
         assert results[0].slowdowns() == r1[0].slowdowns()
         assert results[1].slowdowns() == r1[1].slowdowns()
+
+    def test_repeated_study_stays_within_the_bound(self):
+        """A Fig. 7-shaped batch run twice over one worker's bounded tables:
+        every table ends at or below the bound, the token registry does not
+        grow on the second pass, and the rows equal those of unbounded
+        tables."""
+        import gc
+
+        import oracles
+        from repro.apps import AppProfile
+        from repro.hardware import skylake_gold_6138
+        from repro.runtime import (
+            DunnUserLevelDaemon,
+            LfocSchedulerPlugin,
+            RunSpec,
+            SerialExecutor,
+        )
+        from repro.runtime.executors import worker_tables
+        from repro.workloads import random_workload
+
+        platform = skylake_gold_6138()
+        bound = 16
+        workloads = [
+            random_workload(f"{kind}{size}-{i}", size, kind=kind, seed=100 * size + i)
+            for size in (8, 12)
+            for kind in ("P", "S")
+            for i in range(2)
+        ]
+
+        def specs(max_entries):
+            config = EngineConfig(
+                instructions_per_run=1.0e9,
+                min_completions=2,
+                record_traces=False,
+                max_table_entries=max_entries,
+            )
+            return [
+                RunSpec(workload=w, driver_cls=driver, config=config)
+                for w in workloads
+                for driver in (DunnUserLevelDaemon, LfocSchedulerPlugin)
+            ]
+
+        def fields(results):
+            return [oracles.run_fields(result) for result in results]
+
+        def live_profiles():
+            # Every run renames its profiles afresh; the registry must not
+            # keep those copies alive.
+            gc.collect()
+            return sum(isinstance(obj, AppProfile) for obj in gc.get_objects())
+
+        with SerialExecutor() as executor:
+            executor.prepare(platform)
+            first = fields(executor.map_specs(specs(bound)))
+            tables = worker_tables(platform, bound)
+            profiles = tables.cache_sizes()["profiles"]
+            live = live_profiles()
+            second = fields(executor.map_specs(specs(bound)))
+            assert live_profiles() == live
+            sizes = dict(
+                tables.cache_sizes(),
+                decompositions=len(tables.occupancy_cache._decompositions),
+            )
+            assert tables.cache_sizes()["profiles"] == profiles
+        del sizes["profiles"]  # the registry, keyed by curve values
+        assert max(sizes.values()) == bound, sizes  # evicting, yet bounded
+        with SerialExecutor() as executor:
+            executor.prepare(platform)
+            unbounded = fields(executor.map_specs(specs(None)))
+        assert first == second == unbounded
 
     def test_cache_distinguishes_platforms_by_identity(self):
         from repro.hardware import skylake_gold_6138

@@ -422,6 +422,27 @@ class TestEstimatorBackends:
                 tables=tables,
             )
 
+    def test_engine_on_shared_tables_builds_no_tables(
+        self, platform, phased_workload, monkeypatch
+    ):
+        """The compatibility check compares signatures; it builds nothing."""
+        tables = EvaluationTables(platform)
+        built = []
+        init = EvaluationTables.__init__
+        monkeypatch.setattr(
+            EvaluationTables,
+            "__init__",
+            lambda self, *a, **k: built.append(self) or init(self, *a, **k),
+        )
+        RuntimeEngine(
+            platform,
+            phased_workload.phased_profiles(platform.llc_ways),
+            StockLinuxDriver(),
+            FAST,
+            tables=tables,
+        )
+        assert built == []
+
     def test_token_sharing_across_rebuilt_profiles(self, platform):
         workload = Workload("tok", ("lbm06", "mcf06"))
         tables = EvaluationTables(platform)

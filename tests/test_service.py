@@ -1160,6 +1160,38 @@ class TestSnapshotRestore:
         assert restored.sessions["h0"].completed
         assert "h0" in restored.ever_completed or restored.completed_hosts() == ["h0"]
 
+    def test_only_dunn_sessions_keep_stall_windows(self):
+        """LFOC decides from classifications alone, so its sessions keep
+        and snapshot no stall window; a snapshot that still carries one,
+        as earlier builds wrote, restores and continues alike.  Dunn
+        sessions keep theirs."""
+        original = self._mid_run_core()
+        state = original.to_state()
+        assert original.sessions["h0"]._stalls == {}
+        assert state["sessions"]["h0"]["stalls"] == {}
+        older = json.loads(json.dumps(state))
+        older["sessions"]["h0"]["stalls"] = {"a": [0.5]}
+        restored = ServiceCore.from_state(older)
+        assert restored.sessions["h0"]._stalls == {}
+        tail = [
+            ("monitor_samples", protocol.monitor_samples(
+                5, [sample_entry("a", llcmpkc=41.0)], []
+            )[1]),
+            ("host_bye", protocol.host_bye(6)[1]),
+        ]
+        assert _feed(restored, "h0", tail) == _feed(original, "h0", tail)
+        assert restored.replay.signature() == original.replay.signature()
+
+        dunn = ServiceCore(policy="dunn")
+        dunn.handle_hello(protocol.host_hello("h0", 7, 0)[1])
+        _feed(dunn, "h0", [
+            ("app_arrive", protocol.app_arrive(1, "a")[1]),
+            ("monitor_samples", protocol.monitor_samples(
+                2, [sample_entry("a", stall=0.25)], []
+            )[1]),
+        ])
+        assert dunn.to_state()["sessions"]["h0"]["stalls"] == {"a": [0.25]}
+
     def test_reconnecting_agent_resumes_mid_epoch_after_restore(self):
         original = self._mid_run_core()
         restored = ServiceCore.from_state(original.to_state())

@@ -1,7 +1,11 @@
 """Tests for the contention estimator (occupancy, bandwidth, evaluation, Whirlpool)."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import build_profile, light_curves, sensitive_curves, AppProfile, CurveSet
 from repro.core import ClusteringSolution, WayAllocation
@@ -237,7 +241,7 @@ class TestWhirlpool:
 
 
 class TestEvaluationTablesEviction:
-    """max_entries bounds the estimate cache without changing any result."""
+    """max_entries bounds every table without changing any result."""
 
     def _mix(self, platform, count=4):
         names = ["lbm06", "xalancbmk06", "gamess06", "omnetpp06"][:count]
@@ -275,7 +279,7 @@ class TestEvaluationTablesEviction:
     def test_results_bit_identical_with_and_without_bound(self):
         platform = skylake_gold_6138()
         profiles = self._mix(platform)
-        unbounded = EvaluationTables(platform)
+        unbounded = EvaluationTables(platform, max_entries=None)
         bounded = EvaluationTables(platform, max_entries=1)
         allocations = self._allocations(platform, profiles)
         # Evaluate each twice with the tiny cache: the second pass re-derives
@@ -326,3 +330,51 @@ class TestEvaluationTablesEviction:
 
         with pytest.raises(SimulationError):
             EngineConfig(max_table_entries=0)
+
+
+# Evaluation steps for the eviction property: one (profile index, mask) per
+# application.  The masks mix whole-cache and disjoint halves (proper
+# clusters, single-member components) with overlapping ranges (Dunn-style
+# components); redrawing an application's profile is a phase-token change.
+_EVICTION_PROFILES = ("lbm06", "xalancbmk06", "gamess06", "omnetpp06", "mcf06")
+_EVICTION_MASKS = (0x7FF, 0x01F, 0x7E0, 0x0FF, 0x7F8, 0x03C, 0x001, 0x400, 0x1C0)
+_eviction_step = st.lists(
+    st.tuples(
+        st.integers(0, len(_EVICTION_PROFILES) - 1),
+        st.integers(0, len(_EVICTION_MASKS) - 1),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _eviction_profiles():
+    platform = skylake_gold_6138()
+    return platform, [build_profile(name, platform.llc_ways) for name in _EVICTION_PROFILES]
+
+
+class TestBoundedTablesProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(bound=st.integers(1, 8), steps=st.lists(_eviction_step, min_size=1, max_size=30))
+    def test_eviction_is_invisible(self, bound, steps):
+        """Bounded tables give the unbounded tables' estimates bit for bit,
+        and no table ever holds more than the bound.  The token registry is
+        exempt: it is keyed by curve values and grows with distinct
+        profiles only."""
+        platform, pool = _eviction_profiles()
+        unbounded = EvaluationTables(platform, max_entries=None)
+        bounded = EvaluationTables(platform, max_entries=bound)
+        for step in steps:
+            apps = [f"app{i}" for i in range(len(step))]
+            profiles = {app: pool[p].renamed(app) for app, (p, _) in zip(apps, step)}
+            allocation = WayAllocation(
+                masks={app: _EVICTION_MASKS[m] for app, (_, m) in zip(apps, step)},
+                total_ways=platform.llc_ways,
+            )
+            expected = unbounded.evaluate(allocation, profiles)
+            assert repr(bounded.evaluate(allocation, profiles)) == repr(expected)
+            sizes = bounded.cache_sizes()
+            assert sizes["estimates"] <= bound
+            assert sizes["components"] <= bound
+            assert len(bounded.occupancy_cache._decompositions) <= bound

@@ -101,6 +101,33 @@ class TestRoundTrip:
             assert _leaf_floats(estimate) == _leaf_floats(estimates[index])
         assert loaded.cache_sizes() == before  # pure cache hits, no growth
 
+    def test_load_keeps_the_most_recent_entries_of_each_table(
+        self, warmed_tables, platform, mix8, tmp_path
+    ):
+        """A bounded load keeps the last ``max_entries`` saved entries of
+        each table, in saved order, and the whole token registry."""
+        tables, estimates = warmed_tables
+        path = str(tmp_path / "tables.repro")
+        tables.save(path)
+        loaded = EvaluationTables.load(path, platform, max_entries=1)
+        assert loaded.cache_sizes() == {
+            "estimates": 1,
+            "components": 1,
+            "profiles": tables.cache_sizes()["profiles"],
+        }
+        (kept,) = loaded.occupancy_cache.export_entries()
+        assert kept[0] == tables.occupancy_cache.export_entries()[-1][0]
+        # The kept estimate is the last one evaluated; the others recompute
+        # with the same bits from the kept trajectory and fresh ones.
+        (restored,) = loaded._estimates.values()
+        assert _leaf_floats(restored) == _leaf_floats(estimates[len(estimates) - 1])
+        for index, allocation in enumerate(
+            _workload_allocations(list(mix8), platform.llc_ways)
+        ):
+            estimate = loaded.evaluate(allocation, mix8)
+            assert _leaf_floats(estimate) == _leaf_floats(estimates[index])
+            assert max(loaded.cache_sizes()["estimates"], len(loaded.occupancy_cache)) <= 1
+
     def test_recompute_from_warm_trajectories_matches(
         self, warmed_tables, platform, mix8, tmp_path
     ):

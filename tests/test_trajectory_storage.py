@@ -164,7 +164,7 @@ def fig7_tables(platform, fig7_workloads):
     compact = EvaluationTables(platform)
     recording = EvaluationTables(platform)
     recording.occupancy_cache = oracles.RecordingTrajectoryCache(
-        recording.occupancy_model
+        recording.occupancy_model, max_entries=recording.max_entries
     )
     logs = [_logged(tables.occupancy_cache) for tables in (compact, recording)]
     fields = [
