@@ -265,8 +265,8 @@ class FastProfileView:
     Both types interpolate through :func:`interp_ways` over plain floats (a
     view shares its profile's point tuples).  The view keeps only what the
     evaluation tables and engines read (the curves, ``n_ways``,
-    ``ipc_alone`` and ``bytes_per_miss``), can be rebuilt from raw curve
-    values without an ``AppProfile`` (:meth:`from_arrays`).  Stall fraction
+    ``ipc_alone`` and ``bytes_per_miss``) and is built from an
+    :class:`AppProfile` only.  Stall fraction
     and bandwidth demand come from its LLCMPKC through the module-level
     :func:`stall_fraction_from_llcmpkc` and :func:`bandwidth_gbs_from_llcmpkc`,
     as :func:`~repro.simulator.bandwidth.read_demand` reads them.
@@ -280,29 +280,6 @@ class FastProfileView:
         self.n_ways = profile.n_ways
         self.ipc_alone = profile.ipc_alone
         self.bytes_per_miss = profile.bytes_per_miss
-
-    @classmethod
-    def from_arrays(
-        cls, ipc: Sequence[float], llcmpkc: Sequence[float], bytes_per_miss: float
-    ) -> "FastProfileView":
-        """Rebuild a view from raw curve values (persisted-table warm start).
-
-        Equivalent to ``FastProfileView(AppProfile(...))`` over the same
-        curves: ``ipc_alone`` is the last IPC point, exactly as
-        :attr:`AppProfile.ipc_alone` reads it.
-        """
-        view = cls.__new__(cls)
-        view.ipc = [float(v) for v in ipc]
-        view.llcmpkc = [float(v) for v in llcmpkc]
-        if not view.ipc or len(view.ipc) != len(view.llcmpkc):
-            raise ProfileError(
-                "curve arrays must be non-empty and of equal length, got "
-                f"{len(view.ipc)} IPC / {len(view.llcmpkc)} LLCMPKC points"
-            )
-        view.n_ways = len(view.ipc)
-        view.ipc_alone = view.ipc[-1]
-        view.bytes_per_miss = float(bytes_per_miss)
-        return view
 
     # The accessors call interp_ways directly: these sit on the engines' hot
     # paths, where a shared validating wrapper would be one more call.

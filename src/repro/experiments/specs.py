@@ -272,8 +272,7 @@ class EngineSpec(Spec):
     (default :data:`~repro.simulator.estimator.DEFAULT_MAX_ENTRIES`).
     ``None`` is unbounded and a JSON spec writes it as ``null``; TOML has no
     null, so a TOML study asks for a bound larger than it will ever fill.
-    ``tables_path`` is the tables' warm-start file (see
-    :attr:`EngineConfig.tables_path`; a missing file means a cold start).
+    The tables live in memory only: each worker process starts them cold.
     ``record_traces`` defaults to *off* here (studies persist metric rows,
     not traces), unlike the engine's own default.
     """
@@ -293,7 +292,12 @@ class EngineSpec(Spec):
         help=f"LRU bound on each shared evaluation table (default {DEFAULT_MAX_ENTRIES}); "
         "evicted entries are recomputed with the same bits",
     )
-    tables_path: Optional[str] = None
+
+    _REMOVED = {
+        "tables_path": "EngineSpec.tables_path was removed (evaluation tables "
+        "are in-memory only; the persisted warm-start file is gone); drop the "
+        "'tables_path' key from the engine table"
+    }
 
     def to_config(self) -> EngineConfig:
         """Lower onto a concrete ``EngineConfig`` (resolves the backend)."""
@@ -310,7 +314,6 @@ class EngineSpec(Spec):
             max_simulated_seconds=self.max_simulated_seconds,
             backend=ENGINE_BACKENDS.resolve(self.backend),
             max_table_entries=self.max_table_entries,
-            tables_path=self.tables_path,
         )
 
     @classmethod
@@ -323,7 +326,6 @@ class EngineSpec(Spec):
             max_simulated_seconds=config.max_simulated_seconds,
             backend=config.backend,
             max_table_entries=config.max_table_entries,
-            tables_path=config.tables_path,
         )
 
     @classmethod

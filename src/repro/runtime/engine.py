@@ -104,12 +104,6 @@ class EngineConfig:
     #: unbounded).  Evicted entries are recomputed on demand, so results are
     #: unaffected.
     max_table_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    #: Warm-start file for the shared evaluation tables (``None`` = start
-    #: cold).  When set, every worker process seeds its tables from this
-    #: :meth:`~repro.simulator.estimator.EvaluationTables.load` snapshot if
-    #: the file exists; cached values are pure functions of their keys, so
-    #: warm starts change wall clock only, never results.
-    tables_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.instructions_per_run <= 0:

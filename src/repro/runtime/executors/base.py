@@ -39,7 +39,6 @@ strategy as data.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,11 +60,7 @@ from repro.hardware.platform import PlatformSpec
 from repro.runtime.engine import EngineConfig, RuntimeEngine
 from repro.runtime.multirun import MultiRunEngine, RunGroup
 from repro.runtime.results import RunResult
-from repro.simulator.estimator import (
-    DEFAULT_MAX_ENTRIES,
-    EvaluationTables,
-    tables_signature,
-)
+from repro.simulator.estimator import DEFAULT_MAX_ENTRIES, EvaluationTables
 from repro.workloads.generator import Workload
 
 __all__ = [
@@ -155,69 +150,26 @@ def task_label(task: Any) -> str:
 # The cache lives for one context install (see clear_worker_tables): every
 # set_context/prepare starts from empty tables, matching the historical
 # per-batch reset, so long-lived processes never accumulate stale table sets.
-_TABLES_CACHE: Dict[
-    Tuple[int, Optional[int], Optional[str]], Tuple[PlatformSpec, EvaluationTables]
-] = {}
+_TABLES_CACHE: Dict[Tuple[int, Optional[int]], Tuple[PlatformSpec, EvaluationTables]] = {}
 _TABLES_CACHE_MAX = 8
-
-
-# Loaded warm-start snapshots, keyed by the file's identity (path + stat)
-# and the parameter digest they were validated against.  Unlike
-# _TABLES_CACHE this survives context installs: a snapshot file is
-# immutable for a given (mtime, size), so re-reading it on every study in a
-# long-lived process would buy nothing — repeated studies and recycled pool
-# workers keep starting warm from the first load.  Entries only gain and
-# evict cached values (pure functions of their keys), never study results.
-_SNAPSHOT_CACHE: Dict[tuple, EvaluationTables] = {}
-_SNAPSHOT_CACHE_MAX = 4
 
 
 def clear_worker_tables() -> None:
     """Drop this process's table cache (called on every context install).
 
-    Warm-start snapshots (see ``_SNAPSHOT_CACHE``) are kept: they are
-    keyed by file identity and parameter digest, so a context change can
-    never alias them to the wrong study."""
+    The tables live in memory only, so the next lookup starts cold."""
     _TABLES_CACHE.clear()
 
 
 def worker_tables(
-    platform: PlatformSpec,
-    max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-    tables_path: Optional[str] = None,
+    platform: PlatformSpec, max_entries: Optional[int] = DEFAULT_MAX_ENTRIES
 ) -> EvaluationTables:
-    """This process's shared evaluation tables for ``(platform, max_entries)``.
-
-    With ``tables_path`` naming an existing persisted-tables file, the first
-    lookup in this process warm-starts from it
-    (:meth:`EvaluationTables.load`); a missing file is the normal cold start
-    (the batch that writes the snapshot has not run yet), while a corrupt or
-    mismatched file raises — silently dropping a requested warm start would
-    hide a configuration error behind a slow run.
-    """
-    key = (id(platform), max_entries, tables_path)
+    """This process's shared evaluation tables for ``(platform, max_entries)``."""
+    key = (id(platform), max_entries)
     hit = _TABLES_CACHE.get(key)
     if hit is not None and hit[0] is platform:
         return hit[1]
-    if tables_path is not None and os.path.exists(tables_path):
-        stat = os.stat(tables_path)
-        snap_key = (
-            os.path.abspath(tables_path),
-            stat.st_mtime_ns,
-            stat.st_size,
-            max_entries,
-            tables_signature(platform),
-        )
-        tables = _SNAPSHOT_CACHE.get(snap_key)
-        if tables is None:
-            tables = EvaluationTables.load(
-                tables_path, platform, max_entries=max_entries
-            )
-            if len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_MAX:
-                _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
-            _SNAPSHOT_CACHE[snap_key] = tables
-    else:
-        tables = EvaluationTables(platform, max_entries=max_entries)
+    tables = EvaluationTables(platform, max_entries=max_entries)
     if len(_TABLES_CACHE) >= _TABLES_CACHE_MAX:
         _TABLES_CACHE.pop(next(iter(_TABLES_CACHE)))
     _TABLES_CACHE[key] = (platform, tables)
@@ -267,9 +219,7 @@ def execute_run(context: RunContext, spec: Any) -> Any:
     if isinstance(spec, RunGroup):
         return _execute_run_group(context, spec)
     config = spec.config or context.default_config or EngineConfig()
-    tables = worker_tables(
-        context.platform, config.max_table_entries, config.tables_path
-    )
+    tables = worker_tables(context.platform, config.max_table_entries)
     engine = RuntimeEngine(
         context.platform,
         context.profiles_for(spec.workload),
@@ -287,9 +237,7 @@ def execute_run(context: RunContext, spec: Any) -> Any:
 def _execute_run_group(context: RunContext, group: RunGroup) -> List[RunResult]:
     """Run one stack-compatible group through a multi-run engine."""
     config = group.config or context.default_config or EngineConfig()
-    tables = worker_tables(
-        context.platform, config.max_table_entries, config.tables_path
-    )
+    tables = worker_tables(context.platform, config.max_table_entries)
     engine = MultiRunEngine(
         context.platform,
         [

@@ -24,15 +24,9 @@ The slowdown of an application combines two effects:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.apps.phases import PhasedProfile
 from repro.apps.profile import AppProfile, FastProfileView
@@ -241,9 +235,11 @@ class EvaluationTables:
     dict-based models operation for operation, so results are bit-identical
     to :meth:`ClusteringEstimator.evaluate_allocation` (the equivalence is
     pinned by the test suite).
-    Instances are cheap to create, safe to share across runs of the same
-    platform/model configuration; every executor worker keeps one per
-    platform (see :func:`~repro.runtime.executors.base.worker_tables`).
+    The tables live in memory only and are never written to disk: a new
+    process starts cold.  Instances are cheap to create, safe to share
+    across runs of the same platform/model configuration; every executor
+    worker keeps one per platform (see
+    :func:`~repro.runtime.executors.base.worker_tables`).
     """
 
     def __init__(
@@ -290,7 +286,7 @@ class EvaluationTables:
         # keyed purely by content ((app names, allocation token, per-app
         # phase tokens)) so any engine sharing these tables — across runs,
         # groups, even repeated studies — reuses them.  Populated by the
-        # multi-run engine; never persisted.
+        # multi-run engine.
         self.engine_vectors = LruDict(max_entries)
 
     # -- bookkeeping -------------------------------------------------------------
@@ -313,13 +309,6 @@ class EvaluationTables:
         """The shared :class:`FastProfileView` evaluating ``profile``'s curves."""
         return self._views[self.token_for(profile)]
 
-    def view_for_token(self, token: int) -> FastProfileView:
-        """The :class:`FastProfileView` behind an already-interned token."""
-        try:
-            return self._views[token]
-        except KeyError:
-            raise SimulationError(f"unknown profile token {token!r}")
-
     def cache_sizes(self) -> Dict[str, int]:
         """Entry counts per table (introspection for tests and benchmarks)."""
         return {
@@ -332,342 +321,6 @@ class EvaluationTables:
         self._estimates.clear()
         self.occupancy_cache.clear()
         self.engine_vectors.clear()
-
-    # -- persistence -------------------------------------------------------------
-    #
-    # On-disk layout (one file):
-    #
-    #   bytes 0..7    magic  b"REPROTAB"
-    #   bytes 8..15   header length (little-endian uint64)
-    #   then          JSON header (UTF-8)
-    #   then          zero padding to the next 64-byte boundary
-    #   then          float64 payload, mapped read-only with np.memmap
-    #
-    # The header carries the structure (token curve lengths, trajectory keys,
-    # estimate keys) plus a CRC32 of the payload and a digest of
-    # params_signature(); every float lives in the payload, so values
-    # round-trip bit for bit.  Sections appear in payload order — token
-    # registry, occupancy trajectories, full estimates — and are consumed
-    # sequentially on load.
-
-    _MAGIC = b"REPROTAB"
-    _FORMAT_VERSION = 1
-    _PAYLOAD_ALIGN = 64
-
-    def _params_digest(self) -> str:
-        """Stable digest of :meth:`params_signature` for the file header.
-
-        The signature is a nest of dataclasses, floats and ints whose
-        ``repr`` is value-determined (float repr round-trips), so hashing the
-        repr detects any platform or model-parameter mismatch.
-        """
-        return hashlib.sha256(repr(self.params_signature()).encode()).hexdigest()
-
-    def save(self, path: str) -> None:
-        """Persist the tables so a later process can start warm.
-
-        Writes the token registry (per-token IPC/LLCMPKC curves and bytes per
-        miss — enough to re-derive the value fingerprints and rebuild the
-        :class:`FastProfileView`\\ s), every cached occupancy trajectory and
-        every cached full estimate, each table from its least to its most
-        recently used entry.  :meth:`load` restores all three
-        bit-identically; profile *objects* interned later re-attach to the
-        restored tokens through their value fingerprints.
-        """
-        chunks: List[np.ndarray] = []
-
-        def put(values) -> None:
-            chunks.append(
-                np.ascontiguousarray(np.asarray(values, dtype=np.float64)).ravel()
-            )
-
-        tokens_meta = []
-        for token in range(len(self._token_by_value)):
-            view = self._views[token]
-            put(view.ipc)
-            put(view.llcmpkc)
-            put([view.bytes_per_miss])
-            tokens_meta.append({"n_ways": view.n_ways})
-
-        trajectories_meta = []
-        for key, state in self.occupancy_cache.export_entries():
-            length = len(state["eff"])
-            put(state["eff"])  # (length, members)
-            if length > 1:
-                # pressures[0] is the empty initial-guess placeholder.
-                put(state["pressures"][1:])  # (length - 1, members)
-            put(state["deltas"])  # (length,)
-            trajectories_meta.append(
-                {
-                    "key": [[int(token), int(mask)] for token, mask in key],
-                    "length": length,
-                    "fixed_at": int(state["fixed_at"]),
-                }
-            )
-
-        estimates_meta = []
-        for (_, tokens), estimate in self._estimates.items():
-            apps = estimate.allocation.apps()
-            put([estimate.slowdowns[app] for app in apps])
-            put([estimate.ipcs[app] for app in apps])
-            put([estimate.effective_ways[app] for app in apps])
-            put([estimate.occupancy.pressures[app] for app in apps])
-            put([estimate.bandwidth.demand_gbs[app] for app in apps])
-            put([estimate.bandwidth.slowdown_factors[app] for app in apps])
-            put([estimate.bandwidth.total_demand_gbs, estimate.bandwidth.peak_gbs])
-            metrics = estimate.metrics
-            put([metrics.unfairness, metrics.stp, metrics.antt, metrics.jain])
-            estimates_meta.append(
-                {
-                    "apps": list(apps),
-                    "masks": [int(estimate.allocation.masks[app]) for app in apps],
-                    "total_ways": int(estimate.allocation.total_ways),
-                    "tokens": [int(token) for token in tokens],
-                    "iterations": int(estimate.occupancy.iterations),
-                    "converged": bool(estimate.occupancy.converged),
-                }
-            )
-
-        payload = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-        )
-        header = {
-            "format_version": self._FORMAT_VERSION,
-            "params_sha256": self._params_digest(),
-            "payload_count": int(payload.size),
-            "payload_crc32": zlib.crc32(payload.tobytes()) & 0xFFFFFFFF,
-            "tokens": tokens_meta,
-            "trajectories": trajectories_meta,
-            "estimates": estimates_meta,
-        }
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        padding = (-(16 + len(header_bytes))) % self._PAYLOAD_ALIGN
-        with open(path, "wb") as handle:
-            handle.write(self._MAGIC)
-            handle.write(struct.pack("<Q", len(header_bytes)))
-            handle.write(header_bytes)
-            handle.write(b"\0" * padding)
-            handle.write(payload.tobytes())
-
-    @staticmethod
-    def _trajectory_header(meta: dict, index: int, path: str) -> Tuple[tuple, int, int]:
-        """``(key, length, fixed_at)`` of one saved trajectory, checked.
-
-        The payload CRC does not cover the header, so a trajectory's
-        structure is checked before its floats are read: a non-empty key of
-        ``(token, mask)`` pairs with positive masks, at least the initial
-        iteration, and a freeze point that is either 0 (still live) or the
-        last recorded iteration, as :meth:`_ComponentTrajectory.ensure`
-        leaves it.
-        """
-        try:
-            key = tuple((int(token), int(mask)) for token, mask in meta["key"])
-            length = int(meta["length"])
-            fixed_at = int(meta["fixed_at"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SimulationError(
-                f"trajectory {index} in {path!r} has a malformed header: {exc}"
-            )
-        where = f"trajectory {index} {[list(pair) for pair in key]!r} in {path!r}"
-        if not key:
-            raise SimulationError(f"{where} has an empty key")
-        if any(mask <= 0 for _, mask in key):
-            raise SimulationError(f"{where} has a non-positive relative mask")
-        if length < 1:
-            raise SimulationError(f"{where} has length {length} < 1")
-        if fixed_at not in (0, length - 1):
-            raise SimulationError(
-                f"{where} is frozen at iteration {fixed_at}, "
-                f"neither 0 nor its last iteration {length - 1}"
-            )
-        return key, length, fixed_at
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        platform: PlatformSpec,
-        *,
-        occupancy_model: Optional[OccupancyModel] = None,
-        bandwidth_model: Optional[BandwidthModel] = None,
-        max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-    ) -> "EvaluationTables":
-        """Rebuild saved tables, bit-identical to the instance that saved them.
-
-        Each bounded table keeps the ``max_entries`` most recently used of
-        its saved entries, in their saved recency order; the token registry
-        is restored whole.
-
-        The caller supplies the platform and models (they are code-level
-        objects, not data); the stored ``params_signature`` digest must match
-        theirs, so tables can never silently warm-start a differently
-        configured study.  The float payload is mapped read-only with
-        ``np.memmap``; the CRC of the payload and the structural cursor are
-        both verified, and any mismatch (magic, version, parameters, CRC,
-        truncation, an inconsistent trajectory header) raises
-        :class:`~repro.errors.SimulationError`.
-        """
-        tables = cls(
-            platform,
-            occupancy_model=occupancy_model,
-            bandwidth_model=bandwidth_model,
-            max_entries=max_entries,
-        )
-        try:
-            with open(path, "rb") as handle:
-                magic = handle.read(8)
-                if magic != cls._MAGIC:
-                    raise SimulationError(
-                        f"{path!r} is not an evaluation-tables file "
-                        f"(bad magic {magic!r})"
-                    )
-                (header_length,) = struct.unpack("<Q", handle.read(8))
-                header_bytes = handle.read(header_length)
-                if len(header_bytes) != header_length:
-                    raise SimulationError(f"truncated evaluation-tables header in {path!r}")
-                header = json.loads(header_bytes.decode("utf-8"))
-        except OSError as exc:
-            raise SimulationError(f"cannot read evaluation tables {path!r}: {exc}")
-        except (struct.error, ValueError) as exc:
-            raise SimulationError(f"corrupt evaluation-tables header in {path!r}: {exc}")
-        if header.get("format_version") != cls._FORMAT_VERSION:
-            raise SimulationError(
-                f"unsupported evaluation-tables format version "
-                f"{header.get('format_version')!r} in {path!r}"
-            )
-        if header.get("params_sha256") != tables._params_digest():
-            raise SimulationError(
-                f"evaluation tables {path!r} were built for different platform "
-                "or model parameters"
-            )
-        count = int(header["payload_count"])
-        payload_offset = 16 + header_length
-        payload_offset += (-payload_offset) % cls._PAYLOAD_ALIGN
-        if count:
-            try:
-                payload = np.memmap(
-                    path,
-                    dtype=np.float64,
-                    mode="r",
-                    offset=payload_offset,
-                    shape=(count,),
-                )
-            except (OSError, ValueError) as exc:
-                raise SimulationError(
-                    f"cannot map evaluation-tables payload of {path!r}: {exc}"
-                )
-        else:
-            payload = np.empty(0, dtype=np.float64)
-        # One sequential read of the mapped payload serves both the CRC and
-        # the reconstruction below; slicing the memmap itself would fault
-        # pages element by element through the dict/tuple comprehensions.
-        raw = payload.tobytes()
-        if (zlib.crc32(raw) & 0xFFFFFFFF) != header["payload_crc32"]:
-            raise SimulationError(f"evaluation-tables payload CRC mismatch in {path!r}")
-        data = np.frombuffer(raw, dtype=np.float64)
-
-        cursor = 0
-
-        def take(n: int) -> np.ndarray:
-            nonlocal cursor
-            if cursor + n > count:
-                raise SimulationError(
-                    f"evaluation-tables payload of {path!r} is shorter than "
-                    "its header describes"
-                )
-            chunk = data[cursor : cursor + n]
-            cursor += n
-            return chunk
-
-        for token, meta in enumerate(header["tokens"]):
-            n_ways = int(meta["n_ways"])
-            ipc = np.array(take(n_ways))
-            llcmpkc = np.array(take(n_ways))
-            bytes_per_miss = float(take(1)[0])
-            fingerprint = (ipc.tobytes(), llcmpkc.tobytes(), bytes_per_miss)
-            tables._token_by_value[fingerprint] = token
-            tables._views[token] = FastProfileView.from_arrays(
-                ipc.tolist(), llcmpkc.tolist(), bytes_per_miss
-            )
-
-        for index, meta in enumerate(header["trajectories"]):
-            key, length, fixed_at = cls._trajectory_header(meta, index, path)
-            members = len(key)
-            eff = take(length * members).tolist()
-            # Stored pressures (rows 1..length-1) are derived again on replay.
-            take((length - 1) * members)
-            deltas = take(length).tolist()
-            if fixed_at and deltas[fixed_at] != 0.0:
-                raise SimulationError(
-                    f"trajectory {index} {[list(pair) for pair in key]!r} in {path!r} "
-                    f"is frozen at iteration {fixed_at}, whose delta "
-                    f"{deltas[fixed_at]!r} is not 0.0"
-                )
-            try:
-                views = [tables._views[token] for token, _ in key]
-            except KeyError as exc:
-                raise SimulationError(
-                    f"trajectory in {path!r} references unknown profile token "
-                    f"{exc.args[0]!r}"
-                )
-            tables.occupancy_cache.restore_entry(key, views, eff, deltas, fixed_at)
-
-        for meta in header["estimates"]:
-            apps = [str(app) for app in meta["apps"]]
-            n = len(apps)
-            slowdown_row = take(n).tolist()
-            ipc_row = take(n).tolist()
-            effective_row = take(n).tolist()
-            pressure_row = take(n).tolist()
-            demand_row = take(n).tolist()
-            factor_row = take(n).tolist()
-            bandwidth_scalars = take(2).tolist()
-            # The four saved metric scalars are compute_metrics of the
-            # slowdown row; ClusterEstimate.metrics recomputes them on use.
-            take(4)
-            allocation = WayAllocation(
-                masks={app: int(mask) for app, mask in zip(apps, meta["masks"])},
-                total_ways=int(meta["total_ways"]),
-            )
-            slowdowns = {app: float(v) for app, v in zip(apps, slowdown_row)}
-            occupancy = OccupancyResult(
-                effective_ways={app: float(v) for app, v in zip(apps, effective_row)},
-                pressures={app: float(v) for app, v in zip(apps, pressure_row)},
-                iterations=int(meta["iterations"]),
-                converged=bool(meta["converged"]),
-            )
-            bandwidth = BandwidthResult(
-                demand_gbs={app: float(v) for app, v in zip(apps, demand_row)},
-                total_demand_gbs=float(bandwidth_scalars[0]),
-                peak_gbs=float(bandwidth_scalars[1]),
-                slowdown_factors={app: float(v) for app, v in zip(apps, factor_row)},
-            )
-            tokens = tuple(int(token) for token in meta["tokens"])
-            # The saved demand row stays authoritative; the miss rates and
-            # stall fractions are derived from the restored views.
-            views = {app: tables.view_for_token(token) for app, token in zip(apps, tokens)}
-            llcmpkc, _, stall_fractions = read_demand(
-                occupancy.effective_ways, views, platform
-            )
-            estimate = ClusterEstimate(
-                allocation=allocation,
-                slowdowns=slowdowns,
-                ipcs={app: float(v) for app, v in zip(apps, ipc_row)},
-                effective_ways=occupancy.effective_ways,
-                bandwidth=bandwidth,
-                occupancy=occupancy,
-                llcmpkc=llcmpkc,
-                stall_fractions=stall_fractions,
-            )
-            key = ((tuple(allocation.masks.items()), allocation.total_ways), tokens)
-            tables._estimates.put(key, estimate)
-
-        if cursor != count:
-            raise SimulationError(
-                f"evaluation-tables payload of {path!r} is longer than its "
-                "header describes"
-            )
-        return tables
 
     # -- evaluation --------------------------------------------------------------
 

@@ -408,72 +408,6 @@ class OccupancyTrajectoryCache:
         self._trajectories.clear()
         self._decompositions.clear()
 
-    # -- persistence -------------------------------------------------------------
-
-    def export_entries(self) -> List[Tuple[tuple, dict]]:
-        """Plain-data snapshot of every cached trajectory, for persistence.
-
-        Each entry is ``(key, state)`` where ``key`` is the component's
-        ``((token, relative_mask), ...)`` identity and ``state`` holds the
-        recorded iterations: ``eff`` and ``pressures`` are lists of
-        per-member tuples (``pressures[0]`` is the empty placeholder of the
-        initial guess; the others are derived from the previous ``eff`` row,
-        exactly as a replay derives them), ``deltas`` the per-iteration
-        stop-condition values and ``fixed_at`` the freeze point (0 when the
-        trajectory is still live).
-        """
-        model = self.model
-        entries = []
-        for key, trajectory in self._trajectories.items():
-            eff = [tuple(trajectory.effective(n)) for n in range(trajectory.length)]
-            pressures = [()] + [
-                tuple(trajectory.pressure(n, model)) for n in range(1, trajectory.length)
-            ]
-            entries.append(
-                (
-                    key,
-                    {
-                        "eff": eff,
-                        "pressures": pressures,
-                        "deltas": list(trajectory.deltas),
-                        "fixed_at": trajectory.fixed_at,
-                    },
-                )
-            )
-        return entries
-
-    def restore_entry(
-        self,
-        key: tuple,
-        views: Sequence[FastProfileView],
-        eff: Sequence[float],
-        deltas: Sequence[float],
-        fixed_at: int,
-    ) -> None:
-        """Re-install one exported trajectory (inverse of :meth:`export_entries`).
-
-        ``views`` must evaluate the same curves the component was recorded
-        with (one per member, in key order); the member way lists are decoded
-        from the relative masks in ``key``, which enumerate ways in ascending
-        order exactly as the decomposition built them.  ``eff`` is the flat
-        row-major sequence of the recorded effective ways (``len(deltas)``
-        rows of one value per member); exported pressures are not taken, as
-        the replay derives them from ``eff``.  The restored trajectory replays
-        bit-identically because the recorded iterations are reinstated
-        verbatim and any further extension runs the same arithmetic on the
-        same curves.
-        """
-        way_lists = [
-            [w for w in range(int(mask).bit_length()) if (int(mask) >> w) & 1]
-            for _, mask in key
-        ]
-        trajectory = _ComponentTrajectory([view.llcmpkc for view in views], way_lists)
-        trajectory.eff = array("d", eff)
-        trajectory.deltas = array("d", deltas)
-        trajectory.length = len(trajectory.deltas)
-        trajectory.fixed_at = int(fixed_at)
-        self._trajectories.put(key, trajectory)
-
     def _decompose(
         self, allocation: WayAllocation, alloc_token: tuple
     ) -> List[_Component]:

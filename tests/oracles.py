@@ -1008,24 +1008,9 @@ class RecordingTrajectoryCache(OccupancyTrajectoryCache):
 
     :meth:`solve` builds each component key from the members' relative way
     lists on every call and applies the global stop condition as a plain
-    per-iteration scan over all components; :meth:`export_entries` returns
-    the recorded tuples verbatim.  The production cache's solves, exported
-    state and saved tables files must equal this one's bit for bit.
+    per-iteration scan over all components.  The production cache's solves
+    and stored trajectories must equal this one's bit for bit.
     """
-
-    def export_entries(self):
-        return [
-            (
-                key,
-                {
-                    "eff": list(trajectory.eff),
-                    "pressures": list(trajectory.pressures),
-                    "deltas": list(trajectory.deltas),
-                    "fixed_at": trajectory.fixed_at,
-                },
-            )
-            for key, trajectory in self._trajectories.items()
-        ]
 
     def solve(self, allocation, tokens, views, alloc_token=None) -> OccupancyResult:
         model = self.model

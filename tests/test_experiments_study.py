@@ -592,6 +592,32 @@ class TestWorkerTableCache:
             unbounded = fields(executor.map_specs(specs(None)))
         assert first == second == unbounded
 
+    def test_cold_pool_workers_reproduce_the_serial_rows(self):
+        """A dynamic study in a spawn pool, each worker building its tables
+        from empty, gives the serial study's rows."""
+        from repro.runtime import PoolExecutor
+
+        spec = StudySpec(
+            name="cold-pool",
+            scenarios=(
+                ScenarioSpec(
+                    name="dyn",
+                    kind="dynamic",
+                    workloads=(WorkloadSpec(suite="dynamic_study", names=("P1",)),),
+                    policies=(
+                        PolicySpec("dunn", label="Dunn"),
+                        PolicySpec("lfoc", label="LFOC"),
+                    ),
+                    engine=EngineSpec(instructions_per_run=6e8, min_completions=1),
+                ),
+            ),
+        )
+        serial_rows = run_study(spec, executor="serial").rows()
+        with PoolExecutor(jobs=2) as executor:
+            pool_rows = run_study(spec, executor=executor).rows()
+        assert len(serial_rows) == 3
+        assert pool_rows == serial_rows
+
     def test_cache_distinguishes_platforms_by_identity(self):
         from repro.hardware import skylake_gold_6138
         from repro.runtime.executors import worker_tables

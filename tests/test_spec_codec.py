@@ -458,6 +458,10 @@ class TestBoundaryErrors:
                 "is the only monitor ingest; the per-AppMonitor reference ingest "
                 "is a test oracle); drop the 'monitor_backend' key from the "
                 "service table",
+            lambda: EngineSpec.from_dict({"tables_path": "fig7.tables"}):
+                "EngineSpec.tables_path was removed (evaluation tables are "
+                "in-memory only; the persisted warm-start file is gone); drop "
+                "the 'tables_path' key from the engine table",
         }
         for call, message in messages.items():
             with pytest.raises(SpecError) as info:

@@ -3,9 +3,9 @@
 :class:`~repro.simulator.occupancy.OccupancyTrajectoryCache` stores each
 component trajectory as flat float buffers and derives pressures on replay.
 :class:`oracles.RecordingTrajectoryCache` records every iteration as tuples
-of effective ways and pressures.  Every solve, every exported entry and every
-saved tables file must match between the two bit for bit, and the compact
-storage must stay within its footprint bound.
+of effective ways and pressures.  Every solve and every stored trajectory
+must match between the two bit for bit, and the compact storage must stay
+within its footprint bound.
 """
 
 import sys
@@ -43,17 +43,27 @@ def _bits(result):
     )
 
 
-def _entry_bits(entries):
-    return [
-        (
-            key,
-            [[v.hex() for v in row] for row in state["eff"]],
-            [[v.hex() for v in row] for row in state["pressures"]],
-            [d.hex() for d in state["deltas"]],
-            state["fixed_at"],
+def _trajectory_bits(cache):
+    """Every trajectory stored in ``cache``, least recently used first, in hex.
+
+    Each is its component key, the effective ways of every recorded
+    iteration, the pressures of iterations 1 and on (recorded by the oracle,
+    derived by the compact cache), the deltas and the freeze point.
+    """
+    model = cache.model
+    dumped = []
+    for key, trajectory in cache._trajectories.items():
+        length = len(trajectory.deltas)
+        dumped.append(
+            (
+                key,
+                [[v.hex() for v in trajectory.effective(n)] for n in range(length)],
+                [[v.hex() for v in trajectory.pressure(n, model)] for n in range(1, length)],
+                [d.hex() for d in trajectory.deltas],
+                trajectory.fixed_at,
+            )
         )
-        for key, state in entries
-    ]
+    return dumped
 
 
 def _solve_both(model, allocations, profiles):
@@ -66,7 +76,7 @@ def _solve_both(model, allocations, profiles):
         expected = recording.solve(allocation, tokens, views)
         assert _bits(compact.solve(allocation, tokens, views)) == _bits(expected)
         assert expected == oracles.occupancy_solve_reference(model, allocation, profiles)
-    assert _entry_bits(compact.export_entries()) == _entry_bits(recording.export_entries())
+    assert _trajectory_bits(compact) == _trajectory_bits(recording)
     return compact
 
 
@@ -178,25 +188,9 @@ class TestFig7SizedStudy:
         compact, recording, (compact_log, recording_log), fields = fig7_tables
         assert fields[0] == fields[1]
         assert compact_log and compact_log == recording_log
-        assert _entry_bits(compact.occupancy_cache.export_entries()) == _entry_bits(
-            recording.occupancy_cache.export_entries()
+        assert _trajectory_bits(compact.occupancy_cache) == _trajectory_bits(
+            recording.occupancy_cache
         )
-
-    def test_saved_file_is_byte_identical_to_oracle(self, fig7_tables, tmp_path):
-        compact, recording, _, _ = fig7_tables
-        compact.save(str(tmp_path / "compact.repro"))
-        recording.save(str(tmp_path / "recording.repro"))
-        assert (tmp_path / "compact.repro").read_bytes() == (
-            tmp_path / "recording.repro"
-        ).read_bytes()
-
-    def test_save_load_save_is_byte_identical(self, fig7_tables, platform, tmp_path):
-        compact, _, _, _ = fig7_tables
-        first = tmp_path / "first.repro"
-        second = tmp_path / "second.repro"
-        compact.save(str(first))
-        EvaluationTables.load(str(first), platform).save(str(second))
-        assert first.read_bytes() == second.read_bytes()
 
     def test_footprint_is_flat_buffers(self, fig7_tables):
         """At most 8 bytes per recorded value plus a constant per trajectory."""
