@@ -208,8 +208,8 @@ def decision_counts(core: ServiceCore):
     """Summed ``(decisions_computed, decision_fast_hits)`` over all hosts."""
     sessions = core.sessions.values()
     return (
-        sum(s.decisions_computed for s in sessions),
-        sum(s.decision_fast_hits for s in sessions),
+        sum(s.decider.decisions_computed for s in sessions),
+        sum(s.decider.decision_fast_hits for s in sessions),
     )
 
 

@@ -53,8 +53,8 @@ arithmetic is identical either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,18 @@ class MonitorConfig:
             raise SimulationError("warmup_samples must be >= 0")
         if self.history_window < 1:
             raise SimulationError("history_window must be >= 1")
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON image, read back by :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "MonitorConfig":
+        return cls(
+            warmup_samples=int(data["warmup_samples"]),
+            history_window=int(data["history_window"]),
+            thresholds=ClassificationThresholds(**data["thresholds"]),
+        )
 
 
 class AppMonitor:
@@ -607,17 +619,9 @@ class MonitorBank:
         continues producing bit-identical window means and trigger masks —
         the property the daemon snapshot/restore pin depends on.
         """
-        thresholds = {
-            f.name: getattr(self.config.thresholds, f.name)
-            for f in dataclass_fields(self.config.thresholds)
-        }
         state: Dict[str, Any] = {
             "names": list(self.names),
-            "config": {
-                "warmup_samples": self.config.warmup_samples,
-                "history_window": self.config.history_window,
-                "thresholds": thresholds,
-            },
+            "config": self.config.to_dict(),
         }
         # tolist() yields Python ints, bools and floats (nested per row for
         # the window arrays), exactly what JSON needs.
@@ -638,13 +642,7 @@ class MonitorBank:
         mismatch raises :class:`SimulationError` naming the field.
         """
         try:
-            cfg = state["config"]
-            config = MonitorConfig(
-                warmup_samples=int(cfg["warmup_samples"]),
-                history_window=int(cfg["history_window"]),
-                thresholds=ClassificationThresholds(**cfg["thresholds"]),
-            )
-            bank = cls(state["names"], config)
+            bank = cls(state["names"], MonitorConfig.from_dict(state["config"]))
             # The fresh bank's arrays give each field's dtype and shape.
             arrays = {
                 attr: np.array(state[attr.lstrip("_")], dtype=getattr(bank, attr).dtype)

@@ -18,25 +18,20 @@ Three drivers reproduce the paper's Section 5.2 configurations:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.apps.profile import AppProfile
-from repro.core.caching import LruDict
-from repro.core.classification import AppClass
-from repro.core.lfoc import DEFAULT_PARAMS, LfocDecisionCache, LfocParams
+from repro.core.lfoc import DEFAULT_PARAMS, LfocParams
 from repro.core.types import WayAllocation
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
 from repro.hardware.pmc import DerivedMetrics
-from repro.metrics.aggregate import short_mean
 from repro.policies.base import ClusteringPolicy
 from repro.policies.dunn import DunnPolicy
-from repro.runtime.monitor import AppMonitor, MonitorBank, MonitorConfig
-from repro.runtime.sampling import SamplingConfig, SamplingOutcome, SamplingSession
+from repro.policies.online import DunnDecider, LfocDecider
+from repro.runtime.monitor import BankMonitor, MonitorBank, MonitorConfig
+from repro.runtime.sampling import SamplingConfig, SamplingSession
 
 __all__ = [
     "PolicyDriver",
@@ -47,7 +42,7 @@ __all__ = [
 ]
 
 
-class PolicyDriver(ABC):
+class PolicyDriver:
     """Interface the runtime engine drives."""
 
     #: Identifier used in result records.
@@ -57,9 +52,12 @@ class PolicyDriver(ABC):
     #: Counter-sampling window (instructions) while an app is being swept.
     sampling_sample_window: float = 10e6
 
-    @abstractmethod
     def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
-        """Initial allocation, programmed before execution starts."""
+        """Initial allocation, programmed before execution starts: by
+        default every application shares the whole cache."""
+        return WayAllocation(
+            masks=dict.fromkeys(apps, platform.full_mask), total_ways=platform.llc_ways
+        )
 
     def on_sample(
         self, app: str, metrics: DerivedMetrics, effective_ways: float, now: float
@@ -107,12 +105,6 @@ class StockLinuxDriver(PolicyDriver):
 
     name = "Stock-Linux"
 
-    def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
-        full = platform.full_mask
-        return WayAllocation(
-            masks={app: full for app in apps}, total_ways=platform.llc_ways
-        )
-
 
 class LfocSchedulerPlugin(PolicyDriver):
     """The OS-level LFOC implementation (Section 4), as a policy driver."""
@@ -125,58 +117,36 @@ class LfocSchedulerPlugin(PolicyDriver):
         monitor_config: Optional[MonitorConfig] = None,
         sampling_config: Optional[SamplingConfig] = None,
     ) -> None:
-        """The driver skips the Algorithm 1 re-run at partitioning intervals
-        whose per-application classifications are unchanged (a
-        monitor-version fast path backed by a fingerprint-keyed
-        :class:`~repro.core.lfoc.LfocDecisionCache`), and stores its
-        per-application monitors in a fused
+        """The per-application monitors are rows of one fused
         :class:`~repro.runtime.monitor.MonitorBank` (``driver.monitors``
-        holds bank row views).  The differential-oracle tests pin it against
-        a driver that keeps one :class:`~repro.runtime.monitor.AppMonitor`
-        per application and recomputes Algorithm 1 every interval.
+        holds the row views), and Algorithm 1 is decided by an
+        :class:`~repro.policies.online.LfocDecider` keyed on the bank's
+        classification versions.  The differential-oracle tests pin it
+        against a driver that keeps one scalar monitor per application and
+        recomputes Algorithm 1 every interval.
         """
         self.params = params
         self.monitor_config = monitor_config or MonitorConfig()
         self.sampling_config = sampling_config or SamplingConfig()
-        self.monitors: Dict[str, AppMonitor] = {}
+        self.monitors: Dict[str, BankMonitor] = {}
+        self._bank: Optional[MonitorBank] = None
         self._platform: Optional[PlatformSpec] = None
         self._apps: List[str] = []
         self._active_sampling: Optional[SamplingSession] = None
         self._sampling_queue: Deque[str] = deque()
-        self._current_allocation: Optional[WayAllocation] = None
-        self.sampling_outcomes: List[SamplingOutcome] = []
-        # Decision state: the last partitioning's classification versions
-        # and its allocation, plus the shared fingerprint cache for
-        # classifications that recur after changes.
-        self._decision_cache = LfocDecisionCache(params=params)
-        self._last_versions: Optional[Tuple[int, ...]] = None
-        self._last_partition_allocation: Optional[WayAllocation] = None
-        self.partition_fast_hits = 0
-        self.partitions_computed = 0
+        self.decider = LfocDecider(params)
 
     # -- lifecycle -------------------------------------------------------------------
 
     def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
         self._platform = platform
         self._apps = list(apps)
-        # Fused monitor state: one bank row per application, exposed through
-        # AppMonitor-compatible views (bit-identical to scalar monitors).
-        bank = MonitorBank(self._apps, self.monitor_config)
-        self.monitors = {app: bank.monitor(app) for app in self._apps}
-        # The version fast path must not carry a previous run's allocation
-        # across on_start: fresh monitors all report version 0, which would
-        # match a first-partitioning version vector recorded before any
-        # sweep completed.  (The fingerprint cache below it is safe — app
-        # names and way counts are part of its keys.)
-        self._last_versions = None
-        self._last_partition_allocation = None
+        # Fused monitor state: one bank row per application, in app order.
+        self._bank = MonitorBank(self._apps, self.monitor_config)
+        self.monitors = {app: self._bank.monitor(app) for app in self._apps}
+        self.decider.reset()
         # Until anything is known every application shares the whole cache.
-        allocation = WayAllocation(
-            masks={app: platform.full_mask for app in self._apps},
-            total_ways=platform.llc_ways,
-        )
-        self._current_allocation = allocation
-        return allocation
+        return super().on_start(apps, platform)
 
     # -- sampling-window selection ------------------------------------------------------
 
@@ -196,7 +166,6 @@ class LfocSchedulerPlugin(PolicyDriver):
             session.record_step(metrics)
             if session.finished:
                 outcome = session.outcome()
-                self.sampling_outcomes.append(outcome)
                 monitor.set_classification(
                     outcome.app_class,
                     slowdown_table=outcome.slowdown_table,
@@ -244,59 +213,24 @@ class LfocSchedulerPlugin(PolicyDriver):
         self._active_sampling = session
         return session.current_allocation()
 
-    def _classify_current(self):
-        """Split the workload into ST/CS/LS sets from the live monitors."""
-        streaming: List[str] = []
-        sensitive: List[str] = []
-        light: List[str] = []
-        tables: Dict[str, List[float]] = {}
-        for app in self._apps:
-            monitor = self.monitors[app]
-            if monitor.app_class is AppClass.STREAMING:
-                streaming.append(app)
-            elif monitor.app_class is AppClass.SENSITIVE and monitor.slowdown_table:
-                sensitive.append(app)
-                tables[app] = monitor.slowdown_table
-            else:
-                # Light sharing and still-unknown applications are treated the
-                # same way (they are assumed harmless until proven otherwise).
-                light.append(app)
-        return streaming, sensitive, light, tables
-
-    def _run_partitioning(self) -> Optional[WayAllocation]:
+    def _run_partitioning(self) -> WayAllocation:
         """Re-run Algorithm 1 from the current per-application classification."""
-        if self._platform is None:
+        if self._platform is None or self._bank is None:
             raise SimulationError("driver used before on_start")
-        # Algorithm 1's inputs change only when a sampling sweep installs a
-        # new classification, so an unchanged version vector means the
-        # previous allocation is still the exact answer.
-        versions = tuple(
-            self.monitors[app].classification_version for app in self._apps
+        return self.decider.decide(
+            self._apps,
+            self.monitors,
+            self._platform.llc_ways,
+            self._bank.classification_version.tobytes(),
         )
-        if (
-            versions == self._last_versions
-            and self._last_partition_allocation is not None
-        ):
-            self.partition_fast_hits += 1
-            self._current_allocation = self._last_partition_allocation
-            return self._last_partition_allocation
-        streaming, sensitive, light, tables = self._classify_current()
-        allocation = self._decision_cache.allocation_for(
-            streaming, sensitive, light, self._platform.llc_ways, tables
-        )
-        self._last_versions = versions
-        self._last_partition_allocation = allocation
-        self.partitions_computed += 1
-        self._current_allocation = allocation
-        return allocation
 
     def decision_stats(self) -> Dict[str, int]:
         """Decision-layer counters (for the driver benchmark and tests)."""
         return {
-            "partitions_computed": self.partitions_computed,
-            "partition_fast_hits": self.partition_fast_hits,
-            "decision_cache_hits": self._decision_cache.hits,
-            "decision_cache_misses": self._decision_cache.misses,
+            "partitions_computed": self.decider.decisions_computed,
+            "partition_fast_hits": self.decider.decision_fast_hits,
+            "decision_cache_hits": self.decider.cache.hits,
+            "decision_cache_misses": self.decider.cache.misses,
         }
 
     def describe_state(self) -> Dict[str, Dict[str, float]]:
@@ -304,147 +238,61 @@ class LfocSchedulerPlugin(PolicyDriver):
 
 
 class DunnUserLevelDaemon(PolicyDriver):
-    """User-level Dunn: k-means on measured stall fractions every interval."""
+    """User-level Dunn: k-means on measured stall fractions every interval,
+    decided by a :class:`~repro.policies.online.DunnDecider`.  The
+    differential-oracle tests pin it against a cache-free daemon deciding
+    through the original silhouette loop (see :mod:`repro.policies.dunn`
+    for the exact guarantee)."""
 
     name = "Dunn"
-
-    #: Bound on the daemon's fingerprint-keyed allocation cache (LRU).
-    _ALLOCATION_CACHE_ENTRIES = 4096
 
     def __init__(
         self,
         max_clusters: int = 4,
         min_clusters: int = 2,
         overlap_ways: int = 1,
-        history_window: int = 5,
+        history_window: int = DunnDecider.WINDOW,
     ) -> None:
-        """The daemon decides through the vectorized
-        :class:`~repro.policies.dunn.DunnPolicy` and two decision caches — a
-        window-version check that returns the previous allocation outright
-        when no counter sample arrived since the last interval, and a
-        fingerprint-keyed allocation cache over the measured stall vector.
-        The differential-oracle tests pin it against a cache-free daemon
-        deciding through the original silhouette loop (see
-        :mod:`repro.policies.dunn` for the exact guarantee).
-
-        A note on when the two caches can actually hit (the fig7 benchmark
-        records zero hits for both, which is structural, not a bug):
-
-        * the *interval fast path* fires only when **no** counter sample
-          arrived since the last decision.  Counter samples land every
-          ~100 M instructions (tens of simulated milliseconds) while
-          partitioning intervals are 500 ms apart, so in the paper's
-          configuration every interval sees fresh samples and the fast path
-          can only fire when ``partition_interval_s`` is pushed *below* the
-          sampling period;
-        * the *allocation cache* keys on the exact bytes of the rolling-mean
-          stall vector.  Means recur bit-for-bit only when the underlying
-          windows do — e.g. a stationary phase emitting identical samples —
-          which real fig7 runs (windows accumulated over varying event
-          chunks) essentially never produce.  Both situations are exercised
-          by the repeated-window test in
-          ``tests/test_driver_differential.py``.
-        """
-        self._template = DunnPolicy(
+        policy = DunnPolicy(
             max_clusters=max_clusters,
             min_clusters=min_clusters,
             overlap_ways=overlap_ways,
         )
-        self.history_window = history_window
-        self._stall_history: Dict[str, Deque[float]] = {}
+        self.decider = DunnDecider(policy, window=history_window)
         self._platform: Optional[PlatformSpec] = None
-        self._apps: List[str] = []
-        # Decision state.
-        self._window_version = 0
-        self._decided_version: Optional[int] = None
-        self._last_allocation: Optional[WayAllocation] = None
-        self._allocations = LruDict(self._ALLOCATION_CACHE_ENTRIES)
-        self.interval_fast_hits = 0
-        self.allocation_cache_hits = 0
-        self.intervals_computed = 0
 
     def on_start(self, apps: Sequence[str], platform: PlatformSpec) -> WayAllocation:
         self._platform = platform
-        self._apps = list(apps)
-        self._stall_history = {
-            app: deque(maxlen=self.history_window) for app in self._apps
-        }
-        self._window_version = 0
-        self._decided_version = None
-        self._last_allocation = None
-        # Allocations are platform-shaped and the cache key is (apps, stall
+        self.decider.reset(apps)
+        # Allocations are platform-shaped and the LRU key is (apps, stall
         # values) only, so a restart — possibly on a different platform —
         # must not serve the previous run's masks.
-        self._allocations.clear()
-        return WayAllocation(
-            masks={app: platform.full_mask for app in self._apps},
-            total_ways=platform.llc_ways,
-        )
+        self.decider.drop_memos()
+        return super().on_start(apps, platform)
 
     def on_sample(
         self, app: str, metrics: DerivedMetrics, effective_ways: float, now: float
     ) -> Optional[WayAllocation]:
-        self._stall_history[app].append(metrics.stall_fraction)
-        self._window_version += 1
+        self.decider.observe(app, metrics.stall_fraction)
         return None
 
     def on_interval(self, now: float) -> Optional[WayAllocation]:
         if self._platform is None:
             raise SimulationError("driver used before on_start")
-        if any(not history for history in self._stall_history.values()):
-            return None  # not every application has been sampled yet
-        # No sample arrived since the last decision: the rolling means — and
-        # therefore the clustering — are unchanged.
-        if (
-            self._decided_version == self._window_version
-            and self._last_allocation is not None
-        ):
-            self.interval_fast_hits += 1
-            return self._last_allocation
-        stalls = {
-            app: short_mean(history) for app, history in self._stall_history.items()
-        }
-        return self._allocation_from_stalls(stalls)
-
-    def _allocation_from_stalls(self, stalls: Mapping[str, float]) -> WayAllocation:
-        """Reuse the static Dunn mask construction with measured stall values.
-
-        The construction itself lives in
-        :meth:`~repro.policies.dunn.DunnPolicy.allocation_for_values` (shared
-        with the static policy); this wrapper adds the daemon's
-        fingerprint-keyed allocation cache so an exactly-recurring monitor
-        window skips re-clustering entirely.
-        """
-        platform = self._platform
-        assert platform is not None
-        apps = list(stalls)
-        values = np.array([stalls[a] for a in apps], dtype=float)
-        key = (tuple(apps), values.tobytes())
-        allocation = self._allocations.get(key)
-        if allocation is None:
-            allocation = self._template.allocation_for_values(apps, values, platform)
-            self._allocations.put(key, allocation)
-            self.intervals_computed += 1
-        else:
-            self.allocation_cache_hits += 1
-        self._decided_version = self._window_version
-        self._last_allocation = allocation
-        return allocation
+        return self.decider.decide(self._platform)
 
     def decision_stats(self) -> Dict[str, int]:
         """Decision-layer counters (for the driver benchmark and tests).
 
-        The daemon deliberately does **not** report the underlying
-        ``DunnPolicy.choose_k`` cache counters: its allocation cache keys on
-        the same ``(apps, stall values)`` fingerprint and sits in front of
-        ``choose_k``, so within one daemon those counters could only ever
-        show hits after the 4096-entry allocation LRU evicted — they read as
-        permanently-zero dead weight in benchmark records.  The ``choose_k``
-        cache itself stays (and is still counted on :class:`DunnPolicy`,
-        where the static policy path exercises it).
+        ``DunnPolicy.choose_k``'s own cache counters are left out: the
+        decider's LRU shares their key and sits in front of them, so they
+        could only hit after it evicted.
         """
+        decider = self.decider
         return {
-            "intervals_computed": self.intervals_computed,
-            "interval_fast_hits": self.interval_fast_hits,
-            "allocation_cache_hits": self.allocation_cache_hits,
+            "intervals_computed": decider.decisions_computed,
+            "interval_fast_hits": decider.window_fast_hits,
+            "allocation_cache_hits": (
+                decider.decision_fast_hits - decider.window_fast_hits
+            ),
         }

@@ -7,17 +7,12 @@ one bank *row*; the session's ``monitors`` dict holds
 :class:`~repro.runtime.monitor.BankMonitor` row views.  The bank is the
 service's only ingest path: the sequential one-``AppMonitor``-per-app
 ingest it replaced is the parity oracle in ``tests/oracles.py``.
-Decisions flow through the incremental decision layer:
-
-* **lfoc** — a classification version vector over the live apps (one
-  gather of the bank's ``classification_version`` at the live rows)
-  guards a fingerprint-keyed :class:`~repro.core.lfoc.LfocDecisionCache`,
-  so an unchanged classification answers without re-running Algorithm 1
-  and a *recurring* classification answers from the cache in O(changed
-  apps);
-* **dunn** — rolling stall-fraction windows per app feeding
-  :meth:`~repro.policies.dunn.DunnPolicy.allocation_for_values` behind an
-  LRU keyed on the exact stall vector bytes.
+Decisions go through the decision cores the engine drivers use too
+(:mod:`repro.policies.online`): an
+:class:`~repro.policies.online.LfocDecider` keyed on one gather of the
+bank's ``classification_version`` at the live rows, or a
+:class:`~repro.policies.online.DunnDecider`, which keeps the per-app
+stall windows.
 
 **Batched ingest.**  Frame handling is split into :meth:`HostSession.stage`
 (sequence checks, tenant churn, classify installs, and *staging* of
@@ -64,18 +59,16 @@ makes the live-vs-offline determinism pin meaningful.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.caching import LruDict
-from repro.core.classification import AppClass, ClassificationThresholds
-from repro.core.lfoc import DEFAULT_PARAMS, LfocDecisionCache, LfocParams
+from repro.core.classification import AppClass
+from repro.core.lfoc import DEFAULT_PARAMS, LfocParams
 from repro.errors import SimulationError
 from repro.hardware.platform import PlatformSpec
-from repro.metrics.aggregate import short_mean
-from repro.policies.dunn import DunnPolicy
+from repro.policies.online import DunnDecider, LfocDecider
 from repro.runtime.monitor import BankMonitor, MonitorBank, MonitorConfig
 from repro.service import protocol
 from repro.service.protocol import ServiceProtocolError
@@ -240,7 +233,6 @@ class HostSession:
         platform: Optional[PlatformSpec] = None,
         params: LfocParams = DEFAULT_PARAMS,
         monitor_config: Optional[MonitorConfig] = None,
-        history_window: int = 5,
         replay: Optional[ReplayLog] = None,
         ingest: Optional[BankIngest] = None,
     ) -> None:
@@ -266,24 +258,16 @@ class HostSession:
         self.completed = False
         self.duplicates_dropped = 0
         self.samples_ingested = 0
-        # -- decision layer (lfoc) --
-        self.params = params
-        self._decision_cache = LfocDecisionCache(params=params)
-        self._last_versions: Optional[Tuple[Tuple[str, ...], bytes]] = None
+        # -- decision layer --
         #: ``live`` as a tuple plus its bank rows; rebuilt after churn.
         self._live_rows: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
-        self._last_allocation_masks: Optional[Dict[str, int]] = None
         self._last_pushed: Optional[Dict[str, int]] = None
-        self.decision_fast_hits = 0
-        self.decisions_computed = 0
-        # -- decision layer (dunn) --
-        self.history_window = history_window
-        self._dunn = DunnPolicy()
-        # Per-app stall windows, kept by Dunn sessions only (LFOC decides
-        # from the bank's classifications and reads no stall history).
-        self._keep_stalls = policy == "dunn"
-        self._stalls: Dict[str, Deque[float]] = {}
-        self._dunn_cache = LruDict(4096)
+        #: The decider when it is Dunn's, which keeps per-app stall windows
+        #: (LFOC decides from the bank's classifications alone).
+        self._dunn = DunnDecider() if policy == "dunn" else None
+        self.decider: Union[LfocDecider, DunnDecider] = (
+            self._dunn or LfocDecider(params)
+        )
 
     # -- handshake ------------------------------------------------------------------
 
@@ -307,15 +291,13 @@ class HostSession:
                 self.parked[app] = self.monitors.pop(app)
             self.live = []
             self._live_rows = None
-            self._stalls = {}
             self.last_seq = 0
             self._last_reply = None
             # The rebooted host starts from stock (full-mask) CAT state, so
             # the next decision must be pushed even if it matches what the
             # previous incarnation last saw.
             self._last_pushed = None
-            self._last_versions = None
-            self._last_allocation_masks = None
+            self.decider.reset()
             self.completed = False
         return self.epoch, self.last_seq
 
@@ -414,8 +396,8 @@ class HostSession:
         self.monitors[app] = monitor
         self.live.append(app)
         self._live_rows = None
-        if self._keep_stalls:
-            self._stalls[app] = deque(maxlen=self.history_window)
+        if self._dunn is not None:
+            self._dunn.add(app)
 
     def _depart(self, app: str) -> None:
         if app not in self.monitors:
@@ -423,7 +405,8 @@ class HostSession:
         self.parked[app] = self.monitors.pop(app)
         self.live.remove(app)
         self._live_rows = None
-        self._stalls.pop(app, None)
+        if self._dunn is not None:
+            self._dunn.remove(app)
 
     # -- samples ----------------------------------------------------------------------
 
@@ -457,7 +440,7 @@ class HostSession:
         llcmpkc: List[float] = []
         stall_fraction: List[float] = []
         effective_ways: List[float] = []
-        stalls = self._stalls if self._keep_stalls else None
+        observe = self._dunn.observe if self._dunn is not None else None
         for entry in samples:
             app = entry["app"]
             monitor = self.monitors.get(app)
@@ -469,8 +452,8 @@ class HostSession:
             llcmpkc.append(float(entry["llcmpkc"]))
             stall_fraction.append(stall)
             effective_ways.append(float(entry["effective_ways"]))
-            if stalls is not None:
-                stalls[app].append(stall)
+            if observe is not None:
+                observe(app, stall)
         if rows:
             self.samples_ingested += len(rows)
             self.ingest.stage(pending, rows, llcmpkc, stall_fraction, effective_ways)
@@ -479,44 +462,20 @@ class HostSession:
 
     def _decide(self, seq: int) -> Optional[Tuple[Dict[str, int], int]]:
         """Re-decide for the current tenants; returns pushed masks (if changed)."""
-        masks = self._decide_masks()
-        if masks is None or masks == self._last_pushed:
-            return None
-        self._last_pushed = masks
-        decision = self.replay.append(self.host, self.epoch, seq, masks)
-        return dict(masks), decision.index
-
-    def _decide_masks(self) -> Optional[Dict[str, int]]:
         if not self.live:
             return None
-        if self.policy == "dunn":
-            return self._decide_dunn()
-        # Algorithm 1's inputs change only when a sweep outcome lands or the
-        # tenant set changes; both are visible in the version vector.
-        versions = self._classification_key()
-        if versions == self._last_versions and self._last_allocation_masks is not None:
-            self.decision_fast_hits += 1
-            return self._last_allocation_masks
-        streaming: List[str] = []
-        sensitive: List[str] = []
-        light: List[str] = []
-        tables: Dict[str, List[float]] = {}
-        for app in self.live:
-            monitor = self.monitors[app]
-            if monitor.app_class is AppClass.STREAMING:
-                streaming.append(app)
-            elif monitor.app_class is AppClass.SENSITIVE and monitor.slowdown_table:
-                sensitive.append(app)
-                tables[app] = monitor.slowdown_table
-            else:
-                light.append(app)
-        allocation = self._decision_cache.allocation_for(
-            streaming, sensitive, light, self.platform.llc_ways, tables
-        )
-        self._last_versions = versions
-        self._last_allocation_masks = dict(allocation.masks)
-        self.decisions_computed += 1
-        return self._last_allocation_masks
+        if self._dunn is not None:
+            allocation = self._dunn.decide(self.platform)
+        else:
+            allocation = self.decider.decide(
+                self.live, self.monitors, self.platform.llc_ways,
+                self._classification_key(),
+            )
+        if allocation is None or allocation.masks == self._last_pushed:
+            return None
+        masks = self._last_pushed = allocation.masks
+        decision = self.replay.append(self.host, self.epoch, seq, masks)
+        return dict(masks), decision.index
 
     def _classification_key(self) -> Tuple[Tuple[str, ...], bytes]:
         """The live tenants and their classification versions, read from
@@ -527,24 +486,6 @@ class HostSession:
         live, rows = self._live_rows
         assert self.ingest.bank is not None  # a live app owns a bank row
         return live, self.ingest.bank.classification_version[rows].tobytes()
-
-    def _decide_dunn(self) -> Optional[Dict[str, int]]:
-        if any(not self._stalls[app] for app in self.live):
-            return None  # not every tenant has been sampled yet
-        apps = list(self.live)
-        values = np.array(
-            [short_mean(self._stalls[app]) for app in apps], dtype=float
-        )
-        key = (tuple(apps), values.tobytes())
-        masks = self._dunn_cache.get(key)
-        if masks is None:
-            allocation = self._dunn.allocation_for_values(apps, values, self.platform)
-            masks = dict(allocation.masks)
-            self._dunn_cache.put(key, masks)
-            self.decisions_computed += 1
-        else:
-            self.decision_fast_hits += 1
-        return masks
 
     # -- observability ----------------------------------------------------------------
 
@@ -563,8 +504,8 @@ class HostSession:
             "live": list(self.live),
             "parked": sorted(self.parked),
             "completed": self.completed,
-            "decisions_computed": self.decisions_computed,
-            "decision_fast_hits": self.decision_fast_hits,
+            "decisions_computed": self.decider.decisions_computed,
+            "decision_fast_hits": self.decider.decision_fast_hits,
             "duplicates_dropped": self.duplicates_dropped,
             "samples_ingested": self.samples_ingested,
         }
@@ -573,6 +514,7 @@ class HostSession:
 
     def to_state(self) -> Dict[str, Any]:
         """JSON image of the session (bank rows are serialized by the core)."""
+        dunn = self._dunn
         return {
             "boot": self.boot,
             "epoch": self.epoch,
@@ -590,10 +532,10 @@ class HostSession:
             "last_pushed": (
                 dict(self._last_pushed) if self._last_pushed is not None else None
             ),
-            "decision_fast_hits": self.decision_fast_hits,
-            "decisions_computed": self.decisions_computed,
-            "history_window": self.history_window,
-            "stalls": {app: list(window) for app, window in self._stalls.items()},
+            "decision_fast_hits": self.decider.decision_fast_hits,
+            "decisions_computed": self.decider.decisions_computed,
+            "history_window": dunn.window if dunn else DunnDecider.WINDOW,
+            "stalls": {app: list(w) for app, w in dunn.stalls.items()} if dunn else {},
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
@@ -616,18 +558,16 @@ class HostSession:
         self._last_pushed = (
             {str(a): int(m) for a, m in last_pushed.items()} if last_pushed else None
         )
-        self.decision_fast_hits = int(state["decision_fast_hits"])
-        self.decisions_computed = int(state["decisions_computed"])
-        self.history_window = int(state["history_window"])
-        self._stalls = {}
-        if not self._keep_stalls:
+        self.decider.decision_fast_hits = int(state["decision_fast_hits"])
+        self.decider.decisions_computed = int(state["decisions_computed"])
+        window = int(state["history_window"])
+        if self._dunn is None:
             # An LFOC snapshot from an earlier build may carry stall
             # windows; the session never reads them.
             return
+        self._dunn.window = window
         for app in self.live:
-            window: Deque[float] = deque(maxlen=self.history_window)
-            window.extend(float(v) for v in state["stalls"].get(app, ()))
-            self._stalls[app] = window
+            self._dunn.add(app, (float(v) for v in state["stalls"].get(app, ())))
 
 
 class ServiceCore:
@@ -772,8 +712,8 @@ class ServiceCore:
                 "live": len(session.live),
                 "parked": len(session.parked),
                 "completed": session.completed,
-                "decisions_computed": session.decisions_computed,
-                "decision_fast_hits": session.decision_fast_hits,
+                "decisions_computed": session.decider.decisions_computed,
+                "decision_fast_hits": session.decider.decision_fast_hits,
                 "duplicates_dropped": session.duplicates_dropped,
                 "samples_ingested": session.samples_ingested,
                 "classes": per_class,
@@ -814,26 +754,13 @@ class ServiceCore:
         recomputation is deterministic, so a restored daemon produces
         bit-identical decisions without it.
         """
-        monitor_config = None
-        if self.monitor_config is not None:
-            monitor_config = {
-                "warmup_samples": self.monitor_config.warmup_samples,
-                "history_window": self.monitor_config.history_window,
-                "thresholds": {
-                    f.name: getattr(self.monitor_config.thresholds, f.name)
-                    for f in ClassificationThresholds.__dataclass_fields__.values()
-                },
-            }
+        config = self.monitor_config
         return {
             "version": STATE_VERSION,
             "policy": self.policy,
             "llc_ways": self.platform.llc_ways,
-            "params": {
-                "max_streaming_way": self.params.max_streaming_way,
-                "gaps_per_streaming": self.params.gaps_per_streaming,
-                "max_streaming_ways_total": self.params.max_streaming_ways_total,
-            },
-            "monitor_config": monitor_config,
+            "params": asdict(self.params),
+            "monitor_config": config.to_dict() if config is not None else None,
             "ingest": self.ingest.to_state(),
             "replay": [decision.to_dict() for decision in self.replay.decisions],
             "ever_completed": sorted(self.ever_completed),
@@ -852,14 +779,8 @@ class ServiceCore:
                 f"unsupported service state version {state.get('version')!r} "
                 f"(this build speaks {STATE_VERSION})"
             )
-        monitor_config = None
         cfg = state.get("monitor_config")
-        if cfg is not None:
-            monitor_config = MonitorConfig(
-                warmup_samples=int(cfg["warmup_samples"]),
-                history_window=int(cfg["history_window"]),
-                thresholds=ClassificationThresholds(**cfg["thresholds"]),
-            )
+        monitor_config = MonitorConfig.from_dict(cfg) if cfg is not None else None
         core = cls(
             policy=str(state["policy"]),
             n_ways=int(state["llc_ways"]),

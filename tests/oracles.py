@@ -115,6 +115,7 @@ from repro.optimal.partitions import set_partitions, way_compositions
 from repro.optimal.tabulated import ipc_with_extrapolation, llcmpkc_interp
 from repro.policies import DunnPolicy, LfocPolicy
 from repro.policies.lfoc import _classify_and_tabulate
+from repro.policies.online import DunnDecider, split_by_class
 from repro.runtime import (
     AppMonitor,
     DunnUserLevelDaemon,
@@ -528,6 +529,18 @@ class ReferenceDunnPolicy(DunnPolicy):
         return best_k, best_labels
 
 
+class ReferenceDunnDecider(DunnDecider):
+    """:class:`DunnDecider` with no memos: it re-clusters at every call."""
+
+    def decide(self, platform: PlatformSpec) -> Optional[WayAllocation]:
+        if any(not window for window in self.stalls.values()):
+            return None  # not every application has been sampled yet
+        apps = list(self.stalls)
+        values = np.array([short_mean(self.stalls[a]) for a in apps], dtype=float)
+        self.decisions_computed += 1
+        return self.policy.allocation_for_values(apps, values, platform)
+
+
 class ReferenceDunnDaemon(DunnUserLevelDaemon):
     """The Dunn daemon with no caches: it re-clusters at every interval."""
 
@@ -539,23 +552,10 @@ class ReferenceDunnDaemon(DunnUserLevelDaemon):
         history_window: int = 5,
     ) -> None:
         super().__init__(max_clusters, min_clusters, overlap_ways, history_window)
-        self._template = ReferenceDunnPolicy(max_clusters, min_clusters, overlap_ways)
-
-    def on_interval(self, now: float) -> Optional[WayAllocation]:
-        if self._platform is None:
-            raise SimulationError("driver used before on_start")
-        if any(not history for history in self._stall_history.values()):
-            return None  # not every application has been sampled yet
-        stalls = {
-            app: short_mean(history) for app, history in self._stall_history.items()
-        }
-        return self._allocation_from_stalls(stalls)
-
-    def _allocation_from_stalls(self, stalls: Mapping[str, float]) -> WayAllocation:
-        apps = list(stalls)
-        values = np.array([stalls[a] for a in apps], dtype=float)
-        self.intervals_computed += 1
-        return self._template.allocation_for_values(apps, values, self._platform)
+        self.decider = ReferenceDunnDecider(
+            ReferenceDunnPolicy(max_clusters, min_clusters, overlap_ways),
+            window=history_window,
+        )
 
 
 class ReferenceLfocDriver(LfocSchedulerPlugin):
@@ -573,14 +573,12 @@ class ReferenceLfocDriver(LfocSchedulerPlugin):
     def _run_partitioning(self) -> Optional[WayAllocation]:
         if self._platform is None:
             raise SimulationError("driver used before on_start")
-        streaming, sensitive, light, tables = self._classify_current()
+        streaming, sensitive, light, tables = split_by_class(self._apps, self.monitors)
         solution = lfoc_clustering(
             streaming, sensitive, light, self._platform.llc_ways, tables, self.params
         )
-        allocation = solution.to_allocation()
-        self.partitions_computed += 1
-        self._current_allocation = allocation
-        return allocation
+        self.decider.decisions_computed += 1
+        return solution.to_allocation()
 
 
 class ReferenceLfocPolicy(LfocPolicy):
@@ -1642,7 +1640,8 @@ class ReferenceHostSession(HostSession):
             monitor = AppMonitor(app, self.monitor_config)
         self.monitors[app] = monitor
         self.live.append(app)
-        self._stalls[app] = deque(maxlen=self.history_window)
+        if self._dunn is not None:
+            self._dunn.add(app)
 
     def _stage_samples(
         self,
@@ -1680,7 +1679,8 @@ class ReferenceHostSession(HostSession):
                     float(entry["effective_ways"]),
                 )
             )
-            self._stalls[app].append(float(entry["stall_fraction"]))
+            if self._dunn is not None:
+                self._dunn.observe(app, float(entry["stall_fraction"]))
 
 
 class ReferenceServiceCore(ServiceCore):
@@ -1702,13 +1702,8 @@ class ReferenceServiceCore(ServiceCore):
         Dunn LRU) exactly as a ``to_state`` → ``from_state`` round trip of
         the production core does, so the fast-hit counters stay comparable
         across a restore."""
-        for host, session in self.sessions.items():
-            fresh = self._new_session(host)
-            for attr in (
-                "_decision_cache", "_last_versions", "_last_allocation_masks",
-                "_dunn_cache",
-            ):
-                setattr(session, attr, getattr(fresh, attr))
+        for session in self.sessions.values():
+            session.decider.drop_memos()
 
 
 def reference_offline_replay(

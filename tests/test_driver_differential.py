@@ -397,8 +397,8 @@ class TestDecisionCacheSoundness:
         daemon = DunnUserLevelDaemon()
         daemon.on_start(["a", "b", "c"], platform)
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
-        first = daemon._allocation_from_stalls(stalls)
-        again = daemon._allocation_from_stalls(stalls)
+        first = daemon.decider.allocation_for(stalls, platform)
+        again = daemon.decider.allocation_for(stalls, platform)
         assert again is first  # fingerprint hit, not a recomputation
         assert daemon.decision_stats()["allocation_cache_hits"] == 1
 
@@ -458,9 +458,9 @@ class TestDecisionCacheSoundness:
         daemon = DunnUserLevelDaemon()
         stalls = {"a": 0.1, "b": 0.7, "c": 0.75}
         daemon.on_start(list(stalls), big)
-        assert daemon._allocation_from_stalls(stalls).total_ways == big.llc_ways
+        assert daemon.decider.allocation_for(stalls, big).total_ways == big.llc_ways
         daemon.on_start(list(stalls), small)
-        again = daemon._allocation_from_stalls(stalls)
+        again = daemon.decider.allocation_for(stalls, small)
         assert again.total_ways == small.llc_ways
         assert daemon.decision_stats()["allocation_cache_hits"] == 0
 

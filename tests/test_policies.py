@@ -189,9 +189,12 @@ class TestDunn:
         from repro.hardware import skylake_gold_6138
         from repro.runtime import DunnUserLevelDaemon
 
+        platform = skylake_gold_6138()
         daemon = DunnUserLevelDaemon()
-        daemon.on_start(["a", "b", "c"], skylake_gold_6138())
-        allocation = daemon._allocation_from_stalls({"a": 0.1, "b": 0.8, "c": 0.75})
+        daemon.on_start(["a", "b", "c"], platform)
+        allocation = daemon.decider.allocation_for(
+            {"a": 0.1, "b": 0.8, "c": 0.75}, platform
+        )
         assert set(allocation.masks) == {"a", "b", "c"}
         # The high-stall pair lands in the same (larger) cluster.
         assert allocation.masks["b"] == allocation.masks["c"]

@@ -174,8 +174,9 @@ class ServiceCoreMachine(RuleBasedStateMachine):
             )
             # The bank's one-gather decision key hits and misses exactly
             # where the oracle's per-app version tuple does.
-            assert (session.decisions_computed, session.decision_fast_hits) == (
-                other.decisions_computed, other.decision_fast_hits
+            mine, theirs = session.decider, other.decider
+            assert (mine.decisions_computed, mine.decision_fast_hits) == (
+                theirs.decisions_computed, theirs.decision_fast_hits
             )
             assert session.live == other.live
             assert sorted(session.parked) == sorted(other.parked)
