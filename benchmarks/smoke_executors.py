@@ -2,8 +2,9 @@
 """CI smoke: one study, three executors, identical rows — plus resume.
 
 Runs the checked-in TOML study (``examples/study_fig7.toml``) under the
-``serial``, ``pool`` (2 processes) and ``tcp`` (2 self-spawned localhost
-workers) executors and fails on any cross-executor row mismatch.
+``serial``, ``pool`` (the ``jobs`` path: 2 supervised local workers) and
+``tcp`` (2 self-spawned localhost workers) executors and fails on any
+cross-executor row mismatch.
 
 Then exercises the crash-safe checkpoint path: a two-scenario study is run
 with a checkpoint, "killed" by truncating the checkpoint to its first

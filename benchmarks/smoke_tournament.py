@@ -4,8 +4,9 @@ and a regression gate that provably fires.
 
 Runs the checked-in tournament (``examples/tournament_small.toml``: LFOC,
 Dunn, Best-Static over 2 suites x 4 paired seeds) under the ``serial``,
-``pool`` (2 processes) and ``supervised`` (2 self-spawned local workers)
-executors, saves all three verdicts and fails unless the JSONL files match
+``pool`` (the ``jobs`` path: 2 supervised local workers) and ``supervised``
+(2 self-spawned local workers) executors, saves all three verdicts and
+fails unless the JSONL files match
 byte for byte — the leaderboard must be a pure function of the rows.
 
 Then exercises the gate CLI end to end: the verdict must pass (exit 0)

@@ -317,11 +317,14 @@ def fig6_static_study(
 
     Evaluates every policy's clustering with the contention estimator and
     normalises against the unpartitioned (stock Linux) configuration, exactly
-    as Fig. 6 does.  Defaults to all 21 S workloads.  ``jobs`` shards the
-    workloads across a process pool; ``executor`` selects any registered
-    execution backend instead (``serial``/``pool``/``tcp`` or a live
+    as Fig. 6 does.  Defaults to all 21 S workloads and to the registered
+    line-up (Dunn, KPart, LFOC, Best-Static).  ``jobs`` shards the workloads
+    across that many supervised local worker processes; ``executor``
+    selects any registered execution backend instead
+    (``serial``/``pool``/``tcp``/``supervised`` or a live
     :class:`~repro.runtime.executors.base.Executor`).  Results are
-    independent of both.
+    independent of both.  Worker processes receive policies by registered
+    name, so explicit ``policies`` objects run only in-process (``jobs=1``).
 
     This is a thin wrapper: it lowers the arguments to a declarative
     :class:`~repro.experiments.StudySpec` and delegates to
@@ -393,9 +396,11 @@ def fig7_dynamic_study(
     workload selection and a scaled-down instruction budget.  The batch of
     (workload, driver) runs executes through a pluggable
     :class:`~repro.runtime.executors.base.Executor`: ``jobs`` selects the
-    local process count and ``executor`` selects any registered backend
-    (``serial``/``pool``/``tcp`` or a live instance; results are independent
-    of both).  ``engine_config.backend = "multirun"`` batches the runs
+    number of supervised local worker processes and ``executor`` selects any
+    registered backend (``serial``/``pool``/``tcp``/``supervised`` or a live
+    instance; results are independent of both).  Explicit ``drivers`` run
+    only in-process (``jobs=1``), since worker processes receive drivers by
+    registered name.  ``engine_config.backend = "multirun"`` batches the runs
     through grouped multi-run engines (bit-identical rows).
 
     This is a thin wrapper: it lowers the arguments to a declarative

@@ -79,7 +79,6 @@ from math import nan
 from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis import (
-    default_static_policies,
     fig1_curves,
     fig2_optimal_breakdown,
     fig3_clustering_vs_partitioning,
@@ -188,7 +187,7 @@ def _spec_flags(parser, cls: type, names: Sequence[str] = (), *, required: Seque
             metavar = None
         elif tp is int:
             metavar = "N"
-        elif "parse" in f.meta:
+        elif f.name == "bind":
             metavar = "HOST:PORT"
         else:
             metavar = "S" if f.name.endswith("_s") else flag[2:].upper().replace("-", "_")
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the run batch (0 = all available CPUs; "
+        help="local worker processes for the run batch (0 = all CPUs but one; "
         "results are independent of this knob)",
     )
 
@@ -808,11 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_table(["workload", "composition"], rows))
     elif args.command == "fig6":
         workloads = static_study_workloads(max_size=args.max_size)
-        rows = fig6_static_study(
-            workloads,
-            policies=default_static_policies(),
-            jobs=args.jobs or None,
-        )
+        rows = fig6_static_study(workloads, jobs=args.jobs or None)
         print(render_fig6(rows))
         print()
         _print_means(summarize_static_study(rows))

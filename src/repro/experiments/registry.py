@@ -245,9 +245,9 @@ register_platform("small_test", small_test_platform)
 
 
 from repro.runtime.executors import (  # noqa: E402
-    PoolExecutor,
     SerialExecutor,
     TCPExecutor,
+    local_executor,
     parse_address,
 )
 
@@ -260,8 +260,9 @@ def _serial_executor(spec):
 
 @register_executor("pool")
 def _pool_executor(spec):
-    """Local spawn-pool execution; ``workers`` processes (None = CPUs - 1)."""
-    return PoolExecutor(jobs=spec.workers)
+    """Local parallel execution, exactly as ``jobs=workers``: that many
+    supervised local workers (None = CPUs - 1, 1 = in-process)."""
+    return local_executor(spec.workers)
 
 
 def _tcp_kwargs(spec):

@@ -364,10 +364,12 @@ class ExecutorSpec(Spec):
 
     ``name`` is a key of the executor registry
     (:data:`~repro.experiments.registry.EXECUTORS`): ``serial`` (in-process),
-    ``pool`` (local spawn pool), ``tcp`` (multi-host coordinator; workers
-    join with ``repro.cli worker --connect host:port``) and ``supervised``
-    are built in.  Every backend produces bit-identical rows — the spec only
-    chooses *where* the runs execute.
+    ``tcp`` (multi-host coordinator; workers join with ``repro.cli worker
+    --connect host:port``), ``supervised`` (the coordinator spawns its own
+    local workers) and ``pool`` (the ``jobs`` path: ``workers`` supervised
+    local workers, CPUs - 1 when unset) are built in.  Every backend
+    produces bit-identical rows — the spec only chooses *where* the runs
+    execute.
 
     ``heartbeat_s``, ``heartbeat_grace_s``, ``connect_timeout_s``,
     ``task_timeout_s`` and ``max_retries`` tune the ``tcp`` fault handling
@@ -380,8 +382,8 @@ class ExecutorSpec(Spec):
         "executor (overrides jobs)",
     )
     workers: Optional[int] = rule(
-        ge=1, help="worker count: pool size (pool), workers connected before the first "
-        "dispatch (tcp) or supervised local worker subprocesses (supervised)",
+        ge=1, help="worker count: workers connected before the first dispatch (tcp) or "
+        "local worker subprocesses (supervised; pool, where unset = all CPUs but one)",
     )
     bind: Optional[str] = rule(
         parse=_address("executor"), help="tcp/supervised coordinator listen address "
@@ -609,8 +611,8 @@ class FaultToleranceSpec(Spec):
 
 #: Help of the ``jobs`` and ``fault_tolerance`` fields of studies and tournaments.
 JOBS_HELP = (
-    "worker processes for the run batches when no executor is set (0 = all available "
-    "CPUs, 1 = serial)"
+    "local worker processes for the run batches when no executor is set (0 = all CPUs "
+    "but one, 1 = serial); workers receive policies by registered name"
 )
 FAULT_TOLERANCE_HELP = (
     "retry/quarantine policy, e.g. '{\"max_attempts\": 3, \"backoff_s\": 0.5}', true for "

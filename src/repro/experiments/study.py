@@ -8,8 +8,9 @@ their per-workload evaluation across it (the Fig. 6 protocol), dynamic ones
 stream their :class:`~repro.runtime.executors.base.RunSpec` batch through it
 (the Fig. 7 protocol).  The executor comes from the study's
 :class:`~repro.experiments.specs.ExecutorSpec` (``serial``, ``pool``,
-``tcp``), an explicit ``executor=`` argument, or the legacy ``jobs`` knob;
-rows are bit-identical whichever backend runs them.
+``tcp``, ``supervised``), an explicit ``executor=`` argument, or the legacy
+``jobs`` knob, which lowers ``jobs>1`` onto supervised local workers on the
+same wire as ``tcp``; rows are bit-identical whichever backend runs them.
 
 Results are collected into a :class:`StudyResult`: plain metric rows keyed
 by deterministic scenario IDs, JSONL persistence (:meth:`StudyResult.save` /
@@ -60,11 +61,11 @@ from repro.hardware.platform import PlatformSpec
 from repro.metrics.aggregate import normalise
 from repro.runtime.executors import (
     Executor,
-    PoolExecutor,
     RunSpec,
-    SerialExecutor,
     TaskError,
+    TCPExecutor,
     check_unique_workloads,
+    local_executor,
 )
 from repro.runtime.multirun import RunGroup, group_run_specs
 from repro.runtime.scheduler import StockLinuxDriver
@@ -679,20 +680,26 @@ def _resolve_executor(
     Precedence: an explicit ``executor`` argument, then an explicit ``jobs``
     argument (the historical override — ``lfoc-repro run --jobs 1`` must win
     over a spec's ``[executor]`` table), then the spec's executor, then the
-    spec's ``jobs`` default.  ``owned`` is True when :func:`run_study`
+    spec's ``jobs`` default (``1`` = in-process, otherwise that many
+    supervised local workers).  ``owned`` is True when :func:`run_study`
     created the executor and must close it; a live :class:`Executor`
     instance passed by the caller stays the caller's to manage.
     """
     if executor is not None:
         if isinstance(executor, Executor):
             return executor, False
-        coerced = ExecutorSpec.coerce(executor, where="run_study executor")
-        return _announce(coerced.create()), True
-    if spec.executor is not None and not jobs_explicit:
-        return _announce(spec.executor.create()), True
-    if jobs == 1:
-        return SerialExecutor(), True
-    return PoolExecutor(jobs=jobs), True
+        chosen = ExecutorSpec.coerce(executor, where="run_study executor").create()
+    elif spec.executor is not None and not jobs_explicit:
+        chosen = spec.executor.create()
+    else:
+        chosen = local_executor(jobs)
+    # Worker processes get each policy by its registered name: an inline
+    # one is refused with its own SpecError before any worker is spawned.
+    inline = [p for s in spec.scenarios for p in s.policies if p.instance is not None]
+    if inline and isinstance(chosen, TCPExecutor):
+        chosen.close()
+        inline[0].to_dict()
+    return _announce(chosen), True
 
 
 def _announce(executor: Executor) -> Executor:
@@ -701,9 +708,10 @@ def _announce(executor: Executor) -> Executor:
     Without this a ``tcp`` executor bound to port 0 (the default) would
     listen on an ephemeral port nobody can discover, and the study would
     sit through its whole connect timeout before the error reveals it.
+    An executor that spawns its own workers has nobody to tell.
     """
     address = getattr(executor, "address", None)
-    if address is not None:
+    if address is not None and not getattr(executor, "supervise", 0):
         host, port = address
         print(
             f"executor listening on {host}:{port} — workers join with "
@@ -730,12 +738,15 @@ def run_study(
     ``executor`` selects the execution strategy: a live
     :class:`~repro.runtime.executors.base.Executor` (caller-owned, e.g. a
     started TCP coordinator), an :class:`~repro.experiments.specs.ExecutorSpec`,
-    a registered backend name (``"serial"``/``"pool"``/``"tcp"``) or a
-    mapping.  An explicitly passed ``jobs`` overrides the spec's executor
-    (the historical contract of ``--jobs``); otherwise the spec's own
-    ``executor`` is used, falling back to the ``jobs`` knob (``1`` = serial,
-    else a local pool; ``None`` = all CPUs).  Results are deterministic and
-    independent of the strategy and of worker count or arrival order.
+    a registered backend name (``"serial"``/``"pool"``/``"tcp"``/
+    ``"supervised"``) or a mapping.  An explicitly passed ``jobs`` overrides
+    the spec's executor (the historical contract of ``--jobs``); otherwise
+    the spec's own ``executor`` is used, falling back to the ``jobs`` knob
+    (``1`` = serial, else that many supervised local workers; ``None`` = all
+    CPUs but one).  Worker processes receive policies by registered name, so
+    they refuse an inline policy with a :class:`~repro.errors.SpecError`
+    before any worker starts.  Results are deterministic and independent of
+    the strategy and of worker count or arrival order.
 
     ``checkpoint`` names a JSONL file that receives every completed scenario
     as a durable append (crash-safe: an interrupted study loses at most the

@@ -3,10 +3,10 @@
 Solver performance
 ------------------
 
-The exact solvers (:func:`optimal_clustering`, :func:`optimal_partitioning`,
-:func:`branch_and_bound_clustering` and :func:`parallel_optimal_clustering`)
-score candidates over the dense tables of :class:`TabulatedObjective`: the
-occupancy model is solved once per (cluster mask, ways) pair, after which
+The exact solvers (:func:`optimal_clustering`, :func:`optimal_partitioning`
+and :func:`branch_and_bound_clustering`) score candidates over the dense
+tables of :class:`TabulatedObjective`: the occupancy model is solved once
+per (cluster mask, ways) pair, after which
 whole blocks of ``(partition, way composition)`` candidates are scored with
 array arithmetic.  The table build costs ``O(2^n * k)`` occupancy solves up
 front, so it caps the exact solvers at ``tabulated.MAX_TABULATED_APPS``
@@ -33,7 +33,6 @@ from repro.optimal.objective import CachedObjective, CandidateScore, ClusterPiec
 from repro.optimal.exhaustive import OptimalResult, optimal_clustering, optimal_partitioning
 from repro.optimal.bnb import branch_and_bound_clustering
 from repro.optimal.local_search import local_search_clustering
-from repro.optimal.parallel import parallel_optimal_clustering
 from repro.optimal.tabulated import TabulatedObjective
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "optimal_partitioning",
     "branch_and_bound_clustering",
     "local_search_clustering",
-    "parallel_optimal_clustering",
     "TabulatedObjective",
 ]

@@ -9,9 +9,9 @@ vectorized batches over the dense tables of :mod:`repro.optimal.tabulated`.
 The search space grows like the Bell number, so the exhaustive solver is only
 practical up to roughly nine applications (the paper makes the same point in
 Section 2.2); larger workloads should use :mod:`repro.optimal.bnb` (same
-result, pruned) or :mod:`repro.optimal.local_search` (approximate), and the
-multiprocessing driver in :mod:`repro.optimal.parallel` mirrors PBBCache's
-parallel branch-and-bound.
+result, pruned) or :mod:`repro.optimal.local_search` (approximate).  A
+study parallelises across workloads, one search per worker process, through
+its executor.
 """
 
 from __future__ import annotations

@@ -73,8 +73,7 @@ def set_partitions(
     by their smallest member's position).  The generator is iterative — the
     lexicographic successor of each growth string is computed in place — so
     enumeration never touches Python's recursion limit even for large
-    workloads, and the yield order matches the classic recursive formulation
-    (which :mod:`repro.optimal.parallel` relies on for sharding).
+    workloads, and the yield order matches the classic recursive formulation.
     """
     items = list(items)
     n = len(items)

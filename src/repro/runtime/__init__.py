@@ -14,7 +14,6 @@ from repro.runtime.multirun import MultiRunEngine, RunGroup, group_run_specs
 from repro.runtime.results import AppRunStats, RepartitionEvent, RunResult, TracePoint
 from repro.runtime.executors import (
     Executor,
-    PoolExecutor,
     RunContext,
     RunSpec,
     SerialExecutor,
@@ -27,7 +26,6 @@ __all__ = [
     "RunSpec",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "TCPExecutor",
     "RunContext",
     "execute_run",

@@ -1,13 +1,15 @@
 """Pluggable run-execution backends behind one protocol.
 
-Three backends ship in the box, all producing bit-identical results:
+Two backends ship in the box, both producing bit-identical results:
 
 * :class:`SerialExecutor` — in-process, the deterministic default;
-* :class:`PoolExecutor` — a local ``spawn`` process pool;
 * :class:`TCPExecutor` — a multi-host coordinator; workers join with
   ``python -m repro.cli worker --connect host:port``, or are spawned and
   supervised by the coordinator itself (``supervise=N`` / the
-  ``supervised`` executor spec).
+  ``supervised`` executor spec).  :func:`local_executor` is the local
+  parallel path (``jobs=N``, the ``pool`` executor name): N supervised
+  workers on a loopback port, so every worker process speaks the same
+  checked wire.
 
 The TCP wire protocol is schema-versioned and carries plain data and a
 closed table of named records only (:mod:`repro.runtime.executors.framing`):
@@ -48,10 +50,9 @@ from repro.runtime.executors.framing import (
     FrameProtocolError,
     ProtocolError,
 )
-from repro.runtime.executors.pool import PoolExecutor
 from repro.runtime.executors.serial import SerialExecutor
 from repro.runtime.executors.supervisor import WorkerSupervisor
-from repro.runtime.executors.tcp import TCPExecutor, parse_address
+from repro.runtime.executors.tcp import TCPExecutor, local_executor, parse_address
 from repro.runtime.executors.worker import run_worker
 
 __all__ = [
@@ -61,8 +62,8 @@ __all__ = [
     "RunContext",
     "TaskError",
     "SerialExecutor",
-    "PoolExecutor",
     "TCPExecutor",
+    "local_executor",
     "WorkerSupervisor",
     "FaultPlan",
     "FrameProtocolError",

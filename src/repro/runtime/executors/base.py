@@ -14,7 +14,7 @@ protocol the strategies implement and the single-run kernel they all share:
   profiles gets them built where it runs;
 * :func:`execute_run` turns ``(RunContext, RunSpec)`` into a
   :class:`~repro.runtime.results.RunResult` — the one function every backend
-  (in-process, spawn pool, TCP worker) invokes per run;
+  (in-process, or a TCP worker on this host or another) invokes per run;
 * :class:`Executor` is the protocol: ``submit(spec) -> ticket`` enqueues
   work, ``as_completed()`` streams ``(ticket, result)`` pairs in completion
   order, and ``map_specs(specs)`` is the ordered convenience used by the
@@ -26,19 +26,19 @@ installs a kernel ``worker_fn(payload, task) -> result``, which is how the
 static study shards per-workload evaluation over the same backends.
 ``prepare(platform, ...)`` is the :class:`RunSpec` layer on top,
 installing :func:`execute_run` with a :class:`RunContext`.  The in-process
-and pool backends accept any module-level kernel; the TCP backend ships
-only the kernels, payloads and tasks listed in the wire's record table
-(:mod:`repro.runtime.executors.framing`).
+backend accepts any module-level kernel; the TCP backend, which every worker
+process speaks, ships only the kernels, payloads and tasks listed in the
+wire's record table (:mod:`repro.runtime.executors.framing`).
 
 Backends register under a string name in
-:data:`repro.experiments.registry.EXECUTORS` (``serial``, ``pool``, ``tcp``)
-so a study spec — or ``repro.cli run --executor`` — can select the execution
-strategy as data.
+:data:`repro.experiments.registry.EXECUTORS` (``serial``, ``pool``, ``tcp``,
+``supervised``) so a study spec — or ``repro.cli run --executor`` — can
+select the execution strategy as data.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import os
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
@@ -102,13 +102,14 @@ class RunSpec:
         return self.driver_cls(**kwargs)
 
 
-def resolve_jobs(jobs: Optional[int], n_tasks: int) -> int:
-    """Translate a ``jobs`` knob into a concrete worker count."""
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Translate a ``jobs`` knob (``None`` = all CPUs but one) into a
+    concrete worker count."""
     if jobs is None:
-        jobs = max(mp.cpu_count() - 1, 1)
+        jobs = max((os.cpu_count() or 1) - 1, 1)
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
-    return max(min(jobs, n_tasks), 1)
+    return jobs
 
 
 def check_unique_workloads(specs: Sequence[RunSpec]) -> None:
@@ -332,7 +333,7 @@ class Executor(ABC):
         self._worker_fn = worker_fn
         self._payload = payload
         # Fresh tables per context in this process, mirroring the historical
-        # per-batch reset (remote/pool workers reset on context receipt).
+        # per-batch reset (worker processes reset on context receipt).
         clear_worker_tables()
         self._context_changed()
 

@@ -222,6 +222,7 @@ class WorkerSupervisor:
                 if slot.proc is not None and slot.proc.poll() is None
             ),
             "restarts": self.restarts,
+            "spawns": [slot.spawn_count for slot in self._slots],
             "retired": [slot.index for slot in self._slots if slot.retired],
             "exit_codes": [list(slot.exits) for slot in self._slots],
         }

@@ -37,7 +37,9 @@ Fault model:
   N local worker subprocesses itself (see
   :class:`~repro.runtime.executors.supervisor.WorkerSupervisor`): exits are
   reaped and respawned with capped exponential backoff, and a crash-loop
-  trips a circuit breaker instead of respawning forever.
+  trips a circuit breaker instead of respawning forever.  They spawn at the
+  first pump, never more than the queued batch has runs.
+  :func:`local_executor` (``jobs=N``, the ``pool`` name) is this mode.
 
 Every drop is recorded by the link server (the last 256, plus a total) and
 summarised by :meth:`TCPExecutor.summary`.
@@ -63,12 +65,19 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.runtime.executors.base import Executor, TaskError, Ticket, task_label
+from repro.runtime.executors.base import (
+    Executor,
+    TaskError,
+    Ticket,
+    resolve_jobs,
+    task_label,
+)
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import CODEC_SAFE, PROTOCOL_VERSION, pack_frame
 from repro.runtime.executors.links import Link, LinkServer
+from repro.runtime.executors.serial import SerialExecutor
 
-__all__ = ["TCPExecutor", "parse_address"]
+__all__ = ["TCPExecutor", "local_executor", "parse_address"]
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -81,6 +90,20 @@ def parse_address(text: str) -> Tuple[str, int]:
     if int(port) > 65535:
         raise SimulationError(f"port {int(port)} in {text!r} is outside 0-65535")
     return host, int(port)
+
+
+def local_executor(jobs: Optional[int]) -> Executor:
+    """``jobs`` worker processes on this host, on the checked wire.
+
+    ``None`` means all CPUs but one and ``1`` runs in-process (a
+    :class:`~repro.runtime.executors.serial.SerialExecutor`); otherwise a
+    coordinator on a free loopback port supervises ``jobs`` local workers,
+    spawned at the first batch.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs == 1:
+        return SerialExecutor()
+    return TCPExecutor(("127.0.0.1", 0), supervise=jobs, min_workers=jobs)
 
 
 @dataclass(eq=False)
@@ -268,6 +291,11 @@ class TCPExecutor(Executor):
         if self._supervisor is None:
             from repro.runtime.executors.supervisor import WorkerSupervisor
 
+            # The batch is queued by the first pump: spawn, and wait for,
+            # no more workers than it has runs.
+            runs = max(self.outstanding(), 1)
+            self.supervise = min(self.supervise, runs)
+            self.min_workers = min(self.min_workers, runs)
             self._supervisor = WorkerSupervisor(
                 self.address,
                 count=self.supervise,

@@ -24,7 +24,9 @@ statistical statement instead of a handful of pinned point figures:
   bootstrap noise band.
 
 Everything downstream of the rows is a pure deterministic function, so the
-leaderboard is bit-identical across serial, pool and TCP executors.
+leaderboard is bit-identical across the serial executor and the wire
+executors (``pool``, ``supervised``, ``tcp``), whose worker processes all
+speak the same checked protocol.
 
 .. code-block:: python
 

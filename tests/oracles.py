@@ -36,9 +36,9 @@ production code must reproduce *exactly* — same study rows, same
 * :func:`score_solution` and :func:`score_candidate_fast` — one solution
   scored through :class:`~repro.optimal.CachedObjective` and one candidate
   read from the dense tables, for the scorers' own tests;
-* :func:`optimal_clustering_reference`, :func:`optimal_partitioning_reference`,
-  :func:`branch_and_bound_reference` and :func:`shard_worker_reference` — the
-  exact searches scoring one candidate at a time through
+* :func:`optimal_clustering_reference`, :func:`optimal_partitioning_reference`
+  and :func:`branch_and_bound_reference` — the exact searches scoring one
+  candidate at a time through
   :class:`~repro.optimal.CachedObjective`, which the batch scoring over the
   dense tables must reproduce (same optimum, same floats, same candidate
   counts);
@@ -1480,46 +1480,6 @@ def branch_and_bound_reference(
         score=best_score,
         candidates_evaluated=evaluated,
         objective=objective,
-    )
-
-
-def shard_worker_reference(args: Tuple) -> Tuple[Optional[dict], int]:
-    """One shard of the parallel search, scored candidate by candidate.
-
-    Returns ``(best, count)`` like the production shard worker of
-    :mod:`repro.optimal.parallel`, but takes the platform and profiles in
-    ``args`` and builds its own :class:`CachedObjective` instead of reading
-    shared dense tables.
-    """
-    (platform, profiles, apps, objective, limit, shard_index, n_shards) = args
-    scorer = CachedObjective(platform, profiles)
-    k = platform.llc_ways
-    best_score: Optional[CandidateScore] = None
-    best_groups: Optional[List[List[str]]] = None
-    best_ways: Optional[Tuple[int, ...]] = None
-    evaluated = 0
-    for partition_index, groups in enumerate(set_partitions(apps, limit)):
-        if partition_index % n_shards != shard_index:
-            continue
-        m = len(groups)
-        for ways in way_compositions(k, m):
-            score = scorer.score_candidate(groups, ways)
-            evaluated += 1
-            if best_score is None or score.better_than(best_score, objective):
-                best_score = score
-                best_groups = [list(g) for g in groups]
-                best_ways = ways
-    if best_score is None:
-        return None, evaluated
-    return (
-        {
-            "groups": best_groups,
-            "ways": list(best_ways),
-            "unfairness": best_score.unfairness,
-            "stp": best_score.stp,
-            "slowdowns": best_score.slowdowns,
-        },
-        evaluated,
     )
 
 

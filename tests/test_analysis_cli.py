@@ -160,6 +160,15 @@ class TestCli:
         assert main(["fig5"]) == 0
         assert "S1" in capsys.readouterr().out
 
+    def test_fig6_command_prints_the_same_at_any_jobs(self, capsys):
+        """fig6 runs the registered line-up, which worker processes accept."""
+        assert main(["fig6", "--max-size", "8"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["fig6", "--max-size", "8", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        for policy in ("Stock-Linux", "Dunn", "KPart", "LFOC", "Best-Static"):
+            assert policy in serial
+
     def test_table2_command_small(self, capsys):
         assert main(["table2", "--sizes", "4", "--repetitions", "1"]) == 0
         assert "KPart" in capsys.readouterr().out

@@ -99,11 +99,8 @@ def capture(monkeypatch):
     ):
         monkeypatch.setattr(cli, name, raiser(name))
 
-    def fig6(workloads, *, policies, jobs):
-        raise Called(
-            "fig6_static_study", names(workloads),
-            policies=[type(p).__name__ for p in policies], jobs=jobs,
-        )
+    def fig6(workloads, *, jobs):
+        raise Called("fig6_static_study", names(workloads), jobs=jobs)
 
     def fig7(workloads, *, engine_config, jobs):
         raise Called(
@@ -144,7 +141,6 @@ def _engine(instructions=1.0e9, min_completions=2):
 
 STUDY = object()  # stands for the loaded study spec file
 TOURNAMENT = object()  # stands for the loaded tournament spec file
-FIG6_POLICIES = ["DunnPolicy", "KPartPolicy", "LfocPolicy", "BestStaticPolicy"]
 ENGINE_FIG7 = EngineConfig(instructions_per_run=1.0e9, min_completions=2, record_traces=False)
 
 
@@ -163,12 +159,12 @@ def _cases():
         (
             ["fig6"],
             ("fig6_static_study", (names(static_study_workloads()),),
-             dict(policies=FIG6_POLICIES, jobs=1)),
+             dict(jobs=1)),
         ),
         (
             ["fig6", "--max-size", "8", "--jobs", "0"],
             ("fig6_static_study", (names(static_study_workloads(max_size=8)),),
-             dict(policies=FIG6_POLICIES, jobs=None)),
+             dict(jobs=None)),
         ),
         (
             ["fig7"],
@@ -395,3 +391,13 @@ def test_generated_flags_take_defaults_and_choices_from_their_field():
         "tournament run": [*execution, "--fault-tolerance"],
         "sweep": ["--instructions", "--min-completions"],
     }
+
+
+def test_only_address_flags_read_host_port():
+    metavars = {
+        (command, flag): action.metavar for command, flag, action in _generated_flags()
+    }
+    assert {key for key, metavar in metavars.items() if metavar == "HOST:PORT"} == {
+        ("run", "--bind"), ("tournament run", "--bind"), ("serve", "--bind"),
+    }
+    assert metavars["serve", "--workload"] == metavars["agent", "--workload"] == "WORKLOAD"

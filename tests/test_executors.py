@@ -1,4 +1,4 @@
-"""Tests for the pluggable executor protocol (serial / pool / tcp).
+"""Tests for the pluggable executor protocol (serial / local workers / tcp).
 
 Three guarantees, per backend:
 
@@ -24,13 +24,17 @@ from repro.errors import SimulationError
 from repro.runtime import (
     EngineConfig,
     DunnUserLevelDaemon,
-    PoolExecutor,
     RunSpec,
     SerialExecutor,
     StockLinuxDriver,
     TCPExecutor,
 )
-from repro.runtime.executors import parse_address, task_label, worker_tables
+from repro.runtime.executors import (
+    local_executor,
+    parse_address,
+    task_label,
+    worker_tables,
+)
 from repro.workloads import workload_by_name
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -177,18 +181,33 @@ class TestSerialExecutor:
         assert task_label({"not": "a spec"}).startswith("{")
 
 
-class TestPoolExecutor:
+class TestLocalWorkers:
+    """``jobs=N`` and the ``pool`` name: N supervised local wire workers."""
+
     def test_matches_serial_bit_for_bit(self, platform, p1, serial_results):
-        executor = PoolExecutor(jobs=2)
-        with executor:
+        with local_executor(2) as executor:
+            assert isinstance(executor, TCPExecutor) and executor.supervise == 2
             executor.prepare(platform, default_config=FAST)
             results = executor.map_specs(make_specs(p1))
         assert [result_key(r) for r in results] == [
             result_key(r) for r in serial_results
         ]
 
-    def test_inline_fallback_wraps_errors(self, platform, p1):
-        executor = PoolExecutor(jobs=1)
+    def test_worker_errors_are_wrapped_with_the_label(self, platform, p1):
+        with local_executor(2) as executor:
+            executor.prepare(platform, default_config=FAST)
+            typo = RunSpec(
+                workload=p1,
+                driver_cls=StockLinuxDriver,
+                driver_kwargs={"no_such_kwarg": 1},  # TypeError on the worker
+                label="typo-run",
+            )
+            with pytest.raises(SimulationError, match="typo-run.*TypeError"):
+                executor.map_specs([typo, make_specs(p1)[1]])
+
+    def test_one_job_runs_in_process_and_wraps_errors(self, platform, p1):
+        executor = local_executor(1)
+        assert isinstance(executor, SerialExecutor)
         with executor:
             executor.prepare(platform, default_config=FAST)
             with pytest.raises(SimulationError, match="bad-run"):
@@ -197,8 +216,51 @@ class TestPoolExecutor:
                 )
 
     def test_rejects_zero_jobs(self):
-        with pytest.raises(SimulationError):
-            PoolExecutor(jobs=0)
+        with pytest.raises(SimulationError, match="jobs must be >= 1"):
+            local_executor(0)
+
+    def test_pool_name_is_the_jobs_path(self, monkeypatch):
+        from repro.experiments import ExecutorSpec
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        with ExecutorSpec(name="pool").create() as default:
+            assert isinstance(default, TCPExecutor)
+            assert default.supervise == default.min_workers == 4  # CPUs - 1
+        assert isinstance(ExecutorSpec(name="pool", workers=1).create(), SerialExecutor)
+
+    def test_spawns_no_more_workers_than_the_batch_has_runs(self, platform, p1):
+        with local_executor(4) as executor:
+            executor.prepare(platform, default_config=FAST)
+            executor.map_specs(make_specs(p1)[:2])
+            supervisor = executor.summary()["supervisor"]
+            assert supervisor["slots"] == 2 and supervisor["spawns"] == [1, 1]
+            assert executor.min_workers == 2
+
+    def test_supervised_workers_survive_a_context_swap(self, platform, p1):
+        """A new context reaches the live workers in-band: nothing respawns,
+        and each batch's rows are the serial rows under its own context."""
+        other = EngineConfig(
+            instructions_per_run=3.0e8, min_completions=1, record_traces=False
+        )
+        specs = make_specs(p1)
+
+        def serial(config):
+            with SerialExecutor() as executor:
+                executor.prepare(platform, default_config=config)
+                return [result_key(r) for r in executor.map_specs(specs)]
+
+        with local_executor(2) as executor:
+            executor.prepare(platform, default_config=FAST)
+            first = [result_key(r) for r in executor.map_specs(specs)]
+            spawned = executor.summary()["supervisor"]
+            executor.prepare(platform, default_config=other)
+            second = [result_key(r) for r in executor.map_specs(specs)]
+            after = executor.summary()["supervisor"]
+        assert spawned["spawns"] == [1, 1] and spawned["restarts"] == 0
+        assert after["spawns"] == spawned["spawns"]
+        assert after["restarts"] == 0
+        assert first == serial(FAST)
+        assert second == serial(other) != first
 
 
 class TestWorkerTables:
@@ -338,7 +400,8 @@ class TestTCPExecutor:
 
 class TestCrossExecutorStudyEquivalence:
     def test_fig7_rows_bit_identical_across_serial_pool_tcp(self, platform):
-        """The acceptance pin: one study, three backends, identical rows."""
+        """The acceptance pin: one study on the serial executor, on local
+        workers (the ``pool`` name) and on joined tcp workers, same rows."""
         from repro.analysis import fig7_dynamic_study
         from repro.workloads import Workload
 

@@ -272,6 +272,35 @@ class TestRunStudy:
         assert {row["policy"] for row in result.rows()} == {BASELINE_LABEL, "mine"}
         assert result.spec is None  # not serializable, recorded as such
 
+    def test_inline_policy_on_worker_processes_is_refused_before_any_spawn(
+        self, monkeypatch
+    ):
+        from repro.policies import LfocPolicy
+        from repro.runtime import TCPExecutor
+
+        pumps = []
+        monkeypatch.setattr(
+            TCPExecutor, "_poll_supervisor", lambda self, now: pumps.append(now)
+        )
+        spec = StudySpec(
+            name="inline",
+            scenarios=(
+                ScenarioSpec(
+                    name="s",
+                    kind="static",
+                    workloads=(WorkloadSpec(suite="s", names=("S1",)),),
+                    policies=(PolicySpec.inline(LfocPolicy(), label="mine"),),
+                ),
+            ),
+        )
+        with pytest.raises(
+            SpecError,
+            match="policy spec '<inline:LfocPolicy>' wraps an inline component "
+            "and cannot be serialized",
+        ):
+            run_study(spec, jobs=2)
+        assert pumps == []
+
 
 class TestStudyResultStore:
     def _small_result(self) -> StudyResult:
@@ -386,7 +415,7 @@ class TestExecutorSelection:
     def test_explicit_jobs_overrides_spec_executor(self):
         from repro.experiments import ExecutorSpec
         from repro.experiments.study import _resolve_executor
-        from repro.runtime import PoolExecutor, SerialExecutor
+        from repro.runtime import SerialExecutor, TCPExecutor
 
         spec = self._spec(ExecutorSpec(name="pool", workers=4))
         # --jobs 1 must win over the spec's [executor] table (the historical
@@ -395,11 +424,26 @@ class TestExecutorSelection:
         assert isinstance(chosen, SerialExecutor) and owned
         # Without an explicit jobs, the spec's executor is honoured.
         chosen, owned = _resolve_executor(spec, None, spec.jobs, False)
-        assert isinstance(chosen, PoolExecutor) and chosen.jobs == 4 and owned
+        # `pool` is the lowered local path: four supervised wire workers.
+        assert isinstance(chosen, TCPExecutor) and owned
+        assert chosen.supervise == 4 and chosen.min_workers == 4
         chosen.close()
         # An explicit executor argument beats both.
         chosen, owned = _resolve_executor(spec, "serial", 8, True)
         assert isinstance(chosen, SerialExecutor) and owned
+
+    def test_only_executors_awaiting_workers_print_a_join_address(self, capsys):
+        from repro.experiments.study import _announce
+        from repro.runtime import TCPExecutor
+
+        with TCPExecutor(("127.0.0.1", 0)) as tcp:
+            _announce(tcp)
+            assert "workers join with" in capsys.readouterr().out
+        with TCPExecutor(("127.0.0.1", 0), supervise=2) as supervised:
+            _announce(supervised)
+        result = run_study(self._spec(), jobs=2)
+        assert {row["policy"] for row in result.rows()} == {BASELINE_LABEL}
+        assert capsys.readouterr().out == ""
 
     def test_caller_owned_executor_not_closed(self):
         from repro.runtime import SerialExecutor
@@ -593,10 +637,8 @@ class TestWorkerTableCache:
         assert first == second == unbounded
 
     def test_cold_pool_workers_reproduce_the_serial_rows(self):
-        """A dynamic study in a spawn pool, each worker building its tables
-        from empty, gives the serial study's rows."""
-        from repro.runtime import PoolExecutor
-
+        """A dynamic study on two local workers (``jobs=2``), each building
+        its tables from empty, gives the serial study's rows."""
         spec = StudySpec(
             name="cold-pool",
             scenarios=(
@@ -613,8 +655,7 @@ class TestWorkerTableCache:
             ),
         )
         serial_rows = run_study(spec, executor="serial").rows()
-        with PoolExecutor(jobs=2) as executor:
-            pool_rows = run_study(spec, executor=executor).rows()
+        pool_rows = run_study(spec, jobs=2).rows()
         assert len(serial_rows) == 3
         assert pool_rows == serial_rows
 

@@ -20,7 +20,6 @@ from repro.optimal import (
     local_search_clustering,
     optimal_clustering,
     optimal_partitioning,
-    parallel_optimal_clustering,
     set_partitions,
     stirling2,
     way_compositions,
@@ -139,12 +138,6 @@ class TestSolvers:
         a = local_search_clustering(platform, mix5, iterations=200, seed=3)
         b = local_search_clustering(platform, mix5, iterations=200, seed=3)
         assert a.unfairness == pytest.approx(b.unfairness)
-
-    def test_parallel_single_worker_matches_exhaustive(self, platform, mix5):
-        sequential = optimal_clustering(platform, mix5)
-        parallel = parallel_optimal_clustering(platform, mix5, n_workers=1)
-        assert parallel.unfairness == pytest.approx(sequential.unfairness, rel=1e-9)
-        assert parallel.candidates_evaluated == sequential.candidates_evaluated
 
 
 class TestCachedObjective:

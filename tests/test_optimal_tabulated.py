@@ -5,8 +5,7 @@ candidate at a time through :class:`CachedObjective`: same groups, same way
 counts, exactly equal unfairness/STP floats and the same candidate counts.
 These tests pin that guarantee against the per-candidate loops in
 ``tests/oracles.py`` across seeded workloads, both objectives and every
-solver entry point (exhaustive, branch-and-bound, strict partitioning,
-parallel driver and its shards).
+solver entry point (exhaustive, branch-and-bound, strict partitioning).
 """
 
 import pytest
@@ -16,7 +15,6 @@ from oracles import (
     optimal_clustering_reference,
     optimal_partitioning_reference,
     score_candidate_fast,
-    shard_worker_reference,
 )
 from repro.apps import build_catalog
 from repro.errors import SolverError
@@ -27,11 +25,9 @@ from repro.optimal import (
     branch_and_bound_clustering,
     optimal_clustering,
     optimal_partitioning,
-    parallel_optimal_clustering,
     set_partitions,
     way_compositions,
 )
-from repro.optimal import parallel as parallel_mod
 from repro.optimal.tabulated import MAX_TABULATED_APPS
 from repro.workloads import random_workload
 
@@ -134,54 +130,6 @@ class TestBackendEquivalence:
         assert _signature(result) == _signature(reference)
 
 
-class TestParallelSharedTables:
-    def test_parallel_matches_sequential_optimum(self):
-        platform, profiles = _mix(17)
-        sequential = optimal_clustering_reference(platform, profiles)
-        parallel = parallel_optimal_clustering(platform, profiles, n_workers=2)
-        assert _signature(parallel) == _signature(sequential)
-        assert parallel.candidates_evaluated == sequential.candidates_evaluated
-
-    def test_single_worker_runs_in_process(self):
-        platform, profiles = _mix(29)
-        sequential = optimal_clustering_reference(platform, profiles)
-        parallel = parallel_optimal_clustering(platform, profiles, n_workers=1)
-        assert _signature(parallel) == _signature(sequential)
-
-    @pytest.mark.parametrize("objective", ["fairness", "throughput"])
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_shards_match_reference_workers(self, n_shards, objective):
-        platform, profiles = _mix(42)
-        apps = list(profiles)
-        limit = min(len(apps), platform.llc_ways)
-        parallel_mod._init_worker(TabulatedObjective(platform, profiles))
-        try:
-            for shard in range(n_shards):
-                got = parallel_mod._scan_shard(
-                    (apps, objective, limit, shard, n_shards)
-                )
-                expected = shard_worker_reference(
-                    (platform, profiles, apps, objective, limit, shard, n_shards)
-                )
-                assert got == expected
-        finally:
-            parallel_mod._init_worker(None)
-
-    def test_oversized_workload_is_refused(self):
-        platform = skylake_gold_6138()
-        workload = random_workload("tab-big", MAX_TABULATED_APPS + 1, kind="S", seed=2)
-        profiles = workload.profiles(platform.llc_ways)
-        # max_clusters=1 would make the search itself a single candidate; the
-        # refusal comes from the table limit, before any search starts.
-        with pytest.raises(SolverError) as excinfo:
-            parallel_optimal_clustering(
-                platform, profiles, n_workers=1, max_clusters=1
-            )
-        message = str(excinfo.value)
-        assert f"MAX_TABULATED_APPS = {MAX_TABULATED_APPS}" in message
-        assert "local_search_clustering" in message
-
-
 class TestTabulatedObjective:
     def test_candidate_scores_match_reference(self):
         platform, profiles = _mix(42)
@@ -227,6 +175,18 @@ class TestTabulatedObjective:
             assert tables.cluster_min_slowdown(mask, ways) == min(
                 pieces.cache_slowdowns.values()
             )
+
+    def test_oversized_workload_is_refused(self):
+        platform = skylake_gold_6138()
+        workload = random_workload("tab-big", MAX_TABULATED_APPS + 1, kind="S", seed=2)
+        profiles = workload.profiles(platform.llc_ways)
+        # max_clusters=1 would make the search itself a single candidate; the
+        # refusal comes from the table limit, before any search starts.
+        with pytest.raises(SolverError) as excinfo:
+            optimal_clustering(platform, profiles, max_clusters=1)
+        message = str(excinfo.value)
+        assert f"MAX_TABULATED_APPS = {MAX_TABULATED_APPS}" in message
+        assert "local_search_clustering" in message
 
     def test_too_many_apps_rejected(self):
         platform, profiles = _mix(3)

@@ -628,10 +628,9 @@ class TestBatchRunner:
     def test_empty_batch(self, platform):
         assert _serial_batch(platform, []) == []
 
-    def test_invalid_jobs_rejected(self, platform, phased_workload):
-        specs = [RunSpec(workload=phased_workload, driver_cls=StockLinuxDriver)]
+    def test_invalid_jobs_rejected(self):
         with pytest.raises(SimulationError):
-            resolve_jobs(0, len(specs))
+            resolve_jobs(0)
 
     def test_conflicting_workload_names_rejected(self, platform):
         specs = [

@@ -34,7 +34,7 @@ import oracles
 from repro.core.classification import AppClass
 from repro.errors import SimulationError
 from repro.experiments import ServiceSpec, SpecError
-from repro.runtime import MonitorConfig, PoolExecutor
+from repro.runtime import MonitorConfig
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import (
     FrameProtocolError,
@@ -726,47 +726,6 @@ class TestLiveService:
             assert summary["drops"][-1][1] == "connection closed"
             assert daemon.frame_errors == 0
             assert daemon.server.recent_drops().count("connection closed") == 3
-
-
-# ---------------------------------------------------------------------------
-# Warm pool-worker reuse across a context swap
-# ---------------------------------------------------------------------------
-
-
-def _pid_probe(payload, task):
-    """Module-level (spawn-picklable) task: report who ran it, with what."""
-    return (os.getpid(), payload, task)
-
-
-class TestPoolWarmReuse:
-    def test_worker_pids_survive_a_context_swap(self):
-        executor = PoolExecutor(jobs=2)
-        with executor:
-            executor.set_context(_pid_probe, "generation-1")
-            for task in range(8):
-                executor.submit(task)
-            first = [result for _, result in executor.as_completed()]
-            pool = executor._pool
-            assert pool is not None
-            processes = set(pool._processes)
-
-            executor.set_context(_pid_probe, "generation-2")
-            for task in range(8):
-                executor.submit(task)
-            second = [result for _, result in executor.as_completed()]
-
-            # The swap reached every job in-band (a worker-side
-            # reset_context), without tearing the pool down ...
-            assert {payload for _, payload, _ in first} == {"generation-1"}
-            assert {payload for _, payload, _ in second} == {"generation-2"}
-            assert executor._pool is pool
-            # ... so the pool's process table is the one the old generation
-            # left: no worker was respawned, and both generations ran there.
-            # (Which worker took which task is up to the pool: one worker
-            # may take all of one generation's tasks.)
-            assert set(pool._processes) == processes
-            assert {pid for pid, _, _ in first} <= processes
-            assert {pid for pid, _, _ in second} <= processes
 
 
 # ---------------------------------------------------------------------------
