@@ -217,6 +217,10 @@ def _static_replay_driver(*, profiles, policy, solver=None, **params):
 _static_replay_driver.wants_profiles = True
 _static_replay_driver.wants_solver = True
 
+#: What a fresh ``import repro`` registers: all that spawned workers resolve.
+BUILTIN_POLICIES = frozenset(POLICIES.names())
+BUILTIN_DRIVERS = frozenset(DRIVERS.names())
+
 
 def _suite(factory):
     """Adapt a zero-argument suite builder to the ``max_size`` convention."""
@@ -247,8 +251,8 @@ register_platform("small_test", small_test_platform)
 from repro.runtime.executors import (  # noqa: E402
     SerialExecutor,
     TCPExecutor,
-    local_executor,
     parse_address,
+    resolve_jobs,
 )
 
 
@@ -260,14 +264,17 @@ def _serial_executor(spec):
 
 @register_executor("pool")
 def _pool_executor(spec):
-    """Local parallel execution, exactly as ``jobs=workers``: that many
-    supervised local workers (None = CPUs - 1, 1 = in-process)."""
-    return local_executor(spec.workers)
+    """The ``jobs`` path: ``supervised`` with ``workers`` read as ``jobs``
+    reads it (unset means all CPUs but one, and 1 runs in-process)."""
+    workers = resolve_jobs(spec.workers)
+    if workers == 1:
+        return SerialExecutor()
+    return TCPExecutor(supervise=workers, min_workers=workers, **_tcp_kwargs(spec))
 
 
 def _tcp_kwargs(spec):
     return dict(
-        min_workers=spec.workers or 1,
+        bind=parse_address(spec.bind or "127.0.0.1:0"),
         heartbeat_s=spec.heartbeat_s,
         heartbeat_grace_s=spec.heartbeat_grace_s,
         connect_timeout_s=spec.connect_timeout_s,
@@ -280,8 +287,7 @@ def _tcp_kwargs(spec):
 @register_executor("tcp")
 def _tcp_executor(spec):
     """Multi-host coordinator; workers join via ``repro.cli worker --connect``."""
-    host, port = parse_address(spec.bind or "127.0.0.1:0")
-    return TCPExecutor((host, port), **_tcp_kwargs(spec))
+    return TCPExecutor(min_workers=spec.workers or 1, **_tcp_kwargs(spec))
 
 
 @register_executor("supervised")
@@ -292,5 +298,5 @@ def _supervised_executor(spec):
     with capped backoff behind a crash-loop circuit breaker — the
     single-command replacement for the two-terminal tcp setup.
     """
-    host, port = parse_address(spec.bind or "127.0.0.1:0")
-    return TCPExecutor((host, port), supervise=spec.workers or 1, **_tcp_kwargs(spec))
+    workers = spec.workers or 1
+    return TCPExecutor(supervise=workers, min_workers=workers, **_tcp_kwargs(spec))

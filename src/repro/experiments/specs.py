@@ -371,9 +371,9 @@ class ExecutorSpec(Spec):
     produces bit-identical rows — the spec only chooses *where* the runs
     execute.
 
-    ``heartbeat_s``, ``heartbeat_grace_s``, ``connect_timeout_s``,
-    ``task_timeout_s`` and ``max_retries`` tune the ``tcp`` fault handling
-    and are ignored elsewhere.
+    ``bind``, ``heartbeat_s``, ``heartbeat_grace_s``, ``connect_timeout_s``,
+    ``task_timeout_s``, ``max_retries`` and ``chaos`` tune the coordinator
+    of ``tcp``, ``supervised`` and ``pool`` and are ignored in-process.
     """
 
     name: str = rule(

@@ -8,9 +8,8 @@ their per-workload evaluation across it (the Fig. 6 protocol), dynamic ones
 stream their :class:`~repro.runtime.executors.base.RunSpec` batch through it
 (the Fig. 7 protocol).  The executor comes from the study's
 :class:`~repro.experiments.specs.ExecutorSpec` (``serial``, ``pool``,
-``tcp``, ``supervised``), an explicit ``executor=`` argument, or the legacy
-``jobs`` knob, which lowers ``jobs>1`` onto supervised local workers on the
-same wire as ``tcp``; rows are bit-identical whichever backend runs them.
+``tcp``, ``supervised``), an explicit ``executor=`` argument or the ``jobs``
+knob (``pool``); rows are bit-identical whichever backend runs them.
 
 Results are collected into a :class:`StudyResult`: plain metric rows keyed
 by deterministic scenario IDs, JSONL persistence (:meth:`StudyResult.save` /
@@ -42,7 +41,11 @@ import numpy as np
 
 from repro.errors import SimulationError, SpecError
 from repro.experiments.checkpoint import StudyCheckpoint, record_crc
-from repro.experiments.registry import WORKLOAD_SUITES
+from repro.experiments.registry import (
+    BUILTIN_DRIVERS,
+    BUILTIN_POLICIES,
+    WORKLOAD_SUITES,
+)
 from repro.experiments.specs import (
     EngineSpec,
     ExecutorSpec,
@@ -63,9 +66,8 @@ from repro.runtime.executors import (
     Executor,
     RunSpec,
     TaskError,
-    TCPExecutor,
     check_unique_workloads,
-    local_executor,
+    resolve_jobs,
 )
 from repro.runtime.multirun import RunGroup, group_run_specs
 from repro.runtime.scheduler import StockLinuxDriver
@@ -685,21 +687,46 @@ def _resolve_executor(
     created the executor and must close it; a live :class:`Executor`
     instance passed by the caller stays the caller's to manage.
     """
+    if isinstance(executor, Executor):
+        _check_spawned_workers_can_build(spec, executor)
+        return executor, False
     if executor is not None:
-        if isinstance(executor, Executor):
-            return executor, False
         chosen = ExecutorSpec.coerce(executor, where="run_study executor").create()
     elif spec.executor is not None and not jobs_explicit:
         chosen = spec.executor.create()
     else:
-        chosen = local_executor(jobs)
-    # Worker processes get each policy by its registered name: an inline
-    # one is refused with its own SpecError before any worker is spawned.
-    inline = [p for s in spec.scenarios for p in s.policies if p.instance is not None]
-    if inline and isinstance(chosen, TCPExecutor):
+        chosen = ExecutorSpec(name="pool", workers=resolve_jobs(jobs)).create()
+    try:
+        _check_spawned_workers_can_build(spec, chosen)
+    except SpecError:
         chosen.close()
-        inline[0].to_dict()
+        raise
     return _announce(chosen), True
+
+
+def _check_spawned_workers_can_build(spec: StudySpec, executor: Executor) -> None:
+    """Workers an executor spawns (``jobs=N``, ``pool``, ``supervised``)
+    import ``repro`` afresh: refuse, before spawning any, a policy that such
+    an import does not register."""
+    if not getattr(executor, "supervise", 0):
+        return
+    for scenario in spec.scenarios:
+        for policy in scenario.policies:
+            known = BUILTIN_POLICIES if scenario.kind == "static" else BUILTIN_DRIVERS
+            nested = policy.params.get("policy") if policy.name == "static" else None
+            if known is BUILTIN_DRIVERS and nested is not None:
+                # The `static` replay driver builds a named static policy.
+                policy, known = PolicySpec.coerce(nested), BUILTIN_POLICIES
+            if policy.instance is None and policy.name in known:
+                continue
+            problem = "is registered in this process only"
+            if policy.instance is not None:
+                problem = "wraps an inline component and cannot be serialized"
+            raise SpecError(
+                f"policy spec {policy.name!r} {problem}: the worker processes "
+                f"import repro afresh and build only the policies it registers; "
+                f"run this study with jobs=1"
+            )
 
 
 def _announce(executor: Executor) -> Executor:
@@ -743,9 +770,9 @@ def run_study(
     the spec's executor (the historical contract of ``--jobs``); otherwise
     the spec's own ``executor`` is used, falling back to the ``jobs`` knob
     (``1`` = serial, else that many supervised local workers; ``None`` = all
-    CPUs but one).  Worker processes receive policies by registered name, so
-    they refuse an inline policy with a :class:`~repro.errors.SpecError`
-    before any worker starts.  Results are deterministic and independent of
+    CPUs but one).  Spawned local workers know only the policies a fresh
+    ``import repro`` registers: any other is a :class:`~repro.errors.SpecError`
+    before a worker starts.  Results are deterministic and independent of
     the strategy and of worker count or arrival order.
 
     ``checkpoint`` names a JSONL file that receives every completed scenario

@@ -6,10 +6,8 @@ Two backends ship in the box, both producing bit-identical results:
 * :class:`TCPExecutor` — a multi-host coordinator; workers join with
   ``python -m repro.cli worker --connect host:port``, or are spawned and
   supervised by the coordinator itself (``supervise=N`` / the
-  ``supervised`` executor spec).  :func:`local_executor` is the local
-  parallel path (``jobs=N``, the ``pool`` executor name): N supervised
-  workers on a loopback port, so every worker process speaks the same
-  checked wire.
+  ``supervised`` executor spec; ``jobs=N`` and the ``pool`` name are
+  this too), so every worker process speaks the same checked wire.
 
 The TCP wire protocol is schema-versioned and carries plain data and a
 closed table of named records only (:mod:`repro.runtime.executors.framing`):
@@ -52,7 +50,7 @@ from repro.runtime.executors.framing import (
 )
 from repro.runtime.executors.serial import SerialExecutor
 from repro.runtime.executors.supervisor import WorkerSupervisor
-from repro.runtime.executors.tcp import TCPExecutor, local_executor, parse_address
+from repro.runtime.executors.tcp import TCPExecutor, parse_address
 from repro.runtime.executors.worker import run_worker
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "TaskError",
     "SerialExecutor",
     "TCPExecutor",
-    "local_executor",
     "WorkerSupervisor",
     "FaultPlan",
     "FrameProtocolError",

@@ -103,8 +103,7 @@ class RunSpec:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Translate a ``jobs`` knob (``None`` = all CPUs but one) into a
-    concrete worker count."""
+    """The worker count a ``jobs`` knob asks for (``None`` = CPUs - 1)."""
     if jobs is None:
         jobs = max((os.cpu_count() or 1) - 1, 1)
     if jobs < 1:

@@ -207,6 +207,12 @@ class WorkerSupervisor:
                     self.restarts += 1
                 self._spawn(slot, now)
 
+    def grow(self, count: int) -> None:
+        """Add slots (without ``slot_extra``) up to ``count`` in all; each
+        spawns at the next poll."""
+        self._slots.extend(_Slot(index=i) for i in range(self.count, count))
+        self.count = len(self._slots)
+
     def retire(self, index: int) -> None:
         """Never respawn slot ``index`` again; a running process may finish."""
         self._slots[index].retired = True

@@ -38,8 +38,7 @@ Fault model:
   :class:`~repro.runtime.executors.supervisor.WorkerSupervisor`): exits are
   reaped and respawned with capped exponential backoff, and a crash-loop
   trips a circuit breaker instead of respawning forever.  They spawn at the
-  first pump, never more than the queued batch has runs.
-  :func:`local_executor` (``jobs=N``, the ``pool`` name) is this mode.
+  first pump, never more than the largest batch so far has runs.
 
 Every drop is recorded by the link server (the last 256, plus a total) and
 summarised by :meth:`TCPExecutor.summary`.
@@ -65,19 +64,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.runtime.executors.base import (
-    Executor,
-    TaskError,
-    Ticket,
-    resolve_jobs,
-    task_label,
-)
+from repro.runtime.executors.base import Executor, TaskError, Ticket, task_label
 from repro.runtime.executors.chaos import FaultPlan
 from repro.runtime.executors.framing import CODEC_SAFE, PROTOCOL_VERSION, pack_frame
 from repro.runtime.executors.links import Link, LinkServer
-from repro.runtime.executors.serial import SerialExecutor
 
-__all__ = ["TCPExecutor", "local_executor", "parse_address"]
+__all__ = ["TCPExecutor", "parse_address"]
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -90,20 +82,6 @@ def parse_address(text: str) -> Tuple[str, int]:
     if int(port) > 65535:
         raise SimulationError(f"port {int(port)} in {text!r} is outside 0-65535")
     return host, int(port)
-
-
-def local_executor(jobs: Optional[int]) -> Executor:
-    """``jobs`` worker processes on this host, on the checked wire.
-
-    ``None`` means all CPUs but one and ``1`` runs in-process (a
-    :class:`~repro.runtime.executors.serial.SerialExecutor`); otherwise a
-    coordinator on a free loopback port supervises ``jobs`` local workers,
-    spawned at the first batch.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs == 1:
-        return SerialExecutor()
-    return TCPExecutor(("127.0.0.1", 0), supervise=jobs, min_workers=jobs)
 
 
 @dataclass(eq=False)
@@ -288,21 +266,26 @@ class TCPExecutor(Executor):
     def _poll_supervisor(self, now: float) -> None:
         if self.supervise < 1:
             return
+        # Each batch is queued before its first pump: keep no more workers
+        # than the largest batch so far has runs, up to ``supervise``.
+        wanted = min(self.supervise, max(self.outstanding(), 1))
         if self._supervisor is None:
             from repro.runtime.executors.supervisor import WorkerSupervisor
 
-            # The batch is queued by the first pump: spawn, and wait for,
-            # no more workers than it has runs.
-            runs = max(self.outstanding(), 1)
-            self.supervise = min(self.supervise, runs)
-            self.min_workers = min(self.min_workers, runs)
             self._supervisor = WorkerSupervisor(
                 self.address,
-                count=self.supervise,
+                count=wanted,
                 extra_args=self.supervise_extra,
                 first_spawn_extra=self.supervise_first_extra,
             )
+        elif wanted > self._supervisor.count:
+            self._supervisor.grow(wanted)
         self._supervisor.poll(now)
+
+    def _required_workers(self) -> int:
+        """Workers that must be ready before the first dispatch."""
+        slots = self._supervisor.count if self._supervisor else self.min_workers
+        return min(self.min_workers, slots)
 
     def _handle_frame(self, link: _WorkerLink, frame: Any) -> None:
         tag = frame[0]
@@ -383,7 +366,7 @@ class TCPExecutor(Executor):
 
     def _dispatch(self) -> None:
         ready_links = self._ready_links()
-        if not self._started and len(ready_links) < self.min_workers:
+        if not self._started and len(ready_links) < self._required_workers():
             return
         while self._queue:
             idle = next((l for l in ready_links if l.in_flight is None), None)
@@ -442,10 +425,10 @@ class TCPExecutor(Executor):
         whenever a worker completes its handshake).
         """
         ready_count = len(self._ready_links())
+        required = self._required_workers()
         work_waiting = self.outstanding() > len(self._ready)
         starved = work_waiting and (
-            ready_count == 0
-            or (not self._started and ready_count < self.min_workers)
+            ready_count == 0 or (not self._started and ready_count < required)
         )
         if not starved:
             self._no_worker_since = None
@@ -457,7 +440,7 @@ class TCPExecutor(Executor):
             raise SimulationError(
                 f"tcp executor at {host}:{port} waited "
                 f"{self.connect_timeout_s:.0f}s with only {ready_count} of "
-                f"{self.min_workers} required workers connected and "
+                f"{required} required workers connected and "
                 f"{len(self._queue)} runs outstanding; start workers with "
                 f"`repro.cli worker --connect {host}:{port}`"
                 f"{self.server.recent_drops()}"

@@ -21,9 +21,7 @@ and scripts see it.
 Workers keep per-process caches (phased profiles, evaluation tables,
 resolved static-study policies) through the context they receive; the
 table cache is reset on every context frame, so a long-lived worker serving
-many studies never accumulates stale table sets.  A ``("reset_context",)``
-frame clears those caches without replacing the context, letting a
-coordinator recycle live workers across batches.
+many studies never accumulates stale table sets.
 
 Fault injection for resilience tests and chaos drills: ``max_runs``
 disconnects cleanly after N results, ``crash_after`` kills the process
@@ -156,12 +154,7 @@ def _serve(
         if tag == "context":
             _, worker_fn, payload = frame
             context = (worker_fn, payload)
-            clear_worker_tables()  # fresh tables per context, like a pool
-        elif tag == "reset_context":
-            # Drop worker-side caches without replacing the installed
-            # context (or the process): the warm-reuse half of a context
-            # swap, so coordinators can recycle live workers.
-            clear_worker_tables()
+            clear_worker_tables()  # fresh tables per context
         elif tag == "ping":
             send_frame(sock, ("pong",))
         elif tag == "shutdown":

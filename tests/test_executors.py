@@ -30,7 +30,6 @@ from repro.runtime import (
     TCPExecutor,
 )
 from repro.runtime.executors import (
-    local_executor,
     parse_address,
     task_label,
     worker_tables,
@@ -60,6 +59,13 @@ def make_specs(workload):
         RunSpec(workload=workload, driver_cls=StockLinuxDriver, label="baseline-2"),
         RunSpec(workload=workload, driver_cls=DunnUserLevelDaemon),
     ]
+
+
+def local_executor(jobs):
+    """The executor ``jobs=N`` runs on (the ``pool`` executor name)."""
+    from repro.experiments import ExecutorSpec
+
+    return ExecutorSpec(name="pool", workers=jobs).create()
 
 
 def result_key(result):
@@ -216,7 +222,16 @@ class TestLocalWorkers:
                 )
 
     def test_rejects_zero_jobs(self):
+        from repro.errors import SpecError
+        from repro.experiments import StudySpec, run_study
+
+        spec = StudySpec.from_dict(
+            {"name": "z", "scenarios": [{"name": "s", "kind": "static", "workloads": [
+                {"suite": "s", "names": ["S1"]}]}]}
+        )
         with pytest.raises(SimulationError, match="jobs must be >= 1"):
+            run_study(spec, jobs=0)
+        with pytest.raises(SpecError, match="workers"):
             local_executor(0)
 
     def test_pool_name_is_the_jobs_path(self, monkeypatch):
@@ -228,13 +243,47 @@ class TestLocalWorkers:
             assert default.supervise == default.min_workers == 4  # CPUs - 1
         assert isinstance(ExecutorSpec(name="pool", workers=1).create(), SerialExecutor)
 
+    def test_pool_name_applies_the_supervised_fields(self):
+        from repro.experiments import ExecutorSpec
+
+        fields = dict(
+            workers=2, bind="127.0.0.1:0", heartbeat_s=1.5, connect_timeout_s=9.0,
+            task_timeout_s=30.0, max_retries=5, chaos={"drop_frames": [3]},
+        )
+        with ExecutorSpec(name="pool", **fields).create() as pool, ExecutorSpec(
+            name="supervised", **fields
+        ).create() as supervised:
+            for executor in (pool, supervised):
+                assert executor.supervise == executor.min_workers == 2
+                assert executor.address[0] == "127.0.0.1"
+                assert (executor.heartbeat_s, executor.connect_timeout_s) == (1.5, 9.0)
+                assert (executor.task_timeout_s, executor.max_retries) == (30.0, 5)
+                assert executor.chaos.drop_frames == (3,)
+
     def test_spawns_no_more_workers_than_the_batch_has_runs(self, platform, p1):
         with local_executor(4) as executor:
             executor.prepare(platform, default_config=FAST)
             executor.map_specs(make_specs(p1)[:2])
             supervisor = executor.summary()["supervisor"]
             assert supervisor["slots"] == 2 and supervisor["spawns"] == [1, 1]
-            assert executor.min_workers == 2
+            assert executor.min_workers == executor.parallelism() == 4
+
+    def test_a_larger_later_batch_adds_workers(self, platform, p1):
+        """A one-run batch spawns one worker; the next, four-run batch
+        brings the coordinator up to its configured four."""
+        specs = make_specs(p1)
+        with local_executor(4) as executor:
+            executor.prepare(platform, default_config=FAST)
+            first = executor.map_specs(specs[:1])
+            assert executor.summary()["supervisor"]["spawns"] == [1]
+            rest = executor.map_specs(specs)
+            supervisor = executor.summary()["supervisor"]
+        assert supervisor["slots"] == 4 and supervisor["spawns"] == [1, 1, 1, 1]
+        assert supervisor["restarts"] == 0
+        with SerialExecutor() as serial:
+            serial.prepare(platform, default_config=FAST)
+            expected = [result_key(r) for r in serial.map_specs(specs)]
+        assert [result_key(r) for r in first + rest] == expected[:1] + expected
 
     def test_supervised_workers_survive_a_context_swap(self, platform, p1):
         """A new context reaches the live workers in-band: nothing respawns,

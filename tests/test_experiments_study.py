@@ -301,6 +301,57 @@ class TestRunStudy:
             run_study(spec, jobs=2)
         assert pumps == []
 
+    @pytest.mark.parametrize(
+        "kind, policy",
+        [
+            ("static", PolicySpec("test-local-policy")),
+            ("dynamic", PolicySpec("test-local-driver")),
+            ("dynamic", PolicySpec("static", params={"policy": "test-local-policy"})),
+        ],
+    )
+    def test_names_registered_in_this_process_only_are_refused_before_any_spawn(
+        self, monkeypatch, kind, policy
+    ):
+        from repro.experiments.registry import (
+            DRIVERS,
+            POLICIES,
+            register_driver,
+            register_policy,
+        )
+        from repro.policies import LfocPolicy
+        from repro.runtime import StockLinuxDriver, TCPExecutor
+
+        if "test-local-policy" not in POLICIES:
+            register_policy("test-local-policy", LfocPolicy)
+        if "test-local-driver" not in DRIVERS:
+            register_driver("test-local-driver", StockLinuxDriver)
+        pumps = []
+        monkeypatch.setattr(
+            TCPExecutor, "_poll_supervisor", lambda self, now: pumps.append(now)
+        )
+        spec = StudySpec(
+            name="local",
+            scenarios=(
+                ScenarioSpec(
+                    name="s",
+                    kind=kind,
+                    workloads=(WorkloadSpec(suite="s", names=("S1",)),),
+                    policies=(policy,),
+                ),
+            ),
+        )
+        with pytest.raises(
+            SpecError,
+            match="policy spec 'test-local-(policy|driver)' is registered in this "
+            "process only: .* run this study with jobs=1",
+        ):
+            run_study(spec, jobs=2)
+        with pytest.raises(SpecError, match="registered in this process only"):
+            run_study(spec, executor={"name": "supervised", "workers": 2})
+        assert pumps == []
+        # In-process execution resolves the name where it was registered.
+        assert run_study(spec, jobs=1).rows()
+
 
 class TestStudyResultStore:
     def _small_result(self) -> StudyResult:
@@ -444,6 +495,27 @@ class TestExecutorSelection:
         result = run_study(self._spec(), jobs=2)
         assert {row["policy"] for row in result.rows()} == {BASELINE_LABEL}
         assert capsys.readouterr().out == ""
+
+    def test_a_one_run_scenario_does_not_cap_the_next_scenario(self):
+        from repro.experiments import ExecutorSpec
+
+        def scenario(name, names):
+            return ScenarioSpec(
+                name=name,
+                kind="static",
+                workloads=(WorkloadSpec(suite="s", names=names),),
+                policies=(PolicySpec("lfoc"),),
+            )
+
+        spec = StudySpec(
+            name="grow",
+            scenarios=(scenario("one", ("S1",)), scenario("three", ("S1", "S2", "S3"))),
+        )
+        with ExecutorSpec(name="pool", workers=4).create() as executor:
+            rows = run_study(spec, executor=executor).rows()
+            spawns = executor.summary()["supervisor"]["spawns"]
+        assert spawns == [1, 1, 1]
+        assert rows == run_study(spec, jobs=1).rows()
 
     def test_caller_owned_executor_not_closed(self):
         from repro.runtime import SerialExecutor
