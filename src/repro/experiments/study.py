@@ -40,7 +40,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError, SpecError
-from repro.experiments.checkpoint import StudyCheckpoint, record_crc
+from repro.experiments.checkpoint import (
+    StudyCheckpoint,
+    dump_record,
+    read_study,
+    scenario_block,
+)
 from repro.experiments.registry import (
     BUILTIN_DRIVERS,
     BUILTIN_POLICIES,
@@ -222,129 +227,45 @@ class StudyResult:
     # -- persistence ------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the study as JSONL: a header, then scenario and row records.
+        """Write the study as a JSONL result file in one go.
 
-        The format is shared with the incremental
-        :class:`~repro.experiments.checkpoint.StudyCheckpoint` (each scenario
-        is closed by a ``scenario_end`` marker), so a saved result can seed a
-        ``run_study(..., checkpoint=path, resume=True)`` and vice versa.
+        The grammar is the checkpoint's (:mod:`repro.experiments.checkpoint`)
+        without its ``checkpoint`` header flag, so a saved result loads here
+        and seeds ``run_study(..., checkpoint=path, resume=True)``, which
+        then recomputes nothing.
         """
+        header = dict(name=self.name, description=self.description, spec=self.spec)
+        blocks = "".join(scenario_block(scenario) for scenario in self.scenarios)
         with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "record": "study",
-                "name": self.name,
-                "description": self.description,
-                "spec": self.spec,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for scenario in self.scenarios:
-                handle.write(
-                    json.dumps({"record": "scenario", **scenario.meta()}) + "\n"
-                )
-                for row in scenario.rows:
-                    record = {
-                        "record": "row",
-                        "scenario_id": scenario.scenario_id,
-                        **row,
-                    }
-                    record["crc"] = record_crc(record)
-                    handle.write(json.dumps(record) + "\n")
-                for failure in scenario.failures:
-                    record = {
-                        "record": "failure",
-                        "scenario_id": scenario.scenario_id,
-                        **failure,
-                    }
-                    record["crc"] = record_crc(record)
-                    handle.write(json.dumps(record) + "\n")
-                handle.write(
-                    json.dumps(
-                        {"record": "scenario_end", "scenario_id": scenario.scenario_id}
-                    )
-                    + "\n"
-                )
+            handle.write(dump_record("study", header) + "\n" + blocks)
 
     @classmethod
     def load(cls, path) -> "StudyResult":
-        """Rebuild a study from its JSONL record.
+        """Rebuild a study from its result file under the strict policy.
 
-        Checkpoint files (header flag ``checkpoint``) are only loadable when
-        every scenario carries its ``scenario_end`` marker: a checkpoint cut
-        off mid-scenario must not silently load partial rows — resume it
-        with ``run_study(..., checkpoint=path, resume=True)`` instead.
+        A torn final line, a record that fails its CRC or breaks the study
+        grammar, and a scenario without its ``scenario_end`` marker in a
+        file that uses markers are all :class:`~repro.errors.SpecError`s:
+        resume an interrupted checkpoint with ``run_study(...,
+        checkpoint=path, resume=True)`` instead.
         """
-        result: Optional[StudyResult] = None
-        by_id: Dict[str, ScenarioResult] = {}
-        is_checkpoint = False
-        ended: set = set()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SpecError(f"{path}:{line_no}: not valid JSONL: {exc}")
-                kind = record.pop("record", None)
-                if kind == "study":
-                    is_checkpoint = bool(record.get("checkpoint"))
-                    result = cls(
-                        name=record.get("name", ""),
-                        scenarios=[],
-                        spec=record.get("spec"),
-                        description=record.get("description", ""),
-                    )
-                elif kind == "scenario":
-                    if result is None:
-                        raise SpecError(f"{path}:{line_no}: scenario before header")
-                    expected = {"scenario", "scenario_id", "kind", "seed", "workloads"}
-                    if set(record) != expected:
-                        raise SpecError(
-                            f"{path}:{line_no}: scenario record keys {sorted(record)} "
-                            f"do not match the schema ({sorted(expected)})"
-                        )
-                    scenario = ScenarioResult(rows=[], **record)
-                    by_id[scenario.scenario_id] = scenario
-                    result.scenarios.append(scenario)
-                elif kind in ("row", "failure"):
-                    scenario_id = record.get("scenario_id")
-                    if scenario_id not in by_id:
-                        raise SpecError(
-                            f"{path}:{line_no}: {kind} references unknown scenario "
-                            f"{scenario_id!r}"
-                        )
-                    crc = record.pop("crc", None)
-                    if crc is not None and crc != record_crc(record):
-                        raise SpecError(
-                            f"{path}:{line_no}: {kind} record failed its CRC "
-                            f"check — the file is corrupted"
-                        )
-                    if kind == "row":
-                        by_id[scenario_id].rows.append(record)
-                    else:
-                        by_id[scenario_id].failures.append(record)
-                elif kind == "scenario_end":
-                    if record.get("scenario_id") not in by_id:
-                        raise SpecError(
-                            f"{path}:{line_no}: end marker for unknown scenario "
-                            f"{record.get('scenario_id')!r}"
-                        )
-                    ended.add(record.get("scenario_id"))
-                else:
-                    raise SpecError(f"{path}:{line_no}: unknown record kind {kind!r}")
-        if result is None:
+        found = read_study(path, lenient=False)
+        if found.header is None:
             raise SpecError(f"{path}: no study header record found")
-        if is_checkpoint:
-            unfinished = [s for s in by_id if s not in ended]
-            if unfinished:
-                raise SpecError(
-                    f"{path}: checkpoint scenario{'s' if len(unfinished) > 1 else ''} "
-                    f"{', '.join(repr(s) for s in unfinished)} never completed "
-                    f"(the study was interrupted); resume it with "
-                    f"run_study(..., checkpoint=..., resume=True) before loading"
-                )
-        return result
+        unfinished = found.scenarios[len(found.completed):]
+        if unfinished and (found.completed or found.header.get("checkpoint")):
+            raise SpecError(
+                f"{path}: scenario{'s' if len(unfinished) > 1 else ''} "
+                f"{', '.join(repr(s.scenario_id) for s in unfinished)} never "
+                f"completed (the study was interrupted); resume it with "
+                f"run_study(..., checkpoint=..., resume=True) before loading"
+            )
+        return cls(
+            name=found.header.get("name", ""),
+            scenarios=found.scenarios,
+            spec=found.header.get("spec"),
+            description=found.header.get("description", ""),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -839,13 +760,12 @@ def run_study(
                     f"current spec; register the components "
                     f"(repro.experiments.register_*) or start fresh"
                 )
-            # Compare through a JSON round-trip: the recorded side already
-            # went through json.dumps (tuples became lists), so the current
-            # side must be normalized the same way or identical specs would
-            # spuriously mismatch.
-            if completed and recorded_spec.get("scenarios") != json.loads(
-                json.dumps(spec_dict.get("scenarios"))
-            ):
+            # Compare canonical JSON: the recorded side already went through
+            # json.dumps (tuples became lists), so comparing the objects
+            # would spuriously mismatch identical specs.
+            if completed and json.dumps(
+                recorded_spec.get("scenarios"), sort_keys=True
+            ) != json.dumps(spec_dict.get("scenarios"), sort_keys=True):
                 raise SpecError(
                     f"checkpoint {writer.path} was written for a different "
                     f"version of study {spec.name!r} (its scenario definitions "

@@ -26,12 +26,11 @@ smoke pins with a byte comparison of the saved files.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
-from repro.experiments.checkpoint import record_crc
+from repro.experiments.checkpoint import dump_record, read_records
 from repro.tournament.grid import StatsSpec
 from repro.tournament.stats import (
     PairedComparison,
@@ -210,88 +209,70 @@ class TournamentResult:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the verdict as JSONL: header, standings, head-to-head, rows."""
+        """Write the verdict as JSONL: header, standings, head-to-head, rows.
+
+        Every record goes through the result-file writer of
+        :mod:`repro.experiments.checkpoint` and carries its CRC.
+        """
+        header = {
+            "name": self.name,
+            "kind": self.kind,
+            "reference": self.reference,
+            "stats": asdict(self.stats),
+            "n_units": self.n_units,
+            "n_complete_units": self.n_complete_units,
+            "description": self.description,
+            "spec": self.spec,
+        }
+        lines = [dump_record("tournament", header)]
+        lines += [dump_record("standing", s.as_dict()) for s in self.standings]
+        lines += [dump_record("h2h", record) for record in self.head_to_head]
+        lines += [dump_record("row", row) for row in self.rows]
+        lines += [dump_record("failure", failure) for failure in self.failures]
         with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "record": "tournament",
-                "name": self.name,
-                "kind": self.kind,
-                "reference": self.reference,
-                "stats": {
-                    "resamples": self.stats.resamples,
-                    "confidence": self.stats.confidence,
-                    "seed": self.stats.seed,
-                    "tie_epsilon": self.stats.tie_epsilon,
-                },
-                "n_units": self.n_units,
-                "n_complete_units": self.n_complete_units,
-                "description": self.description,
-                "spec": self.spec,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for standing in self.standings:
-                handle.write(
-                    json.dumps({"record": "standing", **standing.as_dict()}) + "\n"
-                )
-            for record in self.head_to_head:
-                handle.write(json.dumps({"record": "h2h", **record}) + "\n")
-            for row in self.rows:
-                record = {"record": "row", **row}
-                record["crc"] = record_crc(record)
-                handle.write(json.dumps(record) + "\n")
-            for failure in self.failures:
-                handle.write(json.dumps({"record": "failure", **failure}) + "\n")
+            handle.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "TournamentResult":
-        """Rebuild a verdict from its JSONL record (rows are CRC-checked)."""
+        """Rebuild a verdict from its JSONL record; every line must decode,
+        pass its CRC and follow the tournament header."""
         result: Optional[TournamentResult] = None
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SpecError(f"{path}:{line_no}: not valid JSONL: {exc}")
-                kind = record.pop("record", None)
-                if kind == "tournament":
-                    result = cls(
-                        name=record.get("name", ""),
-                        kind=record.get("kind", "static"),
-                        reference=record.get("reference", ""),
-                        stats=StatsSpec.from_dict(record.get("stats", {})),
-                        standings=[],
-                        head_to_head=[],
-                        rows=[],
-                        failures=[],
-                        n_units=int(record.get("n_units", 0)),
-                        n_complete_units=int(record.get("n_complete_units", 0)),
-                        spec=record.get("spec"),
-                        description=record.get("description", ""),
-                    )
-                elif result is None:
+        for rec in read_records(path):
+            if rec.fault:
+                raise SpecError(rec.fault)
+            kind, record = rec.kind, rec.data
+            if result is None:
+                if kind != "tournament":
                     raise SpecError(
-                        f"{path}:{line_no}: {kind!r} record before the "
-                        "tournament header"
+                        f"{rec.where}: {kind!r} record before the tournament header"
                     )
-                elif kind == "standing":
+                result = cls(
+                    name=record.get("name", ""),
+                    kind=record.get("kind", "static"),
+                    reference=record.get("reference", ""),
+                    stats=StatsSpec.from_dict(record.get("stats", {})),
+                    standings=[],
+                    head_to_head=[],
+                    rows=[],
+                    failures=[],
+                    n_units=int(record.get("n_units", 0)),
+                    n_complete_units=int(record.get("n_complete_units", 0)),
+                    spec=record.get("spec"),
+                    description=record.get("description", ""),
+                )
+            elif kind == "standing":
+                try:
                     result.standings.append(PolicyStanding.from_dict(record))
-                elif kind == "h2h":
-                    result.head_to_head.append(record)
-                elif kind == "row":
-                    crc = record.pop("crc", None)
-                    if crc is not None and crc != record_crc(record):
-                        raise SpecError(
-                            f"{path}:{line_no}: row record failed its CRC "
-                            "check — the file is corrupted"
-                        )
-                    result.rows.append(record)
-                elif kind == "failure":
-                    result.failures.append(record)
-                else:
-                    raise SpecError(f"{path}:{line_no}: unknown record kind {kind!r}")
+                except TypeError as exc:  # unsigned files: a key may be altered
+                    raise SpecError(f"{rec.where}: malformed standing record: {exc}")
+            elif kind == "h2h":
+                result.head_to_head.append(record)
+            elif kind == "row":
+                result.rows.append(record)
+            elif kind == "failure":
+                result.failures.append(record)
+            else:
+                raise SpecError(f"{rec.where}: unknown record kind {kind!r}")
         if result is None:
             raise SpecError(f"{path}: no tournament header record found")
         return result

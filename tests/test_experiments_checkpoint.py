@@ -9,6 +9,9 @@ failed scenario leaves the previously completed scenarios' records intact.
 from __future__ import annotations
 
 import json
+import shutil
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -165,10 +168,8 @@ class TestResume:
         # Keep everything up to (and including) scenario 'second''s records
         # but drop its end marker: a crash at a clean line boundary.
         lines = path.read_text().splitlines(keepends=True)
-        assert json.loads(lines[-1]) == {
-            "record": "scenario_end",
-            "scenario_id": "second",
-        }
+        last = json.loads(lines[-1])
+        assert (last["record"], last["scenario_id"]) == ("scenario_end", "second")
         path.write_text("".join(lines[:-1]))
         resumed = run_study(spec, checkpoint=path, resume=True)
         assert resumed.scenario_ids() == ["first", "second"]
@@ -222,6 +223,8 @@ class TestResume:
         run_study(spec, checkpoint=path)
         lines = path.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
+        # That older version stamped no CRC on the header.
+        del header["crc"]
         for scenario in header["spec"]["scenarios"]:
             scenario["solver"] = {"backend": "tabulated", **scenario["solver"]}
         path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
@@ -636,3 +639,328 @@ class TestRecordCRC:
         record["crc"] = record_crc(record)
         parsed = json.loads(json.dumps(record))
         assert parsed.pop("crc") == record_crc(parsed)
+
+
+def _checkpoint_lines(tmp_path):
+    """A finished two-scenario checkpoint, as a list of its lines."""
+    path = tmp_path / "rows.jsonl"
+    run_study(two_scenario_spec(), checkpoint=path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _index(lines, kind, scenario_id):
+    """Index of the first ``kind`` record of ``scenario_id``."""
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if record["record"] == kind and record.get("scenario_id") == scenario_id:
+            return index
+    raise AssertionError(f"no {kind} record for {scenario_id!r}")
+
+
+def _second_header(lines):
+    at = _index(lines, "scenario", "second")
+    return lines[:at] + lines[:1] + lines[at:]
+
+
+def _duplicated_block(lines):
+    start = _index(lines, "scenario", "first")
+    return lines + lines[start : _index(lines, "scenario_end", "first") + 1]
+
+
+def _row_after_its_end(lines):
+    at = _index(lines, "scenario_end", "first") + 1
+    return lines[:at] + [lines[_index(lines, "row", "first")]] + lines[at:]
+
+
+def _doubled_end(lines):
+    at = _index(lines, "scenario_end", "first") + 1
+    return lines[:at] + [lines[at - 1]] + lines[at:]
+
+
+def _headerless(lines):
+    return lines[1:]
+
+
+MALFORMED_SHAPES = [
+    (_second_header, "second study header"),
+    (_duplicated_block, "scenario 'first' repeats"),
+    (_row_after_its_end, "row record for scenario 'first', which is not the open"),
+    (_doubled_end, "scenario_end record for scenario 'first', which is not the open"),
+    (_headerless, "'scenario' record before the study header"),
+]
+
+
+class TestOneGrammar:
+    """Strict load and resume give one verdict on every malformed study file."""
+
+    @pytest.mark.parametrize("reader", ["load", "resume"])
+    @pytest.mark.parametrize(
+        "shape, message",
+        MALFORMED_SHAPES,
+        ids=[shape.__name__ for shape, _ in MALFORMED_SHAPES],
+    )
+    def test_malformed_files_are_refused_by_both_readers(
+        self, tmp_path, monkeypatch, reader, shape, message
+    ):
+        path, lines = _checkpoint_lines(tmp_path)
+        path.write_text("".join(shape(lines)))
+        before = path.read_bytes()
+        executed = []
+        monkeypatch.setattr(
+            study_mod, "_run_scenario", lambda *args: executed.append(args)
+        )
+        with pytest.raises(SpecError, match=message):
+            if reader == "load":
+                StudyResult.load(path)
+            else:
+                run_study(two_scenario_spec(), checkpoint=path, resume=True)
+        # Refused means untouched, and nothing ran.
+        assert path.read_bytes() == before
+        assert executed == []
+
+    @pytest.mark.parametrize("reader", ["load", "resume", "tournament"])
+    def test_non_utf8_bytes_are_a_located_spec_error(self, tmp_path, reader):
+        if reader == "tournament":
+            from repro.tournament import TournamentResult
+
+            path = tmp_path / "rows.jsonl"
+            _tournament_result().save(path)
+            load = TournamentResult.load
+        else:
+            path, _lines = _checkpoint_lines(tmp_path)
+            load = StudyResult.load if reader == "load" else (
+                lambda p: StudyCheckpoint(p).load_completed()
+            )
+        data = path.read_bytes()
+        second_line = data.index(b"\n") + 5
+        path.write_bytes(data[:second_line] + b"\xff" + data[second_line + 1 :])
+        with pytest.raises(SpecError, match=r"rows\.jsonl:2: not valid JSONL"):
+            load(path)
+
+
+def _tournament_result():
+    from repro.tournament import StatsSpec, build_result
+
+    rows = [
+        {
+            "scenario_id": "s",
+            "workload": f"W{unit}",
+            "policy": policy,
+            "normalized_unfairness": value,
+            "normalized_stp": 1.0,
+        }
+        for unit in range(3)
+        for policy, value in (("Stock-Linux", 1.0), ("LFOC", 0.8 + unit / 100))
+    ]
+    failures = [{"label": "x", "scenario_id": "s"}]
+    return build_result("t", rows, failures, stats=StatsSpec(resamples=20))
+
+
+class TestEveryRecordIsSigned:
+    def test_study_files_stamp_every_record(self, tmp_path):
+        from repro.experiments.checkpoint import record_crc
+
+        checkpoint, _lines = _checkpoint_lines(tmp_path)
+        saved = tmp_path / "saved.jsonl"
+        StudyResult.load(checkpoint).save(saved)
+        for path in (checkpoint, saved):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            assert {r["record"] for r in records} == {
+                "study", "scenario", "row", "scenario_end"
+            }
+            for record in records:
+                assert record["crc"] == record_crc(record), record["record"]
+
+    def test_tournament_files_stamp_every_record(self, tmp_path):
+        from repro.experiments.checkpoint import record_crc
+
+        path = tmp_path / "verdict.jsonl"
+        _tournament_result().save(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {r["record"] for r in records} == {
+            "tournament", "standing", "h2h", "row", "failure"
+        }
+        for record in records:
+            assert record["crc"] == record_crc(record), record["record"]
+
+    @pytest.mark.parametrize("kind", ["scenario", "row", "scenario_end"])
+    def test_a_record_without_its_crc_is_refused_in_a_signed_file(self, tmp_path, kind):
+        path, lines = _checkpoint_lines(tmp_path)
+        at = _index(lines, kind, "second")
+        record = json.loads(lines[at])
+        del record["crc"]
+        lines[at] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(SpecError, match=f":{at + 1}: {kind} record failed its CRC"):
+            StudyResult.load(path)
+        # The resume path treats it as damage: it keeps 'first' only.
+        with pytest.warns(RuntimeWarning, match="CRC"):
+            _header, completed = StudyCheckpoint(path).load_completed()
+        assert list(completed) == ["first"]
+
+    def test_a_tournament_record_without_its_crc_is_refused(self, tmp_path):
+        from repro.tournament import TournamentResult
+
+        path = tmp_path / "verdict.jsonl"
+        _tournament_result().save(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["crc"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecError, match=":2: standing record failed its CRC"):
+            TournamentResult.load(path)
+
+    def test_an_altered_standing_key_in_an_unsigned_tournament_file_is_refused(
+        self, tmp_path
+    ):
+        """Files written before every record carried a CRC are not checked,
+        yet a renamed standing field is still a named error."""
+        from repro.tournament import TournamentResult
+
+        path = tmp_path / "verdict.jsonl"
+        _tournament_result().save(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            del record["crc"]
+        records[1]["mean_stq"] = records[1].pop("mean_stp")
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(SpecError, match=":2: malformed standing record"):
+            TournamentResult.load(path)
+
+
+class TestFlipFuzz:
+    """Flip every byte of a result file, two ways: no reader is ever fooled.
+
+    Each flipped file either reads back exactly what was written or is
+    refused with a :class:`SpecError` — by the strict load, and by the
+    resume cycle (``load_completed`` -> ``start(fresh=False)`` -> ``append``
+    of the missing scenarios) that ``run_study(..., resume=True)`` runs.
+    """
+
+    def test_every_byte_flip_loads_the_original_or_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.checkpoint as checkpoint_mod
+
+        # The sweep makes thousands of appends; durability is not under test.
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", lambda fd: None)
+        source = tmp_path / "full.jsonl"
+        full = run_study(two_scenario_spec(), checkpoint=source)
+        original = StudyResult.load(source)
+        header, scenarios = StudyCheckpoint(source).load_completed()
+        data = source.read_bytes()
+        path = tmp_path / "flipped.jsonl"
+        misread, other = [], []
+        for offset in range(len(data)):
+            for value in (0xFF, data[offset] ^ 0x01):
+                flipped = data[:offset] + bytes([value]) + data[offset + 1 :]
+                path.write_bytes(flipped)
+                try:
+                    if StudyResult.load(path) != original:
+                        misread.append(("load", offset, value))
+                except SpecError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - counted, then asserted
+                    other.append(("load", offset, value, repr(exc)))
+                checkpoint = StudyCheckpoint(path)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        _header, completed = checkpoint.load_completed()
+                    checkpoint.start(
+                        name=header["name"],
+                        description=header["description"],
+                        spec=header["spec"],
+                        fresh=False,
+                    )
+                    for scenario_id in ("first", "second"):
+                        if scenario_id not in completed:
+                            checkpoint.append(scenarios[scenario_id])
+                    resumed = StudyResult.load(path)
+                    if (
+                        resumed.scenario_ids() != ["first", "second"]
+                        or resumed.rows() != full.rows()
+                    ):
+                        misread.append(("resume", offset, value))
+                except SpecError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - counted, then asserted
+                    other.append(("resume", offset, value, repr(exc)))
+        assert misread == []
+        assert other == []
+
+    def test_every_byte_flip_of_a_tournament_file_loads_the_original_or_is_refused(
+        self, tmp_path
+    ):
+        from repro.tournament import TournamentResult
+
+        def content(result):
+            return (
+                result.name, result.stats, result.n_units, result.spec,
+                [s.as_dict() for s in result.standings], result.head_to_head,
+                result.rows, result.failures,
+            )
+
+        path = tmp_path / "verdict.jsonl"
+        _tournament_result().save(path)
+        original = content(TournamentResult.load(path))
+        data = path.read_bytes()
+        misread, other = [], []
+        for offset in range(len(data)):
+            for value in (0xFF, data[offset] ^ 0x01):
+                path.write_bytes(data[:offset] + bytes([value]) + data[offset + 1 :])
+                try:
+                    if content(TournamentResult.load(path)) != original:
+                        misread.append((offset, value))
+                except SpecError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - counted, then asserted
+                    other.append((offset, value, repr(exc)))
+        assert misread == []
+        assert other == []
+
+
+class TestFilesWrittenBeforeRecordCrcs:
+    """Study files whose header, scenario and end records carry no CRC.
+
+    Both were written for :func:`two_scenario_spec` by the release before
+    every record was stamped: a finished ``StudyResult.save`` file and a
+    checkpoint interrupted mid-way through scenario 'second'.  The checks
+    are on scenario IDs and recomputation, not on model numbers.
+    """
+
+    DATA = Path(__file__).parent / "data"
+
+    def _resume(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        shutil.copy(self.DATA / name, path)
+        executed = []
+        original = study_mod._run_scenario
+
+        def counting(scenario, seed, executor):
+            executed.append(scenario.scenario_id(seed))
+            return original(scenario, seed, executor)
+
+        monkeypatch.setattr(study_mod, "_run_scenario", counting)
+        resumed = run_study(two_scenario_spec(), checkpoint=path, resume=True)
+        assert resumed.scenario_ids() == ["first", "second"]
+        assert StudyResult.load(path).scenario_ids() == ["first", "second"]
+        return path, executed
+
+    def test_a_finished_file_loads_and_resumes_with_nothing_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        name = "study_saved_before_record_crcs.jsonl"
+        assert StudyResult.load(self.DATA / name).scenario_ids() == ["first", "second"]
+        path, executed = self._resume(tmp_path, monkeypatch, name)
+        assert executed == []
+        assert path.read_bytes() == (self.DATA / name).read_bytes()
+
+    def test_an_interrupted_checkpoint_recomputes_only_the_cut_scenario(
+        self, tmp_path, monkeypatch
+    ):
+        _path, executed = self._resume(
+            tmp_path, monkeypatch, "study_interrupted_before_record_crcs.jsonl"
+        )
+        assert executed == ["second"]
